@@ -1,0 +1,101 @@
+// Z-column block-Jacobi preconditioner for layer-major stacked grids.
+//
+// A layered grid numbered slab by slab — m slabs of `cells` consecutive
+// nodes each, cell c of slab k at node first[k] + c — couples every node to
+// the same cell in the slabs directly above and below. In the thermal stack
+// those vertical couplings dominate: the thin TIM and TEC slabs conduct far
+// better through their thickness than across it, and the TEC absorb/reject
+// interface slabs have no lateral edges at all. Diagonal Jacobi sees none of
+// that. This preconditioner keeps it: M is the block diagonal of A made of
+// one m×m tridiagonal block per (x, y) column — the column's diagonal
+// entries and its vertical couplings (k, c)–(k+1, c) — plus a 1×1 block for
+// every node outside the slabs (the lumped ring nodes, "singletons").
+//
+// The preconditioner is split like the banded Cholesky:
+//   ColumnBlockSymbolic — where each column's entries live in a fixed CSR
+//                         pattern. Computed once per pattern; immutable and
+//                         shareable across threads.
+//   ColumnBlockJacobi   — the numeric LDLᵀ factor of every column block
+//                         (the Thomas algorithm, O(n)), refactored from the
+//                         CSR values whenever the matrix changes.
+//
+// Determinism: factor() and the z = M⁻¹r sweeps of apply() run one slab at
+// a time across all cells, so every inner loop is contiguous and
+// element-wise and produces the same bits under every kernel backend. The
+// r·z that apply() returns goes through the active backend's dot, so it is
+// exactly what backend().dot would return for the produced z (the simd
+// backends' fixed 8-lane tree; see la/backend.h).
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "la/sparse.h"
+
+namespace oftec::la {
+
+class ColumnBlockSymbolic {
+ public:
+  /// Locate, in `pattern`'s CSR structure (values are not read), the
+  /// diagonal entry of every slab node and the coupling of every slab node
+  /// to the same cell in the slab below. `slab_first[k]` is the first node
+  /// of slab k, listed bottom to top along the column; every slab holds
+  /// `cells` consecutive nodes. Nodes outside every slab become singletons.
+  /// Throws std::invalid_argument when a slab runs past the matrix or two
+  /// slabs overlap. A coupling absent from the pattern factors as 0.
+  [[nodiscard]] static ColumnBlockSymbolic analyze(
+      const CsrMatrix& pattern, std::size_t cells,
+      std::vector<std::size_t> slab_first);
+
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+  [[nodiscard]] std::size_t slabs() const noexcept { return first_.size(); }
+  [[nodiscard]] const std::vector<std::size_t>& singletons() const noexcept {
+    return singletons_;
+  }
+
+ private:
+  friend class ColumnBlockJacobi;
+
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  std::size_t n_ = 0;
+  std::size_t nnz_ = 0;
+  std::size_t cells_ = 0;
+  std::vector<std::size_t> first_;
+  /// CSR value index of A(first[k]+c, first[k]+c), at k·cells + c.
+  std::vector<std::size_t> diag_pos_;
+  /// CSR value index of A(first[k]+c, first[k−1]+c) for k ≥ 1, at
+  /// (k−1)·cells + c; kAbsent where the pattern has no such entry.
+  std::vector<std::size_t> below_pos_;
+  std::vector<std::size_t> singletons_;
+  std::vector<std::size_t> singleton_diag_pos_;
+};
+
+class ColumnBlockJacobi {
+ public:
+  /// Factor every column block of `a`, whose CSR pattern must be the one
+  /// `symbolic` was analyzed on. Returns false on a non-positive (or NaN)
+  /// pivot or singleton diagonal: a principal submatrix that is not SPD,
+  /// which proves `a` is not SPD either. The factor is then unusable until
+  /// the next successful factor(). Reuses its storage across calls. The
+  /// symbolic must outlive every apply() that follows.
+  [[nodiscard]] bool factor(const ColumnBlockSymbolic& symbolic,
+                            const CsrMatrix& a);
+
+  /// z = M⁻¹r over the last successful factor(); returns r·z computed by
+  /// the active backend's dot. r and z hold size() doubles and must not
+  /// overlap.
+  double apply(const double* r, double* z) const;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return symbolic_ != nullptr ? symbolic_->size() : 0;
+  }
+
+ private:
+  const ColumnBlockSymbolic* symbolic_ = nullptr;
+  std::vector<double> inv_pivot_;      ///< 1/pivot at k·cells + c
+  std::vector<double> multiplier_;     ///< L(k, k−1) at (k−1)·cells + c
+  std::vector<double> inv_singleton_;  ///< 1/diag per singleton
+};
+
+}  // namespace oftec::la

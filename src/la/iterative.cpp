@@ -1,6 +1,7 @@
 #include "la/iterative.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "la/backend.h"
 #include "util/fault.h"
@@ -74,9 +75,15 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
     res.residual_norm = norm2(b);
     return res;
   }
+  const ColumnBlockJacobi* column = opts.preconditioner;
+  if (column != nullptr && column->size() != n) {
+    throw std::invalid_argument("solve_cg: preconditioner size mismatch");
+  }
   const std::size_t max_iter =
       opts.max_iterations != 0 ? opts.max_iterations : 10 * n;
-  const Vector inv_d = jacobi_inverse_diagonal(a, opts.jacobi_precondition);
+  const Vector inv_d = column != nullptr
+                           ? Vector()
+                           : jacobi_inverse_diagonal(a, opts.jacobi_precondition);
   const BackendOps& ops = backend();
 
   IterativeResult res;
@@ -103,10 +110,17 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
   //   precond_dot       z = d∘r and r·z            (1 pass over r, z)
   //   search_dir_update p = z + βp                 (1 pass over z, p)
   // The scalar backend reproduces the unfused sequence bit for bit; the simd
-  // backend's reductions use its fixed 8-lane tree (see backend.h).
+  // backend's reductions use its fixed 8-lane tree (see backend.h). A column
+  // preconditioner replaces precond_dot with its slab sweeps plus one
+  // backend dot for r·z.
   Vector& z = ws.z;
   z.resize(n);
-  double rz = ops.precond_dot(n, inv_d.data(), r.data(), z.data());
+  const auto precondition = [&] {
+    return column != nullptr
+               ? column->apply(r.data(), z.data())
+               : ops.precond_dot(n, inv_d.data(), r.data(), z.data());
+  };
+  double rz = precondition();
   Vector& p = ws.p;
   p = z;
   Vector& ap = ws.ap;
@@ -122,7 +136,7 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
       res.converged = true;
       return res;
     }
-    const double rz_new = ops.precond_dot(n, inv_d.data(), r.data(), z.data());
+    const double rz_new = precondition();
     const double beta = rz_new / rz;
     rz = rz_new;
     ops.search_dir_update(n, beta, z.data(), p.data());

@@ -1,14 +1,20 @@
 // Iterative Krylov solvers: CG (SPD systems) and BiCGSTAB (general).
 //
-// The unmodified conductance matrix G is symmetric positive definite, so CG
-// applies; once the TEC Peltier terms are folded into the left-hand side the
-// system becomes nonsymmetric and BiCGSTAB is used. Both are
-// Jacobi-preconditioned. The direct banded solver remains the default in the
-// thermal module; these exist for large grids and as cross-checks.
+// Every operating-point term of the thermal system M(ω, I)·T = rhs is
+// diagonal — the sink conductance g(ω), the leakage slope on the chip cells,
+// and the Peltier stamps ±α·I on the TEC absorb/reject nodes — so M stays
+// symmetric, and positive definite wherever the point is physical. CG
+// therefore carries the thermal solves: thermal::SolveEngine runs
+// warm-started CG first, preconditioned by the z-column block-Jacobi factor
+// of la/column_jacobi.h, and drops to a direct banded factorization only
+// when CG fails near runaway. Bare CSR callers get diagonal Jacobi. BiCGSTAB
+// serves the serial reference thermal::SteadySolver and general
+// nonsymmetric systems.
 #pragma once
 
 #include <cstddef>
 
+#include "la/column_jacobi.h"
 #include "la/sparse.h"
 #include "la/vector_ops.h"
 
@@ -46,6 +52,11 @@ struct IterativeOptions {
   /// Optional scratch reused across solve_cg calls (ignored by BiCGSTAB).
   /// Not owned; must outlive the call.
   CgWorkspace* workspace = nullptr;
+  /// Optional successfully factored column block-Jacobi preconditioner for
+  /// solve_cg (ignored by BiCGSTAB). When set it replaces diagonal Jacobi
+  /// and jacobi_precondition is not consulted; its size must be n. Not
+  /// owned; must outlive the call.
+  const ColumnBlockJacobi* preconditioner = nullptr;
 };
 
 /// Preconditioned conjugate gradient; caller asserts A is SPD.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace oftec::thermal {
 
@@ -523,6 +524,18 @@ void IncrementalAssembler::assemble_csr(
           ct.resistance * current * current;
     }
   }
+}
+
+la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
+  const NodeLayout& layout = model_->layout();
+  std::vector<std::size_t> slab_first(kSlabCount);
+  for (std::size_t k = 0; k < kSlabCount; ++k) {
+    slab_first[k] = layout.node(static_cast<Slab>(k), 0);
+  }
+  const la::CsrMatrix pattern(layout.node_count(), row_ptr_, col_idx_,
+                              base_values_);
+  return la::ColumnBlockSymbolic::analyze(
+      pattern, layout.cells_per_layer(), std::move(slab_first));
 }
 
 AssembledSystem IncrementalAssembler::assemble_banded(

@@ -22,6 +22,7 @@
 #include "floorplan/floorplan.h"
 #include "floorplan/grid_map.h"
 #include "la/banded_matrix.h"
+#include "la/column_jacobi.h"
 #include "la/sparse.h"
 #include "la/vector_ops.h"
 #include "package/package_config.h"
@@ -186,6 +187,11 @@ class IncrementalAssembler {
   void assemble_csr(double omega, const la::Vector& cell_current,
                     const std::vector<power::TaylorCoefficients>& cell_taylor,
                     CsrSystem& out) const;
+
+  /// Column structure of the fixed CSR pattern for la::ColumnBlockJacobi:
+  /// every (x, y) column runs through the nine slabs bottom to top, and the
+  /// three ring nodes are singletons.
+  [[nodiscard]] la::ColumnBlockSymbolic column_structure() const;
 
   /// Band-storage form for the direct solvers (delegates to the model's
   /// reference assembler — only used on the direct fallback path).

@@ -197,6 +197,7 @@ struct SolveEngine::Workspace {
   la::Vector warm;         // previous iterate for Krylov warm starts
   bool have_warm = false;  // reset at the start of every operating point
   la::CgWorkspace cg;      // CG iteration vectors, reused across solves
+  la::ColumnBlockJacobi column;  // refactored for every CG solve
 };
 
 // ---------------------------------------------------------------------------
@@ -206,7 +207,8 @@ struct SolveEngine::Workspace {
 SolveEngine::SolveEngine(const SteadySolver& solver, EngineOptions options)
     : solver_(&solver),
       options_(options),
-      assembler_(solver.model(), solver.cell_dynamic_power()) {
+      assembler_(solver.model(), solver.cell_dynamic_power()),
+      column_symbolic_(assembler_.column_structure()) {
   // Probe the banded structure once; all operating points share it.
   const std::size_t cells = solver.model().layout().cells_per_layer();
   const AssembledSystem probe = assembler_.assemble_banded(
@@ -335,7 +337,12 @@ bool SolveEngine::solve_linear(
     iopts.workspace = &ws.cg;  // allocation-free across the Newton loop
     // All operating-point terms are diagonal, so M stays symmetric and CG
     // applies; indefinite systems (near runaway) fail to converge and drop
-    // to the pivoted direct path below.
+    // to the pivoted direct path below. A non-positive column pivot already
+    // proves M is not SPD: that solve keeps diagonal Jacobi, so the
+    // near-runaway path and its direct fallback stay as they were.
+    if (ws.column.factor(column_symbolic_, ws.csr.matrix)) {
+      iopts.preconditioner = &ws.column;
+    }
     const la::IterativeResult it =
         la::solve_cg(ws.csr.matrix, ws.csr.rhs, iopts);
     cache_->cg_iterations.fetch_add(it.iterations, std::memory_order_relaxed);

@@ -13,7 +13,10 @@
 //   2. Warm-started inexact Newton — Krylov solves inside the Newton loop
 //      start from the previous iterate and run at a loose tolerance until
 //      the outer loop converges, then a final polish solve tightens the
-//      result to the solver's reference tolerance.
+//      result to the solver's reference tolerance. Every CG solve is
+//      preconditioned by the z-column block-Jacobi factor of its matrix
+//      (la/column_jacobi.h): the engine analyzes the column structure once,
+//      and each solve refactors it in O(n) into its thread's workspace.
 //   3. Factor reuse — direct-solve fallbacks (near thermal runaway, or when
 //      use_iterative is off) go through a split symbolic/numeric banded
 //      Cholesky whose symbolic analysis is done once per package stack,
@@ -40,6 +43,7 @@
 #include <mutex>
 #include <vector>
 
+#include "la/column_jacobi.h"
 #include "la/split_cholesky.h"
 #include "thermal/steady.h"
 #include "util/thread_pool.h"
@@ -157,6 +161,10 @@ class SolveEngine {
   EngineOptions options_;
   IncrementalAssembler assembler_;
   std::shared_ptr<const la::BandedCholeskySymbolic> symbolic_;
+  /// Column structure of the assembler's fixed CSR pattern. It lives here,
+  /// never in a Workspace: solve_batch's thread-local workspaces are shared
+  /// by every engine that runs on a thread.
+  la::ColumnBlockSymbolic column_symbolic_;
   std::unique_ptr<FactorCache> cache_;
   mutable std::unique_ptr<util::ThreadPool> pool_;  // lazy
   mutable std::mutex pool_mutex_;

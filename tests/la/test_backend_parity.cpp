@@ -28,8 +28,10 @@
 #include "la/backend.h"
 #include "la/banded_cholesky.h"
 #include "la/banded_lu.h"
+#include "la/column_jacobi.h"
 #include "la/vector_ops.h"
 #include "tests/la/golden_systems.h"
+#include "tests/la/layered_systems.h"
 
 namespace oftec::la {
 namespace {
@@ -485,6 +487,55 @@ TEST(BackendParity, FusedCgKernelsMatchUnfusedBitIdentical) {
         ASSERT_EQ(hex_double(p_ref[i]), hex_double(p[i]))
             << c.name << " " << ops->name << " p[" << i << "]";
       }
+    }
+  }
+}
+
+TEST(BackendParity, ColumnPreconditionerSweepsBitIdenticalDotUlpBounded) {
+  // The column block-Jacobi apply runs plain element-wise slab sweeps, so z
+  // must not move a bit between backends; r·z goes through each backend's
+  // dot: ULP-bounded scalar↔simd, and the same 8-lane tree on AVX2 and
+  // AVX-512.
+  struct Case { std::uint64_t seed; std::size_t nx, ny; double lateral; };
+  for (const Case& k : {Case{81, 10, 10, 0.05}, Case{82, 16, 16, 0.02},
+                        Case{83, 7, 5, 0.3}}) {
+    const testing::LayeredCase c =
+        testing::make_layered_case(k.seed, k.nx, k.ny, 9, k.lateral);
+    const ColumnBlockSymbolic sym =
+        ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first);
+    ColumnBlockJacobi m;
+    ASSERT_TRUE(m.factor(sym, c.a));
+    const std::size_t n = c.a.size();
+
+    const std::pair<const char*, bool> specs[] = {
+        {"scalar", true},
+        {"simd", simd_supported()},
+        {"avx2", avx2_backend() != nullptr},
+        {"avx512", avx512_backend() != nullptr}};
+    std::map<std::string, std::pair<Vector, double>> out;
+    for (const auto& [spec, available] : specs) {
+      if (!available) continue;
+      const ScopedBackend b(spec);
+      Vector z(n);
+      const double rz = m.apply(c.b.data(), z.data());
+      out.emplace(spec, std::make_pair(std::move(z), rz));
+    }
+    const auto& [z_ref, rz_ref] = out.at("scalar");
+    double mass = 0.0;
+    for (std::size_t i = 0; i < n; ++i) mass += std::abs(c.b[i] * z_ref[i]);
+    const double bound =
+        16.0 * static_cast<double>(n + 1) * 2.22e-16 * (mass + 1.0);
+    for (const auto& [spec, result] : out) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hex_double(z_ref[i]), hex_double(result.first[i]))
+            << spec << " seed " << k.seed << " z[" << i << "]";
+      }
+      EXPECT_NEAR(rz_ref, result.second, bound) << spec << " seed " << k.seed;
+    }
+    if (out.count("avx2") != 0 && out.count("avx512") != 0) {
+      EXPECT_EQ(hex_double(out.at("avx2").second),
+                hex_double(out.at("avx512").second))
+          << "seed " << k.seed;
     }
   }
 }

@@ -9,7 +9,11 @@
 //     capacities (eviction-heavy), and corrupt-factor self-heal all
 //     reproduce the cold answer exactly;
 //   - the 64×64 grid solves purely iteratively (a direct factorization at
-//     bandwidth 4097 is ~77 GFLOP and must never be triggered by accident).
+//     bandwidth 4097 is ~77 GFLOP and must never be triggered by accident);
+//   - on both grids the engine's column preconditioner never needs more CG
+//     iterations than diagonal Jacobi on the same assembled system. Finer
+//     cells weaken the vertical couplings it captures relative to the
+//     lateral ones, so the margin shrinks with grid size (docs/solver.md).
 //
 // Direct factorizations at n = 9219 run seconds-scale, hence tier2.
 #include "thermal/solve_engine.h"
@@ -17,9 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "floorplan/ev6.h"
+#include "la/column_jacobi.h"
+#include "la/iterative.h"
 #include "power/mcpat_like.h"
 #include "thermal/model.h"
 #include "thermal/steady.h"
@@ -91,6 +98,75 @@ void expect_identical(const SteadyResult& a, const SteadyResult& b,
     ASSERT_EQ(a.temperatures[j], b.temperatures[j])
         << "point " << i << " node " << j;
   }
+}
+
+/// Cold CG iterations on the Newton system linearized at `chip`, under
+/// diagonal Jacobi and under the engine's column preconditioner.
+struct ColdCg {
+  std::size_t diagonal = 0;
+  std::size_t column = 0;
+};
+
+ColdCg cold_cg(const Scenario& s, const OperatingPoint& pt,
+               const la::Vector& chip) {
+  const SteadySolver& solver = s.solver();
+  const std::size_t cells = s.model().layout().cells_per_layer();
+  const IncrementalAssembler assembler(s.model(), solver.cell_dynamic_power());
+  std::vector<power::TaylorCoefficients> taylor(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    taylor[i] = power::tangent_linearize(solver.cell_leakage()[i], chip[i]);
+  }
+  CsrSystem csr;
+  assembler.assemble_csr(pt.omega, la::Vector(cells, pt.current), taylor, csr);
+  la::IterativeOptions opts;
+  opts.tolerance = solver.options().iterative_tolerance;
+  opts.max_iterations = 4 * csr.rhs.size();
+  const la::IterativeResult diagonal =
+      la::solve_cg(csr.matrix, csr.rhs, opts);
+  const la::ColumnBlockSymbolic structure = assembler.column_structure();
+  la::ColumnBlockJacobi column;
+  EXPECT_TRUE(column.factor(structure, csr.matrix));
+  opts.preconditioner = &column;
+  const la::IterativeResult preconditioned =
+      la::solve_cg(csr.matrix, csr.rhs, opts);
+  EXPECT_TRUE(diagonal.converged);
+  EXPECT_TRUE(preconditioned.converged);
+  return {diagonal.iterations, preconditioned.iterations};
+}
+
+/// For each point, the engine's first Newton system (linearized at the
+/// initial guess) and its last (at the converged chip temperatures).
+void expect_column_never_worse(const Scenario& s,
+                               const std::vector<OperatingPoint>& pts) {
+  const SolveEngine engine(s.solver());
+  const std::size_t cells = s.model().layout().cells_per_layer();
+  const la::Vector initial(cells, s.model().config().ambient + 10.0);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const SteadyResult result = engine.solve(pts[i]);
+    ASSERT_EQ(result.status, SolveStatus::kOk) << "point " << i;
+    for (const la::Vector* chip : {&initial, &result.chip_temperatures}) {
+      const ColdCg cg = cold_cg(s, pts[i], *chip);
+      const std::string system = "p" + std::to_string(i) +
+                                 (chip == &initial ? "_initial" : "_converged");
+      ::testing::Test::RecordProperty(
+          system, std::to_string(cg.diagonal) + " -> " +
+                      std::to_string(cg.column));
+      EXPECT_LE(cg.column, cg.diagonal) << "point " << i;
+    }
+  }
+}
+
+TEST(LargeGridEngine, Grid32ColumnPreconditionerNeverNeedsMoreCgIterations) {
+  const double w = grid32().omega_max();
+  const double c = grid32().current_max();
+  expect_column_never_worse(
+      grid32(), {{0.5 * w, 0.0}, {w, 0.0}, {0.5 * w, 0.3 * c}, {w, 0.3 * c}});
+}
+
+TEST(LargeGridEngine, Grid64ColumnPreconditionerNeverNeedsMoreCgIterations) {
+  const double w = grid64().omega_max();
+  const double c = grid64().current_max();
+  expect_column_never_worse(grid64(), {{0.8 * w, 0.0}, {0.8 * w, 0.25 * c}});
 }
 
 TEST(LargeGridEngine, Grid32BatchedBitIdenticalToSerial) {
