@@ -11,10 +11,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common.h"
 #include "core/problems.h"
 #include "la/backend.h"
+#include "la/banded_factor.h"
 #include "la/banded_lu.h"
 #include "la/banded_matrix.h"
 #include "la/sparse.h"
@@ -22,6 +25,7 @@
 #include "la/vector_ops.h"
 #include "thermal/solve_engine.h"
 #include "thermal/steady.h"
+#include "thermal/transient_engine.h"
 #include "util/stopwatch.h"
 #include "util/units.h"
 
@@ -75,7 +79,9 @@ void BM_BandedSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedSolve)->Arg(6)->Arg(10)->Arg(16);
 
-void BM_BandedRefactorizeSwap(benchmark::State& state) {
+// la::BandedFactor::refactorize — the policy every direct thermal solve
+// factors through (Cholesky here; the label names the path taken).
+void BM_BandedFactorRefactorize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const thermal::ThermalModel& model = model_for_grid(n);
   const la::Vector dyn = model.distribute(quicksort_peak());
@@ -83,16 +89,17 @@ void BM_BandedRefactorizeSwap(benchmark::State& state) {
   for (auto& tc : taylor) tc = {0.01, 0.1, 330.0};
   const thermal::AssembledSystem sys =
       model.assemble(300.0, 1.0, dyn, taylor);
-  la::BandedLu lu(sys.matrix);
-  la::BandedMatrix scratch;
+  la::BandedFactor factor(sys.matrix);
   for (auto _ : state) {
-    scratch = sys.matrix;  // storage circulates with the factor
-    lu.refactorize_swap(scratch);
-    benchmark::DoNotOptimize(lu.min_abs_pivot());
+    factor.refactorize(sys.matrix);
+    benchmark::DoNotOptimize(factor.valid());
   }
-  state.SetLabel(std::to_string(model.layout().node_count()) + " nodes");
+  state.SetLabel(std::to_string(model.layout().node_count()) + " nodes, " +
+                 (factor.kind() == la::BandedFactor::Kind::kCholesky
+                      ? "cholesky"
+                      : "lu"));
 }
-BENCHMARK(BM_BandedRefactorizeSwap)->Arg(6)->Arg(10)->Arg(16);
+BENCHMARK(BM_BandedFactorRefactorize)->Arg(6)->Arg(10)->Arg(16);
 
 la::Vector kernel_vector(std::size_t n, double seed) {
   la::Vector v(n);
@@ -273,7 +280,8 @@ BENCHMARK(BM_FusedCgIter)->Args({9219, 0})->Args({9219, 1})->Args({9219, 2});
 
 // ---------------------------------------------------------------------------
 // 32×32 acceptance section: refactorize and end-to-end steady solve,
-// scalar vs each simd flavor, recorded in the bench JSON ("micro_kernels").
+// scalar vs each simd flavor, recorded in the bench JSON ("micro_kernels",
+// with the 10×10 rows under "grid10").
 // ---------------------------------------------------------------------------
 
 struct BackendTiming {
@@ -306,11 +314,11 @@ BackendTiming measure_backend(const char* spec,
     t.chol_refactorize_ms = watch.elapsed_ms();
   }
   {
-    la::BandedLu lu(gen.matrix);
-    la::BandedMatrix scratch = gen.matrix;
+    la::BandedMatrix copy = gen.matrix;  // the LU factors in place
     const util::Stopwatch watch;
-    lu.refactorize_swap(scratch);
+    const la::BandedLu lu(std::move(copy));
     t.lu_refactorize_ms = watch.elapsed_ms();
+    benchmark::DoNotOptimize(lu.valid());
   }
   {
     thermal::EngineOptions direct;
@@ -354,12 +362,149 @@ BackendTiming measure_backend(const char* spec,
   return t;
 }
 
+// ---------------------------------------------------------------------------
+// 10×10 rows (n = 903, bandwidth 101): the paper's grid, where nearly every
+// panel_update source ends inside a register block — the masked tails' case.
+// ---------------------------------------------------------------------------
+
+struct Grid10Timing {
+  std::string name;
+  double chol_refactorize_ms = 0.0;
+  double lu_refactorize_ms = 0.0;
+  double step_ms = 0.0;  ///< one TransientStepper step at threshold 0
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Medians over repeated factorizations of the 10-ms backward-Euler step
+/// matrix (SPD: Cholesky), its pivoted LU, and threshold-0 stepper steps
+/// (each re-linearizes and refactors), under one installed backend.
+Grid10Timing measure_grid10(const char* spec,
+                            const thermal::AssembledSystem& step_sys,
+                            const thermal::ThermalModel& model,
+                            const la::Vector& dyn,
+                            const std::vector<power::ExponentialTerm>& leak,
+                            const la::Vector& start) {
+  const la::BackendOps& ops = la::install_backend(spec);
+  Grid10Timing t;
+  t.name = ops.name;
+  constexpr int kReps = 41;
+  std::vector<double> ms;
+
+  la::BandedFactor factor(step_sys.matrix);  // warm storage
+  if (factor.kind() != la::BandedFactor::Kind::kCholesky) {
+    std::fprintf(stderr, "micro_kernels: 10x10 step matrix is not SPD\n");
+  }
+  for (int r = 0; r < kReps; ++r) {
+    const util::Stopwatch watch;
+    factor.refactorize(step_sys.matrix);
+    ms.push_back(watch.elapsed_ms());
+  }
+  t.chol_refactorize_ms = median_of(ms);
+
+  ms.clear();
+  for (int r = 0; r < kReps; ++r) {
+    la::BandedMatrix copy = step_sys.matrix;
+    const util::Stopwatch watch;
+    const la::BandedLu lu(std::move(copy));
+    ms.push_back(watch.elapsed_ms());
+    benchmark::DoNotOptimize(lu.valid());
+  }
+  t.lu_refactorize_ms = median_of(ms);
+
+  ms.clear();
+  thermal::TransientStepper stepper(model, leak);
+  stepper.reset(start);
+  const thermal::ControlSetting setting{
+      0.6 * model.config().fan.max_speed,
+      0.5 * model.config().tec.max_current};
+  for (int r = 0; r < kReps; ++r) {
+    const util::Stopwatch watch;
+    const bool ok = stepper.step(setting, dyn, 10e-3);
+    ms.push_back(watch.elapsed_ms());
+    if (!ok) break;
+  }
+  t.step_ms = median_of(ms);
+  return t;
+}
+
+util::json::Value grid10_section() {
+  const thermal::ThermalModel& model = model_for_grid(10);
+  const la::Vector dyn = model.distribute(quicksort_peak());
+  const std::vector<power::ExponentialTerm> leak =
+      model.cell_leakage(paper_leakage());
+  const la::Vector start(model.layout().node_count(), 330.0);
+  std::vector<power::TaylorCoefficients> taylor(dyn.size());
+  for (std::size_t i = 0; i < taylor.size(); ++i) {
+    taylor[i] = power::tangent_linearize(leak[i], 330.0);
+  }
+  thermal::AssembledSystem step_sys =
+      model.assemble(0.6 * model.config().fan.max_speed,
+                     0.5 * model.config().tec.max_current, dyn, taylor);
+  const la::Vector& cap = model.capacitances();
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    step_sys.matrix.add(i, i, cap[i] / 10e-3);
+  }
+  std::printf("10x10-grid backend timings (n = %zu, bandwidth = %zu):\n",
+              model.layout().node_count(), step_sys.matrix.lower_bandwidth());
+
+  std::vector<Grid10Timing> timings;
+  for (const char* spec : {"scalar", "avx2", "avx512"}) {
+    if (std::strcmp(spec, "avx2") == 0 && la::avx2_backend() == nullptr) {
+      continue;
+    }
+    if (std::strcmp(spec, "avx512") == 0 && la::avx512_backend() == nullptr) {
+      continue;
+    }
+    timings.push_back(measure_grid10(spec, step_sys, model, dyn, leak, start));
+  }
+
+  util::json::Value chol = util::json::Value::object();
+  util::json::Value lu = util::json::Value::object();
+  util::json::Value step = util::json::Value::object();
+  for (const Grid10Timing& t : timings) {
+    std::printf("  %-12s chol_refactorize %.3f ms | lu_refactorize %.3f ms | "
+                "stepper step %.3f ms\n",
+                t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
+                t.step_ms);
+    chol[t.name] = t.chol_refactorize_ms;
+    lu[t.name] = t.lu_refactorize_ms;
+    step[t.name] = t.step_ms;
+  }
+  util::json::Value j = util::json::Value::object();
+  j["nodes"] = model.layout().node_count();
+  j["bandwidth"] = step_sys.matrix.lower_bandwidth();
+  j["cholesky_refactorize_ms"] = chol;
+  j["lu_refactorize_ms"] = lu;
+  j["stepper_step_ms_threshold0"] = step;
+  if (timings.size() > 1) {
+    const Grid10Timing& s = timings.front();
+    const Grid10Timing& v = timings.back();
+    j["cholesky_refactorize_speedup_simd_vs_scalar"] =
+        s.chol_refactorize_ms / v.chol_refactorize_ms;
+    j["lu_refactorize_speedup_simd_vs_scalar"] =
+        s.lu_refactorize_ms / v.lu_refactorize_ms;
+    j["stepper_step_speedup_simd_vs_scalar"] = s.step_ms / v.step_ms;
+    std::printf("  speedups (%s vs scalar): chol %.2fx, lu %.2fx, step "
+                "%.2fx\n", v.name.c_str(),
+                s.chol_refactorize_ms / v.chol_refactorize_ms,
+                s.lu_refactorize_ms / v.lu_refactorize_ms,
+                s.step_ms / v.step_ms);
+  }
+  return j;
+}
+
 /// Runs the acceptance measurements and merges a "micro_kernels" section
 /// into $OFTEC_BENCH_JSON / ./BENCH_transient.json. The acceptance targets
 /// (refactorize >= 2.0x, steady solve >= 1.5x, simd vs scalar at 32×32) are
 /// recorded alongside the measurements; the verdict prints loudly but does
 /// not gate — shared-runner timings are informational (see ci.yml).
 void run_speedup_section() {
+  util::json::Value grid10 = grid10_section();
+  la::install_backend(std::getenv("OFTEC_LA_BACKEND"));  // restore selection
   std::printf("32x32-grid backend speedups (n = 9219, bandwidth = 1025):\n");
   const thermal::ThermalModel& model = model_for_grid(32);
   const la::Vector dyn = model.distribute(quicksort_peak());
@@ -411,7 +556,7 @@ void run_speedup_section() {
   j["nodes"] = model.layout().node_count();
   j["bandwidth"] = spd.matrix.lower_bandwidth();
   j["cholesky_refactorize_ms"] = chol;
-  j["lu_refactorize_swap_ms"] = lu;
+  j["lu_refactorize_ms"] = lu;
   j["steady_solve_direct_ms"] = steady;
   j["panel_fold_ms_per_call_n8192"] = pfold;
   j["fused_cg_iter_ms_per_iter_n9219"] = cgiter;
@@ -441,6 +586,7 @@ void run_speedup_section() {
     std::printf("  no simd flavor available; scalar-only measurements "
                 "recorded\n");
   }
+  j["grid10"] = std::move(grid10);
   update_bench_artifact("micro_kernels", j);
 }
 

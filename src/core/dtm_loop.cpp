@@ -8,6 +8,7 @@
 #include "la/vector_ops.h"
 #include "thermal/model.h"
 #include "thermal/steady.h"
+#include "thermal/transient.h"
 #include "thermal/transient_engine.h"
 #include "util/obs.h"
 #include "util/stopwatch.h"
@@ -36,6 +37,21 @@ const obs::Counter g_obs_step_factorizations =
     obs::counter("dtm.step_factorizations");
 const obs::Counter g_obs_step_factor_hits =
     obs::counter("dtm.step_factor_hits");
+const obs::Counter g_obs_step_lu_fallbacks =
+    obs::counter("dtm.step_lu_fallbacks");
+
+/// Whole intervals of length `interval` in `span` (both > 0, span may be 0):
+/// floor(span / interval), except that a quotient within 1e-9 of an integer
+/// counts as that integer — plan_steps' rounding-noise tolerance. In
+/// floating point 0.3 / 0.1 is 2.9999999999999996 and 0.29 / 0.01 is
+/// 28.999999999999996; both are whole counts (3 and 29).
+std::size_t whole_intervals(double span, double interval) {
+  const double q = span / interval;
+  const double nearest = std::round(q);
+  return static_cast<std::size_t>(std::abs(q - nearest) <= 1e-9
+                                      ? nearest
+                                      : std::floor(q));
+}
 
 /// Per-unit max over trace samples [begin, end).
 power::PowerMap window_max(const workload::PowerTrace& trace,
@@ -115,6 +131,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     ~StepperObsFlush() {
       g_obs_step_factorizations.add(s.factorizations());
       g_obs_step_factor_hits.add(s.factor_hits());
+      g_obs_step_lu_fallbacks.add(s.lu_fallbacks());
     }
   } stepper_obs_flush{stepper};
 
@@ -128,9 +145,14 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     return cell_power[sample];
   };
 
+  // Steps map to trace samples, and samples to control periods, through
+  // whole_intervals, so inexact quotients never shift a boundary.
   const std::size_t samples_per_period = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options.control_period /
-                                  trace.sample_interval));
+      1, whole_intervals(options.control_period, trace.sample_interval));
+  const auto sample_of = [&](std::size_t step) {
+    return whole_intervals(static_cast<double>(step) * dt,
+                           trace.sample_interval);
+  };
 
   DtmResult result;
 
@@ -272,8 +294,10 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   }
   stepper.reset(initial.temperatures);
 
-  const auto total_steps = static_cast<std::size_t>(
-      std::ceil(trace.duration() / dt));
+  // A trace of 3 × 0.1-s samples lasts 0.30000000000000004 s; plan_steps
+  // absorbs that noise instead of running a step past the end.
+  const std::size_t total_steps =
+      thermal::plan_steps(trace.duration(), dt).steps;
   const std::size_t record_stride =
       std::max<std::size_t>(1, total_steps / 400);
 
@@ -298,17 +322,15 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
 
   for (std::size_t step = 0; step < total_steps; ++step) {
     const double time = static_cast<double>(step) * dt;
-    const auto sample =
-        static_cast<std::size_t>(time / trace.sample_interval);
+    const std::size_t sample = sample_of(step);
 
-    // Re-optimize at control-period boundaries (the first decision was
-    // made before the loop). A fresh decision also releases fail-safe —
-    // if the new setting overheats, the watchdog re-trips within bounds.
+    // Re-optimize when the step enters a new control period (the first
+    // decision was made before the loop). A fresh decision also releases
+    // fail-safe — if the new setting overheats, the watchdog re-trips within
+    // bounds.
     if (step > 0 && options.policy != DtmPolicy::kStatic &&
-        sample % samples_per_period == 0 &&
-        static_cast<std::size_t>((time - dt) / trace.sample_interval) %
-                samples_per_period !=
-            0) {
+        sample / samples_per_period !=
+            sample_of(step - 1) / samples_per_period) {
       decision = decide(sample);
       setting = decision.setting;
       tier = decision.tier;

@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 namespace oftec::la::detail {
 
@@ -192,77 +193,92 @@ __attribute__((target("avx2"))) double avx2_nmsub_fold(double init,
   return acc;
 }
 
-// Multi-source fused axpy. The destination chunk rides in registers while
-// the sources stream past it; a source whose span ends inside the chunk
-// ("partial") is applied to memory in its turn — flush, scalar, reload —
-// so every destination element still sees its sources in ascending s order.
-// Element-wise (multiply-then-add per element), hence bit-identical to the
-// scalar reference regardless of the chunking.
+// Multi-source fused axpy. A 16-row destination block rides in four
+// registers while the sources stream past it. A source whose span ends
+// inside the block is applied with lane masks: maskload zero-fills (and never
+// touches) the rows past its end, and a blend keeps those destination lanes'
+// bits, so per element this is exactly the scalar multiply-then-add in
+// ascending s order — bit-identical to the reference. The last, partial
+// block loads and stores y under the same masks, so no scalar tail remains.
 __attribute__((target("avx2"))) void avx2_panel_update(
     std::size_t p, const double* alpha, const double* const* x,
     const std::size_t* len, double* y) {
   std::size_t max_len = 0;
   for (std::size_t s = 0; s < p; ++s) max_len = std::max(max_len, len[s]);
-  std::size_t r0 = 0;
-  for (; r0 + 16 <= max_len; r0 += 16) {
-    __m256d acc0 = _mm256_loadu_pd(y + r0);
-    __m256d acc1 = _mm256_loadu_pd(y + r0 + 4);
-    __m256d acc2 = _mm256_loadu_pd(y + r0 + 8);
-    __m256d acc3 = _mm256_loadu_pd(y + r0 + 12);
+  const __m256i idx0 = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i idx1 = _mm256_setr_epi64x(4, 5, 6, 7);
+  const __m256i idx2 = _mm256_setr_epi64x(8, 9, 10, 11);
+  const __m256i idx3 = _mm256_setr_epi64x(12, 13, 14, 15);
+  for (std::size_t r0 = 0; r0 < max_len; r0 += 16) {
+    double* yb = y + r0;
+    const bool whole = r0 + 16 <= max_len;
+    // Lane i of register q is live when 4q + i < rows.
+    const __m256i rows = _mm256_set1_epi64x(
+        static_cast<long long>(whole ? 16 : max_len - r0));
+    const __m256i my0 = _mm256_cmpgt_epi64(rows, idx0);
+    const __m256i my1 = _mm256_cmpgt_epi64(rows, idx1);
+    const __m256i my2 = _mm256_cmpgt_epi64(rows, idx2);
+    const __m256i my3 = _mm256_cmpgt_epi64(rows, idx3);
+    __m256d acc0, acc1, acc2, acc3;
+    if (whole) {
+      acc0 = _mm256_loadu_pd(yb);
+      acc1 = _mm256_loadu_pd(yb + 4);
+      acc2 = _mm256_loadu_pd(yb + 8);
+      acc3 = _mm256_loadu_pd(yb + 12);
+    } else {
+      acc0 = _mm256_maskload_pd(yb, my0);
+      acc1 = _mm256_maskload_pd(yb + 4, my1);
+      acc2 = _mm256_maskload_pd(yb + 8, my2);
+      acc3 = _mm256_maskload_pd(yb + 12, my3);
+    }
     for (std::size_t s = 0; s < p; ++s) {
       const std::size_t ls = len[s];
       if (ls <= r0) continue;
-      const double* xs = x[s];
+      const double* xs = x[s] + r0;
+      const __m256d va = _mm256_set1_pd(alpha[s]);
       if (ls >= r0 + 16) {
-        const __m256d va = _mm256_set1_pd(alpha[s]);
-        acc0 = _mm256_add_pd(acc0,
-                             _mm256_mul_pd(va, _mm256_loadu_pd(xs + r0)));
-        acc1 = _mm256_add_pd(acc1,
-                             _mm256_mul_pd(va, _mm256_loadu_pd(xs + r0 + 4)));
-        acc2 = _mm256_add_pd(acc2,
-                             _mm256_mul_pd(va, _mm256_loadu_pd(xs + r0 + 8)));
-        acc3 = _mm256_add_pd(acc3,
-                             _mm256_mul_pd(va, _mm256_loadu_pd(xs + r0 + 12)));
-      } else {
-        _mm256_storeu_pd(y + r0, acc0);
-        _mm256_storeu_pd(y + r0 + 4, acc1);
-        _mm256_storeu_pd(y + r0 + 8, acc2);
-        _mm256_storeu_pd(y + r0 + 12, acc3);
-        const double as = alpha[s];
-        for (std::size_t r = r0; r < ls; ++r) y[r] += as * xs[r];
-        acc0 = _mm256_loadu_pd(y + r0);
-        acc1 = _mm256_loadu_pd(y + r0 + 4);
-        acc2 = _mm256_loadu_pd(y + r0 + 8);
-        acc3 = _mm256_loadu_pd(y + r0 + 12);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(xs)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(xs + 4)));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(xs + 8)));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(xs + 12)));
+        continue;
       }
+      const __m256i live = _mm256_set1_epi64x(static_cast<long long>(ls - r0));
+      const __m256i m0 = _mm256_cmpgt_epi64(live, idx0);
+      const __m256i m1 = _mm256_cmpgt_epi64(live, idx1);
+      const __m256i m2 = _mm256_cmpgt_epi64(live, idx2);
+      const __m256i m3 = _mm256_cmpgt_epi64(live, idx3);
+      acc0 = _mm256_blendv_pd(
+          acc0,
+          _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_maskload_pd(xs, m0))),
+          _mm256_castsi256_pd(m0));
+      acc1 = _mm256_blendv_pd(
+          acc1,
+          _mm256_add_pd(acc1,
+                        _mm256_mul_pd(va, _mm256_maskload_pd(xs + 4, m1))),
+          _mm256_castsi256_pd(m1));
+      acc2 = _mm256_blendv_pd(
+          acc2,
+          _mm256_add_pd(acc2,
+                        _mm256_mul_pd(va, _mm256_maskload_pd(xs + 8, m2))),
+          _mm256_castsi256_pd(m2));
+      acc3 = _mm256_blendv_pd(
+          acc3,
+          _mm256_add_pd(acc3,
+                        _mm256_mul_pd(va, _mm256_maskload_pd(xs + 12, m3))),
+          _mm256_castsi256_pd(m3));
     }
-    _mm256_storeu_pd(y + r0, acc0);
-    _mm256_storeu_pd(y + r0 + 4, acc1);
-    _mm256_storeu_pd(y + r0 + 8, acc2);
-    _mm256_storeu_pd(y + r0 + 12, acc3);
-  }
-  for (; r0 + 4 <= max_len; r0 += 4) {
-    __m256d acc = _mm256_loadu_pd(y + r0);
-    for (std::size_t s = 0; s < p; ++s) {
-      const std::size_t ls = len[s];
-      if (ls <= r0) continue;
-      const double* xs = x[s];
-      if (ls >= r0 + 4) {
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(alpha[s]),
-                                               _mm256_loadu_pd(xs + r0)));
-      } else {
-        _mm256_storeu_pd(y + r0, acc);
-        const double as = alpha[s];
-        for (std::size_t r = r0; r < ls; ++r) y[r] += as * xs[r];
-        acc = _mm256_loadu_pd(y + r0);
-      }
+    if (whole) {
+      _mm256_storeu_pd(yb, acc0);
+      _mm256_storeu_pd(yb + 4, acc1);
+      _mm256_storeu_pd(yb + 8, acc2);
+      _mm256_storeu_pd(yb + 12, acc3);
+    } else {
+      _mm256_maskstore_pd(yb, my0, acc0);
+      _mm256_maskstore_pd(yb + 4, my1, acc1);
+      _mm256_maskstore_pd(yb + 8, my2, acc2);
+      _mm256_maskstore_pd(yb + 12, my3, acc3);
     }
-    _mm256_storeu_pd(y + r0, acc);
-  }
-  for (std::size_t s = 0; s < p; ++s) {
-    const double as = alpha[s];
-    const double* xs = x[s];
-    for (std::size_t r = r0; r < len[s]; ++r) y[r] += as * xs[r];
   }
 }
 
@@ -562,71 +578,83 @@ __attribute__((target("avx512f"))) double avx512_nmsub_fold(
 // half of cg_update) are bit-identical to scalar whatever the vector width;
 // the reduction-bearing ones keep the fixed 8-lane tree (one __m512d here,
 // an __m256d pair in avx2), so avx2 ≡ avx512 bitwise throughout.
+// panel_update holds a 32-row block and masks source and block tails with
+// __mmask8 loads and adds (AVX2: maskload plus blend over 16 rows).
 __attribute__((target("avx512f"))) void avx512_panel_update(
     std::size_t p, const double* alpha, const double* const* x,
     const std::size_t* len, double* y) {
   std::size_t max_len = 0;
   for (std::size_t s = 0; s < p; ++s) max_len = std::max(max_len, len[s]);
-  std::size_t r0 = 0;
-  for (; r0 + 32 <= max_len; r0 += 32) {
-    __m512d acc0 = _mm512_loadu_pd(y + r0);
-    __m512d acc1 = _mm512_loadu_pd(y + r0 + 8);
-    __m512d acc2 = _mm512_loadu_pd(y + r0 + 16);
-    __m512d acc3 = _mm512_loadu_pd(y + r0 + 24);
+  // Bit r of a 32-bit row mask covers block row r; register q takes bits
+  // 8q..8q+7 as its __mmask8.
+  const auto row_mask = [](std::size_t rows) -> std::uint32_t {
+    return rows >= 32 ? ~std::uint32_t{0}
+                      : (std::uint32_t{1} << rows) - 1u;
+  };
+  for (std::size_t r0 = 0; r0 < max_len; r0 += 32) {
+    double* yb = y + r0;
+    const bool whole = r0 + 32 <= max_len;
+    const std::uint32_t my = row_mask(max_len - r0);
+    const auto my0 = static_cast<__mmask8>(my);
+    const auto my1 = static_cast<__mmask8>(my >> 8);
+    const auto my2 = static_cast<__mmask8>(my >> 16);
+    const auto my3 = static_cast<__mmask8>(my >> 24);
+    __m512d acc0, acc1, acc2, acc3;
+    if (whole) {
+      acc0 = _mm512_loadu_pd(yb);
+      acc1 = _mm512_loadu_pd(yb + 8);
+      acc2 = _mm512_loadu_pd(yb + 16);
+      acc3 = _mm512_loadu_pd(yb + 24);
+    } else {
+      acc0 = _mm512_maskz_loadu_pd(my0, yb);
+      acc1 = _mm512_maskz_loadu_pd(my1, yb + 8);
+      acc2 = _mm512_maskz_loadu_pd(my2, yb + 16);
+      acc3 = _mm512_maskz_loadu_pd(my3, yb + 24);
+    }
     for (std::size_t s = 0; s < p; ++s) {
       const std::size_t ls = len[s];
       if (ls <= r0) continue;
-      const double* xs = x[s];
+      const double* xs = x[s] + r0;
+      const __m512d va = _mm512_set1_pd(alpha[s]);
       if (ls >= r0 + 32) {
-        const __m512d va = _mm512_set1_pd(alpha[s]);
-        acc0 = _mm512_add_pd(acc0,
-                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + r0)));
-        acc1 = _mm512_add_pd(acc1,
-                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + r0 + 8)));
+        acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(va, _mm512_loadu_pd(xs)));
+        acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(va, _mm512_loadu_pd(xs + 8)));
         acc2 = _mm512_add_pd(acc2,
-                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + r0 + 16)));
+                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + 16)));
         acc3 = _mm512_add_pd(acc3,
-                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + r0 + 24)));
-      } else {
-        _mm512_storeu_pd(y + r0, acc0);
-        _mm512_storeu_pd(y + r0 + 8, acc1);
-        _mm512_storeu_pd(y + r0 + 16, acc2);
-        _mm512_storeu_pd(y + r0 + 24, acc3);
-        const double as = alpha[s];
-        for (std::size_t r = r0; r < ls; ++r) y[r] += as * xs[r];
-        acc0 = _mm512_loadu_pd(y + r0);
-        acc1 = _mm512_loadu_pd(y + r0 + 8);
-        acc2 = _mm512_loadu_pd(y + r0 + 16);
-        acc3 = _mm512_loadu_pd(y + r0 + 24);
+                             _mm512_mul_pd(va, _mm512_loadu_pd(xs + 24)));
+        continue;
       }
+      // The source ends inside the block: masked-off lanes are neither
+      // loaded nor added, so they keep their bits.
+      const std::uint32_t m = row_mask(ls - r0);
+      const auto m0 = static_cast<__mmask8>(m);
+      const auto m1 = static_cast<__mmask8>(m >> 8);
+      const auto m2 = static_cast<__mmask8>(m >> 16);
+      const auto m3 = static_cast<__mmask8>(m >> 24);
+      acc0 = _mm512_mask_add_pd(
+          acc0, m0, acc0, _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m0, xs)));
+      acc1 = _mm512_mask_add_pd(
+          acc1, m1, acc1,
+          _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m1, xs + 8)));
+      acc2 = _mm512_mask_add_pd(
+          acc2, m2, acc2,
+          _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m2, xs + 16)));
+      acc3 = _mm512_mask_add_pd(
+          acc3, m3, acc3,
+          _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m3, xs + 24)));
     }
-    _mm512_storeu_pd(y + r0, acc0);
-    _mm512_storeu_pd(y + r0 + 8, acc1);
-    _mm512_storeu_pd(y + r0 + 16, acc2);
-    _mm512_storeu_pd(y + r0 + 24, acc3);
-  }
-  for (; r0 + 8 <= max_len; r0 += 8) {
-    __m512d acc = _mm512_loadu_pd(y + r0);
-    for (std::size_t s = 0; s < p; ++s) {
-      const std::size_t ls = len[s];
-      if (ls <= r0) continue;
-      const double* xs = x[s];
-      if (ls >= r0 + 8) {
-        acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(alpha[s]),
-                                               _mm512_loadu_pd(xs + r0)));
-      } else {
-        _mm512_storeu_pd(y + r0, acc);
-        const double as = alpha[s];
-        for (std::size_t r = r0; r < ls; ++r) y[r] += as * xs[r];
-        acc = _mm512_loadu_pd(y + r0);
-      }
+    if (whole) {
+      _mm512_storeu_pd(yb, acc0);
+      _mm512_storeu_pd(yb + 8, acc1);
+      _mm512_storeu_pd(yb + 16, acc2);
+      _mm512_storeu_pd(yb + 24, acc3);
+    } else {
+      _mm512_mask_storeu_pd(yb, my0, acc0);
+      _mm512_mask_storeu_pd(yb + 8, my1, acc1);
+      _mm512_mask_storeu_pd(yb + 16, my2, acc2);
+      _mm512_mask_storeu_pd(yb + 24, my3, acc3);
     }
-    _mm512_storeu_pd(y + r0, acc);
-  }
-  for (std::size_t s = 0; s < p; ++s) {
-    const double as = alpha[s];
-    const double* xs = x[s];
-    for (std::size_t r = r0; r < len[s]; ++r) y[r] += as * xs[r];
   }
 }
 

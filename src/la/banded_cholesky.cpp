@@ -1,5 +1,6 @@
 #include "la/banded_cholesky.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "la/backend.h"
@@ -21,11 +22,15 @@ BandedCholesky::BandedCholesky(const BandedMatrix& a)
     throw std::invalid_argument(
         "BandedCholesky: matrix must have symmetric bandwidths");
   }
-  factor_.assign((k_ + 1) * n_, 0.0);
-  detail::fill_lower_band(a, n_, k_, factor_.data());
-  min_diag_ = detail::banded_cholesky_factor_inplace(n_, k_, factor_.data(),
-                                                     backend(),
-                                                     "BandedCholesky");
+  factor_.resize((k_ + 1) * n_);
+  detail::fill_lower_band(a, k_, factor_.data());
+  const std::optional<double> min_diag =
+      detail::banded_cholesky_factor_inplace(n_, k_, factor_.data(),
+                                             backend());
+  if (!min_diag) {
+    throw std::runtime_error("BandedCholesky: matrix not positive definite");
+  }
+  min_diag_ = *min_diag;
 }
 
 Vector BandedCholesky::solve(const Vector& b) const {

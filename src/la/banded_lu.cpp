@@ -12,11 +12,6 @@ namespace oftec::la {
 
 BandedLu::BandedLu(BandedMatrix a) : ab_(std::move(a)) { factor(); }
 
-void BandedLu::refactorize_swap(BandedMatrix& a) {
-  std::swap(ab_, a);
-  factor();
-}
-
 // Panel-blocked dgbtrf-style factorization (panels of kLuPanel columns).
 //
 // The seed walked one column at a time, sweeping every trailing band column

@@ -5,13 +5,11 @@
 // factorization would be unstable exactly in the operating region the paper's
 // Figure 6(a,b) explores.
 //
-// Two usage styles:
-//   - one-shot: `BandedLu lu(matrix); x = lu.solve(b);`
-//   - recycling (the transient engine's step loop): keep one BandedLu per
-//     cached operating point and call refactorize_swap()/solve_in_place(),
-//     which allocate nothing once the storage is warm. Both styles run the
-//     same factorization and substitution code, so their results are
-//     bit-identical for identical inputs.
+// Usage: `BandedLu lu(std::move(matrix)); lu.solve_in_place(x);` — the
+// constructor factors the band storage it is handed in place. The thermal
+// solvers do not call it directly: they factor through la::BandedFactor
+// (la/banded_factor.h), which tries Cholesky first and falls back to this
+// LU when the matrix is not positive definite.
 #pragma once
 
 #include <cstddef>
@@ -24,20 +22,13 @@ namespace oftec::la {
 
 class BandedLu {
  public:
-  /// Empty factor; usable only after a successful refactorize_swap().
+  /// Empty factor; solving throws std::logic_error (a placeholder to assign
+  /// a real factor into).
   BandedLu() = default;
 
-  /// Factor `a` in place (copied). Throws std::runtime_error if singular.
+  /// Factor `a` in place (copied, or moved in). Throws std::runtime_error if
+  /// singular.
   explicit BandedLu(BandedMatrix a);
-
-  /// Swap `a`'s storage in and factor it in place; `a` receives the previous
-  /// factor's storage back (same shape when this object was valid, empty the
-  /// first time) for reuse as assembly scratch — the step loop circulates one
-  /// buffer set with zero steady-state allocations. Bit-identical to
-  /// constructing a fresh BandedLu from the same matrix. Throws
-  /// std::runtime_error if singular; the factor is then invalid until the
-  /// next successful refactorization.
-  void refactorize_swap(BandedMatrix& a);
 
   /// Solve A x = b.
   [[nodiscard]] Vector solve(const Vector& b) const;
@@ -46,7 +37,7 @@ class BandedLu {
   /// Bit-identical to solve() on the same right-hand side.
   void solve_in_place(Vector& x) const;
 
-  /// False after default construction or a failed (singular) refactorization.
+  /// False after default construction.
   [[nodiscard]] bool valid() const noexcept { return valid_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return ab_.size(); }
@@ -56,8 +47,7 @@ class BandedLu {
   [[nodiscard]] double min_abs_pivot() const noexcept { return min_pivot_; }
 
  private:
-  /// Factor ab_ in place (dgbtf2). Shared by the constructor and
-  /// refactorize_swap so both entry points produce identical bits.
+  /// Factor ab_ in place (panel-blocked dgbtrf).
   void factor();
 
   BandedMatrix ab_;

@@ -1,8 +1,9 @@
-// Shared panel-blocked core of the two banded Cholesky classes.
+// Shared panel-blocked core of the banded Cholesky factorizations.
 //
-// Both BandedCholesky and BandedCholeskyNumeric factor the same way; this
-// header holds the one implementation so the "refactorize ≡ fresh
-// construction, bit for bit" property is true by construction.
+// BandedCholesky, BandedCholeskyNumeric and BandedFactor's Cholesky path all
+// factor the same way; this header holds the one implementation so the
+// "refactorize ≡ fresh construction, bit for bit" property is true by
+// construction.
 //
 // Storage: the factor is column-major banded — column j occupies
 // factor[j*(k+1) .. j*(k+1)+k], diagonal first, i.e. L(i,j) lives at
@@ -31,10 +32,10 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <stdexcept>
-#include <string>
+#include <optional>
 
 #include "la/backend.h"
+#include "la/banded_matrix.h"
 
 namespace oftec::la::detail {
 
@@ -43,12 +44,10 @@ inline constexpr std::size_t kCholSrcBlock = 32;
 
 /// Factor an SPD band matrix in place. `factor` is column-major banded
 /// (layout above) and holds the lower band of A on entry, L on return.
-/// Returns min_j L(j,j). Throws std::runtime_error("<err_prefix>: matrix
-/// not positive definite") on a non-positive pivot.
-inline double banded_cholesky_factor_inplace(std::size_t n, std::size_t k,
-                                             double* factor,
-                                             const BackendOps& ops,
-                                             const char* err_prefix) {
+/// Returns min_j L(j,j), or nullopt on a non-positive (or NaN) pivot — the
+/// matrix is not positive definite and `factor` is left partly overwritten.
+inline std::optional<double> banded_cholesky_factor_inplace(
+    std::size_t n, std::size_t k, double* factor, const BackendOps& ops) {
   const std::size_t stride = k + 1;
   double min_diag = std::numeric_limits<double>::infinity();
 
@@ -96,10 +95,7 @@ inline double banded_cholesky_factor_inplace(std::size_t n, std::size_t k,
                  colj);
       }
       const double diag = colj[0];
-      if (!(diag > 0.0)) {
-        throw std::runtime_error(std::string(err_prefix) +
-                                 ": matrix not positive definite");
-      }
+      if (!(diag > 0.0)) return std::nullopt;
       const double ljj = std::sqrt(diag);
       colj[0] = ljj;
       min_diag = std::min(min_diag, ljj);
@@ -110,15 +106,19 @@ inline double banded_cholesky_factor_inplace(std::size_t n, std::size_t k,
   return min_diag;
 }
 
-/// Copy the lower band of `a` into column-major banded storage (zero-filled
-/// beyond the matrix edge).
-template <typename BandedMatrixT>
-inline void fill_lower_band(const BandedMatrixT& a, std::size_t n,
-                            std::size_t k, double* factor) {
+/// Copy the lower band of `a` (kl == ku == k) into column-major banded
+/// storage, zero-filled beyond the matrix edge. In band storage a column's
+/// diagonal and k sub-diagonal entries are already contiguous, so each
+/// column is one straight copy.
+inline void fill_lower_band(const BandedMatrix& a, std::size_t k,
+                            double* factor) {
+  const std::size_t n = a.size();
+  const std::size_t diag_row = a.lower_bandwidth() + a.upper_bandwidth();
   for (std::size_t j = 0; j < n; ++j) {
     double* colj = factor + j * (k + 1);
-    const std::size_t i_hi = std::min(n - 1, j + k);
-    for (std::size_t i = j; i <= i_hi; ++i) colj[i - j] = a.get(i, j);
+    const std::size_t rows = std::min(k, n - 1 - j) + 1;
+    std::copy_n(a.col_ptr(j) + diag_row, rows, colj);
+    std::fill(colj + rows, colj + k + 1, 0.0);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "la/split_cholesky.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "la/backend.h"
@@ -52,15 +53,19 @@ void BandedCholeskyNumeric::refactorize(const BandedMatrix& a) {
   const std::size_t k = symbolic_->bandwidth();
   g_obs_refactorizations.add();
   factorized_ = false;
-  factor_.assign(symbolic_->factor_storage(), 0.0);
 
   // The shared panel-blocked core (la/cholesky_core.h) into reused storage:
   // identical arithmetic, in identical order, to constructing a fresh
   // la::BandedCholesky — and backend-invariant bits, since every operation
   // is element-wise.
-  detail::fill_lower_band(a, n, k, factor_.data());
-  min_diag_ = detail::banded_cholesky_factor_inplace(
-      n, k, factor_.data(), backend(), "BandedCholeskyNumeric");
+  detail::fill_lower_band(a, k, factor_.data());
+  const std::optional<double> min_diag =
+      detail::banded_cholesky_factor_inplace(n, k, factor_.data(), backend());
+  if (!min_diag) {
+    throw std::runtime_error(
+        "BandedCholeskyNumeric: matrix not positive definite");
+  }
+  min_diag_ = *min_diag;
   factorized_ = true;
 }
 

@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "la/banded_lu.h"
+#include "la/banded_factor.h"
 #include "la/iterative.h"
 #include "util/fault.h"
 #include "util/obs.h"
@@ -72,13 +72,10 @@ struct FactorKey {
   }
 };
 
-/// A cached direct factorization: Cholesky when the system is SPD, pivoted
-/// LU otherwise (near runaway the TEC/leakage terms can push the matrix
-/// indefinite). Both solvers are const-thread-safe once built.
-struct FactorEntry {
-  std::shared_ptr<const la::BandedCholeskyNumeric> cholesky;
-  std::shared_ptr<const la::BandedLu> lu;
-};
+/// A cached direct factorization (la::BandedFactor: Cholesky when the
+/// system is SPD, pivoted LU otherwise — near runaway the TEC/leakage terms
+/// can push the matrix indefinite). Const-thread-safe once built.
+using FactorEntry = std::shared_ptr<const la::BandedFactor>;
 
 /// Sharded LRU. Every direct solve in a batch takes the cache lock at least
 /// once; a single mutex serializes run_batch workers exactly where the
@@ -209,13 +206,6 @@ SolveEngine::SolveEngine(const SteadySolver& solver, EngineOptions options)
       options_(options),
       assembler_(solver.model(), solver.cell_dynamic_power()),
       column_symbolic_(assembler_.column_structure()) {
-  // Probe the banded structure once; all operating points share it.
-  const std::size_t cells = solver.model().layout().cells_per_layer();
-  const AssembledSystem probe = assembler_.assemble_banded(
-      0.0, la::Vector(cells, 0.0),
-      std::vector<power::TaylorCoefficients>(cells));
-  symbolic_ = std::make_shared<const la::BandedCholeskySymbolic>(
-      la::BandedCholeskySymbolic::analyze(probe.matrix));
   cache_ = std::make_unique<FactorCache>(options_.factor_cache_capacity);
 }
 
@@ -265,19 +255,11 @@ bool SolveEngine::solve_direct(
   const auto factorize = [&](FactorEntry& e) -> bool {
     cache_->factorizations.fetch_add(1, std::memory_order_relaxed);
     g_obs_factorizations.add();
-    auto numeric = std::make_shared<la::BandedCholeskyNumeric>(symbolic_);
     try {
-      numeric->refactorize(sys.matrix);
-      e.cholesky = std::move(numeric);
+      e = std::make_shared<const la::BandedFactor>(sys.matrix);
       return true;
     } catch (const std::runtime_error&) {
-      // Not positive definite — fall back to pivoted LU.
-      try {
-        e.lu = std::make_shared<const la::BandedLu>(sys.matrix);
-        return true;
-      } catch (const std::runtime_error&) {
-        return false;  // genuinely singular: runaway
-      }
+      return false;  // singular even under pivoting: runaway
     }
   };
 
@@ -298,8 +280,7 @@ bool SolveEngine::solve_direct(
     }
   }
 
-  out = entry.cholesky ? entry.cholesky->solve(sys.rhs)
-                       : entry.lu->solve(sys.rhs);
+  out = entry->solve(sys.rhs);
   if (hit && factor_corrupt.should_fail()) {
     // Simulate a rotted cached factor: the numbers come back garbage.
     for (double& t : out) t = std::numeric_limits<double>::quiet_NaN();
@@ -312,8 +293,7 @@ bool SolveEngine::solve_direct(
     cache_->erase(key);
     FactorEntry fresh;
     if (!factorize(fresh)) return false;
-    out = fresh.cholesky ? fresh.cholesky->solve(sys.rhs)
-                         : fresh.lu->solve(sys.rhs);
+    out = fresh->solve(sys.rhs);
     cache_->insert(std::move(key), std::move(fresh));
     if (!physical(out)) return false;
   }

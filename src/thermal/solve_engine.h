@@ -18,9 +18,9 @@
 //      (la/column_jacobi.h): the engine analyzes the column structure once,
 //      and each solve refactors it in O(n) into its thread's workspace.
 //   3. Factor reuse — direct-solve fallbacks (near thermal runaway, or when
-//      use_iterative is off) go through a split symbolic/numeric banded
-//      Cholesky whose symbolic analysis is done once per package stack,
-//      with an LRU cache of numeric factors keyed bit-exactly on
+//      use_iterative is off) factor through la::BandedFactor (banded
+//      Cholesky, pivoted LU when the system is not positive definite), with
+//      an LRU cache of factors keyed bit-exactly on
 //      (ω, I_TEC, leakage linearization) so re-visited operating points hit
 //      warm factors. Keys are exact, so a cache hit returns the factor of
 //      an *identical* matrix and results never depend on hit order.
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "la/column_jacobi.h"
-#include "la/split_cholesky.h"
 #include "thermal/steady.h"
 #include "util/thread_pool.h"
 
@@ -160,7 +159,6 @@ class SolveEngine {
   const SteadySolver* solver_;
   EngineOptions options_;
   IncrementalAssembler assembler_;
-  std::shared_ptr<const la::BandedCholeskySymbolic> symbolic_;
   /// Column structure of the assembler's fixed CSR pattern. It lives here,
   /// never in a Workspace: solve_batch's thread-local workspaces are shared
   /// by every engine that runs on a thread.

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "la/banded_lu.h"
+#include "la/banded_factor.h"
 
 namespace oftec::thermal {
 
@@ -125,7 +125,10 @@ TransientResult TransientSolver::run_closed_loop(
     }
 
     try {
-      temps = la::BandedLu(sys.matrix).solve(sys.rhs);
+      // The step matrix is symmetric (conduction plus diagonal stamps) and,
+      // with C/dt on its diagonal, positive definite away from runaway:
+      // Cholesky, with the pivoted LU as fallback (la::BandedFactor).
+      temps = la::BandedFactor(sys.matrix).solve(sys.rhs);
     } catch (const std::runtime_error&) {
       result.runaway = true;
       result.steps = step;

@@ -1,5 +1,6 @@
 #include "thermal/transient_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -25,6 +26,8 @@ const obs::Counter g_obs_self_heals =
     obs::counter("transient_engine.self_heals");
 const obs::Counter g_obs_slot_invalidations =
     obs::counter("transient_engine.slot_invalidations");
+const obs::Counter g_obs_lu_fallbacks =
+    obs::counter("transient_engine.lu_fallbacks");
 const obs::Counter g_obs_batches = obs::counter("transient_engine.batches");
 const obs::Gauge g_obs_steps_per_s =
     obs::gauge("transient_engine.steps_per_s");
@@ -72,7 +75,8 @@ TransientStepper::TransientStepper(
       leakage_(std::move(cell_leakage)),
       config_(config),
       n_(model.layout().node_count()),
-      cells_(model.layout().cells_per_layer()) {
+      cells_(model.layout().cells_per_layer()),
+      bw_(model.layout().bandwidth()) {
   if (leakage_.size() != cells_) {
     throw std::invalid_argument("TransientStepper: per-cell arity mismatch");
   }
@@ -83,22 +87,21 @@ TransientStepper::TransientStepper(
   // Static base, stamped exactly like the head of ThermalModel::assemble —
   // the per-step stamps replay the remaining groups in the same order, so
   // every entry accumulates the reference's additions in the reference's
-  // order (bit-equality depends on this).
-  const std::size_t bw = model.layout().bandwidth();
-  base_matrix_ = la::BandedMatrix(n_, bw, bw);
+  // order (bit-equality depends on this). Only its lower band is kept.
+  la::BandedMatrix base(n_, bw_, bw_);
   base_rhs_.assign(n_, 0.0);
   for (const ThermalModel::Edge& e : model.edges_) {
-    base_matrix_.add(e.i, e.i, e.g);
-    base_matrix_.add(e.j, e.j, e.g);
-    base_matrix_.add(e.i, e.j, -e.g);
-    base_matrix_.add(e.j, e.i, -e.g);
+    base.add(e.i, e.i, e.g);
+    base.add(e.j, e.j, e.g);
+    base.add(e.i, e.j, -e.g);
+    base.add(e.j, e.i, -e.g);
   }
   for (const auto& [node, g] : model.static_ambient_) {
-    base_matrix_.add(node, node, g);
+    base.add(node, node, g);
     base_rhs_[node] += g * model.config().ambient;
   }
+  base_lower_ = la::lower_band(base);
 
-  scratch_ = base_matrix_;
   rhs_.assign(n_, 0.0);
   next_.assign(n_, 0.0);
   chip_next_.assign(cells_, 0.0);
@@ -171,34 +174,60 @@ void TransientStepper::relinearize_if_drifted() {
   }
 }
 
-void TransientStepper::assemble_matrix(double omega, double current,
-                                       double dt) {
+void TransientStepper::stamp_diagonal(double* diag, std::size_t stride,
+                                      double omega, double current,
+                                      double dt) const {
   const NodeLayout& layout = model_->layout();
-  scratch_ = base_matrix_;
-
+  const auto add = [diag, stride](std::size_t node, double v) {
+    diag[node * stride] += v;
+  };
   const double g_sink_total = model_->config().sink_fan.conductance(omega);
   for (const auto& [node, share] : model_->sink_ambient_share_) {
-    scratch_.add(node, node, g_sink_total * share);
+    add(node, g_sink_total * share);
   }
   for (std::size_t cell = 0; cell < cells_; ++cell) {
-    scratch_.add(layout.node(Slab::kChip, cell), layout.node(Slab::kChip, cell),
-                 -taylor_[cell].a);
+    add(layout.node(Slab::kChip, cell), -taylor_[cell].a);
   }
   if (const tec::TecArray* tec = model_->tec_array()) {
     for (std::size_t cell = 0; cell < cells_; ++cell) {
       const tec::CellTec& ct = tec->cell(cell);
       if (!ct.covered || current <= 0.0) continue;
       const double peltier = ct.seebeck * current;
-      const std::size_t abs_node = layout.node(Slab::kTecAbs, cell);
-      const std::size_t rej_node = layout.node(Slab::kTecRej, cell);
-      scratch_.add(abs_node, abs_node, peltier);
-      scratch_.add(rej_node, rej_node, -peltier);
+      add(layout.node(Slab::kTecAbs, cell), peltier);
+      add(layout.node(Slab::kTecRej, cell), -peltier);
     }
   }
   const la::Vector& cap = model_->capacitances();
-  for (std::size_t i = 0; i < n_; ++i) {
-    scratch_.add(i, i, cap[i] / dt);
+  for (std::size_t i = 0; i < n_; ++i) add(i, cap[i] / dt);
+}
+
+bool TransientStepper::refactor(FactorSlot& slot, double omega,
+                                double current, double dt) {
+  slot.used = false;
+  try {
+    // Cholesky on the base lower band plus this step's diagonal, stamped in
+    // place; a non-positive pivot rebuilds the full band (the mirrored base
+    // with the same stamps) for the pivoted LU — the reference's matrix, bit
+    // for bit, on either path.
+    slot.factor.refactorize(
+        n_, bw_,
+        [&](double* lower) {
+          std::copy(base_lower_.begin(), base_lower_.end(), lower);
+          stamp_diagonal(lower, bw_ + 1, omega, current, dt);
+        },
+        [&] {
+          la::BandedMatrix full =
+              la::symmetric_from_lower(n_, bw_, base_lower_.data());
+          stamp_diagonal(full.col_ptr(0) + 2 * bw_, full.storage_rows(),
+                         omega, current, dt);
+          return full;
+        });
+  } catch (const std::runtime_error&) {
+    return false;  // singular step matrix — the reference's runaway verdict
   }
+  ++n_factorizations_;
+  if (slot.factor.kind() == la::BandedFactor::Kind::kLu) ++n_lu_fallbacks_;
+  return true;
 }
 
 void TransientStepper::assemble_rhs(double omega, double current,
@@ -306,25 +335,18 @@ bool TransientStepper::step(const ControlSetting& setting,
     slot->stamp = ++lru_stamp_;
   } else {
     slot = &lru_slot();
-    slot->used = false;
-    assemble_matrix(setting.omega, setting.current, dt);
-    try {
-      slot->lu.refactorize_swap(scratch_);
-    } catch (const std::runtime_error&) {
-      return false;  // singular step matrix — the reference's runaway verdict
-    }
+    if (!refactor(*slot, setting.omega, setting.current, dt)) return false;
     slot->key_dt = bits_of(dt);
     slot->key_omega = bits_of(setting.omega);
     slot->key_current = bits_of(setting.current);
     slot->key_slopes = key_slopes_;
     slot->used = true;
     slot->stamp = ++lru_stamp_;
-    ++n_factorizations_;
   }
 
   assemble_rhs(setting.omega, setting.current, cell_dynamic_power, dt);
   next_ = rhs_;
-  slot->lu.solve_in_place(next_);
+  slot->factor.solve_in_place(next_);
   if (hit && g_fault_factor_corrupt.should_fail()) {
     next_[0] = std::numeric_limits<double>::quiet_NaN();
   }
@@ -337,18 +359,11 @@ bool TransientStepper::step(const ControlSetting& setting,
     // A genuine runaway re-fails identically — a fresh factor of the same
     // matrix is bit-identical — so exactness is preserved.
     ++n_self_heals_;
-    slot->used = false;
-    assemble_matrix(setting.omega, setting.current, dt);
-    try {
-      slot->lu.refactorize_swap(scratch_);
-    } catch (const std::runtime_error&) {
-      return false;
-    }
+    if (!refactor(*slot, setting.omega, setting.current, dt)) return false;
     slot->used = true;
     slot->stamp = ++lru_stamp_;
-    ++n_factorizations_;
     next_ = rhs_;
-    slot->lu.solve_in_place(next_);
+    slot->factor.solve_in_place(next_);
     ok = verdict(m);
   }
   if (!ok) return false;
@@ -429,6 +444,7 @@ class TransientEngine::StepperPool {
   std::atomic<std::size_t> factor_hits{0};
   std::atomic<std::size_t> self_heals{0};
   std::atomic<std::size_t> slot_invalidations{0};
+  std::atomic<std::size_t> lu_fallbacks{0};
 
  private:
   const ThermalModel* model_;
@@ -564,6 +580,7 @@ TransientResult TransientEngine::run_impl(
   const std::size_t hits0 = stepper->factor_hits();
   const std::size_t heals0 = stepper->self_heals();
   const std::size_t invals0 = stepper->slot_invalidations();
+  const std::size_t lu0 = stepper->lu_fallbacks();
   const util::Stopwatch watch;
 
   const auto finish = [&]() {
@@ -572,17 +589,20 @@ TransientResult TransientEngine::run_impl(
     const std::size_t hits = stepper->factor_hits() - hits0;
     const std::size_t heals = stepper->self_heals() - heals0;
     const std::size_t invals = stepper->slot_invalidations() - invals0;
+    const std::size_t lu = stepper->lu_fallbacks() - lu0;
     steppers_->runs.fetch_add(1, std::memory_order_relaxed);
     steppers_->steps.fetch_add(steps, std::memory_order_relaxed);
     steppers_->factorizations.fetch_add(facts, std::memory_order_relaxed);
     steppers_->factor_hits.fetch_add(hits, std::memory_order_relaxed);
     steppers_->self_heals.fetch_add(heals, std::memory_order_relaxed);
     steppers_->slot_invalidations.fetch_add(invals, std::memory_order_relaxed);
+    steppers_->lu_fallbacks.fetch_add(lu, std::memory_order_relaxed);
     g_obs_runs.add();
     g_obs_steps.add(steps);
     g_obs_factorizations.add(facts);
     g_obs_factor_hits.add(hits);
     g_obs_self_heals.add(heals);
+    g_obs_lu_fallbacks.add(lu);
     if (obs::enabled() && steps > 0) {
       const double elapsed_s = watch.elapsed_ms() / 1e3;
       if (elapsed_s > 0.0) {
@@ -641,6 +661,7 @@ TransientEngineStats TransientEngine::stats() const {
   s.self_heals = steppers_->self_heals.load(std::memory_order_relaxed);
   s.slot_invalidations =
       steppers_->slot_invalidations.load(std::memory_order_relaxed);
+  s.lu_fallbacks = steppers_->lu_fallbacks.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -651,6 +672,7 @@ void TransientEngine::reset_stats() const {
   steppers_->factor_hits.store(0, std::memory_order_relaxed);
   steppers_->self_heals.store(0, std::memory_order_relaxed);
   steppers_->slot_invalidations.store(0, std::memory_order_relaxed);
+  steppers_->lu_fallbacks.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace oftec::thermal

@@ -1,19 +1,26 @@
 // Fast transient engine: the production path for backward-Euler transient
 // simulation, bit-identical to the reference TransientSolver.
 //
-// TransientSolver rebuilds the full banded system and a fresh BandedLu at
-// every step, which makes the factorization (O(n·bw²)) the dominant cost of
-// every closed-loop run — the DTM loop, transient boost, serve sessions and
-// the ablation benches all pay it. This engine removes that cost without
-// changing a single output bit:
+// TransientSolver assembles the full banded system at every step and
+// factors it afresh through la::BandedFactor (Cholesky, pivoted LU when the
+// step matrix is not positive definite), which makes the factorization
+// (O(n·bw²)) the dominant cost of every closed-loop run — the DTM loop,
+// transient boost, serve sessions and the ablation benches all pay it. This
+// engine cuts that cost without changing a single output bit:
 //
-//   1. Static base, diagonal stamps. The conduction edges and PCB-ambient
-//      couplings never change across steps; they are stamped once into a
-//      base matrix/rhs at construction. Each step copies the base and
-//      re-stamps only the diagonal groups (sink·g(ω), chip leakage slope,
-//      TEC ±α·I, C/dt) in exactly the order ThermalModel::assemble uses, so
-//      every matrix entry accumulates the same additions in the same order
-//      as the reference — bit-equal by construction.
+//   1. Static base, diagonal stamps, one policy. The conduction edges and
+//      PCB-ambient couplings never change across steps; they are stamped
+//      once, at construction, into a base lower band ((k+1)·n doubles) and
+//      base rhs. A factorization copies the base lower band straight into a
+//      factor slot's storage, stamps only the diagonal groups (sink·g(ω),
+//      chip leakage slope, TEC ±α·I, C/dt) in exactly the order
+//      ThermalModel::assemble uses, and runs Cholesky in place — so every
+//      entry accumulates the reference's additions in the reference's
+//      order, and the factor is the reference's, bit for bit. The step
+//      matrix is symmetric, and with C/dt on its diagonal positive definite
+//      away from runaway; on a non-positive pivot the stepper rebuilds the
+//      full band (mirrored base + the same stamps) and takes the pivoted LU,
+//      as the reference does (counted in lu_fallbacks()).
 //
 //   2. Factor reuse. The step matrix depends only on (dt, ω, I, leakage
 //      slopes). Factors are cached in a small LRU keyed on the exact IEEE
@@ -23,10 +30,11 @@
 //      of steps share one factorization; controllers that toggle between a
 //      few settings (LUT, fail-safe chains) hit warm slots.
 //
-//   3. Allocation-free stepping. All workspaces are preallocated;
-//      BandedLu::refactorize_swap circulates matrix storage between the
-//      assembly scratch and the factor slots, and solves run in place. Once
-//      the slots are warm the step loop performs zero heap allocations.
+//   3. Allocation-free stepping. All workspaces are preallocated; a
+//      Cholesky refactorization reuses its slot's lower-band storage and
+//      solves run in place, so once the slots are warm the step loop
+//      performs zero heap allocations. (The LU fallback allocates its full
+//      band; it fires only on non-positive-definite step matrices.)
 //
 //   4. run_batch fans independent traces across util::ThreadPool. Each
 //      trace runs on its own stepper, results are written by job index, and
@@ -45,7 +53,7 @@
 #include <mutex>
 #include <vector>
 
-#include "la/banded_lu.h"
+#include "la/banded_factor.h"
 #include "la/vector_ops.h"
 #include "power/leakage.h"
 #include "thermal/model.h"
@@ -136,6 +144,11 @@ class TransientStepper {
   [[nodiscard]] std::size_t slot_invalidations() const noexcept {
     return n_slot_invalidations_;
   }
+  /// Factorizations whose step matrix was not positive definite and took
+  /// the pivoted-LU fallback (included in factorizations()).
+  [[nodiscard]] std::size_t lu_fallbacks() const noexcept {
+    return n_lu_fallbacks_;
+  }
 
  private:
   struct FactorSlot {
@@ -145,11 +158,17 @@ class TransientStepper {
     std::uint64_t key_omega = 0;
     std::uint64_t key_current = 0;
     std::vector<std::uint64_t> key_slopes;
-    la::BandedLu lu;
+    la::BandedFactor factor;
   };
 
   void relinearize_if_drifted();
-  void assemble_matrix(double omega, double current, double dt);
+  /// Add the per-step diagonal groups, in ThermalModel::assemble's order, to
+  /// the diagonal at diag[i·stride].
+  void stamp_diagonal(double* diag, std::size_t stride, double omega,
+                      double current, double dt) const;
+  /// Factor the step matrix into `slot`; false when it is singular.
+  [[nodiscard]] bool refactor(FactorSlot& slot, double omega, double current,
+                              double dt);
   void assemble_rhs(double omega, double current,
                     const la::Vector& cell_dynamic_power, double dt);
   [[nodiscard]] FactorSlot* find_slot(double omega, double current, double dt);
@@ -162,13 +181,14 @@ class TransientStepper {
   Config config_;
   std::size_t n_ = 0;
   std::size_t cells_ = 0;
+  std::size_t bw_ = 0;  ///< band half-width k
 
-  // Static base (conduction edges + PCB-ambient), stamped once.
-  la::BandedMatrix base_matrix_;
+  // Static base (conduction edges + PCB-ambient), stamped once; the matrix
+  // is kept as its lower band (la::BandedFactor's staging layout).
+  la::Vector base_lower_;
   la::Vector base_rhs_;
 
   // Step workspaces.
-  la::BandedMatrix scratch_;  ///< assembly target; storage circulates with slots
   la::Vector rhs_;
   la::Vector next_;
   la::Vector temps_;
@@ -192,6 +212,7 @@ class TransientStepper {
   std::size_t n_factor_hits_ = 0;
   std::size_t n_self_heals_ = 0;
   std::size_t n_slot_invalidations_ = 0;
+  std::size_t n_lu_fallbacks_ = 0;
 };
 
 /// One independent trace for TransientEngine::run_batch. The control must be
@@ -211,6 +232,7 @@ struct TransientEngineStats {
   std::size_t factor_hits = 0;
   std::size_t self_heals = 0;
   std::size_t slot_invalidations = 0;
+  std::size_t lu_fallbacks = 0;  ///< factorizations that took the LU fallback
 };
 
 /// Drop-in fast path for TransientSolver: same construction signature, same

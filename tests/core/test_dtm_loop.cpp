@@ -102,6 +102,42 @@ TEST(DtmLoop, LutPolicyIsFastAndSafe) {
   EXPECT_LT(r.violation_time, 0.5);
 }
 
+/// `samples` trace samples of 0.1 s each.
+workload::PowerTrace tenth_second_trace(std::size_t samples) {
+  workload::TraceOptions opts;
+  opts.sample_count = samples;
+  opts.sample_interval = 0.1;
+  return workload::generate_trace(
+      workload::profile_for(workload::Benchmark::kFft), fp(), opts);
+}
+
+TEST(DtmLoop, InexactPeriodQuotientStillGivesWholePeriods) {
+  // 0.3 / 0.1 is 2.9999999999999996 in floating point. Truncated, the
+  // period shrank to two samples (re-optimizing every 0.2 s, plus spurious
+  // boundaries from the truncated previous-sample index).
+  DtmOptions opts = fast_options(DtmPolicy::kExactOftec);
+  opts.control_period = 0.3;
+  opts.time_step = 10e-3;
+  const DtmResult r =
+      run_dtm_loop(fp(), tenth_second_trace(30), leakage(), opts);
+  ASSERT_FALSE(r.runaway);
+  EXPECT_EQ(r.reoptimizations, 10u);  // one per 0.3 s over 3 s
+}
+
+TEST(DtmLoop, InexactTraceDurationStopsAtTheTraceEnd) {
+  // Three 0.1-s samples last 0.30000000000000004 s; ceil() of that over
+  // 10 ms ran a 31st step past the end of the trace.
+  DtmOptions opts = fast_options(DtmPolicy::kExactOftec);
+  opts.control_period = 0.3;
+  opts.time_step = 10e-3;
+  const DtmResult r =
+      run_dtm_loop(fp(), tenth_second_trace(3), leakage(), opts);
+  ASSERT_FALSE(r.runaway);
+  ASSERT_FALSE(r.samples.empty());
+  EXPECT_EQ(r.samples.back().time, 0.3);
+  EXPECT_EQ(r.reoptimizations, 1u);  // the whole trace is one period
+}
+
 TEST(DtmLoop, SamplesCarryMonotoneTime) {
   const workload::PowerTrace trace = short_trace(workload::Benchmark::kCrc32);
   const DtmResult r =

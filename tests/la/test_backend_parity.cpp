@@ -16,7 +16,9 @@
 //      the near-singular cases.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -365,7 +367,7 @@ TEST(BackendParity, PanelUpdateMatchesUnfusedAxpysBitIdentical) {
   // panel_update's contract: identical bits to p successive axpys, on every
   // backend — so it is also bit-identical *across* backends. The cases carry
   // arbitrary non-monotone support lengths (including zero-length sources),
-  // which is exactly where the simd flush/reload chunking logic lives.
+  // which is exactly where the simd kernels' masked tails live.
   const BackendOps& scalar = scalar_backend();
   const BackendOps* simd = simd_backend();
   for (const auto& s : kernel_golden_specs()) {
@@ -386,6 +388,63 @@ TEST(BackendParity, PanelUpdateMatchesUnfusedAxpysBitIdentical) {
       for (std::size_t i = 0; i < s.n; ++i) {
         ASSERT_EQ(hex_double(ref[i]), hex_double(y[i]))
             << c.name << " " << ops->name << " y[" << i << "]";
+      }
+    }
+  }
+
+  // Masked tails: sources ending at every remainder mod 32 (AVX-512 block)
+  // and mod 8 (one register), in panels of p ∈ {1, 5, 32}, non-monotone.
+  // Every row is -0.0 on entry, and every third row only ever receives
+  // -0.0 products, so a lane a source does not cover that gets any add —
+  // even of a masked-load zero — flips a sign bit. Source storage past its
+  // length holds junk that must never be read. Rows past the longest
+  // source hold a NaN sentinel that must come back with its payload.
+  std::vector<std::size_t> tail_lens = {0, 1, 101, 102};
+  for (std::size_t r = 0; r < 32; ++r) tail_lens.push_back(32 + r);
+  const std::uint64_t sentinel = 0x7FF8DEADBEEF0001ull;
+  const double sentinel_nan = std::bit_cast<double>(sentinel);
+  util::Rng rng(0x7A11);
+  for (const std::size_t p : {std::size_t{1}, std::size_t{5},
+                              std::size_t{32}}) {
+    for (std::size_t o = 0; o < tail_lens.size(); ++o) {
+      std::vector<std::size_t> lens(p);
+      std::vector<double> alpha(p);
+      std::vector<Vector> src(p);
+      std::vector<const double*> srcs(p);
+      std::size_t max_len = 0;
+      for (std::size_t i = 0; i < p; ++i) {
+        lens[i] = tail_lens[(o + 7 * i) % tail_lens.size()];
+        max_len = std::max(max_len, lens[i]);
+        alpha[i] = rng.uniform(-2.0, 2.0);
+        src[i].resize(lens[i] + 40);
+        for (std::size_t r = 0; r < src[i].size(); ++r) {
+          src[i][r] = r < lens[i] && r % 3 == 0
+                          ? std::copysign(0.0, -alpha[i])  // product −0.0
+                          : rng.uniform(-1.0, 1.0);
+        }
+        srcs[i] = src[i].data();
+      }
+      Vector y0(max_len + 40, -0.0);
+      for (std::size_t r = max_len; r < y0.size(); ++r) y0[r] = sentinel_nan;
+      Vector ref = y0;
+      for (std::size_t i = 0; i < p; ++i) {
+        scalar.axpy(lens[i], alpha[i], srcs[i], ref.data());
+      }
+      for (const BackendOps* ops :
+           {&scalar, avx2_backend(), avx512_backend()}) {
+        if (ops == nullptr) continue;
+        Vector y = y0;
+        ops->panel_update(p, alpha.data(), srcs.data(), lens.data(),
+                          y.data());
+        for (std::size_t r = 0; r < y.size(); ++r) {
+          ASSERT_EQ(hex_double(ref[r]), hex_double(y[r]))
+              << ops->name << " p=" << p << " offset " << o << " y[" << r
+              << "] (max_len " << max_len << ")";
+        }
+        for (std::size_t r = max_len; r < y.size(); ++r) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(y[r]), sentinel)
+              << ops->name << " sentinel y[" << r << "]";
+        }
       }
     }
   }

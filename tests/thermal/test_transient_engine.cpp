@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "floorplan/ev6.h"
+#include "la/banded_factor.h"
 #include "power/mcpat_like.h"
 #include "thermal/steady.h"
 #include "thermal/transient.h"
@@ -103,6 +104,7 @@ TEST(TransientEngine, BitIdenticalAcrossStridesAndThresholds) {
           constant_control(400.0, 1.0), engine.ambient_state());
       ASSERT_FALSE(ref.runaway);
       expect_identical(ref, eng);
+      EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
     }
   }
 }
@@ -120,6 +122,7 @@ TEST(TransientEngine, BitIdenticalUnderStatefulToggleController) {
   const TransientResult eng = engine.run_closed_loop(toggle_control(), init);
   ASSERT_FALSE(ref.runaway);
   expect_identical(ref, eng);
+  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
 }
 
 TEST(TransientEngine, BitIdenticalUnderScheduleStepChange) {
@@ -137,6 +140,7 @@ TEST(TransientEngine, BitIdenticalUnderScheduleStepChange) {
   const TransientResult eng = engine.run(schedule, engine.ambient_state());
   ASSERT_FALSE(ref.runaway);
   expect_identical(ref, eng);
+  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
 }
 
 TEST(TransientEngine, RunawayEarlyExitMatchesReference) {
@@ -191,6 +195,7 @@ TEST(TransientEngine, ClampedHorizonMatchesReferenceAndLandsOnDuration) {
   EXPECT_EQ(ref.steps, 11u);
   EXPECT_DOUBLE_EQ(ref.samples.back().time, 0.105);
   expect_identical(ref, eng);
+  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
 }
 
 TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
@@ -237,6 +242,7 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
     for (std::size_t i = 0; i < 4; ++i) {
       expect_identical(serial[i], batched[i]);
     }
+    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
   }
 }
 
@@ -266,6 +272,45 @@ TEST(TransientEngine, StatsShowFactorReuseUnderHold) {
   engine.reset_stats();
   EXPECT_EQ(engine.stats().runs, 0u);
   EXPECT_EQ(engine.stats().steps, 0u);
+}
+
+TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
+  // Hot chips make the leakage tangent steep enough that, with the fan
+  // stopped, C/dt no longer keeps a 1-s step matrix positive definite:
+  // Cholesky meets a non-positive pivot and both implementations must take
+  // the same pivoted-LU fallback, to the bit. From 412 K the LU steps are
+  // accepted and the run recovers onto Cholesky; from 420 K the first LU
+  // step already fails the runaway verdict.
+  const Workload w = make_workload(24.0);
+  for (const double start : {412.0, 420.0}) {
+    std::vector<power::TaylorCoefficients> taylor(w.leak.size());
+    for (std::size_t i = 0; i < taylor.size(); ++i) {
+      taylor[i] = power::tangent_linearize(w.leak[i], start);
+    }
+    AssembledSystem sys = model().assemble(0.0, 0.0, w.dynamic, taylor);
+    const la::Vector& cap = model().capacitances();
+    for (std::size_t i = 0; i < cap.size(); ++i) {
+      sys.matrix.add(i, i, cap[i] / 1.0);
+    }
+    ASSERT_EQ(la::BandedFactor(sys.matrix).kind(), la::BandedFactor::Kind::kLu)
+        << "the first step matrix from " << start
+        << " K must be indefinite but LU-solvable";
+
+    TransientOptions opts;
+    opts.time_step = 1.0;
+    opts.duration = 5.0;
+    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+    const la::Vector hot(model().layout().node_count(), start);
+    const TransientResult ref =
+        reference.run_closed_loop(constant_control(0.0, 0.0), hot);
+    const TransientResult eng =
+        engine.run_closed_loop(constant_control(0.0, 0.0), hot);
+    EXPECT_EQ(ref.runaway, start > 415.0) << start;
+    expect_identical(ref, eng);  // includes the runaway verdict and steps
+    EXPECT_GT(engine.stats().lu_fallbacks, 0u) << start;
+    EXPECT_LE(engine.stats().lu_fallbacks, engine.stats().factorizations);
+  }
 }
 
 TEST(TransientEngine, ValidatesArgumentsLikeReference) {
