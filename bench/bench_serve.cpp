@@ -64,7 +64,6 @@ void run_client(std::uint16_t port, std::uint64_t session, double omega_max,
 RunResult run_scenario(std::size_t max_batch_size) {
   serve::ServerOptions opts;
   opts.max_batch_size = max_batch_size;
-  opts.max_delay_us = 2000;
   serve::Server server(opts);
   server.start();
 
@@ -108,11 +107,18 @@ RunResult run_scenario(std::size_t max_batch_size) {
 
 void print_row(const char* label, const RunResult& r) {
   const std::uint64_t total = kClients * kGridSide * kGridSide;
+  const double mean_batch =
+      r.counters.batches > 0
+          ? static_cast<double>(r.counters.batched_points) /
+                static_cast<double>(r.counters.batches)
+          : 0.0;
   std::printf("%-14s %9.1f ms  %5llu reqs -> %5llu solves  "
-              "dedup=%llu  factor hits/factorizations=%llu/%llu\n",
+              "dedup=%llu  batches=%llu (mean %.2f)  "
+              "factor hits/factorizations=%llu/%llu\n",
               label, r.wall_ms, static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(r.engine_points),
               static_cast<unsigned long long>(r.counters.dedup_hits),
+              static_cast<unsigned long long>(r.counters.batches), mean_batch,
               static_cast<unsigned long long>(r.factor_hits),
               static_cast<unsigned long long>(r.factorizations));
 }
@@ -146,6 +152,11 @@ int main() {
   if (batched.factor_hits == 0) {
     std::printf("WARNING: factor cache never hit — check "
                 "EngineOptions::use_iterative plumbing\n");
+    return 1;
+  }
+  if (batched.counters.dedup_hits == 0) {
+    std::printf("WARNING: no dedup hits — concurrent identical requests "
+                "never shared a batch\n");
     return 1;
   }
   return 0;

@@ -270,6 +270,16 @@ void Router::connection_loop(const std::shared_ptr<Connection>& conn) {
 }
 
 Response Router::handle(const Request& request, ConnState& state) {
+  // Routed session replies carry the owning worker's timing block
+  // unchanged: the worker's stage breakdown. The router's own share is the
+  // client-observed time minus total_us.
+  const auto routed = [&state](Response response) {
+    if (state.worker_timing.present) {
+      response.timing = serve::timing_json(state.worker_timing);
+    }
+    return response;
+  };
+  state.worker_timing = {};
   switch (request.type) {
     case RequestType::kPing:
       return serve::make_ok_response(request.id, json::Value::object());
@@ -282,9 +292,9 @@ Response Router::handle(const Request& request, ConnState& state) {
     case RequestType::kSleep:
       return handle_sleep(request, state);
     case RequestType::kBind:
-      return handle_bind(request, state);
+      return routed(handle_bind(request, state));
     default:
-      return handle_session_request(request, state);
+      return routed(handle_session_request(request, state));
   }
 }
 
@@ -318,8 +328,16 @@ util::json::Value Router::forward(ConnState& state, std::uint32_t slot,
   }
   n_forwarded_.fetch_add(1, std::memory_order_relaxed);
   g_obs_forwarded.add();
-  return worker_client(state, slot).call(std::move(request),
-                                         retry_after_recv);
+  serve::ResilientClient& client = worker_client(state, slot);
+  state.worker_timing = {};
+  try {
+    json::Value result = client.call(std::move(request), retry_after_recv);
+    state.worker_timing = client.last_timing();
+    return result;
+  } catch (const ProtocolError&) {
+    state.worker_timing = client.last_timing();
+    throw;
+  }
 }
 
 std::optional<Response> Router::admission_check(std::uint64_t id,

@@ -182,9 +182,11 @@ class Router {
   };
 
   /// Per-connection forwarding state: one lazily-connected ResilientClient
-  /// per worker slot (clients are not thread-safe; connections are).
+  /// per worker slot (clients are not thread-safe; connections are), and
+  /// the timing block of the current request's last worker reply.
   struct ConnState {
     std::vector<std::unique_ptr<serve::ResilientClient>> workers;
+    serve::TimingInfo worker_timing;
   };
 
   struct Connection {
@@ -214,7 +216,8 @@ class Router {
   serve::ResilientClient& worker_client(ConnState& state, std::uint32_t slot);
 
   /// Forward `request` to `slot` through the fault site + retry stack.
-  /// Throws ProtocolError / TransportError like Client::call.
+  /// Throws ProtocolError / TransportError like Client::call. A worker
+  /// reply (ok or ProtocolError) leaves its timing in state.worker_timing.
   util::json::Value forward(ConnState& state, std::uint32_t slot,
                             serve::Request request, bool retry_after_recv);
 

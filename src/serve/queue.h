@@ -9,7 +9,6 @@
 // (admitted work completes, new work is refused).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -55,11 +54,13 @@ class BoundedQueue {
     return take(lock);
   }
 
-  /// pop() with a timeout: nullopt on timeout or on closed-and-drained.
-  std::optional<T> pop_for(std::chrono::microseconds timeout) {
+  /// Pop the front item only if `pred(front)` holds; never blocks. nullopt
+  /// when the queue is empty or the front item fails the predicate (it then
+  /// stays first in line).
+  template <typename Pred>
+  std::optional<T> try_pop_if(Pred pred) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait_for(lock, timeout,
-                        [&] { return closed_ || !items_.empty(); });
+    if (items_.empty() || !pred(items_.front())) return std::nullopt;
     return take(lock);
   }
 

@@ -159,8 +159,7 @@ void Server::start() {
   }
   log::info("serve: listening on 127.0.0.1:", port_,
             " (batch<=", options_.max_batch_size,
-            ", delay<=", options_.max_delay_us,
-            "us, queue<=", options_.max_queue_depth, ")");
+            ", queue<=", options_.max_queue_depth, ")");
 }
 
 void Server::stop() {
@@ -533,50 +532,35 @@ util::json::Value Server::stats_json(std::uint64_t session_id) const {
 }
 
 void Server::batcher_loop() {
-  std::optional<Pending> carry;
-  while (true) {
-    std::optional<Pending> first =
-        carry.has_value() ? std::move(carry) : queue_->pop();
-    carry.reset();
-    if (!first.has_value()) break;  // closed and drained
+  const auto is_solve = [](const Pending& p) {
+    return p.request.type == RequestType::kSolve;
+  };
+  while (std::optional<Pending> first = queue_->pop()) {
     g_obs_queue_depth.set(static_cast<double>(queue_->size()));
-    // queue_out: end of admission-queue wait. A carried item keeps the
-    // stamp from the pop that actually dequeued it.
-    if (first->queue_out == Clock::time_point{}) {
-      first->queue_out = Clock::now();
-    }
-
-    if (first->request.type == RequestType::kSolve) {
-      std::vector<Pending> batch;
-      batch.push_back(std::move(*first));
-      const Clock::time_point flush_at =
-          Clock::now() + std::chrono::microseconds(options_.max_delay_us);
-      while (batch.size() < options_.max_batch_size) {
-        const Clock::time_point now = Clock::now();
-        if (now >= flush_at) break;
-        std::optional<Pending> next =
-            queue_->pop_for(std::chrono::duration_cast<std::chrono::microseconds>(
-                flush_at - now));
-        if (!next.has_value()) break;  // flush window elapsed (or draining)
-        next->queue_out = Clock::now();
-        if (next->request.type == RequestType::kSolve) {
-          batch.push_back(std::move(*next));
-        } else {
-          carry = std::move(next);  // execute after this batch, in order
-          break;
-        }
-      }
-      const Clock::time_point formed = Clock::now();
-      for (Pending& item : batch) item.exec_start = formed;
-      executing_.store(true, std::memory_order_release);
-      execute_solve_batch(batch);
-      executing_.store(false, std::memory_order_release);
-    } else {
+    first->queue_out = Clock::now();
+    if (!is_solve(*first)) {
       first->exec_start = Clock::now();
       executing_.store(true, std::memory_order_release);
       execute_single(*first);
       executing_.store(false, std::memory_order_release);
+      continue;
     }
+    // Work-conserving: take the solves already queued directly behind the
+    // first one and never wait for more. A non-solve stays at the front of
+    // the queue and runs after this batch, in arrival order.
+    std::vector<Pending> batch;
+    batch.push_back(std::move(*first));
+    while (batch.size() < options_.max_batch_size) {
+      std::optional<Pending> next = queue_->try_pop_if(is_solve);
+      if (!next.has_value()) break;
+      next->queue_out = Clock::now();
+      batch.push_back(std::move(*next));
+    }
+    const Clock::time_point formed = Clock::now();
+    for (Pending& item : batch) item.exec_start = formed;
+    executing_.store(true, std::memory_order_release);
+    execute_solve_batch(batch);
+    executing_.store(false, std::memory_order_release);
   }
 }
 

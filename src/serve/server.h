@@ -10,13 +10,15 @@
 //                  │ unbind + shed        │ try_push       │ on the
 //                  │ replies              │ or shed        │ engine pool
 //
-// Batching: consecutive solve requests are popped until max_batch_size or
-// max_delay_us elapses, grouped by session, deduplicated on identical
-// (ω, I), and fanned through SolveEngine::solve_batch — concurrent clients
-// share factorization-cache hits and the engine's thread pool. Every other
-// request type executes singly in arrival order. Because the engine is
-// deterministic from a fixed initial guess, a batched response is
-// bit-identical to a direct CoolingSystem call.
+// Batching takes the solves already queued; it never waits. A popped solve
+// takes the solves queued directly behind it, up to max_batch_size; batches
+// form under load because requests pile up while a batch runs. A batch is
+// grouped by session, deduplicated on identical (ω, I), and fanned through
+// SolveEngine::solve_batch — concurrent clients share factorization-cache
+// hits and the engine's thread pool. Every other request type executes
+// singly in arrival order. Because the engine is deterministic from a fixed
+// initial guess, a batched response is bit-identical to a direct
+// CoolingSystem call.
 //
 // Admission control & degradation: the central queue is bounded; when full,
 // requests are refused immediately with a structured kErrOverloaded response
@@ -38,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,10 +59,8 @@ namespace oftec::serve {
 
 struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral loopback port (see Server::port)
-  /// Micro-batcher: flush a solve batch at this many requests ...
+  /// Most solves one batch takes from the queue (1 = serial dispatch).
   std::size_t max_batch_size = 16;
-  /// ... or when the oldest popped request has waited this long [µs].
-  std::uint64_t max_delay_us = 2000;
   /// Central queue bound — the admission-control knob.
   std::size_t max_queue_depth = 256;
   /// Frame payload cap for untrusted input.

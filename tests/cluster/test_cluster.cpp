@@ -142,6 +142,12 @@ TEST(ClusterLoopback, SolvesBitIdenticalToSingleNodeAcrossShards) {
       const SolveReply r = client.solve(
           chip.session, (0.3 + 0.1 * i) * chip.omega_max, 0.2);
       expect_same_solve(r, expected[static_cast<std::size_t>(i)]);
+      // The router passes the owning worker's timing block through.
+      const serve::TimingInfo t = client.last_timing();
+      ASSERT_TRUE(t.present) << "routed solve lost the worker's timing";
+      EXPECT_GT(t.solve_us, 0.0);
+      EXPECT_LE(t.queue_us + t.batch_us + t.solve_us,
+                t.total_us * (1.0 + 1e-9) + 1e-3);
     }
   }
   EXPECT_GT(cluster.router().counters().forwarded, 0u);

@@ -302,6 +302,48 @@ TEST(ServeServer, DeadlineExpiresWhileQueued) {
   server.stop();
 }
 
+// A non-solve queued right behind a solve stays in the admission queue
+// while the solve's batch runs, so that wait is queue time. Its batch stage
+// (dequeue -> execute) must not absorb the batch's run time.
+TEST(ServeServer, NonSolveBehindABatchWaitsInTheQueueNotTheBatch) {
+  ServerOptions opts;
+  opts.enable_test_requests = true;
+  Server server(opts);
+  server.start();
+
+  Client client = Client::connect(server.port());
+  const BindReply chip = client.bind(susan_bind());
+
+  // Pin the batcher so the solve and the sleep are both queued when it
+  // next pops.
+  const std::uint64_t pin_id = client.send_sleep(200.0);
+  wait_until([&] {
+    return server.counters().admitted == 2 && server.queue_depth() == 0 &&
+           server.executing();
+  });
+  const std::uint64_t solve_id =
+      client.send_solve(chip.session, 0.5 * chip.omega_max, 0.0);
+  const std::uint64_t sleep_id = client.send_sleep(1.0);
+  wait_until([&] { return server.counters().admitted == 4; });
+
+  EXPECT_TRUE(client.recv_for(pin_id).ok);
+  const Response solve = client.recv_for(solve_id);
+  const Response sleep = client.recv_for(sleep_id);
+  ASSERT_TRUE(solve.ok) << solve.error.message;
+  ASSERT_TRUE(sleep.ok) << sleep.error.message;
+  const TimingInfo ts = timing_of(solve);
+  const TimingInfo tz = timing_of(sleep);
+  ASSERT_TRUE(ts.present);
+  ASSERT_TRUE(tz.present);
+  EXPECT_GT(ts.solve_us, 0.0);
+  EXPECT_LT(tz.batch_us, 0.5 * ts.solve_us);
+  for (const TimingInfo& t : {ts, tz}) {
+    EXPECT_LE(t.queue_us + t.batch_us + t.solve_us,
+              t.total_us * (1.0 + 1e-9) + 1e-3);
+  }
+  server.stop();
+}
+
 TEST(ServeServer, StopDrainsAdmittedWork) {
   ServerOptions opts;
   opts.max_batch_size = 1;

@@ -2,6 +2,8 @@
 // per-response timing block, trace-context round-trips, kStats snapshot and
 // delta-cursor views, slow-request exemplars via kTrace, and — the hard
 // constraint — solve results bit-identical with observability on and off.
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,10 +48,12 @@ TEST_F(ServeTimingTest, TimingBlockPresentAndStagesSumWithinTotal) {
   Client client = Client::connect(server.port());
   const BindReply chip = client.bind(susan_bind());
 
+  double min_batch_us = std::numeric_limits<double>::infinity();
   for (int i = 0; i < 4; ++i) {
     (void)client.solve(chip.session, (0.3 + 0.1 * i) * chip.omega_max, 0.0);
     const TimingInfo t = client.last_timing();
     ASSERT_TRUE(t.present) << "every solve response must carry timing";
+    min_batch_us = std::min(min_batch_us, t.batch_us);
     EXPECT_GE(t.decode_us, 0.0);
     EXPECT_GE(t.queue_us, 0.0);
     EXPECT_GE(t.batch_us, 0.0);
@@ -61,6 +65,11 @@ TEST_F(ServeTimingTest, TimingBlockPresentAndStagesSumWithinTotal) {
     EXPECT_LE(t.queue_us + t.batch_us + t.solve_us,
               t.total_us * (1.0 + 1e-9) + 1e-3);
   }
+  // A lone solve on an idle server has no batchmate to wait for: the
+  // batcher runs it at once instead of holding it for more work. The
+  // minimum over four solves keeps one descheduled batcher from failing
+  // the check.
+  EXPECT_LT(min_batch_us, 1000.0);
   server.stop();
 }
 

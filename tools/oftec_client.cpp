@@ -1,10 +1,10 @@
 // oftec_client — command-line front end for oftec-serve and oftec-cluster.
 //
-//   oftec_client serve  [--port N] [--batch N] [--delay-us N] [--queue N]
-//                       [--sessions N] [--ready-fd FD] [--test-requests]
+//   oftec_client serve  [--port N] [--batch N] [--queue N] [--sessions N]
+//                       [--ready-fd FD] [--test-requests]
 //   oftec_client cluster [--port N] [--workers N | --attach "p1,p2,..."]
 //                       [--process [--worker-bin PATH]] [--journal FILE]
-//                       [--batch N] [--delay-us N] [--queue N] [--sessions N]
+//                       [--batch N] [--queue N] [--sessions N]
 //                       [--probe-interval-ms N] [--probe-timeout-ms N]
 //                       [--fail-threshold N] [--restart-backoff-ms N]
 //                       [--restart-backoff-max-ms N] [--stable-uptime-ms N]
@@ -34,6 +34,9 @@
 // session specs durable: a restarted cluster replays the journal and serves
 // every previously bound session without client re-registration. Clients
 // speak plain protocol v1 to it, unchanged.
+//
+// `--batch N` caps a solve batch: the batcher takes the solves already
+// queued, up to N, and never waits for more (1 = serial dispatch).
 //
 // `serve --ready-fd FD` is the process-worker handshake: once the listener
 // is live the server writes "PORT <n>\n" to FD and closes it (the cluster
@@ -218,8 +221,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   opts.port = static_cast<std::uint16_t>(num_flag(flags, "port", 0.0));
   opts.max_batch_size =
       static_cast<std::size_t>(num_flag(flags, "batch", 16.0));
-  opts.max_delay_us =
-      static_cast<std::uint64_t>(num_flag(flags, "delay-us", 2000.0));
   opts.max_queue_depth =
       static_cast<std::size_t>(num_flag(flags, "queue", 256.0));
   opts.max_sessions =
@@ -267,8 +268,6 @@ int cmd_cluster(const std::map<std::string, std::string>& flags) {
   }
   opts.supervisor.worker_server.max_batch_size =
       static_cast<std::size_t>(num_flag(flags, "batch", 16.0));
-  opts.supervisor.worker_server.max_delay_us =
-      static_cast<std::uint64_t>(num_flag(flags, "delay-us", 2000.0));
   opts.supervisor.worker_server.max_queue_depth =
       static_cast<std::size_t>(num_flag(flags, "queue", 256.0));
   opts.supervisor.worker_server.max_sessions =
@@ -298,7 +297,6 @@ int cmd_cluster(const std::map<std::string, std::string>& flags) {
     // Child workers get the same serving knobs as in-process ones would.
     opts.process.extra_args = {
         "--batch", flag_or(flags, "batch", "16"),
-        "--delay-us", flag_or(flags, "delay-us", "2000"),
         "--queue", flag_or(flags, "queue", "256"),
         "--sessions", flag_or(flags, "sessions", "64")};
     mode = "process";
