@@ -47,7 +47,9 @@ std::vector<SweepRow> run_paper_sweep(const SweepOptions& options) {
     row.benchmark = b;
     row.name = prof.name;
     row.dynamic_power = peak.total();
+    row.t_max = hybrid.t_max();
     row.oftec = core::run_oftec(hybrid, options.oftec);
+    row.oftec_engine = hybrid.engine().stats();
     row.variable_fan = core::run_variable_fan_baseline(fan_only, options.oftec);
     row.fixed_fan = core::run_fixed_fan_baseline(fan_only, fixed_omega);
     row.oftec_min_temp = core::run_min_temperature(hybrid, options.oftec);

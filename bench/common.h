@@ -24,7 +24,10 @@ struct SweepRow {
   workload::Benchmark benchmark;
   std::string name;
   double dynamic_power = 0.0;  ///< peak total [W]
+  double t_max = 0.0;          ///< thermal threshold [K]
   core::OftecResult oftec;
+  /// The hybrid system's engine counters right after run_oftec.
+  thermal::EngineStats oftec_engine;
   core::BaselineResult variable_fan;
   core::BaselineResult fixed_fan;
   core::BaselineResult tec_only;

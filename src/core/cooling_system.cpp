@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "la/vector_ops.h"
 #include "util/obs.h"
 
 namespace oftec::core {
@@ -38,11 +39,48 @@ Evaluation make_evaluation(const thermal::ThermalModel& model,
   return ev;
 }
 
+EvaluationGradient EvaluationGradient::unavailable(std::size_t params) {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {la::Vector(params, inf), la::Vector(params, inf)};
+}
+
+EvaluationGradient make_gradient(
+    const thermal::SolveEngine& engine, double omega,
+    const la::Vector& cell_current, const la::Vector& temperatures,
+    const std::vector<la::Vector>& current_directions) {
+  const std::size_t params = 1 + current_directions.size();
+  const std::vector<la::Vector> tangents =
+      engine.tangents(omega, cell_current, temperatures, current_directions);
+  if (tangents.empty()) return EvaluationGradient::unavailable(params);
+
+  const thermal::SteadySolver& solver = engine.solver();
+  const thermal::ThermalModel& model = solver.model();
+  // 𝒯 follows the chip cell that max_slab_temperature picks.
+  const std::size_t hot = model.layout().node(
+      thermal::Slab::kChip,
+      la::argmax(model.slab_temperatures(temperatures, thermal::Slab::kChip)));
+  const la::Vector fixed_currents;  // ω moves no current
+  EvaluationGradient g;
+  g.max_chip_temperature.resize(params);
+  g.cooling_power.resize(params);
+  for (std::size_t k = 0; k < params; ++k) {
+    const la::Vector& dt = tangents[k];
+    g.max_chip_temperature[k] = dt[hot];
+    g.cooling_power[k] =
+        model.leakage_power_tangent(temperatures, solver.cell_leakage(), dt) +
+        model.tec_power_tangent(
+            temperatures, cell_current, dt,
+            k == 0 ? fixed_currents : current_directions[k - 1]) +
+        (k == 0 ? model.config().fan.power_derivative(omega) : 0.0);
+  }
+  return g;
+}
+
 CoolingSystem::CoolingSystem(const floorplan::Floorplan& fp,
                              const power::PowerMap& dynamic_power,
                              const power::LeakageModel& leakage,
                              Config config)
-    : cache_limit_(config.cache_limit) {
+    : memo_(config.cache_limit) {
   // Validate the workload at the boundary: a NaN or negative watt entry
   // would otherwise surface deep inside the solver as a mysterious runaway
   // (or worse, a silently wrong answer fed to the optimizer).
@@ -71,7 +109,7 @@ CoolingSystem::CoolingSystem(const floorplan::Floorplan& fp,
   engine_ = std::make_unique<thermal::SolveEngine>(*solver_, config.engine);
 }
 
-const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
+void CoolingSystem::check_point(double omega, double current) const {
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("CoolingSystem::evaluate: omega out of range");
   }
@@ -80,35 +118,37 @@ const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
     throw std::invalid_argument(
         "CoolingSystem::evaluate: current out of range");
   }
+}
 
+const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
+  check_point(omega, current);
   g_obs_evaluations.add();
   const auto key = std::make_pair(omega, current);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++cache_hits_;
-      g_obs_cache_hits.add();
-      if (obs::enabled()) {
-        const auto total =
-            static_cast<double>(cache_hits_ + solve_count_);
-        if (total > 0.0) {
-          g_obs_cache_hit_rate.set(static_cast<double>(cache_hits_) / total);
-        }
-      }
-      return it->second;
+  if (const Evaluation* hit = memo_.find(key)) {
+    g_obs_cache_hits.add();
+    if (obs::enabled()) {
+      const auto hits = static_cast<double>(memo_.hits());
+      g_obs_cache_hit_rate.set(
+          hits / (hits + static_cast<double>(memo_.solves())));
     }
-    if (cache_.size() >= cache_limit_) cache_.clear();
+    return *hit;
   }
 
   // Solve outside the lock — the engine is internally synchronized, and the
   // solve is a pure function of (ω, I), so concurrent duplicate solves of
   // the same point produce identical Evaluations.
-  const thermal::SteadyResult sr = engine_->solve({omega, current});
+  thermal::SteadyResult sr = engine_->solve({omega, current});
   Evaluation ev = make_evaluation(*model_, sr, omega);
+  return memo_.insert(key, std::move(ev), std::move(sr.temperatures));
+}
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++solve_count_;
-  return cache_.emplace(key, std::move(ev)).first->second;
+EvaluationGradient CoolingSystem::gradient(double omega, double current) const {
+  check_point(omega, current);
+  const la::Vector cell_current(model_->layout().cells_per_layer(), current);
+  std::vector<la::Vector> directions;
+  if (has_tec()) directions.emplace_back(cell_current.size(), 1.0);
+  return memo_.gradient({omega, current}, *engine_, omega, cell_current,
+                        directions);
 }
 
 double CoolingSystem::t_max() const noexcept { return model_->config().t_max; }

@@ -7,15 +7,22 @@
 //              Optimization 1 constraint), +inf in thermal runaway;
 //   𝒫(ω, I) — cooling-related power P_leakage + P_TEC + P_fan (Eq. 10).
 // Evaluations are memoized: the SQP evaluates 𝒯 and 𝒫 at identical points
-// (objective + constraint + finite differences), and each uncached point
-// costs a full nonlinear thermal solve.
+// (objective + constraint), and each uncached point costs a full nonlinear
+// thermal solve. The optimizers' gradients ∂𝒯/∂(ω, I) and ∂𝒫/∂(ω, I) are
+// exact, computed only on request from a few recently converged states, and
+// memoized beside their Evaluations.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "floorplan/floorplan.h"
 #include "package/package_config.h"
@@ -60,6 +67,167 @@ struct Evaluation {
                                          const thermal::SteadyResult& result,
                                          double omega);
 
+/// Exact first derivatives of one Evaluation: one entry per decision
+/// parameter, ω first, then each TEC current. Every entry is +inf when the
+/// point is runaway or its tangent solve failed.
+struct EvaluationGradient {
+  la::Vector max_chip_temperature;  ///< ∂𝒯/∂p
+  la::Vector cooling_power;         ///< ∂𝒫/∂p
+
+  /// The all-+inf gradient of `params` entries.
+  [[nodiscard]] static EvaluationGradient unavailable(std::size_t params);
+};
+
+/// Differentiate the converged steady state `temperatures` of
+/// (ω, cell_current): thermal::SolveEngine::tangents gives ∂T/∂ω and ∂T/∂s
+/// along each current direction, chained into ∂𝒯 through the hottest chip
+/// cell and into ∂𝒫 through ThermalModel::leakage_power_tangent,
+/// ThermalModel::tec_power_tangent and FanModel::power_derivative.
+[[nodiscard]] EvaluationGradient make_gradient(
+    const thermal::SolveEngine& engine, double omega,
+    const la::Vector& cell_current, const la::Vector& temperatures,
+    const std::vector<la::Vector>& current_directions);
+
+/// How a PointMemo served its gradient requests.
+struct GradientStats {
+  std::size_t requests = 0;
+  std::size_t memo_hits = 0;   ///< the point's memo entry already held it
+  std::size_t state_hits = 0;  ///< differentiated a state from the ring
+  std::size_t resolves = 0;    ///< the state had left the ring: re-solved
+};
+
+/// Memo of Evaluations by operating point, shared by CoolingSystem and
+/// MultiZoneSystem. Each entry keeps the point's Evaluation and, once asked
+/// for, its EvaluationGradient (2·(1 + Z) doubles); it is cleared wholesale
+/// when it reaches `limit` entries and holds no node vectors. Beside it, a
+/// ring of the kStates most recent fresh solves keeps their converged
+/// temperatures, which is where a point's first gradient request finds the
+/// state to differentiate. Internally synchronized.
+template <typename Key>
+class PointMemo {
+ public:
+  static constexpr std::size_t kStates = 4;
+
+  explicit PointMemo(std::size_t limit)
+      : limit_(std::max<std::size_t>(limit, 1)) {}
+
+  /// The memoized Evaluation at `key` (counted as a hit), or nullptr.
+  [[nodiscard]] const Evaluation* find(const Key& key) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return nullptr;
+    ++hits_;
+    return &it->second.evaluation;
+  }
+
+  /// Record a fresh solve at `key` with its converged node temperatures;
+  /// returns the memoized Evaluation. The reference stays valid until the
+  /// memo next fills up and is cleared.
+  const Evaluation& insert(Key key, Evaluation ev, la::Vector temperatures) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++solves_;
+    if (!ev.runaway) remember(key, std::move(temperatures));
+    return emplace(std::move(key), std::move(ev)).evaluation;
+  }
+
+  /// ∂𝒯 and ∂𝒫 at `key` = (ω, cell_current), one entry for ω and one per
+  /// current direction. A gradient already in the point's entry is returned
+  /// as is; otherwise the converged state comes from the ring, or, when it
+  /// has left the ring, from a re-solve (bit-identical: solves are pure
+  /// functions of the point), which is memoized and counted as a solve.
+  [[nodiscard]] EvaluationGradient gradient(
+      const Key& key, const thermal::SolveEngine& engine, double omega,
+      const la::Vector& cell_current,
+      const std::vector<la::Vector>& directions) {
+    la::Vector temperatures;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++gradient_stats_.requests;
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.gradient) {
+        ++gradient_stats_.memo_hits;
+        return *it->second.gradient;
+      }
+      for (const auto& [k, t] : states_) {
+        if (k == key) {
+          temperatures = t;
+          break;
+        }
+      }
+    }
+    std::optional<Evaluation> resolved;
+    if (temperatures.empty()) {
+      thermal::SteadyResult sr = engine.solve_cells(omega, cell_current);
+      resolved = make_evaluation(engine.solver().model(), sr, omega);
+      temperatures = std::move(sr.temperatures);
+    }
+    const EvaluationGradient g =
+        resolved && resolved->runaway
+            ? EvaluationGradient::unavailable(1 + directions.size())
+            : make_gradient(engine, omega, cell_current, temperatures,
+                            directions);
+
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!resolved) {
+      ++gradient_stats_.state_hits;
+      // Absent only if the memo was cleared since the point was evaluated.
+      const auto it = entries_.find(key);
+      if (it != entries_.end()) it->second.gradient = g;
+      return g;
+    }
+    ++gradient_stats_.resolves;
+    ++solves_;
+    if (!resolved->runaway) remember(key, std::move(temperatures));
+    emplace(key, std::move(*resolved)).gradient = g;
+    return g;
+  }
+
+  [[nodiscard]] std::size_t solves() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return solves_;
+  }
+  [[nodiscard]] std::size_t hits() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hits_;
+  }
+  [[nodiscard]] std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+  }
+  [[nodiscard]] GradientStats gradient_stats() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return gradient_stats_;
+  }
+
+ private:
+  struct Entry {
+    Evaluation evaluation;
+    std::optional<EvaluationGradient> gradient;
+  };
+
+  // Callers hold mutex_.
+  Entry& emplace(Key key, Evaluation ev) {
+    if (const auto it = entries_.find(key); it != entries_.end()) {
+      return it->second;  // a concurrent solve of the same point got here
+    }
+    if (entries_.size() >= limit_) entries_.clear();
+    return entries_.emplace(std::move(key), Entry{std::move(ev), {}})
+        .first->second;
+  }
+  void remember(const Key& key, la::Vector temperatures) {
+    if (states_.size() == kStates) states_.pop_back();
+    states_.emplace_front(key, std::move(temperatures));
+  }
+
+  std::size_t limit_;
+  mutable std::mutex mutex_;
+  std::map<Key, Entry> entries_;
+  std::deque<std::pair<Key, la::Vector>> states_;  // front = most recent
+  std::size_t solves_ = 0;
+  std::size_t hits_ = 0;
+  GradientStats gradient_stats_;
+};
+
 class CoolingSystem {
  public:
   struct Config {
@@ -96,6 +264,15 @@ class CoolingSystem {
   /// references across that many distinct evaluations must copy.
   [[nodiscard]] const Evaluation& evaluate(double omega, double current) const;
 
+  /// Exact ∂𝒯 and ∂𝒫 at (ω, I): entries (ω) for fan-only packages, (ω, I)
+  /// for hybrid ones; I = 0 gives the right derivative. Memoized with the
+  /// point's Evaluation; the first request costs one tangent solve per
+  /// entry (thermal::SolveEngine::tangents) from the converged state of a
+  /// recent evaluate() at the same point. When that state has left the
+  /// ring, the point is re-solved, which reproduces it bit for bit and
+  /// counts in evaluation_count(). Thread-safe.
+  [[nodiscard]] EvaluationGradient gradient(double omega, double current) const;
+
   [[nodiscard]] double t_max() const noexcept;     ///< [K]
   [[nodiscard]] double ambient() const noexcept;   ///< [K]
   [[nodiscard]] double omega_max() const noexcept; ///< [rad/s]
@@ -118,20 +295,22 @@ class CoolingSystem {
   [[nodiscard]] const std::vector<power::ExponentialTerm>& cell_leakage()
       const noexcept;
 
-  [[nodiscard]] std::size_t evaluation_count() const noexcept {
-    return solve_count_;
+  /// Fresh nonlinear solves (memo misses and gradient re-solves).
+  [[nodiscard]] std::size_t evaluation_count() const { return memo_.solves(); }
+  [[nodiscard]] std::size_t cache_hits() const { return memo_.hits(); }
+  /// Evaluations currently memoized (at most Config::cache_limit).
+  [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
+  [[nodiscard]] GradientStats gradient_stats() const {
+    return memo_.gradient_stats();
   }
-  [[nodiscard]] std::size_t cache_hits() const noexcept { return cache_hits_; }
 
  private:
+  void check_point(double omega, double current) const;
+
   std::unique_ptr<thermal::ThermalModel> model_;
   std::unique_ptr<thermal::SteadySolver> solver_;
   std::unique_ptr<thermal::SolveEngine> engine_;
-  std::size_t cache_limit_;
-  mutable std::mutex mutex_;  // guards cache_ and the counters
-  mutable std::map<std::pair<double, double>, Evaluation> cache_;
-  mutable std::size_t solve_count_ = 0;
-  mutable std::size_t cache_hits_ = 0;
+  mutable PointMemo<std::pair<double, double>> memo_;
 };
 
 }  // namespace oftec::core

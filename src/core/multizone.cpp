@@ -83,7 +83,7 @@ MultiZoneSystem::MultiZoneSystem(const floorplan::Floorplan& fp,
                                  const power::LeakageModel& leakage,
                                  ZonePartition partition,
                                  CoolingSystem::Config config)
-    : partition_(std::move(partition)) {
+    : partition_(std::move(partition)), memo_(config.cache_limit) {
   if (partition_.zone_count == 0) {
     throw std::invalid_argument("MultiZoneSystem: empty partition");
   }
@@ -103,7 +103,7 @@ MultiZoneSystem::MultiZoneSystem(const floorplan::Floorplan& fp,
   solver_ = std::make_unique<thermal::SteadySolver>(
       *model_, model_->distribute(dynamic_power),
       model_->cell_leakage(leakage), config.steady);
-  engine_ = std::make_unique<thermal::SolveEngine>(*solver_);
+  engine_ = std::make_unique<thermal::SolveEngine>(*solver_, config.engine);
 }
 
 double MultiZoneSystem::t_max() const noexcept {
@@ -118,8 +118,11 @@ double MultiZoneSystem::current_max() const noexcept {
   return model_->config().tec.max_current;
 }
 
-const Evaluation& MultiZoneSystem::evaluate(
+std::vector<double> MultiZoneSystem::key_of(
     double omega, const la::Vector& zone_currents) const {
+  if (zone_currents.size() != partition_.zone_count) {
+    throw std::invalid_argument("MultiZoneSystem::evaluate: arity mismatch");
+  }
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("MultiZoneSystem::evaluate: omega range");
   }
@@ -128,38 +131,37 @@ const Evaluation& MultiZoneSystem::evaluate(
       throw std::invalid_argument("MultiZoneSystem::evaluate: current range");
     }
   }
-
   std::vector<double> key;
   key.reserve(1 + zone_currents.size());
   key.push_back(omega);
   key.insert(key.end(), zone_currents.begin(), zone_currents.end());
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      return it->second;
-    }
-  }
+  return key;
+}
+
+const Evaluation& MultiZoneSystem::evaluate(
+    double omega, const la::Vector& zone_currents) const {
+  std::vector<double> key = key_of(omega, zone_currents);
+  if (const Evaluation* hit = memo_.find(key)) return *hit;
 
   // Engine solves are pure functions of (ω, cell currents) — see
   // CoolingSystem::evaluate for the concurrency contract.
-  const la::Vector cell_current = partition_.expand(zone_currents);
-  const thermal::SteadyResult sr = engine_->solve_cells(omega, cell_current);
+  thermal::SteadyResult sr =
+      engine_->solve_cells(omega, partition_.expand(zone_currents));
+  Evaluation ev = make_evaluation(*model_, sr, omega);
+  return memo_.insert(std::move(key), std::move(ev),
+                      std::move(sr.temperatures));
+}
 
-  Evaluation ev;
-  ev.status = sr.status;
-  if (sr.runaway || !sr.converged) {
-    ev.runaway = true;
-    ev.max_chip_temperature = std::numeric_limits<double>::infinity();
-  } else {
-    ev.max_chip_temperature = sr.max_chip_temperature;
-    ev.power.leakage = sr.leakage_power;
-    ev.power.tec = sr.tec_power;
-    ev.power.fan = model_->config().fan.power(omega);
+EvaluationGradient MultiZoneSystem::gradient(
+    double omega, const la::Vector& zone_currents) const {
+  std::vector<la::Vector> directions(
+      partition_.zone_count, la::Vector(partition_.zone_of_cell.size(), 0.0));
+  for (std::size_t cell = 0; cell < partition_.zone_of_cell.size(); ++cell) {
+    const std::size_t zone = partition_.zone_of_cell[cell];
+    if (zone != ZonePartition::kUnzoned) directions[zone][cell] = 1.0;
   }
-  ev.solver_iterations = sr.iterations;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++solve_count_;
-  return cache_.emplace(std::move(key), std::move(ev)).first->second;
+  return memo_.gradient(key_of(omega, zone_currents), *engine_, omega,
+                        partition_.expand(zone_currents), directions);
 }
 
 MultiZoneProblem::MultiZoneProblem(const MultiZoneSystem& system,
@@ -210,6 +212,18 @@ la::Vector MultiZoneProblem::constraints(const la::Vector& x) const {
   if (!temperature_constraint_) return {};
   const Evaluation& ev = system_->evaluate(omega_of(x), currents_of(x));
   return {ev.max_chip_temperature - (system_->t_max() - strictness_)};
+}
+
+opt::Gradients MultiZoneProblem::gradients(const la::Vector& x) const {
+  EvaluationGradient g = system_->gradient(omega_of(x), currents_of(x));
+  opt::Gradients out;
+  if (temperature_constraint_) {
+    out.constraints.push_back(g.max_chip_temperature);
+  }
+  out.objective = objective_ == Objective::kCoolingPower
+                      ? std::move(g.cooling_power)
+                      : std::move(g.max_chip_temperature);
+  return out;
 }
 
 la::Vector MultiZoneProblem::midpoint() const {

@@ -15,9 +15,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -57,7 +55,7 @@ struct ZonePartition {
 };
 
 /// Evaluation facade for (ω, I₁…I_Z) points — the multi-zone analogue of
-/// CoolingSystem (memoized the same way).
+/// CoolingSystem: the same engine options, memo bound and exact gradients.
 class MultiZoneSystem {
  public:
   MultiZoneSystem(const floorplan::Floorplan& fp,
@@ -76,18 +74,29 @@ class MultiZoneSystem {
   [[nodiscard]] const Evaluation& evaluate(
       double omega, const la::Vector& zone_currents) const;
 
-  [[nodiscard]] std::size_t evaluation_count() const noexcept {
-    return solve_count_;
+  /// Exact ∂𝒯 and ∂𝒫 with respect to (ω, I₁ … I_Z), one tangent solve per
+  /// entry; see CoolingSystem::gradient.
+  [[nodiscard]] EvaluationGradient gradient(
+      double omega, const la::Vector& zone_currents) const;
+
+  [[nodiscard]] const thermal::SolveEngine& engine() const noexcept {
+    return *engine_;
   }
+  /// Fresh nonlinear solves (memo misses and gradient re-solves).
+  [[nodiscard]] std::size_t evaluation_count() const { return memo_.solves(); }
+  /// Evaluations currently memoized (at most Config::cache_limit).
+  [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
 
  private:
+  /// Validated memo key (ω, I₁ … I_Z).
+  [[nodiscard]] std::vector<double> key_of(
+      double omega, const la::Vector& zone_currents) const;
+
   std::unique_ptr<thermal::ThermalModel> model_;
   std::unique_ptr<thermal::SteadySolver> solver_;
   std::unique_ptr<thermal::SolveEngine> engine_;
   ZonePartition partition_;
-  mutable std::mutex mutex_;  // guards cache_ and the counter
-  mutable std::map<std::vector<double>, Evaluation> cache_;
-  mutable std::size_t solve_count_ = 0;
+  mutable PointMemo<std::vector<double>> memo_;
 };
 
 /// Optimization-1/2 adapter over a MultiZoneSystem: x = (ω, I₁ … I_Z).
@@ -103,6 +112,8 @@ class MultiZoneProblem final : public opt::Problem {
   [[nodiscard]] const opt::Bounds& bounds() const override;
   [[nodiscard]] double objective(const la::Vector& x) const override;
   [[nodiscard]] la::Vector constraints(const la::Vector& x) const override;
+  /// Exact gradients from MultiZoneSystem::gradient.
+  [[nodiscard]] opt::Gradients gradients(const la::Vector& x) const override;
 
   [[nodiscard]] double omega_of(const la::Vector& x) const;
   [[nodiscard]] la::Vector currents_of(const la::Vector& x) const;

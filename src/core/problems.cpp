@@ -57,6 +57,18 @@ la::Vector CoolingProblem::constraints(const la::Vector& x) const {
   return {ev.max_chip_temperature - (t_max_ - strictness_)};
 }
 
+opt::Gradients CoolingProblem::gradients(const la::Vector& x) const {
+  EvaluationGradient g = system_->gradient(omega_of(x), current_of(x));
+  opt::Gradients out;
+  if (temperature_constraint_) {
+    out.constraints.push_back(g.max_chip_temperature);
+  }
+  out.objective = objective_ == Objective::kCoolingPower
+                      ? std::move(g.cooling_power)
+                      : std::move(g.max_chip_temperature);
+  return out;
+}
+
 la::Vector CoolingProblem::midpoint() const {
   la::Vector x(dimension());
   for (std::size_t i = 0; i < x.size(); ++i) {

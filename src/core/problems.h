@@ -30,6 +30,8 @@ class CoolingProblem final : public opt::Problem {
   [[nodiscard]] const opt::Bounds& bounds() const override;
   [[nodiscard]] double objective(const la::Vector& x) const override;
   [[nodiscard]] la::Vector constraints(const la::Vector& x) const override;
+  /// Exact gradients from CoolingSystem::gradient.
+  [[nodiscard]] opt::Gradients gradients(const la::Vector& x) const override;
 
   /// Decode the decision vector.
   [[nodiscard]] double omega_of(const la::Vector& x) const;

@@ -127,7 +127,11 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
 
   for (std::size_t it = 0; it < max_iter; ++it) {
     const double p_ap = a.multiply_dot(p, ap);
-    if (p_ap <= 0.0) break;  // matrix not SPD — bail to caller
+    if (p_ap <= 0.0) {
+      // Matrix not SPD — bail to caller. pᵀAp = 0 proves it only for p ≠ 0.
+      res.indefinite = p_ap < 0.0 || norm2(p) > 0.0;
+      break;
+    }
     const double alpha = rz / p_ap;
     res.iterations = it + 1;
     res.residual_norm = std::sqrt(

@@ -26,6 +26,10 @@ struct IterativeResult {
   bool converged = false;   ///< residual tolerance reached
   std::size_t iterations = 0;
   double residual_norm = 0.0;  ///< final ‖b − A·x‖₂
+  /// solve_cg only: a nonzero search direction p had pᵀA·p ≤ 0, which
+  /// proves A is not positive definite. Never set from non-convergence
+  /// alone: a stall or an exhausted budget leaves it false.
+  bool indefinite = false;
 };
 
 /// Reusable scratch for solve_cg. A caller that solves in a loop (the
@@ -59,7 +63,9 @@ struct IterativeOptions {
   const ColumnBlockJacobi* preconditioner = nullptr;
 };
 
-/// Preconditioned conjugate gradient; caller asserts A is SPD.
+/// Preconditioned conjugate gradient for symmetric A. When A is not SPD the
+/// iteration may meet non-positive curvature; it then stops unconverged
+/// with IterativeResult::indefinite set.
 [[nodiscard]] IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
                                        const IterativeOptions& opts = {});
 

@@ -2,9 +2,12 @@
 //
 // The OFTEC objective is only available through the thermal simulator
 // (paper Sec. 5.2: "the objective function 𝒫 can only be determined
-// numerically"), so all solvers differentiate numerically. Steps are scaled
-// per coordinate, kept inside the box, and fall back to one-sided
-// differences when the opposite sample lands in the runaway region.
+// numerically"). SQP takes its gradients from Problem::gradients, which the
+// thermal problems compute exactly; these differences serve the
+// interior-point and trust-region comparators, and test problems that have
+// no analytic gradient. Steps are scaled per coordinate, kept inside the
+// box, and fall back to one-sided differences when the opposite sample
+// lands in the runaway region.
 #pragma once
 
 #include <functional>

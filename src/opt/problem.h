@@ -5,10 +5,13 @@
 // by the thermal simulator — they can return +infinity inside the thermal
 // runaway region, and every solver in this module must treat +inf as
 // "reject and back off", exactly as the paper's Fig. 6(a,b) surfaces demand.
+// Gradients come from the problem itself (Problem::gradients): the thermal
+// problems differentiate their converged state exactly.
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "la/vector_ops.h"
 #include "util/status.h"
@@ -19,6 +22,12 @@ namespace oftec::opt {
 struct Bounds {
   la::Vector lower;
   la::Vector upper;
+};
+
+/// First derivatives at one point.
+struct Gradients {
+  la::Vector objective;                 ///< ∇f
+  std::vector<la::Vector> constraints;  ///< ∇g_c, one per constraint
 };
 
 /// Minimize objective(x) subject to constraints(x) <= 0 (component-wise) and
@@ -37,6 +46,13 @@ class Problem {
   /// Constraint values g(x); feasible iff every entry <= 0. Entries may be
   /// +inf in the runaway region.
   [[nodiscard]] virtual la::Vector constraints(const la::Vector& x) const = 0;
+
+  /// Gradients at an x whose objective is finite; the gradient-based
+  /// solvers (SQP) take every derivative from here. On a bound the entry is
+  /// the one-sided derivative into the box. Non-finite entries mean "not
+  /// available here": SQP then stops at x (objective) or treats that
+  /// constraint row as flat.
+  [[nodiscard]] virtual Gradients gradients(const la::Vector& x) const = 0;
 };
 
 /// Solution report shared by all solvers.
@@ -51,6 +67,7 @@ struct OptResult {
   SolveStatus status = SolveStatus::kNotConverged;
   std::size_t iterations = 0;
   std::size_t evaluations = 0;  ///< objective+constraint evaluations
+  std::size_t gradient_evaluations = 0;  ///< Problem::gradients calls
 };
 
 /// Clamp a point into the problem's box.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "la/dense_matrix.h"
-#include "opt/finite_diff.h"
 #include "opt/qp.h"
 #include "util/log.h"
 #include "util/obs.h"
@@ -43,6 +42,13 @@ const obs::Histogram g_obs_iterations = obs::histogram(
   return v;
 }
 
+[[nodiscard]] bool all_finite(const la::Vector& v) {
+  for (const double x : v) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
@@ -59,9 +65,6 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
   OptResult result;
   la::Vector x = clamp_to_bounds(x0, bounds);
 
-  FiniteDiffOptions fd;
-  fd.step_rel = options.finite_diff_step;
-
   auto eval_f = [&](const la::Vector& p) {
     ++result.evaluations;
     return problem.objective(p);
@@ -69,6 +72,22 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
   auto eval_g = [&](const la::Vector& p) {
     ++result.evaluations;
     return problem.constraints(p);
+  };
+  auto eval_grad = [&](const la::Vector& p) {
+    ++result.gradient_evaluations;
+    Gradients grads = problem.gradients(p);
+    if (grads.objective.size() != n || grads.constraints.size() != m) {
+      throw std::logic_error("solve_sqp: gradient arity mismatch");
+    }
+    for (la::Vector& gc : grads.constraints) {
+      if (gc.size() != n) {
+        throw std::logic_error("solve_sqp: gradient arity mismatch");
+      }
+      for (double& entry : gc) {
+        if (!std::isfinite(entry)) entry = 0.0;  // flat fallback
+      }
+    }
+    return grads;
   };
 
   double f = eval_f(x);
@@ -90,29 +109,14 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
 
   double mu = 1.0;
   std::size_t consecutive_failures = 0;
+  Gradients grads = eval_grad(x);  // at x: taken once per accepted point
 
   for (std::size_t iter = 1; iter <= options.max_iterations; ++iter) {
     result.iterations = iter;
 
-    // Gradients of objective and constraints.
-    const la::Vector grad_f = gradient(
-        [&](const la::Vector& p) { return eval_f(p); }, x, bounds, fd);
-    bool grad_ok = true;
-    for (const double gi : grad_f) grad_ok = grad_ok && std::isfinite(gi);
-    if (!grad_ok) break;  // boxed in by runaway; accept current iterate
-
-    std::vector<la::Vector> grad_g(m);
-    for (std::size_t c = 0; c < m; ++c) {
-      grad_g[c] = gradient(
-          [&](const la::Vector& p) {
-            const la::Vector gc = eval_g(p);
-            return gc[c];
-          },
-          x, bounds, fd);
-      for (double& entry : grad_g[c]) {
-        if (!std::isfinite(entry)) entry = 0.0;  // flat fallback
-      }
-    }
+    const la::Vector& grad_f = grads.objective;
+    const std::vector<la::Vector>& grad_g = grads.constraints;
+    if (!all_finite(grad_f)) break;  // no derivative here; accept x
 
     // QP rows: linearized constraints then box bounds.
     const std::size_t rows = m + 2 * n;
@@ -206,19 +210,15 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
     }
     consecutive_failures = 0;
 
-    // Damped BFGS update with the Lagrangian gradient difference.
-    const la::Vector grad_f_new = gradient(
-        [&](const la::Vector& p) { return eval_f(p); }, x_new, bounds, fd);
-    bool new_grad_ok = true;
-    for (const double v : grad_f_new) new_grad_ok = new_grad_ok && std::isfinite(v);
-
-    if (new_grad_ok) {
+    // Damped BFGS update from the objective-gradient difference. y uses ∇f
+    // only, so constraint curvature never enters the model Hessian; the
+    // linearized constraints and the ℓ1 merit carry the constraints alone.
+    Gradients grads_new = eval_grad(x_new);
+    if (all_finite(grads_new.objective)) {
       la::Vector s = x_new;
       la::axpy(-1.0, x, s);
-      la::Vector y = grad_f_new;
+      la::Vector y = grads_new.objective;
       la::axpy(-1.0, grad_f, y);
-      // Include constraint curvature via multipliers (gradients reused from
-      // the old point — adequate for the mild nonconvexity at hand).
       const double sy = la::dot(s, y);
       const la::Vector hs = hess.multiply(s);
       const double shs = la::dot(s, hs);
@@ -248,6 +248,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
     x = std::move(x_new);
     f = f_new;
     g = std::move(g_new);
+    grads = std::move(grads_new);
 
     if (stop && stop(x, f)) {
       result.converged = true;

@@ -1,12 +1,14 @@
 // Active-set sequential quadratic programming (paper Sec. 5.2).
 //
 // Solves min f(x) s.t. g(x) ≤ 0, lb ≤ x ≤ ub where f and g come from the
-// thermal simulator (derivative-free, possibly +inf). Each iteration:
-//   1. finite-difference gradients of f and g,
+// thermal simulator (possibly +inf in the runaway region). Each iteration:
+//   1. gradients of f and g from Problem::gradients — exact
+//      implicit-function-theorem sensitivities for the thermal problems —
+//      taken once per accepted point,
 //   2. convex QP subproblem (damped-BFGS Hessian, linearized constraints,
 //      box handled as linear rows) solved exactly by active-set enumeration,
 //   3. ℓ1-merit backtracking line search (rejects +inf samples),
-//   4. damped (Powell) BFGS update of the Lagrangian Hessian.
+//   4. damped (Powell) BFGS update from the objective-gradient difference.
 // An optional early-stop predicate implements Algorithm 1 line 3: "stop the
 // optimization whenever 𝒯(ω, I) < T_max".
 #pragma once
@@ -23,7 +25,6 @@ struct SqpOptions {
   double constraint_tolerance = 1e-6;
   double merit_penalty_margin = 10.0;  ///< μ ≥ margin·max λ
   std::size_t max_line_search_steps = 12;
-  double finite_diff_step = 1e-4;
 };
 
 /// Early-stop predicate: return true to accept the current iterate and stop.

@@ -15,6 +15,8 @@ struct FanModel {
   /// on negative speed; speeds above max_speed are rejected too — callers
   /// must respect constraint (16).
   [[nodiscard]] double power(double omega) const;
+  /// dP/dω = 3c·ω² [W·s] over the same speed range as power().
+  [[nodiscard]] double power_derivative(double omega) const;
 
   /// Throws std::invalid_argument if parameters are non-physical.
   void validate() const;

@@ -11,6 +11,10 @@ double ExponentialTerm::evaluate(double temperature) const noexcept {
   return p0 * std::exp(beta * (temperature - t0));
 }
 
+double ExponentialTerm::derivative(double temperature) const noexcept {
+  return beta * evaluate(temperature);
+}
+
 TaylorCoefficients chord_linearize(const ExponentialTerm& term, double t_ref,
                                    double t_lo, double t_hi,
                                    std::size_t samples) {
@@ -35,7 +39,7 @@ TaylorCoefficients tangent_linearize(const ExponentialTerm& term,
                                      double t_ref) noexcept {
   TaylorCoefficients coeffs;
   const double p = term.evaluate(t_ref);
-  coeffs.a = term.beta * p;
+  coeffs.a = term.beta * p;  // derivative(t_ref), without a second exp
   coeffs.b = p;
   coeffs.t_ref = t_ref;
   return coeffs;

@@ -25,6 +25,8 @@ struct ExponentialTerm {
   double t0 = 0.0;   ///< reference temperature [K]
 
   [[nodiscard]] double evaluate(double temperature) const noexcept;
+  /// dp/dT = β·p(T) [W/K].
+  [[nodiscard]] double derivative(double temperature) const noexcept;
 };
 
 /// Linearized leakage for one element: p ≈ a(T − Tref) + b.

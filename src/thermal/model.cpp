@@ -411,6 +411,34 @@ double ThermalModel::tec_power(const la::Vector& temperatures,
   return acc;
 }
 
+double ThermalModel::tec_power_tangent(const la::Vector& temperatures,
+                                       const la::Vector& cell_current,
+                                       const la::Vector& dt,
+                                       const la::Vector& direction) const {
+  if (!tec_array_) return 0.0;
+  const std::size_t cells = layout_.cells_per_layer();
+  if (temperatures.size() != layout_.node_count() ||
+      dt.size() != layout_.node_count() || cell_current.size() != cells ||
+      (!direction.empty() && direction.size() != cells)) {
+    throw std::invalid_argument("ThermalModel::tec_power_tangent: arity");
+  }
+  double acc = 0.0;
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const tec::CellTec& ct = tec_array_->cell(cell);
+    if (!ct.covered) continue;
+    const std::size_t cold = layout_.node(Slab::kTecAbs, cell);
+    const std::size_t hot = layout_.node(Slab::kTecRej, cell);
+    const double current = cell_current[cell];
+    acc += ct.seebeck * current * (dt[hot] - dt[cold]);
+    if (!direction.empty()) {
+      acc += direction[cell] *
+             (ct.seebeck * (temperatures[hot] - temperatures[cold]) +
+              2.0 * ct.resistance * current);
+    }
+  }
+  return acc;
+}
+
 double ThermalModel::ambient_outflow(const la::Vector& temperatures,
                                      double omega) const {
   if (temperatures.size() != layout_.node_count()) {
@@ -544,6 +572,47 @@ AssembledSystem IncrementalAssembler::assemble_banded(
   return model_->assemble(omega, cell_current, dynamic_, cell_taylor);
 }
 
+void IncrementalAssembler::omega_sensitivity_rhs(
+    double omega, const la::Vector& temperatures, la::Vector& out) const {
+  const std::size_t n = model_->layout().node_count();
+  if (temperatures.size() != n) {
+    throw std::invalid_argument(
+        "IncrementalAssembler::omega_sensitivity_rhs: arity");
+  }
+  out.assign(n, 0.0);
+  const double ambient = model_->cfg_.ambient;
+  const double dg = model_->cfg_.sink_fan.conductance_derivative(omega);
+  for (const auto& [node, share] : model_->sink_ambient_share_) {
+    out[node] = dg * share * (ambient - temperatures[node]);
+  }
+}
+
+void IncrementalAssembler::current_sensitivity_rhs(
+    const la::Vector& cell_current, const la::Vector& direction,
+    const la::Vector& temperatures, la::Vector& out) const {
+  const NodeLayout& layout = model_->layout();
+  const std::size_t cells = layout.cells_per_layer();
+  if (cell_current.size() != cells || direction.size() != cells ||
+      temperatures.size() != layout.node_count()) {
+    throw std::invalid_argument(
+        "IncrementalAssembler::current_sensitivity_rhs: arity");
+  }
+  out.assign(layout.node_count(), 0.0);
+  const tec::TecArray* array = model_->tec_array();
+  if (array == nullptr) return;
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const tec::CellTec& ct = array->cell(cell);
+    if (!ct.covered || direction[cell] == 0.0) continue;
+    const std::size_t abs_node = layout.node(Slab::kTecAbs, cell);
+    const std::size_t rej_node = layout.node(Slab::kTecRej, cell);
+    const double d = direction[cell];
+    out[abs_node] = -ct.seebeck * temperatures[abs_node] * d;
+    out[rej_node] = ct.seebeck * temperatures[rej_node] * d;
+    out[layout.node(Slab::kTecGen, cell)] =
+        2.0 * ct.resistance * cell_current[cell] * d;
+  }
+}
+
 double ThermalModel::leakage_power(
     const la::Vector& temperatures,
     const std::vector<power::ExponentialTerm>& cell_terms) const {
@@ -554,6 +623,23 @@ double ThermalModel::leakage_power(
   double acc = 0.0;
   for (std::size_t i = 0; i < chip.size(); ++i) {
     acc += cell_terms[i].evaluate(chip[i]);
+  }
+  return acc;
+}
+
+double ThermalModel::leakage_power_tangent(
+    const la::Vector& temperatures,
+    const std::vector<power::ExponentialTerm>& cell_terms,
+    const la::Vector& dt) const {
+  const std::size_t cells = layout_.cells_per_layer();
+  if (temperatures.size() != layout_.node_count() ||
+      dt.size() != layout_.node_count() || cell_terms.size() != cells) {
+    throw std::invalid_argument("ThermalModel::leakage_power_tangent: arity");
+  }
+  double acc = 0.0;
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const std::size_t node = layout_.node(Slab::kChip, cell);
+    acc += cell_terms[cell].derivative(temperatures[node]) * dt[node];
   }
   return acc;
 }

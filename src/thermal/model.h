@@ -114,10 +114,27 @@ class ThermalModel {
   [[nodiscard]] double tec_power(const la::Vector& temperatures,
                                  const la::Vector& cell_current) const;
 
+  /// Derivative of the per-cell-current tec_power as the node temperatures
+  /// move along `dt` and the currents along `direction` (empty: currents
+  /// fixed): Σ α·I·(dT_h − dT_c) + d·(α·(T_h − T_c) + 2·R·I) over covered
+  /// cells. The right derivative at I = 0, where tec_power is 0 but the
+  /// Peltier term still contributes α·(T_h − T_c)·d.
+  [[nodiscard]] double tec_power_tangent(const la::Vector& temperatures,
+                                         const la::Vector& cell_current,
+                                         const la::Vector& dt,
+                                         const la::Vector& direction) const;
+
   /// Exact (exponential) total leakage power at the given node temperatures.
   [[nodiscard]] double leakage_power(
       const la::Vector& temperatures,
       const std::vector<power::ExponentialTerm>& cell_terms) const;
+
+  /// Derivative of leakage_power as the node temperatures move along `dt`:
+  /// Σ p′(T)·dT over chip cells.
+  [[nodiscard]] double leakage_power_tangent(
+      const la::Vector& temperatures,
+      const std::vector<power::ExponentialTerm>& cell_terms,
+      const la::Vector& dt) const;
 
   /// Heat leaving the package to ambient [W] at the given temperatures and
   /// fan speed: Σ g_amb,i · (T_i − T_amb) over the PCB bottom and heat-sink
@@ -198,6 +215,24 @@ class IncrementalAssembler {
   [[nodiscard]] AssembledSystem assemble_banded(
       double omega, const la::Vector& cell_current,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
+
+  /// Right-hand sides of the sensitivity systems J·∂T/∂p = −∂R/∂p, where
+  /// R(T) = M·T − rhs is the steady residual at node temperatures T. Only
+  /// diagonal stamps depend on the operating point, so each is closed form.
+  ///
+  /// ω: the sink-to-ambient couplings, g′(ω)·share·(T_amb − T) on the sink
+  /// top (zero on the natural-convection floor).
+  void omega_sensitivity_rhs(double omega, const la::Vector& temperatures,
+                             la::Vector& out) const;
+  /// Currents moving as I + s·direction (per cell; uncovered cells are
+  /// ignored): on each covered cell −α·T_c on the absorb node, +α·T_h on
+  /// the reject node and the Joule slope 2·R·I on the body node, scaled by
+  /// the cell's direction entry. The Peltier terms are stamped at I = 0
+  /// too — the right derivative — although assembly skips them there.
+  void current_sensitivity_rhs(const la::Vector& cell_current,
+                               const la::Vector& direction,
+                               const la::Vector& temperatures,
+                               la::Vector& out) const;
 
  private:
   const ThermalModel* model_;

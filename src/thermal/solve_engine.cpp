@@ -38,6 +38,16 @@ const obs::Counter g_obs_factorizations =
 const obs::Counter g_obs_factor_hits = obs::counter("solve_engine.factor_hits");
 const obs::Counter g_obs_direct_fallbacks =
     obs::counter("solve_engine.direct_fallbacks");
+const obs::Counter g_obs_lu_fallbacks =
+    obs::counter("solve_engine.lu_fallbacks");
+const obs::Counter g_obs_runaway_certificates =
+    obs::counter("solve_engine.runaway_certificates");
+const obs::Counter g_obs_sensitivity_solves =
+    obs::counter("solve_engine.sensitivity_solves");
+const obs::Counter g_obs_sensitivity_cg_iterations =
+    obs::counter("solve_engine.sensitivity_cg_iterations");
+const obs::Counter g_obs_sensitivity_factorizations =
+    obs::counter("solve_engine.sensitivity_factorizations");
 const obs::Gauge g_obs_factor_hit_rate =
     obs::gauge("solve_engine.factor_hit_rate");
 const obs::Gauge g_obs_factor_shard_entries =
@@ -112,6 +122,11 @@ struct SolveEngine::FactorCache {
   std::atomic<std::size_t> factorizations{0};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> direct_fallbacks{0};
+  std::atomic<std::size_t> lu_fallbacks{0};
+  std::atomic<std::size_t> certificates{0};
+  std::atomic<std::size_t> sensitivity_solves{0};
+  std::atomic<std::size_t> sensitivity_cg_iterations{0};
+  std::atomic<std::size_t> sensitivity_factorizations{0};
 
   [[nodiscard]] static std::size_t shard_of(const FactorKey& key) noexcept {
     // FNV-1a over the key's IEEE bit words; the same key always lands in
@@ -146,6 +161,29 @@ struct SolveEngine::FactorCache {
     factorizations.store(0, std::memory_order_relaxed);
     hits.store(0, std::memory_order_relaxed);
     direct_fallbacks.store(0, std::memory_order_relaxed);
+    lu_fallbacks.store(0, std::memory_order_relaxed);
+    certificates.store(0, std::memory_order_relaxed);
+    sensitivity_solves.store(0, std::memory_order_relaxed);
+    sensitivity_cg_iterations.store(0, std::memory_order_relaxed);
+    sensitivity_factorizations.store(0, std::memory_order_relaxed);
+  }
+
+  /// Factor `matrix`, counting the factorization (and its LU fallback);
+  /// nullptr when it is singular even under pivoting.
+  [[nodiscard]] FactorEntry factorize(const la::BandedMatrix& matrix) {
+    factorizations.fetch_add(1, std::memory_order_relaxed);
+    g_obs_factorizations.add();
+    FactorEntry e;
+    try {
+      e = std::make_shared<const la::BandedFactor>(matrix);
+    } catch (const std::runtime_error&) {
+      return nullptr;
+    }
+    if (e->kind() == la::BandedFactor::Kind::kLu) {
+      lu_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      g_obs_lu_fallbacks.add();
+    }
+    return e;
   }
 
   void erase(const FactorKey& key) {
@@ -219,6 +257,15 @@ EngineStats SolveEngine::stats() const {
   s.factorizations = cache_->factorizations.load(std::memory_order_relaxed);
   s.factor_hits = cache_->hits.load(std::memory_order_relaxed);
   s.direct_fallbacks = cache_->direct_fallbacks.load(std::memory_order_relaxed);
+  s.lu_fallbacks = cache_->lu_fallbacks.load(std::memory_order_relaxed);
+  s.runaway_certificates =
+      cache_->certificates.load(std::memory_order_relaxed);
+  s.sensitivity_solves =
+      cache_->sensitivity_solves.load(std::memory_order_relaxed);
+  s.sensitivity_cg_iterations =
+      cache_->sensitivity_cg_iterations.load(std::memory_order_relaxed);
+  s.sensitivity_factorizations =
+      cache_->sensitivity_factorizations.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -232,7 +279,7 @@ bool SolveEngine::physical(const la::Vector& temperatures) const {
   return true;
 }
 
-bool SolveEngine::solve_direct(
+SolveEngine::Step SolveEngine::solve_direct(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& taylor, Workspace& ws,
     la::Vector& out) const {
@@ -252,21 +299,13 @@ bool SolveEngine::solve_direct(
 
   const AssembledSystem sys =
       assembler_.assemble_banded(omega, cell_current, taylor);
-  const auto factorize = [&](FactorEntry& e) -> bool {
-    cache_->factorizations.fetch_add(1, std::memory_order_relaxed);
-    g_obs_factorizations.add();
-    try {
-      e = std::make_shared<const la::BandedFactor>(sys.matrix);
-      return true;
-    } catch (const std::runtime_error&) {
-      return false;  // singular even under pivoting: runaway
-    }
-  };
 
+  // A null factor means singular even under pivoting: runaway.
   FactorEntry entry;
   const bool hit = cache_->find(key, entry);
   if (!hit) {
-    if (!factorize(entry)) return false;
+    entry = cache_->factorize(sys.matrix);
+    if (!entry) return Step::kFailed;
     cache_->insert(key, entry);
   }
 
@@ -286,43 +325,46 @@ bool SolveEngine::solve_direct(
     for (double& t : out) t = std::numeric_limits<double>::quiet_NaN();
   }
   if (!physical(out)) {
-    if (!hit) return false;  // fresh factor: the point is genuinely runaway
+    // fresh factor: the point is genuinely runaway
+    if (!hit) return Step::kFailed;
     // Self-healing: a cached factor produced a non-physical solution where a
     // fresh factorization might not (corruption, or a stale borderline
     // factor). Evict it, refactorize from the assembled matrix, retry once.
     cache_->erase(key);
-    FactorEntry fresh;
-    if (!factorize(fresh)) return false;
-    out = fresh->solve(sys.rhs);
-    cache_->insert(std::move(key), std::move(fresh));
-    if (!physical(out)) return false;
+    entry = cache_->factorize(sys.matrix);
+    if (!entry) return Step::kFailed;
+    out = entry->solve(sys.rhs);
+    cache_->insert(std::move(key), entry);
+    if (!physical(out)) return Step::kFailed;
   }
   ws.warm = out;
   ws.have_warm = true;
-  return true;
+  return entry->kind() == la::BandedFactor::Kind::kCholesky ? Step::kSpdSolved
+                                                             : Step::kSolved;
 }
 
-bool SolveEngine::solve_linear(
+SolveEngine::Step SolveEngine::solve_linear(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& taylor, double tolerance,
-    Workspace& ws, la::Vector& out) const {
-  cache_->linear_solves.fetch_add(1, std::memory_order_relaxed);
-  g_obs_linear_solves.add();
+    bool at_bound, Workspace& ws, la::Vector& out) const {
   if (options_.use_iterative) {
     assembler_.assemble_csr(omega, cell_current, taylor, ws.csr);
+    // All operating-point terms are diagonal, so M stays symmetric and CG
+    // applies. A non-positive column pivot proves M is not SPD (the entries
+    // are finite: the linearization point passed physical()). At a lower
+    // bound that is the runaway certificate; elsewhere the solve keeps
+    // diagonal Jacobi, and an indefinite system falls to the pivoted direct
+    // path below.
+    const bool column_spd = ws.column.factor(column_symbolic_, ws.csr.matrix);
+    if (!column_spd && at_bound) return Step::kNotSpd;
+    cache_->linear_solves.fetch_add(1, std::memory_order_relaxed);
+    g_obs_linear_solves.add();
     la::IterativeOptions iopts;
     iopts.tolerance = tolerance;
     iopts.max_iterations = 4 * ws.csr.rhs.size();
     if (ws.have_warm) iopts.initial_guess = &ws.warm;
     iopts.workspace = &ws.cg;  // allocation-free across the Newton loop
-    // All operating-point terms are diagonal, so M stays symmetric and CG
-    // applies; indefinite systems (near runaway) fail to converge and drop
-    // to the pivoted direct path below. A non-positive column pivot already
-    // proves M is not SPD: that solve keeps diagonal Jacobi, so the
-    // near-runaway path and its direct fallback stay as they were.
-    if (ws.column.factor(column_symbolic_, ws.csr.matrix)) {
-      iopts.preconditioner = &ws.column;
-    }
+    if (column_spd) iopts.preconditioner = &ws.column;
     const la::IterativeResult it =
         la::solve_cg(ws.csr.matrix, ws.csr.rhs, iopts);
     cache_->cg_iterations.fetch_add(it.iterations, std::memory_order_relaxed);
@@ -334,8 +376,14 @@ bool SolveEngine::solve_linear(
       out = it.x;
       ws.warm = out;
       ws.have_warm = true;
-      return true;
+      return column_spd ? Step::kSpdSolved : Step::kSolved;
     }
+    // Only an explicit proof counts: a stall or an exhausted budget says
+    // nothing about definiteness and takes the direct path.
+    if (it.indefinite && at_bound) return Step::kNotSpd;
+  } else {
+    cache_->linear_solves.fetch_add(1, std::memory_order_relaxed);
+    g_obs_linear_solves.add();
   }
   return solve_direct(omega, cell_current, taylor, ws, out);
 }
@@ -381,6 +429,30 @@ SteadyResult SolveEngine::solve_point(double omega, Workspace& ws) const {
   return result;
 }
 
+void SolveEngine::linearize(
+    const la::Vector& chip,
+    std::vector<power::TaylorCoefficients>& taylor) const {
+  const SteadyOptions& sopts = solver_->options();
+  const std::vector<power::ExponentialTerm>& leakage = solver_->cell_leakage();
+  const double ambient = solver_->model().config().ambient;
+  taylor.resize(leakage.size());
+  for (std::size_t i = 0; i < leakage.size(); ++i) {
+    switch (sopts.mode) {
+      case LeakageMode::kConstant:
+        taylor[i] = {0.0, leakage[i].evaluate(ambient), ambient};
+        break;
+      case LeakageMode::kChordLinear:
+        taylor[i] = power::chord_linearize(leakage[i], ambient,
+                                           sopts.chord_t_lo, sopts.chord_t_hi,
+                                           sopts.chord_samples);
+        break;
+      case LeakageMode::kNewtonExact:
+        taylor[i] = power::tangent_linearize(leakage[i], chip[i]);
+        break;
+    }
+  }
+}
+
 SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
   const ThermalModel& model = solver_->model();
   const SteadyOptions& sopts = solver_->options();
@@ -388,83 +460,130 @@ SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
   const std::size_t cells = model.layout().cells_per_layer();
 
   ws.have_warm = false;  // determinism: no state leaks between points
-  ws.taylor.resize(cells);
   const double polish_tol = sopts.iterative_tolerance;
+  la::Vector t_ref(cells, model.config().ambient + 10.0);
+  la::Vector temps;
 
-  switch (sopts.mode) {
-    case LeakageMode::kConstant: {
-      for (std::size_t i = 0; i < cells; ++i) {
-        ws.taylor[i] = {0.0, leakage[i].evaluate(model.config().ambient),
-                        model.config().ambient};
-      }
-      la::Vector temps;
-      if (!solve_linear(omega, ws.cell_current, ws.taylor, polish_tol, ws,
-                        temps)) {
-        return make_runaway_result(1);
-      }
-      return make_steady_result(model, std::move(temps), true, 1,
-                                ws.cell_current, leakage);
+  if (sopts.mode != LeakageMode::kNewtonExact) {
+    // The constant and chord lines do not depend on the operating point:
+    // one linear solve is exact for these models.
+    linearize(t_ref, ws.taylor);
+    if (solve_linear(omega, ws.cell_current, ws.taylor, polish_tol,
+                     /*at_bound=*/false, ws, temps) == Step::kFailed) {
+      return make_runaway_result(1);
     }
+    return make_steady_result(model, std::move(temps), true, 1,
+                              ws.cell_current, leakage);
+  }
 
-    case LeakageMode::kChordLinear: {
-      for (std::size_t i = 0; i < cells; ++i) {
-        ws.taylor[i] = power::chord_linearize(
-            leakage[i], model.config().ambient, sopts.chord_t_lo,
-            sopts.chord_t_hi, sopts.chord_samples);
-      }
-      la::Vector temps;
-      if (!solve_linear(omega, ws.cell_current, ws.taylor, polish_tol, ws,
-                        temps)) {
-        return make_runaway_result(1);
-      }
-      return make_steady_result(model, std::move(temps), true, 1,
-                                ws.cell_current, leakage);
+  // Inexact Newton: intermediate linearizations only steer the outer loop,
+  // so their solves run at the loose inner tolerance (warm-started from the
+  // previous iterate); once the outer loop converges, one polish solve at
+  // the reference tolerance produces the reported state.
+  //
+  // at_bound tracks the runaway certificate's premise: the residual is
+  // concave in T and every Newton matrix is a symmetric Z-matrix, so an
+  // iterate reached through an SPD matrix (nonnegative inverse) lies below
+  // every steady state. The first guess is not such an iterate.
+  const double inner_tol = std::min(options_.inner_tolerance, polish_tol * 1e3);
+  bool at_bound = false;
+  for (std::size_t it = 1; it <= sopts.max_iterations; ++it) {
+    linearize(t_ref, ws.taylor);
+    const Step step = solve_linear(omega, ws.cell_current, ws.taylor,
+                                   inner_tol, at_bound, ws, temps);
+    if (step == Step::kNotSpd) {
+      cache_->certificates.fetch_add(1, std::memory_order_relaxed);
+      g_obs_runaway_certificates.add();
+      return make_runaway_result(it);
     }
-
-    case LeakageMode::kNewtonExact: {
-      // Inexact Newton: intermediate linearizations only steer the outer
-      // loop, so their solves run at the loose inner tolerance (warm-started
-      // from the previous iterate); once the outer loop converges, one
-      // polish solve at the reference tolerance produces the reported state.
-      la::Vector t_ref(cells, model.config().ambient + 10.0);
-      la::Vector temps;
-      const double inner_tol =
-          std::min(options_.inner_tolerance, polish_tol * 1e3);
-      for (std::size_t it = 1; it <= sopts.max_iterations; ++it) {
-        for (std::size_t i = 0; i < cells; ++i) {
-          ws.taylor[i] = power::tangent_linearize(leakage[i], t_ref[i]);
-        }
-        if (!solve_linear(omega, ws.cell_current, ws.taylor, inner_tol, ws,
-                          temps)) {
+    if (step == Step::kFailed) return make_runaway_result(it);
+    at_bound = step == Step::kSpdSolved;
+    const la::Vector chip = model.slab_temperatures(temps, Slab::kChip);
+    const double diff = la::max_abs_diff(chip, t_ref);
+    t_ref = chip;
+    if (diff < sopts.tolerance) {
+      if (inner_tol > polish_tol) {
+        linearize(t_ref, ws.taylor);
+        if (solve_linear(omega, ws.cell_current, ws.taylor, polish_tol,
+                         /*at_bound=*/false, ws, temps) == Step::kFailed) {
           return make_runaway_result(it);
         }
-        const la::Vector chip = model.slab_temperatures(temps, Slab::kChip);
-        const double diff = la::max_abs_diff(chip, t_ref);
-        t_ref = chip;
-        if (diff < sopts.tolerance) {
-          if (inner_tol > polish_tol) {
-            for (std::size_t i = 0; i < cells; ++i) {
-              ws.taylor[i] = power::tangent_linearize(leakage[i], t_ref[i]);
-            }
-            if (!solve_linear(omega, ws.cell_current, ws.taylor, polish_tol,
-                              ws, temps)) {
-              return make_runaway_result(it);
-            }
-          }
-          return make_steady_result(model, std::move(temps), true, it,
-                                    ws.cell_current, leakage);
-        }
       }
-      const double max_chip = model.max_slab_temperature(temps, Slab::kChip);
-      if (max_chip > sopts.runaway_temperature - 50.0) {
-        return make_runaway_result(sopts.max_iterations);
-      }
-      return make_steady_result(model, std::move(temps), false,
-                                sopts.max_iterations, ws.cell_current,
-                                leakage);
+      return make_steady_result(model, std::move(temps), true, it,
+                                ws.cell_current, leakage);
     }
   }
-  throw std::logic_error("SolveEngine: unknown leakage mode");
+  const double max_chip = model.max_slab_temperature(temps, Slab::kChip);
+  if (max_chip > sopts.runaway_temperature - 50.0) {
+    return make_runaway_result(sopts.max_iterations);
+  }
+  return make_steady_result(model, std::move(temps), false,
+                            sopts.max_iterations, ws.cell_current, leakage);
+}
+
+std::vector<la::Vector> SolveEngine::tangents(
+    double omega, const la::Vector& cell_current,
+    const la::Vector& temperatures,
+    const std::vector<la::Vector>& current_directions) const {
+  OBS_SPAN("solve_engine.tangents");
+  const ThermalModel& model = solver_->model();
+  if (cell_current.size() != model.layout().cells_per_layer() ||
+      temperatures.size() != model.layout().node_count()) {
+    throw std::invalid_argument("SolveEngine::tangents: arity mismatch");
+  }
+  std::vector<la::Vector> rhs(1 + current_directions.size());
+  assembler_.omega_sensitivity_rhs(omega, temperatures, rhs[0]);
+  for (std::size_t k = 0; k < current_directions.size(); ++k) {
+    assembler_.current_sensitivity_rhs(cell_current, current_directions[k],
+                                       temperatures, rhs[k + 1]);
+  }
+
+  Workspace ws;
+  linearize(model.slab_temperatures(temperatures, Slab::kChip), ws.taylor);
+  bool column_spd = false;
+  if (options_.use_iterative) {
+    assembler_.assemble_csr(omega, cell_current, ws.taylor, ws.csr);
+    column_spd = ws.column.factor(column_symbolic_, ws.csr.matrix);
+  }
+  const auto finite = [](const la::Vector& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  FactorEntry direct;  // factored on the first solve CG cannot finish
+  std::vector<la::Vector> out(rhs.size());
+  for (std::size_t k = 0; k < rhs.size(); ++k) {
+    cache_->sensitivity_solves.fetch_add(1, std::memory_order_relaxed);
+    g_obs_sensitivity_solves.add();
+    if (column_spd) {
+      la::IterativeOptions iopts;
+      iopts.tolerance = solver_->options().iterative_tolerance;
+      iopts.max_iterations = 4 * rhs[k].size();
+      iopts.workspace = &ws.cg;
+      iopts.preconditioner = &ws.column;
+      la::IterativeResult it = la::solve_cg(ws.csr.matrix, rhs[k], iopts);
+      cache_->sensitivity_cg_iterations.fetch_add(it.iterations,
+                                                  std::memory_order_relaxed);
+      g_obs_sensitivity_cg_iterations.add(it.iterations);
+      if (it.converged && finite(it.x)) {
+        out[k] = std::move(it.x);
+        continue;
+      }
+    }
+    if (!direct) {
+      cache_->sensitivity_factorizations.fetch_add(1,
+                                                   std::memory_order_relaxed);
+      g_obs_sensitivity_factorizations.add();
+      try {
+        direct = std::make_shared<const la::BandedFactor>(
+            assembler_.assemble_banded(omega, cell_current, ws.taylor).matrix);
+      } catch (const std::runtime_error&) {
+        return {};  // singular even under pivoting
+      }
+    }
+    out[k] = direct->solve(rhs[k]);
+    if (!finite(out[k])) return {};
+  }
+  return out;
 }
 
 SteadyResult SolveEngine::solve(const OperatingPoint& point) const {

@@ -24,6 +24,17 @@
 //      (ω, I_TEC, leakage linearization) so re-visited operating points hit
 //      warm factors. Keys are exact, so a cache hit returns the factor of
 //      an *identical* matrix and results never depend on hit order.
+//   4. A runaway certificate — a Newton iterate reached through an SPD
+//      matrix is a lower bound on every steady state, so when the matrix
+//      linearized there is proven not SPD (a non-positive column pivot, or
+//      CG meeting non-positive curvature) no steady state exists and the
+//      point returns kRunaway without a direct solve (docs/solver.md,
+//      "Runaway certificate").
+//
+// tangents() differentiates a converged state with respect to (ω, I) by the
+// implicit-function theorem — one linear solve per parameter with the
+// state's own Jacobian — which is how the optimizers get exact gradients
+// (docs/solver.md, "Exact sensitivities").
 //
 // SolveBatch fans points across a work-stealing thread pool (util/): every
 // point is computed independently from the same deterministic initial guess,
@@ -85,10 +96,22 @@ struct EngineOptions {
 struct EngineStats {
   std::size_t points = 0;           ///< operating points evaluated
   std::size_t linear_solves = 0;    ///< linear systems solved (Newton iters)
-  std::size_t cg_iterations = 0;    ///< total Krylov iterations
-  std::size_t factorizations = 0;   ///< numeric (re)factorizations performed
+  std::size_t cg_iterations = 0;    ///< Krylov iterations of those solves
+  std::size_t factorizations = 0;   ///< Newton (re)factorizations performed
   std::size_t factor_hits = 0;      ///< LRU factor cache hits
-  std::size_t direct_fallbacks = 0; ///< solves that needed the direct path
+  std::size_t direct_fallbacks = 0; ///< Newton solves that took the direct path
+  /// Factorizations whose matrix was not positive definite and took the
+  /// pivoted LU (near-runaway matrices only).
+  std::size_t lu_fallbacks = 0;
+  /// Points declared runaway by the certificate, without a direct solve.
+  std::size_t runaway_certificates = 0;
+  /// tangents() work: one linear solve per parameter, its Krylov
+  /// iterations, and the factorizations of its direct fallback. Kept apart
+  /// from linear_solves / cg_iterations / factorizations / lu_fallbacks,
+  /// which count Newton work only.
+  std::size_t sensitivity_solves = 0;
+  std::size_t sensitivity_cg_iterations = 0;
+  std::size_t sensitivity_factorizations = 0;
 };
 
 class SolveEngine {
@@ -131,6 +154,20 @@ class SolveEngine {
   [[nodiscard]] std::vector<SteadyResult> solve_batch(
       const std::vector<OperatingPoint>& points, util::ThreadPool& pool) const;
 
+  /// Tangents of the converged steady state `temperatures` at
+  /// (ω, cell_current): ∂T/∂ω first, then ∂T/∂s for each entry of
+  /// `current_directions`, along which the per-cell currents move as
+  /// I + s·direction. Each solves J·∂T/∂p = −∂R/∂p (implicit-function
+  /// theorem) with J the residual's Jacobian at the state — for
+  /// kNewtonExact the Newton matrix linearized at its chip temperatures —
+  /// by column-preconditioned CG at the polish tolerance, falling back to
+  /// la::BandedFactor. Empty when J is singular or an answer is not
+  /// finite. Thread-safe and deterministic; counted as sensitivity work.
+  [[nodiscard]] std::vector<la::Vector> tangents(
+      double omega, const la::Vector& cell_current,
+      const la::Vector& temperatures,
+      const std::vector<la::Vector>& current_directions) const;
+
   [[nodiscard]] EngineStats stats() const;
 
   /// Zero the stats accumulators (see EngineStats for epoch semantics).
@@ -141,16 +178,30 @@ class SolveEngine {
   struct FactorCache;
   struct Workspace;
 
+  /// How one linearized solve ended.
+  enum class Step {
+    kSolved,     ///< `out` holds a physical solution
+    kSpdSolved,  ///< same, through a matrix that showed itself SPD
+    kFailed,     ///< no physical solution, even on the direct path
+    kNotSpd,     ///< the certificate: proven not SPD at a lower bound
+  };
+
   /// Core path: ws.cell_current must already hold the per-cell currents.
   [[nodiscard]] SteadyResult solve_point(double omega, Workspace& ws) const;
   [[nodiscard]] SteadyResult solve_point_impl(double omega,
                                               Workspace& ws) const;
-  /// Solve one linearized system; false → singular/runaway indication.
-  [[nodiscard]] bool solve_linear(
+  /// Leakage linearization of the active LeakageMode; `chip` (the chip
+  /// temperatures) is read only by kNewtonExact.
+  void linearize(const la::Vector& chip,
+                 std::vector<power::TaylorCoefficients>& taylor) const;
+  /// Solve one linearized system. `at_bound`: the linearization point is a
+  /// proven lower bound on every steady state, so a proof that the matrix
+  /// is not SPD ends the solve with kNotSpd instead of the direct path.
+  [[nodiscard]] Step solve_linear(
       double omega, const la::Vector& cell_current,
       const std::vector<power::TaylorCoefficients>& taylor, double tolerance,
-      Workspace& ws, la::Vector& out) const;
-  [[nodiscard]] bool solve_direct(
+      bool at_bound, Workspace& ws, la::Vector& out) const;
+  [[nodiscard]] Step solve_direct(
       double omega, const la::Vector& cell_current,
       const std::vector<power::TaylorCoefficients>& taylor, Workspace& ws,
       la::Vector& out) const;

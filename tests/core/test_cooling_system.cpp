@@ -43,6 +43,19 @@ TEST(CoolingSystem, EvaluationIsMemoized) {
   EXPECT_GE(sys.cache_hits(), 2u);
 }
 
+TEST(CoolingSystem, MemoNeverExceedsCacheLimit) {
+  CoolingSystem::Config config = testing::coarse_config();
+  config.cache_limit = 3;
+  const CoolingSystem sys(fp(), testing::benchmark_power(
+                                    workload::Benchmark::kFft),
+                          leakage(), config);
+  for (std::size_t k = 0; k < 10; ++k) {
+    (void)sys.evaluate(300.0, 0.2 * static_cast<double>(k));
+    EXPECT_LE(sys.memo_size(), 3u);
+  }
+  EXPECT_EQ(sys.evaluation_count(), 10u);
+}
+
 TEST(CoolingSystem, DistinctPointsSolveSeparately) {
   const CoolingSystem sys = make_system(workload::Benchmark::kFft);
   (void)sys.evaluate(300.0, 1.0);

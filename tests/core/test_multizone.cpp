@@ -86,6 +86,62 @@ TEST(MultiZone, EvaluationIsMemoized) {
   EXPECT_EQ(sys.evaluation_count(), solves + 1);
 }
 
+TEST(MultiZone, EngineOptionsReachTheEngine) {
+  CoolingSystem::Config config = coarse_config();
+  config.engine.use_iterative = false;
+  const MultiZoneSystem sys(
+      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
+      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
+      config);
+  ASSERT_FALSE(sys.evaluate(400.0, {1.0, 0.5, 0.0}).runaway);
+  EXPECT_GT(sys.engine().stats().direct_fallbacks, 0u);
+  EXPECT_EQ(sys.engine().stats().cg_iterations, 0u);
+}
+
+TEST(MultiZone, MemoNeverExceedsCacheLimit) {
+  CoolingSystem::Config config = coarse_config();
+  config.cache_limit = 3;
+  const MultiZoneSystem sys(
+      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
+      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
+      config);
+  for (std::size_t k = 0; k < 10; ++k) {
+    (void)sys.evaluate(400.0, {0.2 * static_cast<double>(k), 0.5, 0.0});
+    EXPECT_LE(sys.memo_size(), 3u);
+  }
+  EXPECT_EQ(sys.evaluation_count(), 10u);
+}
+
+TEST(MultiZone, ZoneGradientMatchesCentralDifferences) {
+  CoolingSystem::Config config = coarse_config();
+  config.steady.tolerance = 1e-10;
+  config.steady.iterative_tolerance = 1e-12;
+  const MultiZoneSystem sys(
+      fp(), benchmark_power(workload::Benchmark::kBitCount), leakage(),
+      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
+      config);
+  const la::Vector x = {300.0, 1.0, 0.8, 0.6};
+  const MultiZoneProblem problem(
+      sys, MultiZoneProblem::Objective::kCoolingPower, true);
+  const opt::Gradients g = problem.gradients(x);
+  ASSERT_EQ(g.objective.size(), 4u);
+  ASSERT_EQ(g.constraints.size(), 1u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const double h = 1e-4 * problem.bounds().upper[k];
+    la::Vector xp = x, xm = x;
+    xp[k] += h;
+    xm[k] -= h;
+    const double d_power =
+        (problem.objective(xp) - problem.objective(xm)) / (2.0 * h);
+    const double d_temperature =
+        (problem.constraints(xp)[0] - problem.constraints(xm)[0]) / (2.0 * h);
+    EXPECT_NEAR(g.objective[k], d_power, 1e-5 * std::abs(d_power)) << k;
+    EXPECT_NEAR(g.constraints[0][k], d_temperature,
+                1e-5 * std::abs(d_temperature))
+        << k;
+  }
+}
+
 TEST(MultiZone, ZonedCurrentCoolsItsOwnCluster) {
   // Feeding only the integer zone must cool an integer-bound workload more
   // than feeding only the FP zone with the same current.

@@ -4,9 +4,27 @@
 #include <cmath>
 #include <limits>
 
+#include "opt/finite_diff.h"
 #include "opt/problem.h"
 
 namespace oftec::opt::testing {
+
+/// The gradient hook for problems without analytic derivatives: central
+/// differences (opt/finite_diff.h) of the objective and of each constraint
+/// at the default step.
+inline Gradients finite_difference_gradients(const Problem& p,
+                                             const la::Vector& x) {
+  const FiniteDiffOptions fd;
+  Gradients g;
+  g.objective = gradient([&p](const la::Vector& q) { return p.objective(q); },
+                         x, p.bounds(), fd);
+  for (std::size_t c = 0; c < p.constraint_count(); ++c) {
+    g.constraints.push_back(gradient(
+        [&p, c](const la::Vector& q) { return p.constraints(q)[c]; }, x,
+        p.bounds(), fd));
+  }
+  return g;
+}
 
 /// f = (x0−a)² + c·(x1−b)², unconstrained inside a box.
 class QuadraticBowl final : public Problem {
@@ -22,6 +40,9 @@ class QuadraticBowl final : public Problem {
     return (x[0] - a_) * (x[0] - a_) + c_ * (x[1] - b_) * (x[1] - b_);
   }
   la::Vector constraints(const la::Vector&) const override { return {}; }
+  Gradients gradients(const la::Vector& x) const override {
+    return finite_difference_gradients(*this, x);
+  }
 
  private:
   double a_, b_, c_;
@@ -43,6 +64,9 @@ class ConstrainedQuadratic final : public Problem {
   }
   la::Vector constraints(const la::Vector& x) const override {
     return {1.0 - x[0] - x[1]};
+  }
+  Gradients gradients(const la::Vector& x) const override {
+    return finite_difference_gradients(*this, x);
   }
 
  private:
@@ -66,6 +90,9 @@ class WalledBowl final : public Problem {
     return x[0] * x[0] + x[1] * x[1];
   }
   la::Vector constraints(const la::Vector&) const override { return {}; }
+  Gradients gradients(const la::Vector& x) const override {
+    return finite_difference_gradients(*this, x);
+  }
 
  private:
   double wall_;
@@ -88,6 +115,9 @@ class Rosenbrock final : public Problem {
     return t1 * t1 + 100.0 * t2 * t2;
   }
   la::Vector constraints(const la::Vector&) const override { return {}; }
+  Gradients gradients(const la::Vector& x) const override {
+    return finite_difference_gradients(*this, x);
+  }
 
  private:
   Bounds bounds_;
@@ -109,6 +139,9 @@ class Multimodal final : public Problem {
     return std::sin(3.0 * x[0]) + 0.1 * x[0] * x[0] + x[1] * x[1];
   }
   la::Vector constraints(const la::Vector&) const override { return {}; }
+  Gradients gradients(const la::Vector& x) const override {
+    return finite_difference_gradients(*this, x);
+  }
 
  private:
   Bounds bounds_;

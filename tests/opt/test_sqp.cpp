@@ -91,10 +91,43 @@ TEST(Sqp, EarlyStopPredicateCutsRun) {
   EXPECT_LT(r.objective, 10.0);
 }
 
+/// Forwards to a QuadraticBowl and counts what the solver asks of it.
+class CountingBowl final : public Problem {
+ public:
+  std::size_t dimension() const override { return bowl_.dimension(); }
+  std::size_t constraint_count() const override { return 0; }
+  const Bounds& bounds() const override { return bowl_.bounds(); }
+  double objective(const la::Vector& x) const override {
+    ++values;
+    return bowl_.objective(x);
+  }
+  la::Vector constraints(const la::Vector& x) const override {
+    ++values;
+    return bowl_.constraints(x);
+  }
+  Gradients gradients(const la::Vector& x) const override {
+    ++gradient_calls;
+    return bowl_.gradients(x);
+  }
+
+  mutable std::size_t values = 0;
+  mutable std::size_t gradient_calls = 0;
+
+ private:
+  QuadraticBowl bowl_{1.0, 1.0};
+};
+
 TEST(Sqp, CountsEvaluations) {
-  const QuadraticBowl p(1.0, 1.0);
+  // Gradients come from the problem's hook, so the result counts exactly
+  // the values and gradients the solver requested — one gradient per
+  // accepted point.
+  const CountingBowl p;
   const OptResult r = solve_sqp(p, {0.0, 0.0});
-  EXPECT_GT(r.evaluations, 10u);
+  EXPECT_GT(r.evaluations, 0u);
+  EXPECT_EQ(r.evaluations, p.values);
+  EXPECT_GT(r.gradient_evaluations, 0u);
+  EXPECT_EQ(r.gradient_evaluations, p.gradient_calls);
+  EXPECT_LE(r.gradient_evaluations, r.iterations + 1);
 }
 
 TEST(Sqp, DimensionMismatchThrows) {

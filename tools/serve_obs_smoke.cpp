@@ -110,6 +110,10 @@ int main(int argc, char** argv) {
   // --- 3: kStats snapshot, then delta-since-cursor --------------------------
   const char* kStageHists[] = {"serve.queue_wait_us", "serve.batch_wait_us",
                                "serve.solve_us", "serve.write_us"};
+  // The connection's writer observes serve.write_us once a frame is on the
+  // wire, so the last reply's write can trail the client's receipt of it.
+  // A ping round trip through the same writer orders the scrape after it.
+  client.ping();
   const util::json::Value snap = client.raw_stats(StatsParams{});
   CHECK(snap.find("cursor") != nullptr, "stats snapshot missing cursor");
   CHECK(!snap.find("delta")->as_bool(), "first scrape claimed to be a delta");
