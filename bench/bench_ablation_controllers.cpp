@@ -67,7 +67,7 @@ int main() {
   // Start everyone from the hot fan-only steady state at the reactive
   // controllers' fixed fan speed.
   const double fan_fixed = units::rpm_to_rad_s(3000.0);
-  const thermal::SteadyResult hot = sys.solver().solve(fan_fixed, 0.0);
+  const thermal::SteadyResult hot = sys.engine().solve({fan_fixed, 0.0});
 
   // Ref. [5]-style controllers: constant 2 A when ON, fixed fan.
   core::HysteresisController threshold =
@@ -88,7 +88,7 @@ int main() {
       [&](double) {
         return thermal::ControlSetting{star.omega, star.current};
       },
-      sys.solver().solve(star.omega, star.current).temperatures);
+      sys.engine().solve({star.omega, star.current}).temperatures);
 
   const LoopMetrics m_t = measure(r_threshold, t_max, dt_per_sample);
   const LoopMetrics m_h = measure(r_hysteresis, t_max, dt_per_sample);

@@ -1,14 +1,17 @@
 // Model-fidelity ablation (DESIGN.md): why the paper's leakage
-// linearization (Eq. 4) matters, and what the direct banded solver buys over
-// a Jacobi-preconditioned BiCGSTAB on the same system.
+// linearization (Eq. 4) matters, and how the steady engine's two linear
+// solve paths compare on the same system.
 //
 //   (1) Leakage treatment: constant-at-ambient vs 10-point chord (paper)
 //       vs exact Newton — compare predicted max temperature for Basicmath.
-//   (2) Linear solver: banded LU vs BiCGSTAB on the assembled matrix.
+//   (2) Linear solver: la::BandedFactor (the engine's direct path) vs
+//       column-preconditioned CG on IncrementalAssembler::assemble_csr (its
+//       iterative path), on one Newton system.
 #include <cstdio>
 
 #include "common.h"
-#include "la/banded_lu.h"
+#include "la/banded_factor.h"
+#include "la/column_jacobi.h"
 #include "la/iterative.h"
 #include "thermal/steady.h"
 #include "util/stopwatch.h"
@@ -78,33 +81,38 @@ int main() {
     taylor[i] = power::tangent_linearize(leak_terms[i],
                                          model.config().ambient + 30.0);
   }
-  const thermal::AssembledSystem sys =
-      model.assemble(omega, 0.5, dyn, taylor);
+  const thermal::IncrementalAssembler assembler(model, dyn);
+  const la::Vector cell_current(dyn.size(), 0.5);
 
+  const thermal::AssembledSystem sys =
+      assembler.assemble_banded(omega, cell_current, taylor);
   util::Stopwatch direct_watch;
-  const la::Vector x_direct = la::BandedLu(sys.matrix).solve(sys.rhs);
+  const la::BandedFactor factor(sys.matrix);
+  const la::Vector x_direct = factor.solve(sys.rhs);
   const double direct_ms = direct_watch.elapsed_ms();
 
-  // Rebuild as CSR for the iterative solver.
-  la::TripletBuilder builder(sys.rhs.size());
-  for (std::size_t r = 0; r < sys.rhs.size(); ++r) {
-    const std::size_t bw = model.layout().bandwidth();
-    const std::size_t lo = r > bw ? r - bw : 0;
-    const std::size_t hi = std::min(sys.rhs.size() - 1, r + bw);
-    for (std::size_t c = lo; c <= hi; ++c) {
-      const double v = sys.matrix.get(r, c);
-      if (v != 0.0) builder.add(r, c, v);
-    }
-  }
-  const la::CsrMatrix csr = builder.build();
+  // Cold CG at the engine's polish tolerance; the column factor is part of
+  // the iterative path's cost.
+  thermal::CsrSystem csr;
+  assembler.assemble_csr(omega, cell_current, taylor, csr);
+  const la::ColumnBlockSymbolic columns = assembler.column_structure();
   util::Stopwatch iter_watch;
-  const la::IterativeResult it = la::solve_bicgstab(csr, sys.rhs);
+  la::ColumnBlockJacobi column;
+  la::IterativeOptions iopts;
+  iopts.tolerance = thermal::SteadyOptions{}.iterative_tolerance;
+  iopts.max_iterations = 4 * csr.rhs.size();
+  if (column.factor(columns, csr.matrix)) iopts.preconditioner = &column;
+  const la::IterativeResult it = la::solve_cg(csr.matrix, csr.rhs, iopts);
   const double iter_ms = iter_watch.elapsed_ms();
 
-  std::printf("  banded LU : %.2f ms\n", direct_ms);
-  std::printf("  BiCGSTAB  : %.2f ms, %zu iterations, converged=%s, "
+  std::printf("  %-26s %.2f ms\n",
+              factor.kind() == la::BandedFactor::Kind::kCholesky
+                  ? "BandedFactor (Cholesky):"
+                  : "BandedFactor (pivoted LU):",
+              direct_ms);
+  std::printf("  %-26s %.2f ms, %zu iterations, converged=%s, "
               "max |dx| vs direct = %.2e K\n",
-              iter_ms, it.iterations, it.converged ? "yes" : "NO",
-              la::max_abs_diff(it.x, x_direct));
+              "column-Jacobi CG:", iter_ms, it.iterations,
+              it.converged ? "yes" : "NO", la::max_abs_diff(it.x, x_direct));
   return 0;
 }

@@ -9,8 +9,7 @@
 //   * both surfaces are smooth with only minor non-convexities.
 //
 // The sweep runs on the batched SolveEngine and doubles as its shop-floor
-// benchmark: the per-point serial reference (SteadySolver, the seed path) is
-// timed on a subsample, the engine is timed serially and batched across the
+// benchmark: the engine is timed serially and batched across the
 // OFTEC_THREADS pool, and the batch is checked bit-identical to the engine's
 // serial pass.
 //
@@ -36,7 +35,6 @@ using namespace oftec::bench;
 
 constexpr std::size_t kOmegaPoints = 25;
 constexpr std::size_t kCurrentPoints = 21;
-constexpr std::size_t kReferenceStride = 5;  // seed-path timing subsample
 
 char shade(double value, double lo, double hi) {
   if (!std::isfinite(value)) return '#';  // runaway ("dark red")
@@ -71,16 +69,7 @@ int main() {
     }
   }
 
-  // --- Timing: seed serial path (subsampled) vs engine serial vs batched.
-  const util::Stopwatch ref_watch;
-  std::size_t ref_count = 0;
-  for (std::size_t i = 0; i < pts.size(); i += kReferenceStride) {
-    (void)sys.solver().solve(pts[i].omega, pts[i].current);
-    ++ref_count;
-  }
-  const double ref_ms_per_pt = ref_watch.elapsed_ms() /
-                               static_cast<double>(ref_count);
-
+  // --- Timing: engine serial vs batched.
   const util::Stopwatch serial_watch;
   const std::vector<thermal::SteadyResult> serial =
       engine.solve_serial(pts);
@@ -105,13 +94,10 @@ int main() {
   const double batch_ms_per_pt = batch_ms / static_cast<double>(pts.size());
   std::printf("\nSolve engine timing over %zu operating points:\n",
               pts.size());
-  std::printf("  seed serial path   %7.2f ms/pt (sampled every %zu)\n",
-              ref_ms_per_pt, kReferenceStride);
-  std::printf("  engine, serial     %7.2f ms/pt  (%.2fx)\n", serial_ms_per_pt,
-              ref_ms_per_pt / serial_ms_per_pt);
+  std::printf("  engine, serial     %7.2f ms/pt\n", serial_ms_per_pt);
   std::printf("  engine, batched    %7.2f ms/pt  (%.2fx, %zu threads, "
               "results %s)\n",
-              batch_ms_per_pt, ref_ms_per_pt / batch_ms_per_pt,
+              batch_ms_per_pt, serial_ms_per_pt / batch_ms_per_pt,
               util::ThreadPool::default_thread_count(),
               batch_identical ? "bit-identical to serial" : "MISMATCH");
 

@@ -82,7 +82,7 @@ int main() {
     const thermal::ControlSetting setting{star.omega, star.current};
     const auto constant = [setting](double, double) { return setting; };
     const thermal::SteadyResult steady =
-        sys.solver().solve(star.omega, star.current);
+        sys.engine().solve({star.omega, star.current});
     constexpr int kRepeats = 2;
 
     util::json::Value j = util::json::Value::object();

@@ -74,7 +74,7 @@ int main() {
               r.power.total(), r.power.leakage, r.power.tec, r.power.fan);
 
   const thermal::SteadyResult field =
-      system.solver().solve(r.omega, r.current);
+      system.engine().solve({r.omega, r.current});
   std::printf("\n%s", thermal::render_slab_ascii(system.thermal_model(),
                                                  field.temperatures,
                                                  thermal::Slab::kChip)

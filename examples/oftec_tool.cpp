@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
 
   if (args.map) {
     const thermal::SteadyResult field =
-        system.solver().solve(result.omega, result.current);
+        system.engine().solve({result.omega, result.current});
     std::printf("\n%s", thermal::render_slab_ascii(
                             system.thermal_model(), field.temperatures,
                             thermal::Slab::kChip)

@@ -37,7 +37,7 @@ int main() {
 
   // Steady state under the cruise control = state at the moment of the jump.
   const thermal::SteadyResult initial =
-      cruise_sys.solver().solve(cruise_star.omega, cruise_star.current);
+      cruise_sys.engine().solve({cruise_star.omega, cruise_star.current});
 
   // Transient model driven by the burst's power from t = 0.
   const core::CoolingSystem burst_sys(fp, burst, leakage);

@@ -21,7 +21,7 @@ BoostExperiment run_transient_boost(const CoolingSystem& system,
 
   // Steady state at the operating point = initial condition.
   const thermal::SteadyResult steady =
-      system.solver().solve(omega_star, current_star);
+      system.engine().solve({omega_star, current_star});
   if (steady.runaway) {
     throw std::invalid_argument(
         "run_transient_boost: operating point is in thermal runaway");

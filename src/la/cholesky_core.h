@@ -1,9 +1,8 @@
 // Shared panel-blocked core of the banded Cholesky factorizations.
 //
-// BandedCholesky, BandedCholeskyNumeric and BandedFactor's Cholesky path all
-// factor the same way; this header holds the one implementation so the
-// "refactorize ≡ fresh construction, bit for bit" property is true by
-// construction.
+// BandedCholeskyNumeric and BandedFactor's Cholesky path factor the same
+// way; this header holds the one implementation so the "refactorize ≡ fresh
+// construction, bit for bit" property is true by construction.
 //
 // Storage: the factor is column-major banded — column j occupies
 // factor[j*(k+1) .. j*(k+1)+k], diagonal first, i.e. L(i,j) lives at

@@ -13,18 +13,13 @@ namespace {
 
 const obs::Counter g_obs_cg_solves = obs::counter("la.cg.solves");
 const obs::Counter g_obs_cg_iterations = obs::counter("la.cg.iterations_total");
-const obs::Counter g_obs_bicgstab_solves = obs::counter("la.bicgstab.solves");
-const obs::Counter g_obs_bicgstab_iterations =
-    obs::counter("la.bicgstab.iterations_total");
 
 /// Counts one solve (and its final iteration count) on every exit path.
 struct IterTally {
-  const obs::Counter& solves;
-  const obs::Counter& iterations;
   const IterativeResult& res;
   ~IterTally() {
-    solves.add();
-    iterations.add(res.iterations);
+    g_obs_cg_solves.add();
+    g_obs_cg_iterations.add(res.iterations);
   }
 };
 
@@ -37,12 +32,6 @@ struct IterTally {
     inv_d[i] = d[i] != 0.0 ? 1.0 / d[i] : 1.0;
   }
   return inv_d;
-}
-
-[[nodiscard]] Vector apply_diag(const Vector& d, const Vector& v) {
-  Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = d[i] * v[i];
-  return out;
 }
 
 /// Initialize x and r = b − A·x from the optional warm start. The warm
@@ -70,7 +59,7 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
     // Callers fall through to the direct banded solve exactly as they do
     // when the Krylov iteration genuinely stagnates near runaway.
     IterativeResult res;
-    const IterTally tally{g_obs_cg_solves, g_obs_cg_iterations, res};
+    const IterTally tally{res};
     res.x.assign(n, 0.0);
     res.residual_norm = norm2(b);
     return res;
@@ -87,7 +76,7 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
   const BackendOps& ops = backend();
 
   IterativeResult res;
-  const IterTally tally{g_obs_cg_solves, g_obs_cg_iterations, res};
+  const IterTally tally{res};
   CgWorkspace local;
   CgWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
   Vector& r = ws.r;
@@ -144,93 +133,6 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
     const double beta = rz_new / rz;
     rz = rz_new;
     ops.search_dir_update(n, beta, z.data(), p.data());
-  }
-  res.residual_norm = norm2(r);
-  return res;
-}
-
-IterativeResult solve_bicgstab(const CsrMatrix& a, const Vector& b,
-                               const IterativeOptions& opts) {
-  static const fault::Site cg_stall = fault::site("la.cg_stall");
-  const std::size_t n = a.size();
-  if (cg_stall.should_fail()) {
-    IterativeResult res;
-    const IterTally tally{g_obs_bicgstab_solves, g_obs_bicgstab_iterations,
-                          res};
-    res.x.assign(n, 0.0);
-    res.residual_norm = norm2(b);
-    return res;
-  }
-  const std::size_t max_iter =
-      opts.max_iterations != 0 ? opts.max_iterations : 10 * n;
-  const Vector inv_d = jacobi_inverse_diagonal(a, opts.jacobi_precondition);
-
-  IterativeResult res;
-  const IterTally tally{g_obs_bicgstab_solves, g_obs_bicgstab_iterations, res};
-  Vector r;
-  init_iterate(a, b, opts, res.x, r);
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) {
-    res.x.assign(n, 0.0);
-    res.converged = true;
-    return res;
-  }
-  res.residual_norm = norm2(r);
-  if (res.residual_norm <= opts.tolerance * b_norm) {
-    res.converged = true;
-    return res;
-  }
-
-  const Vector r_hat = r;  // shadow residual
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  Vector v(n, 0.0), p(n, 0.0);
-
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    const double rho_new = dot(r_hat, r);
-    if (rho_new == 0.0) break;  // breakdown
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-      }
-    }
-    rho = rho_new;
-
-    const Vector p_hat = apply_diag(inv_d, p);
-    v = a.multiply(p_hat);
-    const double rhv = dot(r_hat, v);
-    if (rhv == 0.0) break;
-    alpha = rho / rhv;
-
-    Vector s = r;
-    axpy(-alpha, v, s);
-    res.iterations = it + 1;
-    if (norm2(s) <= opts.tolerance * b_norm) {
-      axpy(alpha, p_hat, res.x);
-      res.residual_norm = norm2(s);
-      res.converged = true;
-      return res;
-    }
-
-    const Vector s_hat = apply_diag(inv_d, s);
-    const Vector t = a.multiply(s_hat);
-    const double tt = dot(t, t);
-    if (tt == 0.0) break;
-    omega = dot(t, s) / tt;
-
-    axpy(alpha, p_hat, res.x);
-    axpy(omega, s_hat, res.x);
-    r = s;
-    axpy(-omega, t, r);
-
-    res.residual_norm = norm2(r);
-    if (res.residual_norm <= opts.tolerance * b_norm) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
   }
   res.residual_norm = norm2(r);
   return res;

@@ -1,4 +1,4 @@
-// Iterative Krylov solvers: CG (SPD systems) and BiCGSTAB (general).
+// Preconditioned conjugate gradient for the thermal systems.
 //
 // Every operating-point term of the thermal system M(ω, I)·T = rhs is
 // diagonal — the sink conductance g(ω), the leakage slope on the chip cells,
@@ -7,9 +7,7 @@
 // therefore carries the thermal solves: thermal::SolveEngine runs
 // warm-started CG first, preconditioned by the z-column block-Jacobi factor
 // of la/column_jacobi.h, and drops to a direct banded factorization only
-// when CG fails near runaway. Bare CSR callers get diagonal Jacobi. BiCGSTAB
-// serves the serial reference thermal::SteadySolver and general
-// nonsymmetric systems.
+// when CG fails near runaway. Bare CSR callers get diagonal Jacobi.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +41,7 @@ struct CgWorkspace {
   Vector ap;  ///< A·p
 };
 
-/// Options shared by both solvers.
+/// Options for solve_cg.
 struct IterativeOptions {
   double tolerance = 1e-10;      ///< relative residual target ‖r‖/‖b‖
   std::size_t max_iterations = 0;  ///< 0 → 10·n
@@ -53,13 +51,12 @@ struct IterativeOptions {
   /// the guess is close — e.g. successive Newton linearizations of the
   /// steady-state thermal system. Not owned; must outlive the call.
   const Vector* initial_guess = nullptr;
-  /// Optional scratch reused across solve_cg calls (ignored by BiCGSTAB).
-  /// Not owned; must outlive the call.
+  /// Optional scratch reused across solve_cg calls. Not owned; must
+  /// outlive the call.
   CgWorkspace* workspace = nullptr;
-  /// Optional successfully factored column block-Jacobi preconditioner for
-  /// solve_cg (ignored by BiCGSTAB). When set it replaces diagonal Jacobi
-  /// and jacobi_precondition is not consulted; its size must be n. Not
-  /// owned; must outlive the call.
+  /// Optional successfully factored column block-Jacobi preconditioner.
+  /// When set it replaces diagonal Jacobi and jacobi_precondition is not
+  /// consulted; its size must be n. Not owned; must outlive the call.
   const ColumnBlockJacobi* preconditioner = nullptr;
 };
 
@@ -68,10 +65,5 @@ struct IterativeOptions {
 /// with IterativeResult::indefinite set.
 [[nodiscard]] IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
                                        const IterativeOptions& opts = {});
-
-/// Preconditioned BiCGSTAB for general square systems.
-[[nodiscard]] IterativeResult solve_bicgstab(const CsrMatrix& a,
-                                             const Vector& b,
-                                             const IterativeOptions& opts = {});
 
 }  // namespace oftec::la

@@ -157,32 +157,6 @@ BandedMatrix CsrMatrix::to_banded(std::size_t kl, std::size_t ku) const {
   return band;
 }
 
-CsrMatrix banded_to_csr(const BandedMatrix& banded, double drop_tolerance) {
-  const std::size_t n = banded.size();
-  const std::size_t kl = banded.lower_bandwidth();
-  const std::size_t ku = banded.upper_bandwidth();
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::size_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(n * 8);
-  values.reserve(n * 8);
-  for (std::size_t r = 0; r < n; ++r) {
-    row_ptr[r] = values.size();
-    const std::size_t c_lo = r > kl ? r - kl : 0;
-    const std::size_t c_hi = std::min(n - 1, r + ku);
-    for (std::size_t c = c_lo; c <= c_hi; ++c) {
-      const double v = banded.storage(kl + ku + r - c, c);
-      if (std::abs(v) > drop_tolerance || r == c) {
-        col_idx.push_back(c);
-        values.push_back(v);
-      }
-    }
-  }
-  row_ptr[n] = values.size();
-  return CsrMatrix(n, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-}
-
 bool CsrMatrix::is_symmetric(double tol) const {
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {

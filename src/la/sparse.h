@@ -109,9 +109,4 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Extract the nonzeros of a banded matrix into CSR form (used to hand the
-/// thermal system to the iterative solvers).
-[[nodiscard]] CsrMatrix banded_to_csr(const BandedMatrix& banded,
-                                      double drop_tolerance = 0.0);
-
 }  // namespace oftec::la

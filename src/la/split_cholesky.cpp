@@ -55,9 +55,9 @@ void BandedCholeskyNumeric::refactorize(const BandedMatrix& a) {
   factorized_ = false;
 
   // The shared panel-blocked core (la/cholesky_core.h) into reused storage:
-  // identical arithmetic, in identical order, to constructing a fresh
-  // la::BandedCholesky — and backend-invariant bits, since every operation
-  // is element-wise.
+  // identical arithmetic, in identical order, to la::BandedFactor's
+  // Cholesky path — and backend-invariant bits, since every operation is
+  // element-wise.
   detail::fill_lower_band(a, k, factor_.data());
   const std::optional<double> min_diag =
       detail::banded_cholesky_factor_inplace(n, k, factor_.data(), backend());

@@ -10,8 +10,8 @@
 // reduces to the filled lower band.
 //
 // BandedCholeskyNumeric::refactorize performs the identical arithmetic, in
-// the identical order, as constructing a fresh la::BandedCholesky — the
-// property tests assert exact agreement.
+// the identical order, as la::BandedFactor's Cholesky path — the property
+// tests assert exact agreement.
 #pragma once
 
 #include <cstddef>
@@ -75,8 +75,8 @@ class BandedCholeskyNumeric {
   [[nodiscard]] double min_diagonal() const noexcept { return min_diag_; }
 
  private:
-  /// Column-major banded factor, same layout as BandedCholesky
-  /// (la/cholesky_core.h): L(i,j) at factor_[j*(k+1) + (i-j)].
+  /// Column-major banded factor (la/cholesky_core.h): L(i,j) at
+  /// factor_[j*(k+1) + (i-j)].
   [[nodiscard]] double l(std::size_t i, std::size_t j) const noexcept {
     return factor_[j * (symbolic_->bandwidth() + 1) + (i - j)];
   }

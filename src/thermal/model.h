@@ -182,7 +182,7 @@ class ThermalModel {
 /// edges, PCB-ambient couplings, dynamic power) once, and produces each
 /// operating point's system by copying the base values and re-stamping
 /// ~4 diagonal groups — roughly 5× faster than ThermalModel::assemble()
-/// followed by la::banded_to_csr().
+/// followed by a band-to-CSR copy.
 ///
 /// assemble_csr() produces a matrix numerically identical entry-for-entry
 /// to the base-plus-delta sums regardless of calling order, so results are

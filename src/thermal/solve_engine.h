@@ -1,10 +1,11 @@
-// Batched steady-state solve engine.
+// Batched steady-state solve engine — the one nonlinear steady solver.
 //
 // OFTEC's optimizer, every baseline controller, the Fig. 6 surface sweeps,
-// the Pareto front, and LUT construction all reduce to evaluating the same
-// nonlinear steady-state system at many independent operating points
-// (ω, I_TEC). The serial SteadySolver rebuilds and re-solves everything from
-// scratch per point; this engine gets its throughput from three levers:
+// the Pareto front, LUT construction, and the DTM loop's initial state all
+// reduce to evaluating the same nonlinear steady-state system at many
+// independent operating points (ω, I_TEC). Every one of them runs this
+// engine (SteadySolver::solve builds a one-shot engine over its binding),
+// which gets its throughput from four levers:
 //
 //   1. Incremental assembly — the matrix's operating-point dependence is
 //      diagonal-only, so the static network is assembled once and each
@@ -76,9 +77,9 @@ struct EngineOptions {
   /// looking up different operating points rarely contend on one mutex;
   /// 0 disables caching entirely.
   std::size_t factor_cache_capacity = 64;
-  /// Try warm-started CG before the direct path (mirrors the serial
-  /// solver's prefer_iterative). Off → every solve is a direct cached
-  /// factorization, which exercises the factor cache exclusively.
+  /// Try warm-started CG before the direct path. Off → every solve is a
+  /// direct cached factorization, which exercises the factor cache
+  /// exclusively.
   bool use_iterative = true;
   /// Krylov tolerance for intermediate Newton iterations; the final result
   /// is always polished to SteadyOptions::iterative_tolerance.
@@ -116,9 +117,8 @@ struct EngineStats {
 
 class SolveEngine {
  public:
-  /// Wraps a bound solver (model + workload + options). The solver's
-  /// LeakageMode, tolerances, and runaway threshold all apply; its
-  /// prefer_iterative flag is superseded by EngineOptions::use_iterative.
+  /// Wraps a binding (model + workload + options). Its LeakageMode,
+  /// tolerances, and runaway threshold all apply.
   explicit SolveEngine(const SteadySolver& solver, EngineOptions options = {});
   ~SolveEngine();
 
@@ -135,8 +135,9 @@ class SolveEngine {
   /// Evaluate one operating point (thread-safe, deterministic).
   [[nodiscard]] SteadyResult solve(const OperatingPoint& point) const;
 
-  /// Multi-zone variant: an independent driving current per cell (mirrors
-  /// SteadySolver::solve_cells). Same determinism guarantees as solve().
+  /// Multi-zone variant: an independent driving current per cell (entries
+  /// for uncovered cells are ignored). Same determinism guarantees as
+  /// solve().
   [[nodiscard]] SteadyResult solve_cells(double omega,
                                          const la::Vector& cell_current) const;
 

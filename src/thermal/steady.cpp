@@ -3,9 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "la/banded_lu.h"
-#include "la/iterative.h"
-#include "la/sparse.h"
+#include "thermal/solve_engine.h"
 
 namespace oftec::thermal {
 
@@ -57,141 +55,8 @@ SteadyResult make_steady_result(
   return res;
 }
 
-SteadyResult SteadySolver::runaway_result(std::size_t iterations) {
-  return make_runaway_result(iterations);
-}
-
-SteadyResult SteadySolver::finalize(la::Vector temperatures, bool converged,
-                                    std::size_t iterations,
-                                    const la::Vector& cell_current) const {
-  return make_steady_result(*model_, std::move(temperatures), converged,
-                            iterations, cell_current, leakage_);
-}
-
 SteadyResult SteadySolver::solve(double omega, double current) const {
-  return solve_cells(
-      omega, la::Vector(model_->layout().cells_per_layer(), current));
-}
-
-SteadyResult SteadySolver::solve(double omega, double current,
-                                 const la::Vector& chip_guess) const {
-  return solve_cells(
-      omega, la::Vector(model_->layout().cells_per_layer(), current),
-      chip_guess);
-}
-
-SteadyResult SteadySolver::solve_cells(double omega,
-                                       const la::Vector& cell_current) const {
-  const la::Vector guess(model_->layout().cells_per_layer(),
-                         model_->config().ambient + 10.0);
-  return solve_cells(omega, cell_current, guess);
-}
-
-SteadyResult SteadySolver::solve_cells(double omega,
-                                       const la::Vector& cell_current,
-                                       const la::Vector& chip_guess) const {
-  const std::size_t cells = model_->layout().cells_per_layer();
-  if (chip_guess.size() != cells) {
-    throw std::invalid_argument("SteadySolver::solve: guess arity mismatch");
-  }
-
-  std::vector<power::TaylorCoefficients> taylor(cells);
-
-  auto physical = [&](const la::Vector& out) {
-    for (const double t : out) {
-      if (!std::isfinite(t) || t <= 0.0 || t > options_.runaway_temperature) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // An outer tolerance near the iterative solver's own noise floor needs a
-  // deterministic inner solve: successive BiCGStab iterates wobble by about
-  // the relative-residual tolerance, so a sub-microkelvin outer loop can
-  // limit-cycle on that noise instead of converging (the solution is
-  // correct; the ΔT test never settles). The pivoted direct solver is an
-  // exact function of the linearization, so the fixed point is stationary.
-  const bool iterative_usable =
-      options_.prefer_iterative &&
-      options_.tolerance > 1e3 * options_.iterative_tolerance;
-
-  auto solve_linear = [&](la::Vector& out) -> bool {
-    const AssembledSystem sys =
-        model_->assemble(omega, cell_current, dynamic_, taylor);
-    if (iterative_usable) {
-      la::IterativeOptions iopts;
-      iopts.tolerance = options_.iterative_tolerance;
-      iopts.max_iterations = 4 * sys.rhs.size();
-      const la::IterativeResult it =
-          la::solve_bicgstab(la::banded_to_csr(sys.matrix), sys.rhs, iopts);
-      if (it.converged && physical(it.x)) {
-        out = it.x;
-        return true;
-      }
-      // Stalled or unphysical — let the pivoted direct solver decide
-      // whether the system is genuinely runaway or just ill-conditioned.
-    }
-    try {
-      out = la::BandedLu(sys.matrix).solve(sys.rhs);
-    } catch (const std::runtime_error&) {
-      return false;  // singular: leakage slope swallowed the conduction path
-    }
-    return physical(out);
-  };
-
-  switch (options_.mode) {
-    case LeakageMode::kConstant: {
-      for (std::size_t i = 0; i < cells; ++i) {
-        taylor[i] = {0.0, leakage_[i].evaluate(model_->config().ambient),
-                     model_->config().ambient};
-      }
-      la::Vector temps;
-      if (!solve_linear(temps)) return runaway_result(1);
-      return finalize(std::move(temps), true, 1, cell_current);
-    }
-
-    case LeakageMode::kChordLinear: {
-      // The chord line p(T) = a·T + const is independent of the expansion
-      // point, so a single solve is exact for the chord model (this is why
-      // the paper's Eq. 4 "adds no computational complexity" to Eq. 14).
-      for (std::size_t i = 0; i < cells; ++i) {
-        taylor[i] = power::chord_linearize(
-            leakage_[i], model_->config().ambient, options_.chord_t_lo,
-            options_.chord_t_hi, options_.chord_samples);
-      }
-      la::Vector temps;
-      if (!solve_linear(temps)) return runaway_result(1);
-      return finalize(std::move(temps), true, 1, cell_current);
-    }
-
-    case LeakageMode::kNewtonExact: {
-      la::Vector t_ref = chip_guess;
-      la::Vector temps;
-      for (std::size_t it = 1; it <= options_.max_iterations; ++it) {
-        for (std::size_t i = 0; i < cells; ++i) {
-          taylor[i] = power::tangent_linearize(leakage_[i], t_ref[i]);
-        }
-        if (!solve_linear(temps)) return runaway_result(it);
-        const la::Vector chip = model_->slab_temperatures(temps, Slab::kChip);
-        const double diff = la::max_abs_diff(chip, t_ref);
-        t_ref = chip;
-        if (diff < options_.tolerance) {
-          return finalize(std::move(temps), true, it, cell_current);
-        }
-      }
-      // No convergence within budget: either slow drift (report best
-      // effort) or a divergent runaway climb — distinguish by magnitude.
-      const double max_chip =
-          model_->max_slab_temperature(temps, Slab::kChip);
-      if (max_chip > options_.runaway_temperature - 50.0) {
-        return runaway_result(options_.max_iterations);
-      }
-      return finalize(std::move(temps), false, options_.max_iterations,
-                      cell_current);
-    }
-  }
-  throw std::logic_error("SteadySolver::solve: unknown leakage mode");
+  return SolveEngine(*this).solve({omega, current});
 }
 
 }  // namespace oftec::thermal

@@ -4,10 +4,12 @@
 // system is linear for a fixed linearization point; the exact exponential
 // leakage is recovered by an outer Newton loop that re-linearizes at the
 // current chip temperatures (the "iterative method" of Sec. 4, accelerated
-// by the linear term exactly as reference [13] prescribes).
+// by the linear term exactly as reference [13] prescribes). That loop runs
+// in thermal::SolveEngine (thermal/solve_engine.h); SteadySolver binds the
+// model to one workload and its options.
 //
 // Thermal runaway — the paper's "𝒯 → ∞" dark-red region of Fig. 6(a,b) —
-// appears here as the outer loop diverging (or the modified matrix going
+// appears as the outer loop diverging (or the modified matrix going
 // singular): the leakage slope exceeds what the cooling path can sink. The
 // result then reports runaway=true and max_chip_temperature = +inf.
 #pragma once
@@ -46,10 +48,7 @@ struct SteadyOptions {
   double chord_t_lo = 300.0;
   double chord_t_hi = 390.0;
   std::size_t chord_samples = 10;
-  /// Try Jacobi-preconditioned BiCGSTAB before the banded LU (≈5–10× faster
-  /// on well-conditioned systems; the direct solver remains the fallback
-  /// near runaway where the Krylov iteration stalls).
-  bool prefer_iterative = true;
+  /// Relative residual of the reported linear solve (SolveEngine's polish).
   double iterative_tolerance = 1e-9;
 };
 
@@ -72,8 +71,7 @@ struct SteadyResult {
 };
 
 /// Populate a SteadyResult from a converged node-temperature vector: slab
-/// extraction, exact leakage, and TEC electrical power. Shared by the serial
-/// SteadySolver and the batched SolveEngine so both report identically.
+/// extraction, exact leakage, and TEC electrical power.
 [[nodiscard]] SteadyResult make_steady_result(
     const ThermalModel& model, la::Vector temperatures, bool converged,
     std::size_t iterations, const la::Vector& cell_current,
@@ -86,8 +84,9 @@ struct SteadyResult {
     std::size_t iterations, SolveStatus status = SolveStatus::kRunaway);
 
 /// Binds a thermal model to one workload (dynamic power + leakage terms) and
-/// solves repeatedly for different (ω, I) — the "thermal simulator" box of
-/// the paper's Fig. 5 evaluation flow.
+/// its options — the "thermal simulator" box of the paper's Fig. 5
+/// evaluation flow. A thermal::SolveEngine over the binding evaluates it;
+/// callers that solve repeatedly keep one engine (core::CoolingSystem does).
 class SteadySolver {
  public:
   SteadySolver(const ThermalModel& model, la::Vector cell_dynamic_power,
@@ -106,28 +105,12 @@ class SteadySolver {
     return leakage_;
   }
 
-  /// Solve at (ω [rad/s], I [A]).
+  /// Solve at (ω [rad/s], I [A]) through a default-options SolveEngine
+  /// built for this one call: bit-identical to
+  /// SolveEngine(*this).solve({ω, I}).
   [[nodiscard]] SteadyResult solve(double omega, double current) const;
 
-  /// Solve with a warm-start chip-temperature guess (speeds up the Newton
-  /// loop during optimizer sweeps).
-  [[nodiscard]] SteadyResult solve(double omega, double current,
-                                   const la::Vector& chip_guess) const;
-
-  /// Multi-zone variant: an independent driving current per cell (entries
-  /// for uncovered cells are ignored).
-  [[nodiscard]] SteadyResult solve_cells(double omega,
-                                         const la::Vector& cell_current) const;
-  [[nodiscard]] SteadyResult solve_cells(double omega,
-                                         const la::Vector& cell_current,
-                                         const la::Vector& chip_guess) const;
-
  private:
-  [[nodiscard]] SteadyResult finalize(la::Vector temperatures, bool converged,
-                                      std::size_t iterations,
-                                      const la::Vector& cell_current) const;
-  [[nodiscard]] static SteadyResult runaway_result(std::size_t iterations);
-
   const ThermalModel* model_;
   la::Vector dynamic_;
   std::vector<power::ExponentialTerm> leakage_;

@@ -98,7 +98,7 @@ TEST(Hysteresis, ClosedLoopRegulatesTemperature) {
                                            sys.cell_leakage(), topt);
   // Start from the hot (TEC-off) steady state so the test skips the slow
   // minutes-long warm-up of the sink mass.
-  const thermal::SteadyResult hot = sys.solver().solve(p.omega, 0.0);
+  const thermal::SteadyResult hot = sys.engine().solve({p.omega, 0.0});
   ASSERT_TRUE(hot.converged);
   const thermal::TransientResult r =
       transient.run_closed_loop(ctrl.as_feedback(), hot.temperatures);

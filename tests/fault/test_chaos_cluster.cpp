@@ -135,13 +135,31 @@ TEST_F(ChaosClusterTest, ProbeTimeoutsAloneNeverRestartAHealthyWorker) {
   ClusterOptions opts;
   opts.supervisor.workers = 2;
   opts.supervisor.probe_interval_ms = 60000;
+  // Only the injected timeouts may fail a probe: a real one must not fire
+  // on a healthy worker that is slow to answer under CPU load. Injected
+  // timeouts throw before the probe connects, so this costs no wall time.
+  opts.supervisor.probe_timeout_ms = 60000;
   opts.supervisor.fail_threshold = 3;
+  obs::set_enabled(true);  // counts the probes below
   Cluster cluster(opts);
   cluster.start();
   serve::Client client = serve::Client::connect(cluster.port());
   const BindReply chip = client.bind(susan_bind());
   const SolveReply baseline =
       client.solve(chip.session, 0.5 * chip.omega_max, 0.0);
+  // start() runs one probe pass and starts the prober thread, whose first
+  // pass runs at once and whose next is probe_interval_ms away. Wait for
+  // both passes (two probes each) before arming: under CPU load the
+  // thread's pass can otherwise land in the armed window as a third
+  // failed probe.
+  const auto probes = [] {
+    return obs::snapshot().counters.at("cluster.probes");
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (probes() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(probes(), 4u);
 
   (void)fault::arm("cluster.probe_timeout", 1.0, 12);
   cluster.supervisor().probe_now();

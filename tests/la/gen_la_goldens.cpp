@@ -12,7 +12,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "la/banded_cholesky.h"
 #include "la/banded_lu.h"
 #include "tests/la/golden_systems.h"
 
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
 
   for (const auto& s : spd_golden_specs()) {
     const BandedCase c = make_spd_case(s.seed, s.n, s.k);
-    const BandedCholesky chol(c.a);
+    const BandedCholeskyNumeric chol = factor_cholesky(c.a);
     const Vector x = chol.solve(c.b);
     out << c.name << " diag " << hex_double(chol.min_diagonal()) << " x";
     for (const double v : x) out << ' ' << hex_double(v);
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
 
   for (const auto& s : large_spd_golden_specs()) {
     const BandedCase c = make_spd_case(s.seed, s.n, s.k);
-    const BandedCholesky chol(c.a);
+    const BandedCholeskyNumeric chol = factor_cholesky(c.a);
     const Vector x = chol.solve(c.b);
     out << c.name << " diag " << hex_double(chol.min_diagonal()) << " x";
     for (const double v : x) out << ' ' << hex_double(v);

@@ -17,12 +17,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "la/backend.h"
 #include "la/banded_matrix.h"
+#include "la/split_cholesky.h"
 #include "la/vector_ops.h"
 #include "util/rng.h"
 
@@ -101,6 +103,15 @@ inline BandedCase make_spd_case(std::uint64_t seed, std::size_t n,
   c.b.resize(n);
   for (double& v : c.b) v = rng.uniform(-10.0, 10.0);
   return c;
+}
+
+/// The banded Cholesky of `a`: a BandedCholeskyNumeric over a fresh
+/// symbolic analysis. Throws as analyze() and refactorize() do.
+inline BandedCholeskyNumeric factor_cholesky(const BandedMatrix& a) {
+  BandedCholeskyNumeric chol(std::make_shared<const BandedCholeskySymbolic>(
+      BandedCholeskySymbolic::analyze(a)));
+  chol.refactorize(a);
+  return chol;
 }
 
 /// Paired random vectors for the BLAS-1 kernel goldens.

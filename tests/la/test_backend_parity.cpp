@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "la/backend.h"
-#include "la/banded_cholesky.h"
 #include "la/banded_lu.h"
 #include "la/column_jacobi.h"
 #include "la/vector_ops.h"
@@ -39,6 +38,7 @@ namespace oftec::la {
 namespace {
 
 using testing::BandedCase;
+using testing::factor_cholesky;
 using testing::hex_double;
 using testing::kernel_fingerprint;
 using testing::kernel_golden_specs;
@@ -150,7 +150,7 @@ TEST(BackendGoldens, ScalarCholeskyBitIdenticalToSeed) {
     ASSERT_NE(it, goldens.end()) << "no golden line for " << c.name;
     const std::vector<std::string>& t = it->second;
     ASSERT_EQ(t.size(), 3 + s.n) << c.name;
-    const BandedCholesky chol(c.a);
+    const BandedCholeskyNumeric chol = factor_cholesky(c.a);
     EXPECT_EQ(hex_double(chol.min_diagonal()), t[1]) << c.name << " diag";
     const Vector x = chol.solve(c.b);
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -206,7 +206,7 @@ TEST(BackendGoldens, ScalarLargeBandCholeskyBitIdenticalToGolden) {
     ASSERT_NE(it, goldens.end()) << "no golden line for " << c.name;
     const std::vector<std::string>& t = it->second;
     ASSERT_EQ(t.size(), 3 + s.n) << c.name;
-    const BandedCholesky chol(c.a);
+    const BandedCholeskyNumeric chol = factor_cholesky(c.a);
     EXPECT_EQ(hex_double(chol.min_diagonal()), t[1]) << c.name << " diag";
     const Vector x = chol.solve(c.b);
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -313,11 +313,11 @@ TEST(BackendParity, SolveResidualsBackwardStableUnderBothBackends) {
     Vector xs, xv;
     {
       const ScopedBackend b("scalar");
-      xs = BandedCholesky(c.a).solve(c.b);
+      xs = factor_cholesky(c.a).solve(c.b);
     }
     if (simd_supported()) {
       const ScopedBackend b("simd");
-      xv = BandedCholesky(c.a).solve(c.b);
+      xv = factor_cholesky(c.a).solve(c.b);
     } else {
       xv = xs;
     }
@@ -674,16 +674,16 @@ TEST(BackendParity, GridSizeSweepSolvesStableAndDeterministic) {
     Vector xs, xv;
     {
       const ScopedBackend b("scalar");
-      xs = BandedCholesky(c.a).solve(c.b);
+      xs = factor_cholesky(c.a).solve(c.b);
     }
     EXPECT_LE(residual_inf(c.a, xs, c.b), stability_bound(c, xs)) << c.name;
     if (!simd_supported()) continue;
     {
       const ScopedBackend b("simd");
-      const BandedCholesky chol(c.a);
+      const BandedCholeskyNumeric chol = factor_cholesky(c.a);
       xv = chol.solve(c.b);
       // Bit-determinism of the full factor+solve pipeline at scale.
-      const Vector x2 = BandedCholesky(c.a).solve(c.b);
+      const Vector x2 = factor_cholesky(c.a).solve(c.b);
       for (std::size_t i = 0; i < sz.n; ++i) {
         ASSERT_EQ(hex_double(xv[i]), hex_double(x2[i]))
             << c.name << " repeat x[" << i << "]";
@@ -710,7 +710,7 @@ std::vector<std::string> solve_fingerprint() {
   }
   for (const auto& s : spd_golden_specs()) {
     const BandedCase c = make_spd_case(s.seed, s.n, s.k);
-    for (const double v : BandedCholesky(c.a).solve(c.b)) {
+    for (const double v : factor_cholesky(c.a).solve(c.b)) {
       fp.push_back(hex_double(v));
     }
   }
@@ -725,7 +725,7 @@ std::vector<std::string> extended_fingerprint() {
   std::vector<std::string> fp = solve_fingerprint();
   for (const auto& s : large_spd_golden_specs()) {
     const BandedCase c = make_spd_case(s.seed, s.n, s.k);
-    for (const double v : BandedCholesky(c.a).solve(c.b)) {
+    for (const double v : factor_cholesky(c.a).solve(c.b)) {
       fp.push_back(hex_double(v));
     }
   }

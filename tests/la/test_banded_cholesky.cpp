@@ -1,14 +1,21 @@
-#include "la/banded_cholesky.h"
+// The banded Cholesky, la::BandedCholeskyNumeric (la/split_cholesky.h):
+// solves, rejects what is not SPD or not symmetric-banded, and matches the
+// pivoted LU on SPD bands.
+#include "la/split_cholesky.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "la/banded_lu.h"
+#include "tests/la/golden_systems.h"
 #include "util/rng.h"
 
 namespace oftec::la {
 namespace {
+
+using testing::factor_cholesky;
 
 /// Random SPD banded matrix: diagonally dominant symmetric band.
 BandedMatrix make_spd_band(std::size_t n, std::size_t k, std::uint64_t seed) {
@@ -45,7 +52,7 @@ TEST(BandedCholesky, SolvesTridiagonalPoisson) {
     }
   }
   const Vector b(n, 1.0);
-  const BandedCholesky chol(a);
+  const BandedCholeskyNumeric chol = factor_cholesky(a);
   const Vector x = chol.solve(b);
   EXPECT_LT(max_abs_diff(a.multiply(x), b), 1e-10);
   EXPECT_GT(chol.min_diagonal(), 0.0);
@@ -53,7 +60,10 @@ TEST(BandedCholesky, SolvesTridiagonalPoisson) {
 
 TEST(BandedCholesky, RejectsAsymmetricBandwidths) {
   const BandedMatrix a(4, 2, 1);
-  EXPECT_THROW(BandedCholesky{a}, std::invalid_argument);
+  EXPECT_THROW((void)BandedCholeskySymbolic::analyze(a), std::invalid_argument);
+  BandedCholeskyNumeric chol(std::make_shared<const BandedCholeskySymbolic>(
+      a.size(), a.lower_bandwidth()));
+  EXPECT_THROW(chol.refactorize(a), std::invalid_argument);
 }
 
 TEST(BandedCholesky, RejectsIndefiniteMatrix) {
@@ -61,7 +71,7 @@ TEST(BandedCholesky, RejectsIndefiniteMatrix) {
   a.at(0, 0) = 1.0;
   a.at(1, 1) = -2.0;  // negative diagonal — not PD
   a.at(2, 2) = 1.0;
-  EXPECT_THROW(BandedCholesky{a}, std::runtime_error);
+  EXPECT_THROW((void)factor_cholesky(a), std::runtime_error);
 }
 
 TEST(BandedCholesky, RejectsPositiveSemidefinite) {
@@ -71,12 +81,12 @@ TEST(BandedCholesky, RejectsPositiveSemidefinite) {
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(1, 1) = 1.0;
-  EXPECT_THROW(BandedCholesky{a}, std::runtime_error);
+  EXPECT_THROW((void)factor_cholesky(a), std::runtime_error);
 }
 
 TEST(BandedCholesky, SolveSizeChecked) {
   const BandedMatrix a = make_spd_band(5, 1, 3);
-  const BandedCholesky chol(a);
+  const BandedCholeskyNumeric chol = factor_cholesky(a);
   EXPECT_THROW((void)chol.solve(Vector(4, 1.0)), std::invalid_argument);
 }
 
@@ -90,7 +100,7 @@ TEST_P(CholeskyVsLuTest, MatchesPivotedLuOnSpdBands) {
   Vector b(n);
   for (double& v : b) v = rng.uniform(-4.0, 4.0);
 
-  const Vector x_chol = BandedCholesky(a).solve(b);
+  const Vector x_chol = factor_cholesky(a).solve(b);
   const Vector x_lu = solve_banded(a, b);
   EXPECT_LT(max_abs_diff(x_chol, x_lu), 1e-9);
 }

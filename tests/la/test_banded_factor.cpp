@@ -9,12 +9,14 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "la/banded_cholesky.h"
 #include "la/banded_lu.h"
+#include "tests/la/golden_systems.h"
 #include "util/rng.h"
 
 namespace oftec::la {
 namespace {
+
+using testing::factor_cholesky;
 
 /// Random symmetric band matrix whose diagonal is each row's off-diagonal
 /// absolute sum plus `shift`: shift > 0 makes it strictly diagonally
@@ -67,12 +69,12 @@ TEST(BandedFactor, SpdMatrixTakesCholeskyBitIdentically) {
   const Vector b = make_rhs(40, 8);
   const BandedFactor f(a);
   EXPECT_EQ(f.kind(), BandedFactor::Kind::kCholesky);
-  expect_same_bits(f.solve(b), BandedCholesky(a).solve(b));
+  expect_same_bits(f.solve(b), factor_cholesky(a).solve(b));
 }
 
 TEST(BandedFactor, IndefiniteMatrixFallsBackToLuBitIdentically) {
   const BandedMatrix a = make_indefinite_band(40, 5, 9);
-  EXPECT_THROW(BandedCholesky{a}, std::runtime_error);
+  EXPECT_THROW((void)factor_cholesky(a), std::runtime_error);
   const Vector b = make_rhs(40, 10);
   const BandedFactor f(a);
   EXPECT_EQ(f.kind(), BandedFactor::Kind::kLu);

@@ -63,40 +63,6 @@ TEST_P(CgTest, MatchesDirectSolveOnSpd) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CgTest,
                          ::testing::Values(1, 2, 5, 10, 25, 50, 100));
 
-class BicgstabTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BicgstabTest, MatchesDirectSolveOnNonsymmetric) {
-  const std::size_t n = GetParam();
-  util::Rng rng(909 + n);
-  DenseMatrix d(n, n);
-  TripletBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.uniform() < 0.25) d(i, j) = rng.uniform(-1.0, 1.0);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    double off = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) off += std::abs(d(i, j));
-    }
-    d(i, i) = off + 1.5;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (d(i, j) != 0.0) builder.add(i, j, d(i, j));
-    }
-  }
-  Vector b(n);
-  for (double& v : b) v = rng.uniform(-5.0, 5.0);
-
-  const IterativeResult r = solve_bicgstab(builder.build(), b);
-  ASSERT_TRUE(r.converged);
-  const Vector x_ref = solve_dense(d, b);
-  EXPECT_LT(max_abs_diff(r.x, x_ref), 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BicgstabTest,
-                         ::testing::Values(2, 5, 10, 25, 50, 100));
-
 TEST(Iterative, ZeroRhsConvergesImmediately) {
   const SpdPair sys = make_spd(8, 1);
   const Vector b(8, 0.0);
@@ -104,8 +70,6 @@ TEST(Iterative, ZeroRhsConvergesImmediately) {
   EXPECT_TRUE(cg.converged);
   EXPECT_EQ(cg.iterations, 0u);
   EXPECT_LT(norm_inf(cg.x), 1e-300);
-  const IterativeResult bi = solve_bicgstab(sys.sparse, b);
-  EXPECT_TRUE(bi.converged);
 }
 
 TEST(Iterative, ResidualNormIsReported) {

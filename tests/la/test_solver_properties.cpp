@@ -1,11 +1,11 @@
 // Cross-solver property tests on random SPD banded systems.
 //
 // The solve engine routes one linear system through several solvers
-// depending on context (warm CG inside Newton, split Cholesky on the direct
+// depending on context (warm CG inside Newton, BandedFactor on the direct
 // fallback, dense LU in reference tests); these properties pin down that the
 // choice of solver never changes the answer beyond floating-point noise:
 //
-//   * BandedCholesky, the split symbolic+numeric Cholesky, dense LU, and CG
+//   * BandedFactor, the split symbolic+numeric Cholesky, dense LU, and CG
 //     all agree to 1e-9 on the same random SPD banded system;
 //   * refactorize() after a diagonal perturbation (the shape of every
 //     operating-point change in the thermal matrix) is bit-identical to a
@@ -19,7 +19,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "la/banded_cholesky.h"
+#include "la/banded_factor.h"
 #include "la/banded_matrix.h"
 #include "la/dense_lu.h"
 #include "la/dense_matrix.h"
@@ -70,6 +70,23 @@ DenseMatrix to_dense(const BandedMatrix& a) {
   return d;
 }
 
+CsrMatrix to_csr(const BandedMatrix& a) {
+  TripletBuilder builder(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      if (a.get(i, j) != 0.0) builder.add(i, j, a.get(i, j));
+    }
+  }
+  return builder.build();
+}
+
+/// The monolithic Cholesky: BandedFactor on an SPD matrix.
+Vector cholesky_solve(const BandedMatrix& a, const Vector& b) {
+  const BandedFactor factor(a);
+  EXPECT_EQ(factor.kind(), BandedFactor::Kind::kCholesky);
+  return factor.solve(b);
+}
+
 double max_abs_diff(const Vector& x, const Vector& y) {
   double m = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -86,7 +103,7 @@ TEST(SolverProperties, AllSolversAgreeOnRandomSpdSystems) {
     const BandedMatrix a = random_spd_banded(n, k, rng);
     const Vector b = random_vector(n, rng);
 
-    const Vector x_chol = BandedCholesky(a).solve(b);
+    const Vector x_chol = cholesky_solve(a, b);
 
     BandedCholeskyNumeric split(
         std::make_shared<const BandedCholeskySymbolic>(
@@ -99,7 +116,7 @@ TEST(SolverProperties, AllSolversAgreeOnRandomSpdSystems) {
     IterativeOptions cg_opts;
     cg_opts.tolerance = 1e-13;
     cg_opts.max_iterations = 20 * n;
-    const IterativeResult cg = solve_cg(banded_to_csr(a), b, cg_opts);
+    const IterativeResult cg = solve_cg(to_csr(a), b, cg_opts);
     ASSERT_TRUE(cg.converged) << "trial " << trial;
 
     EXPECT_LT(max_abs_diff(x_chol, x_split), 1e-9) << "trial " << trial;
@@ -118,14 +135,12 @@ TEST(SolverProperties, SplitCholeskyMatchesMonolithicExactly) {
     const BandedMatrix a = random_spd_banded(n, k, rng);
     const Vector b = random_vector(n, rng);
 
-    const BandedCholesky mono(a);
     BandedCholeskyNumeric split(
         std::make_shared<const BandedCholeskySymbolic>(
             BandedCholeskySymbolic::analyze(a)));
     split.refactorize(a);
 
-    EXPECT_EQ(mono.min_diagonal(), split.min_diagonal());
-    const Vector x_mono = mono.solve(b);
+    const Vector x_mono = cholesky_solve(a, b);
     const Vector x_split = split.solve(b);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(x_mono[i], x_split[i]) << "trial " << trial << " i=" << i;
@@ -163,7 +178,7 @@ TEST(SolverProperties, RefactorizeAfterPerturbationEqualsFresh) {
 
     const Vector x_reused = reused.solve(b);
     const Vector x_fresh = fresh.solve(b);
-    const Vector x_mono = BandedCholesky(a).solve(b);
+    const Vector x_mono = cholesky_solve(a, b);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(x_reused[i], x_fresh[i]) << "step " << step << " i=" << i;
       ASSERT_EQ(x_reused[i], x_mono[i]) << "step " << step << " i=" << i;
@@ -190,7 +205,7 @@ TEST(SolverProperties, SplitCholeskyRejectsIndefiniteAndRecovers) {
   numeric.refactorize(good);
   ASSERT_TRUE(numeric.factorized());
   const Vector b = random_vector(n, rng);
-  const Vector x_mono = BandedCholesky(good).solve(b);
+  const Vector x_mono = cholesky_solve(good, b);
   const Vector x_split = numeric.solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_mono[i], x_split[i]);
 }

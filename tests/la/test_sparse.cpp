@@ -90,38 +90,6 @@ TEST(CsrMatrix, SymmetryCheck) {
   EXPECT_FALSE(asym.build().is_symmetric());
 }
 
-TEST(BandedToCsr, PreservesEntriesAndDropsStoredZeros) {
-  BandedMatrix band(5, 1, 1);
-  band.at(0, 0) = 2.0;
-  band.at(0, 1) = -1.0;
-  band.at(1, 0) = -1.0;
-  band.at(1, 1) = 2.0;
-  band.at(2, 2) = 3.0;
-  band.at(3, 3) = 1.0;
-  band.at(4, 4) = 1.0;
-  const CsrMatrix csr = banded_to_csr(band);
-  EXPECT_DOUBLE_EQ(csr.get(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ(csr.get(2, 2), 3.0);
-  // Stored-but-zero off-diagonals are dropped; diagonals always kept.
-  EXPECT_EQ(csr.nnz(), 5u + 2u);
-  const Vector x = {1, 2, 3, 4, 5};
-  EXPECT_LT(max_abs_diff(csr.multiply(x), band.multiply(x)), 1e-14);
-}
-
-TEST(BandedToCsr, MatvecMatchesOnRandomBand) {
-  util::Rng rng(31);
-  BandedMatrix band(12, 3, 2);
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = 0; j < 12; ++j) {
-      if (band.in_band(i, j)) band.at(i, j) = rng.uniform(-2.0, 2.0);
-    }
-  }
-  const CsrMatrix csr = banded_to_csr(band);
-  Vector x(12);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  EXPECT_LT(max_abs_diff(csr.multiply(x), band.multiply(x)), 1e-13);
-}
-
 TEST(CsrMatrix, EmptyRowsHandled) {
   TripletBuilder builder(4);
   builder.add(3, 3, 1.0);

@@ -5,6 +5,10 @@
 // batched result vector must match solve_serial() with tolerance ZERO — on
 // every field, at every thread count, including the full node-temperature
 // vectors. Any drift means scheduling leaked into the arithmetic.
+//
+// The engine is also the only steady path: SteadySolver::solve must be the
+// engine bit for bit, and both engine paths must agree with the Newton
+// oracle (the seed solver's loop, newton_oracle.h) to 1e-3 K.
 #include "thermal/solve_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "floorplan/ev6.h"
+#include "newton_oracle.h"
 #include "power/mcpat_like.h"
 #include "thermal/model.h"
 #include "thermal/steady.h"
@@ -129,19 +134,44 @@ TEST(BatchedVsSerial, SolveMatchesSerialElementwise) {
   }
 }
 
-TEST(BatchedVsSerial, MatchesSeedSteadySolverToTolerance) {
-  // Against the seed path the engine is not bit-identical (different Newton
-  // linearization schedule) but must agree physically: same runaway verdict
-  // everywhere, temperatures within 1e-3 K on converged points.
+TEST(BatchedVsSerial, SteadySolverSolveIsTheEngine) {
+  // The binding's one-shot solve runs a default-options engine over itself.
   const SolveEngine engine(solver());
+  const std::vector<OperatingPoint> pts = grid16();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    expect_identical(engine.solve(pts[i]),
+                     solver().solve(pts[i].omega, pts[i].current), i);
+  }
+}
+
+TEST(BatchedVsSerial, MatchesSeedSteadySolverToTolerance) {
+  // Against the Newton oracle the engine is not bit-identical (different
+  // Newton linearization schedule and linear solvers) but both of its paths
+  // — warm CG and direct-only — must agree physically: same runaway verdict
+  // everywhere, temperatures within 1e-3 K of the oracle and 1e-4 K of each
+  // other on converged points.
+  const SolveEngine iterative(solver());
+  EngineOptions direct_only;
+  direct_only.use_iterative = false;
+  const SolveEngine direct(solver(), direct_only);
   for (const OperatingPoint& pt : grid16()) {
-    const SteadyResult seed = solver().solve(pt.omega, pt.current);
-    const SteadyResult fast = engine.solve(pt);
-    ASSERT_EQ(seed.runaway, fast.runaway)
-        << "omega=" << pt.omega << " I=" << pt.current;
-    if (!seed.runaway && seed.converged) {
-      EXPECT_NEAR(seed.max_chip_temperature, fast.max_chip_temperature, 1e-3);
-      EXPECT_NEAR(seed.tec_power, fast.tec_power, 1e-3);
+    const SteadyResult seed =
+        testing::newton_oracle(solver(), pt.omega, pt.current);
+    const SteadyResult by_cg = iterative.solve(pt);
+    const SteadyResult by_factor = direct.solve(pt);
+    for (const SteadyResult* fast : {&by_cg, &by_factor}) {
+      ASSERT_EQ(seed.runaway, fast->runaway)
+          << "omega=" << pt.omega << " I=" << pt.current;
+      if (!seed.runaway && seed.converged) {
+        EXPECT_NEAR(seed.max_chip_temperature, fast->max_chip_temperature,
+                    1e-3);
+        EXPECT_NEAR(seed.tec_power, fast->tec_power, 1e-3);
+      }
+    }
+    if (by_cg.converged && by_factor.converged) {
+      EXPECT_NEAR(by_cg.max_chip_temperature, by_factor.max_chip_temperature,
+                  1e-4);
+      EXPECT_NEAR(by_cg.leakage_power, by_factor.leakage_power, 1e-4);
     }
   }
 }

@@ -1,7 +1,7 @@
 // SolveEngine's CG runs under the z-column block-Jacobi preconditioner
 // (la/column_jacobi.h). On the paper's 10×10 model, over the eight MiBench
 // peak maps and a 6×6 (ω, I) grid:
-//   - answers stay within the engine-vs-SteadySolver 1e-3 K tolerance;
+//   - answers stay within 1e-3 K of the Newton oracle (newton_oracle.h);
 //   - a cold CG on every assembled Newton system takes at most 0.6× the
 //     iterations it takes under diagonal Jacobi, with no more direct
 //     fallbacks;
@@ -24,6 +24,7 @@
 #include "la/banded_lu.h"
 #include "la/column_jacobi.h"
 #include "la/iterative.h"
+#include "newton_oracle.h"
 #include "power/mcpat_like.h"
 #include "thermal/model.h"
 #include "thermal/steady.h"
@@ -183,7 +184,8 @@ TEST(EnginePreconditioner, MiBenchGridMatchesSteadySolver) {
   for (const auto& solver : stack10().solvers()) {
     const SolveEngine engine(*solver);
     for (const OperatingPoint& pt : stack10().grid()) {
-      const SteadyResult seed = solver->solve(pt.omega, pt.current);
+      const SteadyResult seed =
+          testing::newton_oracle(*solver, pt.omega, pt.current);
       const SteadyResult fast = engine.solve(pt);
       if (seed.status != SolveStatus::kOk) {
         EXPECT_NE(fast.status, SolveStatus::kOk)

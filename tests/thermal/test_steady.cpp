@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
+#include "thermal/solve_engine.h"
 #include "util/units.h"
 #include "workload/benchmarks.h"
 
@@ -20,6 +22,13 @@ const floorplan::Floorplan& fp() {
 const ThermalModel& model() {
   static const ThermalModel m(package::PackageConfig::paper_default(), fp(),
                               8, 8);
+  return m;
+}
+
+/// The paper's 10×10 deployment grid.
+const ThermalModel& model10() {
+  static const ThermalModel m(package::PackageConfig::paper_default(), fp(),
+                              10, 10);
   return m;
 }
 
@@ -124,16 +133,6 @@ TEST(Steady, ColdSideColderThanHotSideUnderCurrent) {
   }
 }
 
-TEST(Steady, WarmStartMatchesColdStart) {
-  const SteadySolver solver = make_solver(33.0);
-  const SteadyResult cold = solver.solve(380.0, 0.8);
-  ASSERT_TRUE(cold.converged);
-  const SteadyResult warm = solver.solve(380.0, 0.8, cold.chip_temperatures);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_NEAR(warm.max_chip_temperature, cold.max_chip_temperature, 2e-3);
-  EXPECT_LE(warm.iterations, cold.iterations);
-}
-
 TEST(Steady, ChordModeSolvesInOnePass) {
   SteadyOptions opts;
   opts.mode = LeakageMode::kChordLinear;
@@ -205,12 +204,11 @@ TEST(Steady, FirstLawBalanceWithTecActive) {
 }
 
 TEST(Steady, IterativeAndDirectPathsAgree) {
-  SteadyOptions direct_opts;
-  direct_opts.prefer_iterative = false;
-  const SteadySolver direct = make_solver(33.0, direct_opts);
-  const SteadySolver iterative = make_solver(33.0);  // default: iterative
-  const SteadyResult rd = direct.solve(420.0, 1.2);
-  const SteadyResult ri = iterative.solve(420.0, 1.2);
+  const SteadySolver solver = make_solver(33.0);
+  EngineOptions direct_only;
+  direct_only.use_iterative = false;
+  const SteadyResult rd = SolveEngine(solver, direct_only).solve({420.0, 1.2});
+  const SteadyResult ri = SolveEngine(solver).solve({420.0, 1.2});  // warm CG
   ASSERT_TRUE(rd.converged);
   ASSERT_TRUE(ri.converged);
   EXPECT_NEAR(rd.max_chip_temperature, ri.max_chip_temperature, 1e-4);
@@ -218,7 +216,7 @@ TEST(Steady, IterativeAndDirectPathsAgree) {
 }
 
 TEST(Steady, IterativePathDetectsRunawayToo) {
-  const SteadySolver solver = make_solver(35.0);  // prefer_iterative default
+  const SteadySolver solver = make_solver(35.0);
   const SteadyResult r = solver.solve(0.0, 0.0);
   EXPECT_TRUE(r.runaway);
 }
@@ -233,27 +231,31 @@ TEST(Steady, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
-TEST(Steady, GuessArityChecked) {
-  const SteadySolver solver = make_solver(30.0);
-  EXPECT_THROW((void)solver.solve(400.0, 0.0, la::Vector(2, 330.0)),
-               std::invalid_argument);
-}
-
-/// Property: benchmark workloads all converge at full fan with mild current
-/// and report self-consistent power breakdowns.
+/// Property: on the 8×8 and the 10×10 grid, benchmark workloads all
+/// converge at full fan with mild current and balance energy — dynamic +
+/// exact leakage + TEC electrical power all leave to ambient.
 class BenchmarkSteadyTest
     : public ::testing::TestWithParam<workload::Benchmark> {};
 
 TEST_P(BenchmarkSteadyTest, ConvergesAtFullFan) {
   const auto& prof = workload::profile_for(GetParam());
   const power::PowerMap peak = workload::peak_power_map(prof, fp());
-  const SteadySolver solver(model(), model().distribute(peak),
-                            model().cell_leakage(leakage()));
-  const SteadyResult r = solver.solve(524.0, 1.0);
-  ASSERT_TRUE(r.converged) << prof.name;
-  EXPECT_FALSE(r.runaway);
-  EXPECT_GT(r.tec_power, 0.0);
-  EXPECT_LT(r.max_chip_temperature, units::celsius_to_kelvin(120.0));
+  const double omega = 524.0;
+  for (const ThermalModel* m : {&model(), &model10()}) {
+    SCOPED_TRACE(std::to_string(m->layout().nx()) + "x" +
+                 std::to_string(m->layout().ny()));
+    const SteadySolver solver(*m, m->distribute(peak),
+                              m->cell_leakage(leakage()));
+    const SteadyResult r = solver.solve(omega, 1.0);
+    ASSERT_TRUE(r.converged) << prof.name;
+    EXPECT_FALSE(r.runaway);
+    EXPECT_GT(r.tec_power, 0.0);
+    EXPECT_LT(r.max_chip_temperature, units::celsius_to_kelvin(120.0));
+    const double injected =
+        la::sum(solver.cell_dynamic_power()) + r.leakage_power + r.tec_power;
+    EXPECT_NEAR(m->ambient_outflow(r.temperatures, omega), injected,
+                1e-6 * injected);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkSteadyTest,

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -94,39 +96,52 @@ TEST(TransientEngineScaling, RunBatchFourJobsScalesOnFourCores) {
   }
   (void)engine.run_batch(jobs);
 
-  const util::Stopwatch serial_watch;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    serial[j] = engine.run_closed_loop(jobs[j].control,
-                                       jobs[j].initial_temperatures,
-                                       jobs[j].options);
-  }
-  const double serial_ms = serial_watch.elapsed_ms();
-
-  const util::Stopwatch batch_watch;
-  const std::vector<TransientResult> batched = engine.run_batch(jobs);
-  const double batch_ms = batch_watch.elapsed_ms();
-
-  // Bit-identity is unconditional (the engine's exactness contract).
-  ASSERT_EQ(batched.size(), serial.size());
-  for (std::size_t j = 0; j < batched.size(); ++j) {
-    ASSERT_EQ(batched[j].steps, serial[j].steps) << "job " << j;
-    ASSERT_EQ(batched[j].samples.size(), serial[j].samples.size())
-        << "job " << j;
-    for (std::size_t i = 0; i < batched[j].samples.size(); ++i) {
-      ASSERT_EQ(batched[j].samples[i].max_chip_temperature,
-                serial[j].samples[i].max_chip_temperature)
-          << "job " << j << " sample " << i;
+  // The speedup is the median over kRounds back-to-back (serial, batch)
+  // pairs. Host contention on a shared VM can slow either side of a single
+  // pair; the median ignores up to two disturbed pairs, while jobs that
+  // serialize give batch ≈ serial in every pair.
+  constexpr int kRounds = 5;
+  std::vector<double> speedups;
+  std::ostringstream rounds;
+  for (int round = 0; round < kRounds; ++round) {
+    const util::Stopwatch serial_watch;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      serial[j] = engine.run_closed_loop(jobs[j].control,
+                                         jobs[j].initial_temperatures,
+                                         jobs[j].options);
     }
+    const double serial_ms = serial_watch.elapsed_ms();
+
+    const util::Stopwatch batch_watch;
+    const std::vector<TransientResult> batched = engine.run_batch(jobs);
+    const double batch_ms = batch_watch.elapsed_ms();
+
+    // Bit-identity is unconditional (the engine's exactness contract).
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t j = 0; j < batched.size(); ++j) {
+      ASSERT_EQ(batched[j].steps, serial[j].steps) << "job " << j;
+      ASSERT_EQ(batched[j].samples.size(), serial[j].samples.size())
+          << "job " << j;
+      for (std::size_t i = 0; i < batched[j].samples.size(); ++i) {
+        ASSERT_EQ(batched[j].samples[i].max_chip_temperature,
+                  serial[j].samples[i].max_chip_temperature)
+            << "job " << j << " sample " << i;
+      }
+    }
+
+    speedups.push_back(batch_ms > 0.0 ? serial_ms / batch_ms : 0.0);
+    rounds << " " << serial_ms << "/" << batch_ms;
   }
 
-  const double speedup = batch_ms > 0.0 ? serial_ms / batch_ms : 0.0;
-  RecordProperty("serial_ms", static_cast<int>(serial_ms));
-  RecordProperty("batch_ms", static_cast<int>(batch_ms));
+  std::nth_element(speedups.begin(), speedups.begin() + kRounds / 2,
+                   speedups.end());
+  const double speedup = speedups[kRounds / 2];
+  RecordProperty("median_speedup_x100", static_cast<int>(100.0 * speedup));
   EXPECT_GE(speedup, 2.5)
       << "run_batch of 4 independent jobs on " << hw
-      << " hardware threads achieved only " << speedup
-      << "x over the serial loop (serial " << serial_ms << " ms, batch "
-      << batch_ms << " ms) — jobs are serializing somewhere";
+      << " hardware threads achieved a median of only " << speedup
+      << "x over the serial loop (serial/batch ms per round:" << rounds.str()
+      << ") — jobs are serializing somewhere";
 }
 
 }  // namespace
