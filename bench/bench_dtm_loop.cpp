@@ -132,12 +132,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Fast transient engine vs reference solver -------------------------
-  // The DTM loop's dominant cost is the per-step banded factorization. Hold
-  // the static policy's constant setting over the whole trace horizon and
+  // The DTM loop's dominant cost is the banded factorization. Hold the
+  // static policy's constant setting over the whole trace horizon and
   // integrate it twice — reference TransientSolver (assemble + factor every
-  // step) vs TransientEngine (factor reused across the linearization hold
-  // window). Both run the same hold policy, so results are bit-identical and
-  // the comparison is honest.
+  // step) vs TransientEngine (factor reused while the leakage slopes are
+  // held). Both run the default slope hold, so results are bit-identical
+  // and the comparison is honest.
   {
     power::PowerMap peak(fp);
     for (const power::PowerMap& s : trace.samples) peak.max_with(s);
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     topt.time_step = smoke ? 20e-3 : 10e-3;
     topt.duration = trace.duration();
     topt.record_stride = 8;
-    topt.relinearization_threshold = 0.1;
 
     const thermal::TransientSolver reference(
         sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(),
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
     const double speedup = eng_ms > 0.0 ? ref_ms / eng_ms : 0.0;
 
     std::printf("\nTransient engine (constant control, %zu steps, "
-                "hold window %.2f K):\n", ref.steps,
+                "slope tolerance %.2f):\n", ref.steps,
                 topt.relinearization_threshold);
     std::printf("  reference: %8.1f ms  (%10.0f steps/s)\n", ref_ms, ref_sps);
     std::printf("  engine:    %8.1f ms  (%10.0f steps/s)  "
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
     util::json::Value j = util::json::Value::object();
     j["steps"] = ref.steps;
     j["time_step_s"] = topt.time_step;
-    j["relinearization_threshold_k"] = topt.relinearization_threshold;
+    j["relinearization_threshold"] = topt.relinearization_threshold;
     j["reference_ms"] = ref_ms;
     j["engine_ms"] = eng_ms;
     j["reference_steps_per_s"] = ref_sps;

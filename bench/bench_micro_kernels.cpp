@@ -416,7 +416,11 @@ Grid10Timing measure_grid10(const char* spec,
   t.lu_refactorize_ms = median_of(ms);
 
   ms.clear();
-  thermal::TransientStepper stepper(model, leak);
+  // Tolerance 0: every step refreshes its slopes and refactors, the step
+  // `stepper_step_ms_threshold0` names (the default would time held steps).
+  thermal::TransientStepper::Config exact;
+  exact.relinearization_threshold = 0.0;
+  thermal::TransientStepper stepper(model, leak, exact);
   stepper.reset(start);
   const thermal::ControlSetting setting{
       0.6 * model.config().fan.max_speed,

@@ -101,10 +101,6 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     throw std::invalid_argument(
         "run_dtm_loop: fallback_grid_points must be >= 2");
   }
-  if (!(options.relinearization_threshold >= 0.0)) {
-    throw std::invalid_argument(
-        "run_dtm_loop: relinearization_threshold must be >= 0");
-  }
   OBS_SPAN("dtm.run");
   g_obs_runs.add();
 
@@ -116,13 +112,13 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   const double dt = options.time_step;
 
   // Fast transient path: the stepper reuses one banded factorization while
-  // the held setting (and the leakage linearization) stays bit-constant —
-  // per-step trace power only touches the right-hand side. The chip-only
-  // runaway verdict is this loop's historical semantics (the TEC reject
-  // side may legitimately exceed the all-node limit under max current).
+  // the held setting (and the held leakage slopes) stay bit-constant —
+  // per-step trace power and exact leakage only touch the right-hand side.
+  // The chip-only runaway verdict is this loop's historical semantics (the
+  // TEC reject side may legitimately exceed the all-node limit under max
+  // current).
   thermal::TransientStepper::Config stepper_cfg;
   stepper_cfg.runaway_temperature = 500.0;
-  stepper_cfg.relinearization_threshold = options.relinearization_threshold;
   stepper_cfg.runaway_check = thermal::RunawayCheck::kChipOnly;
   thermal::TransientStepper stepper(model, leak_terms, stepper_cfg);
   // Counts flow to obs on every exit path (runaway returns included).

@@ -10,7 +10,10 @@
 //     1. reduce the trace window ahead to its per-unit max-power vector;
 //     2. obtain (ω, I) — exact OFTEC, or LUT lookup;
 //     3. hold the setting while the transient model integrates the *actual*
-//        (time-varying) trace power.
+//        (time-varying) trace power. Each step takes the exact leakage of
+//        the current state; the leakage slopes in the step matrix are held
+//        until one drifts 10 % (thermal::TransientOptions), so a held setting
+//        reuses one factorization for dozens of steps.
 //
 // Reported metrics: temperature envelope, thermal-violation time, average
 // cooling power, and control-latency spent in the optimizer.
@@ -94,11 +97,10 @@ struct DtmOptions {
   /// Required when policy == kLut; with other policies, an optional tier-2
   /// fallback.
   const LutController* lut = nullptr;
-  double time_step = 10e-3;  ///< transient integration step [s]
-  /// Leakage-tangent hold window for the transient stepper [K]; 0 (the
-  /// default) re-linearizes every step — the historical semantics. See
-  /// thermal::TransientOptions::relinearization_threshold.
-  double relinearization_threshold = 0.0;
+  /// Transient integration step [s]. The stepper holds its leakage slopes
+  /// under thermal::kDefaultRelinearizationThreshold, so a held setting
+  /// refactors only when the chip has drifted a few kelvin.
+  double time_step = 10e-3;
 
   /// Watchdog: consecutive steps above T_max with non-decreasing temperature
   /// before the fail-safe tier is forced (bounds time-to-fail-safe by

@@ -79,7 +79,8 @@ TransientResult TransientSolver::run_closed_loop(
   TransientResult result;
   la::Vector temps = initial_temperatures;
   std::vector<power::TaylorCoefficients> taylor(cells);
-  la::Vector lin_chip;  // chip temperatures at the last linearization
+  la::Vector exact_slope(cells);
+  bool holding = false;  // taylor[i].a holds slopes from an earlier step
 
   auto record = [&](double time, double omega, double current) {
     TransientSample s;
@@ -101,19 +102,27 @@ TransientResult TransientSolver::run_closed_loop(
   for (std::size_t step = 0; step < steps; ++step) {
     const double time = static_cast<double>(step) * dt;
     const double step_dt = step + 1 == steps ? plan.last_step : dt;
-    // Tangent-linearize leakage at the current chip temperatures — held
-    // across steps while the drift stays within the relinearization
-    // threshold (with the default threshold of 0, every step).
+    // Exact leakage at the current chip temperatures (b = p(Tₙ),
+    // t_ref = Tₙ) with the held slope; the slopes refresh, all at once, when
+    // some cell's exact slope has left the relative tolerance around its
+    // held value (with tolerance 0, whenever one moves).
     const la::Vector chip = model_->slab_temperatures(temps, Slab::kChip);
     const ControlSetting setting =
         control(time, la::max_element_value(chip));
-    if (lin_chip.empty() || la::max_abs_diff(chip, lin_chip) >
-                                options_.relinearization_threshold) {
-      for (std::size_t i = 0; i < cells; ++i) {
-        taylor[i] = power::tangent_linearize(leakage_[i], chip[i]);
-      }
-      lin_chip = chip;
+    bool refresh = !holding;
+    for (std::size_t i = 0; i < cells; ++i) {
+      const power::TaylorCoefficients exact =
+          power::tangent_linearize(leakage_[i], chip[i]);
+      refresh |= std::abs(exact.a - taylor[i].a) >
+                 options_.relinearization_threshold * taylor[i].a;
+      exact_slope[i] = exact.a;
+      taylor[i].b = exact.b;
+      taylor[i].t_ref = exact.t_ref;
     }
+    if (refresh) {
+      for (std::size_t i = 0; i < cells; ++i) taylor[i].a = exact_slope[i];
+    }
+    holding = true;
 
     AssembledSystem sys =
         model_->assemble(setting.omega, setting.current, dynamic_, taylor);

@@ -108,7 +108,7 @@ TransientStepper::TransientStepper(
   cold_.assign(cells_, 0.0);
   hot_.assign(cells_, 0.0);
   taylor_.resize(cells_);
-  lin_chip_.assign(cells_, 0.0);
+  exact_slope_.assign(cells_, 0.0);
   key_slopes_.assign(cells_, 0);
   slots_.resize(config_.factor_slots);
   for (FactorSlot& slot : slots_) slot.key_slopes.assign(cells_, 0);
@@ -138,33 +138,40 @@ void TransientStepper::reset(const la::Vector& initial_temperatures) {
   double m = chip_.front();
   for (const double v : chip_) m = std::max(m, v);
   max_chip_ = m;
-  have_linearization_ = false;
+  holding_ = false;
 }
 
-void TransientStepper::relinearize_if_drifted() {
-  if (have_linearization_ &&
-      la::max_abs_diff(chip_, lin_chip_) <=
-          config_.relinearization_threshold) {
-    return;
+void TransientStepper::linearize_leakage() {
+  // The reference loop's rule, statement for statement: exact p(Tₙ) and
+  // t_ref = Tₙ every step, slopes refreshed together once one drifts.
+  bool refresh = !holding_;
+  for (std::size_t i = 0; i < cells_; ++i) {
+    const power::TaylorCoefficients exact =
+        power::tangent_linearize(leakage_[i], chip_[i]);
+    refresh |= std::abs(exact.a - taylor_[i].a) >
+               config_.relinearization_threshold * taylor_[i].a;
+    exact_slope_[i] = exact.a;
+    taylor_[i].b = exact.b;
+    taylor_[i].t_ref = exact.t_ref;
   }
+  holding_ = true;
+  if (!refresh) return;
   bool slopes_changed = false;
   for (std::size_t i = 0; i < cells_; ++i) {
-    taylor_[i] = power::tangent_linearize(leakage_[i], chip_[i]);
+    taylor_[i].a = exact_slope_[i];
     const std::uint64_t bits = bits_of(taylor_[i].a);
     slopes_changed |= bits != key_slopes_[i];
     key_slopes_[i] = bits;
   }
-  lin_chip_ = chip_;
-  have_linearization_ = true;
   if (!slopes_changed) return;
   // New slopes make every factor keyed on the old slopes unreachable for
-  // this trace, yet "used" slots survive LRU preference — so at
-  // relinearization threshold 0 (every step re-linearizes) eviction used to
-  // cycle round-robin through all slots, streaming the full multi-slot
-  // factor working set each step and running *slower* than the reference's
-  // single recycled buffer. Invalidating the stale slots steers lru_slot()
-  // back to one cache-warm buffer. Pure cache policy: factors are exact
-  // functions of their keys, so results are unchanged bit-for-bit.
+  // this trace, yet "used" slots survive LRU preference — so when every
+  // step refreshes (tolerance 0) eviction used to cycle round-robin through
+  // all slots, streaming the full multi-slot factor working set each step
+  // and running *slower* than the reference's single recycled buffer.
+  // Invalidating the stale slots steers lru_slot() back to one cache-warm
+  // buffer. Pure cache policy: factors are exact functions of their keys,
+  // so results are unchanged bit-for-bit.
   for (FactorSlot& slot : slots_) {
     if (slot.used && slot.key_slopes != key_slopes_) {
       slot.used = false;
@@ -326,7 +333,7 @@ bool TransientStepper::step(const ControlSetting& setting,
     throw std::invalid_argument("TransientStepper::step: dt must be > 0");
   }
 
-  relinearize_if_drifted();
+  linearize_leakage();
 
   FactorSlot* slot = find_slot(setting.omega, setting.current, dt);
   const bool hit = slot != nullptr;

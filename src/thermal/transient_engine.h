@@ -22,13 +22,18 @@
 //      full band (mirrored base + the same stamps) and takes the pivoted LU,
 //      as the reference does (counted in lu_fallbacks()).
 //
-//   2. Factor reuse. The step matrix depends only on (dt, ω, I, leakage
-//      slopes). Factors are cached in a small LRU keyed on the exact IEEE
-//      bits of those inputs (the steady SolveEngine's keying discipline):
-//      while a controller holds its setting and the leakage linearization
-//      holds (see TransientOptions::relinearization_threshold), thousands
-//      of steps share one factorization; controllers that toggle between a
-//      few settings (LUT, fail-safe chains) hit warm slots.
+//   2. Factor reuse. The step matrix depends only on (dt, ω, I, held
+//      leakage slopes); the exact leakage of the current state enters the
+//      right-hand side alone. Factors are cached in a small LRU keyed on the
+//      exact IEEE bits of those inputs (the steady SolveEngine's keying
+//      discipline). Under a held setting a factorization lasts until some
+//      chip cell's exact slope leaves the relative tolerance around its
+//      held one (TransientOptions::relinearization_threshold, default 0.1:
+//      ≈ 3 K of drift) — a few dozen 10-ms steps of a DTM replay, a whole
+//      run near steady state; controllers that toggle between a few
+//      settings (LUT, fail-safe chains) hit warm slots. At tolerance 0 the
+//      slopes refresh whenever the chip moves, and every such step
+//      refactors.
 //
 //   3. Allocation-free stepping. All workspaces are preallocated; a
 //      Cholesky refactorization reuses its slot's lower-band storage and
@@ -44,7 +49,7 @@
 // Exactness contract: for identical inputs (model, workload, options,
 // control), TransientEngine and TransientSolver produce bit-identical
 // TransientResults — samples, final temperatures, step counts, runaway
-// verdicts — at any thread count and any relinearization threshold.
+// verdicts — at any thread count and any slope tolerance.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +81,9 @@ enum class RunawayCheck {
 class TransientStepper {
  public:
   struct Config {
-    double runaway_temperature = 500.0;        ///< [K]
-    double relinearization_threshold = 0.0;    ///< [K]; see TransientOptions
+    double runaway_temperature = 500.0;  ///< [K]
+    /// Relative slope tolerance; see TransientOptions.
+    double relinearization_threshold = kDefaultRelinearizationThreshold;
     RunawayCheck runaway_check = RunawayCheck::kAllNodes;
     std::size_t factor_slots = 8;  ///< LRU capacity (distinct warm settings)
   };
@@ -93,8 +99,8 @@ class TransientStepper {
   void configure(double runaway_temperature, double relinearization_threshold,
                  RunawayCheck check);
 
-  /// Set the integration state and drop the held linearization (a fresh run
-  /// always re-linearizes at its first step, like the reference).
+  /// Set the integration state and drop the held slopes (a fresh run always
+  /// takes exact slopes at its first step, like the reference).
   /// Throws std::invalid_argument on arity mismatch.
   void reset(const la::Vector& initial_temperatures);
 
@@ -161,7 +167,9 @@ class TransientStepper {
     la::BandedFactor factor;
   };
 
-  void relinearize_if_drifted();
+  /// Exact leakage at the current state with the held slopes, refreshed
+  /// when one drifts past the tolerance (TransientOptions).
+  void linearize_leakage();
   /// Add the per-step diagonal groups, in ThermalModel::assemble's order, to
   /// the diagonal at diag[i·stride].
   void stamp_diagonal(double* diag, std::size_t stride, double omega,
@@ -198,11 +206,12 @@ class TransientStepper {
   mutable la::Vector hot_;   ///< TEC reject-side temps
   double max_chip_ = 0.0;
 
-  // Held linearization.
+  // Leakage linearization: exact b and t_ref of the current state, held
+  // slopes a (their bits are the factor key's slope part).
   std::vector<power::TaylorCoefficients> taylor_;
-  la::Vector lin_chip_;
+  la::Vector exact_slope_;
   std::vector<std::uint64_t> key_slopes_;
-  bool have_linearization_ = false;
+  bool holding_ = false;
 
   std::vector<FactorSlot> slots_;
   std::uint64_t lru_stamp_ = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "dtm_pool.h"
 #include "test_fixtures.h"
 #include "workload/trace.h"
 
@@ -147,6 +151,54 @@ TEST(DtmLoop, SamplesCarryMonotoneTime) {
     EXPECT_GT(r.samples[i].time, r.samples[i - 1].time);
   }
   EXPECT_GE(r.peak_temperature, r.samples.front().max_chip_temperature);
+}
+
+TEST(DtmLoop, DefaultSlopeHoldTracksPerStepTangentsOnTheBenchmarkPool) {
+  // The `dtm_lut` benchmark's seed-1 pool: 64 LUT-held 0.5-s segments at the
+  // 10×10 model and 10-ms steps. Under the default slope tolerance a replay
+  // stays within 0.05 K of per-step tangents (tolerance 0) at every sample
+  // while refactoring on at most a tenth of its steps — and run_dtm_loop
+  // takes that default.
+  const testing::DtmPool pool = testing::make_dtm_pool(1, 8);
+  ASSERT_EQ(pool.segments.size(), 64u);
+  double worst = 0.0;
+  std::size_t steps = 0;
+  std::size_t factorizations = 0;
+  for (const testing::DtmSegment& segment : pool.segments) {
+    ASSERT_FALSE(segment.initial.empty());
+    const testing::DtmReplay exact = testing::replay(pool, segment, 10e-3, 0.0);
+    const testing::DtmReplay held = testing::replay(
+        pool, segment, 10e-3, thermal::kDefaultRelinearizationThreshold);
+    ASSERT_FALSE(exact.runaway);
+    ASSERT_FALSE(held.runaway);
+    ASSERT_EQ(held.max_chip.size(), exact.max_chip.size());
+    for (std::size_t i = 0; i < exact.max_chip.size(); ++i) {
+      worst = std::max(worst, std::abs(held.max_chip[i] - exact.max_chip[i]));
+    }
+    steps += held.steps;
+    factorizations += held.factorizations;
+  }
+  EXPECT_LT(worst, 0.05);
+  EXPECT_LE(static_cast<double>(factorizations),
+            0.1 * static_cast<double>(steps));
+
+  DtmOptions opts;
+  opts.policy = DtmPolicy::kLut;
+  opts.lut = pool.lut.get();
+  opts.control_period = 0.5;
+  opts.time_step = 10e-3;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const testing::DtmSegment& segment = pool.segments[k];
+    const DtmResult r = run_dtm_loop(fp(), segment.trace, leakage(), opts);
+    const testing::DtmReplay held = testing::replay(
+        pool, segment, 10e-3, thermal::kDefaultRelinearizationThreshold);
+    ASSERT_EQ(r.watchdog_trips, 0u) << k;
+    ASSERT_EQ(r.samples.size(), held.max_chip.size()) << k;
+    for (std::size_t i = 0; i < held.max_chip.size(); ++i) {
+      EXPECT_EQ(r.samples[i].max_chip_temperature, held.max_chip[i])
+          << "segment " << k << ", sample " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -135,49 +135,57 @@ TEST_F(ChaosSolverTest, CorruptedCachedFactorRecoversBitIdentically) {
 }
 
 TEST_F(ChaosSolverTest, CorruptedTransientFactorSelfHealsBitIdentically) {
-  // Transient engine: a nonzero hold window makes most steps cache hits, and
+  // Transient engine: held leakage slopes make most steps cache hits, and
   // every hit now hands back a corrupted solve. The stepper must detect the
   // poisoned state, evict the slot, refactorize from a fresh assembly, and
-  // reproduce the clean trajectory bit for bit.
+  // reproduce the clean trajectory bit for bit — under a tight hold
+  // (0.003 ≈ 0.1 K of drift at β = 0.03/K) and under the default.
   const core::CoolingSystem system(
       fp(), core::testing::benchmark_power(workload::Benchmark::kSusan),
       leakage(), coarse_config());
-  thermal::TransientOptions opts;
-  opts.time_step = 10e-3;
-  opts.duration = 0.3;
-  opts.relinearization_threshold = 0.1;
-  const thermal::ControlSetting setting{0.6 * system.omega_max(), 0.0};
-  const auto constant = [setting](double, double) { return setting; };
+  for (const double tolerance :
+       {0.003, thermal::kDefaultRelinearizationThreshold}) {
+    SCOPED_TRACE(tolerance);
+    thermal::TransientOptions opts;
+    opts.time_step = 10e-3;
+    opts.duration = 0.3;
+    opts.relinearization_threshold = tolerance;
+    const thermal::ControlSetting setting{0.6 * system.omega_max(), 0.0};
+    const auto constant = [setting](double, double) { return setting; };
 
-  const thermal::TransientEngine engine(
-      system.thermal_model(), system.cell_dynamic_power(),
-      system.cell_leakage(), opts);
-  const thermal::TransientResult clean =
-      engine.run_closed_loop(constant, engine.ambient_state());
-  ASSERT_FALSE(clean.runaway);
-  ASSERT_GT(engine.stats().factor_hits, 0u);  // the fault path is reachable
-  engine.reset_stats();
+    const thermal::TransientEngine engine(
+        system.thermal_model(), system.cell_dynamic_power(),
+        system.cell_leakage(), opts);
+    const thermal::TransientResult clean =
+        engine.run_closed_loop(constant, engine.ambient_state());
+    ASSERT_FALSE(clean.runaway);
+    ASSERT_GT(engine.stats().factor_hits, 0u);  // the fault path is reachable
+    engine.reset_stats();
 
-  (void)fault::arm("transient_engine.factor_corrupt", 1.0, 7);
-  const thermal::TransientResult healed =
-      engine.run_closed_loop(constant, engine.ambient_state());
-  EXPECT_GT(fault::fires("transient_engine.factor_corrupt"), 0u);
-  EXPECT_GT(engine.stats().self_heals, 0u);
+    (void)fault::arm("transient_engine.factor_corrupt", 1.0, 7);
+    const thermal::TransientResult healed =
+        engine.run_closed_loop(constant, engine.ambient_state());
+    EXPECT_GT(fault::fires("transient_engine.factor_corrupt"), 0u);
+    EXPECT_GT(engine.stats().self_heals, 0u);
+    fault::disarm_all();
 
-  EXPECT_FALSE(healed.runaway);
-  EXPECT_EQ(healed.steps, clean.steps);
-  ASSERT_EQ(healed.samples.size(), clean.samples.size());
-  for (std::size_t i = 0; i < clean.samples.size(); ++i) {
-    EXPECT_EQ(healed.samples[i].time, clean.samples[i].time);
-    EXPECT_EQ(healed.samples[i].max_chip_temperature,
-              clean.samples[i].max_chip_temperature);
-    EXPECT_EQ(healed.samples[i].tec_power, clean.samples[i].tec_power);
-    EXPECT_EQ(healed.samples[i].fan_power, clean.samples[i].fan_power);
-    EXPECT_EQ(healed.samples[i].leakage_power, clean.samples[i].leakage_power);
-  }
-  ASSERT_EQ(healed.final_temperatures.size(), clean.final_temperatures.size());
-  for (std::size_t i = 0; i < clean.final_temperatures.size(); ++i) {
-    EXPECT_EQ(healed.final_temperatures[i], clean.final_temperatures[i]);
+    EXPECT_FALSE(healed.runaway);
+    EXPECT_EQ(healed.steps, clean.steps);
+    ASSERT_EQ(healed.samples.size(), clean.samples.size());
+    for (std::size_t i = 0; i < clean.samples.size(); ++i) {
+      EXPECT_EQ(healed.samples[i].time, clean.samples[i].time);
+      EXPECT_EQ(healed.samples[i].max_chip_temperature,
+                clean.samples[i].max_chip_temperature);
+      EXPECT_EQ(healed.samples[i].tec_power, clean.samples[i].tec_power);
+      EXPECT_EQ(healed.samples[i].fan_power, clean.samples[i].fan_power);
+      EXPECT_EQ(healed.samples[i].leakage_power,
+                clean.samples[i].leakage_power);
+    }
+    ASSERT_EQ(healed.final_temperatures.size(),
+              clean.final_temperatures.size());
+    for (std::size_t i = 0; i < clean.final_temperatures.size(); ++i) {
+      EXPECT_EQ(healed.final_temperatures[i], clean.final_temperatures[i]);
+    }
   }
 }
 
@@ -231,10 +239,9 @@ TEST_F(ChaosSolverTest, TransientSelfHealStaysBitIdenticalUnderSimd) {
   const core::CoolingSystem system(
       fp(), core::testing::benchmark_power(workload::Benchmark::kSusan),
       leakage(), coarse_config());
-  thermal::TransientOptions opts;
+  thermal::TransientOptions opts;  // default slope hold: most steps hit
   opts.time_step = 10e-3;
   opts.duration = 0.3;
-  opts.relinearization_threshold = 0.1;
   const thermal::ControlSetting setting{0.6 * system.omega_max(), 0.0};
   const auto constant = [setting](double, double) { return setting; };
 

@@ -1,0 +1,123 @@
+// First law on every transient step: the heat a step stores in the package
+// equals the heat injected minus the heat leaving to ambient,
+//
+//   Σ Cᵢ·ΔTᵢ/Δt = P_dyn + Σ_chip [pᵢ(Tₙ) + aᵢ·ΔTᵢ] + P_TEC(Tₙ₊₁, I)
+//                 − Q_amb(Tₙ₊₁, ω),
+//
+// where ΔT = Tₙ₊₁ − Tₙ, conduction cancels in the sum, and aᵢ is the leakage
+// slope the step matrix held. With per-step tangents (tolerance 0) aᵢ is the
+// exact slope β·pᵢ(Tₙ) and the balance closes to rounding. Under the default
+// the held slope may differ from the exact one by up to ε·aᵢ — the refresh
+// rule's invariant — so, written with the exact slope, the balance closes
+// within ε/(1−ε)·Σ β·pᵢ(Tₙ)·|ΔTᵢ|. The exact leakage value and its
+// expansion point are the current state's at every step, so an error in the
+// right-hand side (a sign, a stale expansion point) breaks the balance.
+//
+// Every step of a 0.5-s, 10-ms replay of each benchmark's trace from
+// ambient, on the 8×8 and 10×10 grids.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "floorplan/ev6.h"
+#include "power/mcpat_like.h"
+#include "thermal/transient_engine.h"
+#include "workload/benchmarks.h"
+#include "workload/trace.h"
+
+namespace oftec::thermal {
+namespace {
+
+const floorplan::Floorplan& fp() {
+  static const floorplan::Floorplan f = floorplan::make_ev6_floorplan();
+  return f;
+}
+
+const power::LeakageModel& leakage() {
+  static const power::LeakageModel l =
+      power::characterize_leakage(fp(), power::ProcessConfig{});
+  return l;
+}
+
+const ThermalModel& model(std::size_t grid) {
+  static const ThermalModel m8(package::PackageConfig::paper_default(), fp(),
+                               8, 8);
+  static const ThermalModel m10(package::PackageConfig::paper_default(), fp(),
+                                10, 10);
+  return grid == 8 ? m8 : m10;
+}
+
+class BenchmarkTransientEnergyTest
+    : public ::testing::TestWithParam<workload::Benchmark> {};
+
+TEST_P(BenchmarkTransientEnergyTest, EveryStepBalancesEnergy) {
+  constexpr double kDt = 10e-3;
+  workload::TraceOptions topts;
+  topts.sample_count = 50;
+  topts.sample_interval = kDt;
+  topts.seed = 1;
+  const workload::PowerTrace trace =
+      workload::generate_trace(workload::profile_for(GetParam()), fp(), topts);
+
+  for (const std::size_t grid : {std::size_t{8}, std::size_t{10}}) {
+    const ThermalModel& m = model(grid);
+    const NodeLayout& layout = m.layout();
+    const std::vector<power::ExponentialTerm> leak = m.cell_leakage(leakage());
+    const la::Vector& cap = m.capacitances();
+    const ControlSetting setting{0.6 * m.config().fan.max_speed, 1.0};
+
+    for (const double tolerance : {0.0, kDefaultRelinearizationThreshold}) {
+      SCOPED_TRACE(std::to_string(grid) + "x" + std::to_string(grid) +
+                   ", tolerance " + std::to_string(tolerance));
+      TransientStepper::Config cfg;
+      cfg.relinearization_threshold = tolerance;
+      TransientStepper stepper(m, leak, cfg);
+      stepper.reset(la::Vector(layout.node_count(), m.config().ambient));
+
+      for (std::size_t step = 0; step < trace.size(); ++step) {
+        const la::Vector dynamic = m.distribute(trace.samples[step]);
+        const la::Vector before = stepper.temperatures();
+        ASSERT_TRUE(stepper.step(setting, dynamic, kDt)) << "step " << step;
+        const la::Vector& after = stepper.temperatures();
+
+        double stored = 0.0;
+        for (std::size_t i = 0; i < before.size(); ++i) {
+          stored += cap[i] * (after[i] - before[i]) / kDt;
+        }
+        double leak_power = 0.0;
+        double slope_budget = 0.0;  // Σ aᵢ(Tₙ)·|ΔTᵢ|
+        for (std::size_t cell = 0; cell < leak.size(); ++cell) {
+          const std::size_t node = layout.node(Slab::kChip, cell);
+          const double delta = after[node] - before[node];
+          const double p = leak[cell].evaluate(before[node]);
+          const double slope = leak[cell].beta * p;
+          leak_power += p + slope * delta;
+          slope_budget += slope * std::abs(delta);
+        }
+        const double tec = m.tec_power(after, setting.current);
+        const double outflow = m.ambient_outflow(after, setting.omega);
+        const double injected = la::sum(dynamic) + leak_power + tec;
+
+        const double rounding = 1e-6 * (injected + std::abs(outflow));
+        const double bound =
+            rounding + tolerance / (1.0 - tolerance) * slope_budget;
+        EXPECT_NEAR(stored, injected - outflow, bound) << "step " << step;
+      }
+      // From ambient the chip warms by several kelvin, so under the held
+      // setting the default hold refreshes (and refactors) more than once —
+      // its bound is exercised.
+      EXPECT_GT(stepper.factorizations(), 1u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkTransientEnergyTest,
+                         ::testing::ValuesIn(workload::all_benchmarks()),
+                         [](const auto& info) {
+                           return workload::benchmark_name(info.param);
+                         });
+
+}  // namespace
+}  // namespace oftec::thermal

@@ -1,6 +1,6 @@
 // TransientEngine's exactness contract: for identical inputs it must produce
 // bit-identical TransientResults to the reference TransientSolver — across
-// record strides, controller types, relinearization thresholds, runaway
+// record strides, controller types, leakage-slope tolerances, runaway
 // early-exits, clamped horizons, and run_batch at any thread count.
 #include "thermal/transient_engine.h"
 
@@ -63,6 +63,11 @@ FeedbackControl toggle_control() {
   };
 }
 
+// Slope tolerances the contract is checked at: per-step tangents, the
+// default, and a tight hold (0.0015 ≈ 0.05 K of drift at β = 0.03/K).
+constexpr double kTolerances[] = {0.0, kDefaultRelinearizationThreshold,
+                                  0.0015};
+
 void expect_identical(const TransientResult& ref, const TransientResult& eng) {
   EXPECT_EQ(ref.runaway, eng.runaway);
   EXPECT_EQ(ref.steps, eng.steps);
@@ -90,12 +95,12 @@ TEST(TransientEngine, BitIdenticalAcrossStridesAndThresholds) {
   const Workload w = make_workload(24.0);
   for (const std::size_t stride : {std::size_t{1}, std::size_t{3},
                                    std::size_t{7}}) {
-    for (const double threshold : {0.0, 0.1}) {
+    for (const double tolerance : kTolerances) {
       TransientOptions opts;
       opts.time_step = 10e-3;
       opts.duration = 0.3;
       opts.record_stride = stride;
-      opts.relinearization_threshold = threshold;
+      opts.relinearization_threshold = tolerance;
       const TransientSolver reference(model(), w.dynamic, w.leak, opts);
       const TransientEngine engine(model(), w.dynamic, w.leak, opts);
       const TransientResult ref = reference.run_closed_loop(
@@ -111,36 +116,42 @@ TEST(TransientEngine, BitIdenticalAcrossStridesAndThresholds) {
 
 TEST(TransientEngine, BitIdenticalUnderStatefulToggleController) {
   const Workload w = make_workload(26.0);
-  TransientOptions opts;
-  opts.time_step = 10e-3;
-  opts.duration = 0.5;
-  opts.relinearization_threshold = 0.05;
-  const TransientSolver reference(model(), w.dynamic, w.leak, opts);
-  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-  const la::Vector init(model().layout().node_count(), 341.0);  // above trip
-  const TransientResult ref = reference.run_closed_loop(toggle_control(), init);
-  const TransientResult eng = engine.run_closed_loop(toggle_control(), init);
-  ASSERT_FALSE(ref.runaway);
-  expect_identical(ref, eng);
-  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  for (const double tolerance : kTolerances) {
+    TransientOptions opts;
+    opts.time_step = 10e-3;
+    opts.duration = 0.5;
+    opts.relinearization_threshold = tolerance;
+    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+    const la::Vector init(model().layout().node_count(), 341.0);  // above trip
+    const TransientResult ref =
+        reference.run_closed_loop(toggle_control(), init);
+    const TransientResult eng = engine.run_closed_loop(toggle_control(), init);
+    ASSERT_FALSE(ref.runaway) << tolerance;
+    expect_identical(ref, eng);
+    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  }
 }
 
 TEST(TransientEngine, BitIdenticalUnderScheduleStepChange) {
   const Workload w = make_workload(24.0);
-  TransientOptions opts;
-  opts.time_step = 10e-3;
-  opts.duration = 0.4;
-  const TransientSolver reference(model(), w.dynamic, w.leak, opts);
-  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-  const ControlSchedule schedule = [](double t) {
-    return t < 0.2 ? ControlSetting{450.0, 0.0} : ControlSetting{250.0, 1.5};
-  };
-  const TransientResult ref = reference.run(schedule,
-                                            reference.ambient_state());
-  const TransientResult eng = engine.run(schedule, engine.ambient_state());
-  ASSERT_FALSE(ref.runaway);
-  expect_identical(ref, eng);
-  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  for (const double tolerance : kTolerances) {
+    TransientOptions opts;
+    opts.time_step = 10e-3;
+    opts.duration = 0.4;
+    opts.relinearization_threshold = tolerance;
+    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+    const ControlSchedule schedule = [](double t) {
+      return t < 0.2 ? ControlSetting{450.0, 0.0} : ControlSetting{250.0, 1.5};
+    };
+    const TransientResult ref =
+        reference.run(schedule, reference.ambient_state());
+    const TransientResult eng = engine.run(schedule, engine.ambient_state());
+    ASSERT_FALSE(ref.runaway) << tolerance;
+    expect_identical(ref, eng);
+    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  }
 }
 
 TEST(TransientEngine, RunawayEarlyExitMatchesReference) {
@@ -212,6 +223,7 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
                la::Vector(model().layout().node_count(), 318.0), base};
     jobs[1] = {constant_control(250.0, 0.0),
                la::Vector(model().layout().node_count(), 330.0), base};
+    jobs[1].options.relinearization_threshold = 0.0;
     jobs[2].control = toggle_control();
     jobs[2].initial_temperatures =
         la::Vector(model().layout().node_count(), 341.0);
@@ -219,7 +231,7 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
     jobs[2].options.record_stride = 3;
     jobs[3] = {constant_control(450.0, 1.5),
                la::Vector(model().layout().node_count(), 318.0), base};
-    jobs[3].options.relinearization_threshold = 0.1;
+    jobs[3].options.relinearization_threshold = 0.0015;
     return jobs;
   };
 
@@ -232,7 +244,7 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
+                                    std::size_t{3}, std::size_t{4}}) {
     TransientEngine::Config cfg;
     cfg.threads = threads;
     const TransientEngine engine(model(), w.dynamic, w.leak, base, cfg);
@@ -252,26 +264,29 @@ TEST(TransientEngine, StatsShowFactorReuseUnderHold) {
   const SteadyResult s = steady.solve(400.0, 1.0);
   ASSERT_TRUE(s.converged);
 
-  TransientOptions opts;
-  opts.time_step = 10e-3;
-  opts.duration = 1.0;
-  opts.relinearization_threshold = 0.1;
-  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-  const TransientResult r = engine.run_closed_loop(
-      constant_control(400.0, 1.0), s.temperatures);
-  ASSERT_FALSE(r.runaway);
+  // 0.003 ≈ 0.1 K of drift at β = 0.03/K.
+  for (const double tolerance : {0.003, kDefaultRelinearizationThreshold}) {
+    TransientOptions opts;
+    opts.time_step = 10e-3;
+    opts.duration = 1.0;
+    opts.relinearization_threshold = tolerance;
+    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+    const TransientResult r = engine.run_closed_loop(
+        constant_control(400.0, 1.0), s.temperatures);
+    ASSERT_FALSE(r.runaway);
 
-  const TransientEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.runs, 1u);
-  EXPECT_EQ(stats.steps, r.steps);
-  // From a steady start under a held setting, the linearization holds and
-  // one factorization serves (nearly) the whole run.
-  EXPECT_LT(stats.factorizations, stats.steps / 4);
-  EXPECT_GT(stats.factor_hits, 0u);
+    const TransientEngineStats stats = engine.stats();
+    EXPECT_EQ(stats.runs, 1u);
+    EXPECT_EQ(stats.steps, r.steps);
+    // From a steady start under a held setting, the slopes hold and one
+    // factorization serves (nearly) the whole run.
+    EXPECT_LT(stats.factorizations, stats.steps / 4) << tolerance;
+    EXPECT_GT(stats.factor_hits, 0u);
 
-  engine.reset_stats();
-  EXPECT_EQ(engine.stats().runs, 0u);
-  EXPECT_EQ(engine.stats().steps, 0u);
+    engine.reset_stats();
+    EXPECT_EQ(engine.stats().runs, 0u);
+    EXPECT_EQ(engine.stats().steps, 0u);
+  }
 }
 
 TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {

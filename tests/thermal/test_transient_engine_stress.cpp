@@ -76,12 +76,19 @@ ControlSetting setting_for(std::size_t i) {
   return {omega, current};
 }
 
+// Alternate a tight slope hold (0.0015 ≈ 0.05 K of drift at β = 0.03/K) with
+// the default, so steppers checked out of one pool switch tolerance.
+TransientOptions options_for(std::size_t i, TransientOptions opts) {
+  opts.relinearization_threshold =
+      i % 2 == 0 ? 0.0015 : kDefaultRelinearizationThreshold;
+  return opts;
+}
+
 TEST(TransientEngineStress, ConcurrentClosedLoopRunsAreIsolated) {
   const Workload w = make_workload(24.0);
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 0.2;
-  opts.relinearization_threshold = 0.05;
   const TransientEngine engine(model(), w.dynamic, w.leak, opts);
   const la::Vector init = engine.ambient_state();
 
@@ -91,7 +98,8 @@ TEST(TransientEngineStress, ConcurrentClosedLoopRunsAreIsolated) {
   // Single-threaded references, one per distinct setting.
   std::vector<TransientResult> expected;
   for (std::size_t i = 0; i < kThreads; ++i) {
-    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientSolver reference(model(), w.dynamic, w.leak,
+                                    options_for(i, opts));
     const ControlSetting s = setting_for(i);
     expected.push_back(reference.run_closed_loop(
         constant_control(s.omega, s.current), init));
@@ -100,11 +108,12 @@ TEST(TransientEngineStress, ConcurrentClosedLoopRunsAreIsolated) {
   std::vector<std::thread> threads;
   std::vector<std::vector<TransientResult>> got(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&engine, &init, &got, t] {
+    threads.emplace_back([&engine, &init, &got, &opts, t] {
       const ControlSetting s = setting_for(t);
       for (std::size_t r = 0; r < kRunsPerThread; ++r) {
         got[t].push_back(engine.run_closed_loop(
-            constant_control(s.omega, s.current), init));
+            constant_control(s.omega, s.current), init,
+            options_for(t, opts)));
       }
     });
   }
@@ -125,25 +134,23 @@ TEST(TransientEngineStress, ConcurrentBatchesBitIdenticalToSerial) {
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 0.15;
-  opts.relinearization_threshold = 0.1;
   const la::Vector init(model().layout().node_count(), 320.0);
 
   const auto make_jobs = [&] {
     std::vector<TransientJob> jobs(8);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const ControlSetting s = setting_for(i);
-      jobs[i] = {constant_control(s.omega, s.current), init, opts};
+      jobs[i] = {constant_control(s.omega, s.current), init,
+                 options_for(i / 2, opts)};
     }
     return jobs;
   };
 
   std::vector<TransientResult> serial;
-  {
-    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
-    for (const TransientJob& job : make_jobs()) {
-      serial.push_back(
-          reference.run_closed_loop(job.control, job.initial_temperatures));
-    }
+  for (const TransientJob& job : make_jobs()) {
+    const TransientSolver reference(model(), w.dynamic, w.leak, job.options);
+    serial.push_back(
+        reference.run_closed_loop(job.control, job.initial_temperatures));
   }
 
   // Two engines batching concurrently from two caller threads each — pool
