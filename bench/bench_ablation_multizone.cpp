@@ -3,7 +3,13 @@
 // (Sec. 6.1). Splitting the array into independently driven zones (integer
 // cluster / FP cluster / remaining core) lets the optimizer starve cool
 // zones while feeding the hot one — this bench quantifies the extra power
-// saving per benchmark.
+// saving per benchmark. Both columns are the same run_oftec, on a
+// CoolingSystem with the default single zone and one built with
+// ZonePartition::by_unit_cluster.
+//
+// Exit code 1 (reason on stderr) unless all 16 runs succeed, every 3-zone
+// 𝒫* is within kMaxRatio of its 1-zone 𝒫*, and every zone current lies in
+// [0, I_max].
 #include <cstdio>
 #include <iostream>
 
@@ -11,6 +17,23 @@
 #include "core/multizone.h"
 #include "util/strings.h"
 #include "util/table.h"
+
+namespace {
+
+/// Strictly more freedom cannot do worse, up to solver tolerance (the bound
+/// of MultiZone.BeatsOrMatchesSingleCurrentOftec).
+constexpr double kMaxRatio = 1.03;
+
+/// Every zone current of a run lies in [0, I_max].
+bool currents_in_box(const oftec::core::OftecResult& r,
+                     const oftec::core::CoolingSystem& system) {
+  for (const double current : r.zone_currents) {
+    if (!(current >= 0.0 && current <= system.current_max())) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   using namespace oftec;
@@ -30,6 +53,7 @@ int main() {
 
   double total_saving = 0.0;
   std::size_t comparable = 0;
+  bool ok = true;
   for (const workload::Benchmark b : workload::all_benchmarks()) {
     const auto& prof = workload::profile_for(b);
     const power::PowerMap peak = workload::peak_power_map(prof, fp);
@@ -39,10 +63,27 @@ int main() {
     const core::CoolingSystem scalar(fp, peak, paper_leakage(), cfg);
     const core::OftecResult r1 = core::run_oftec(scalar);
 
-    const core::MultiZoneSystem multi(
-        fp, peak, paper_leakage(),
-        core::ZonePartition::by_unit_cluster(fp, kGrid, kGrid), cfg);
-    const core::MultiZoneResult r3 = core::run_multizone_oftec(multi);
+    core::CoolingSystem::Config zoned = cfg;
+    zoned.zones = core::ZonePartition::by_unit_cluster(fp, kGrid, kGrid);
+    const core::CoolingSystem multi(fp, peak, paper_leakage(), zoned);
+    const core::OftecResult r3 = core::run_oftec(multi);
+
+    if (!r1.success || !r3.success) {
+      std::fprintf(stderr, "GATE %s: a run failed (1-zone %s, 3-zone %s)\n",
+                   prof.name.c_str(), r1.success ? "ok" : "FAIL",
+                   r3.success ? "ok" : "FAIL");
+      ok = false;
+    } else if (r3.power.total() > kMaxRatio * r1.power.total()) {
+      std::fprintf(stderr, "GATE %s: 3-zone P* %.6g W > %.2f x 1-zone %.6g W\n",
+                   prof.name.c_str(), r3.power.total(), kMaxRatio,
+                   r1.power.total());
+      ok = false;
+    }
+    if (!currents_in_box(r1, scalar) || !currents_in_box(r3, multi)) {
+      std::fprintf(stderr, "GATE %s: a zone current is outside [0, I_max]\n",
+                   prof.name.c_str());
+      ok = false;
+    }
 
     if (r1.success && r3.success) {
       ++comparable;
@@ -71,5 +112,8 @@ int main() {
                 100.0 * total_saving / static_cast<double>(comparable),
                 comparable);
   }
-  return 0;
+  std::fprintf(stderr, "gates (16 runs succeed, 3-zone P* <= %.2fx 1-zone, "
+               "zone currents in [0, I_max]): %s\n", kMaxRatio,
+               ok ? "pass" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -11,10 +11,12 @@
 // LUT) intended for CI: fast, but still touching every instrumented layer so
 // the emitted OFTEC_OBS report/trace artifacts are representative (see
 // tools/run_obs_smoke.cmake).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common.h"
 #include "core/dtm_loop.h"
@@ -203,40 +205,93 @@ int main(int argc, char** argv) {
     update_bench_artifact("dtm_constant_control", j);
 
     // run_batch: the same trace fanned as independent jobs across the pool.
+    // On a shared VM the first ≈1.2 s of concurrent work that follows
+    // seconds of single-threaded work runs 2–4× slower per thread (a plain
+    // ALU loop shows it too), so an untimed batch of at least kWarmupS
+    // comes first, and the speedup is the median over kPairs alternating
+    // (serial, batch) pairs. A job's time inside the batch runs from its
+    // first to its last control call (all but its final step).
+    constexpr double kWarmupS = 1.5;
+    constexpr int kPairs = 5;
     const std::size_t n_jobs = smoke ? 2 : 4;
+    struct Span {
+      double first_ms = -1.0;
+      double last_ms = 0.0;
+    };
+    std::vector<Span> spans(n_jobs);
+    const util::Stopwatch clock;
     std::vector<thermal::TransientJob> jobs(n_jobs);
-    for (thermal::TransientJob& job : jobs) {
-      job.control = constant;
-      job.initial_temperatures = init;
-      job.options = topt;
-    }
-    const util::Stopwatch serial_watch;
-    std::vector<thermal::TransientResult> serial;
-    serial.reserve(n_jobs);
-    for (const thermal::TransientJob& job : jobs) {
-      serial.push_back(engine.run_closed_loop(job.control,
-                                              job.initial_temperatures,
-                                              job.options));
-    }
-    const double serial_ms = serial_watch.elapsed_ms();
-    const util::Stopwatch batch_watch;
-    const std::vector<thermal::TransientResult> batched =
-        engine.run_batch(jobs);
-    const double batch_ms = batch_watch.elapsed_ms();
-    bool batch_identical = true;
     for (std::size_t i = 0; i < n_jobs; ++i) {
-      batch_identical =
-          batch_identical && results_identical(serial[i], batched[i]);
+      jobs[i].control = [&clock, span = &spans[i], setting](double, double) {
+        span->last_ms = clock.elapsed_ms();
+        if (span->first_ms < 0.0) span->first_ms = span->last_ms;
+        return setting;
+      };
+      jobs[i].initial_temperatures = init;
+      jobs[i].options = topt;
     }
-    std::printf("  run_batch (%zu jobs): serial %.1f ms, batched %.1f ms, "
-                "bit-identical: %s\n", n_jobs, serial_ms, batch_ms,
+    const util::Stopwatch warmup_watch;
+    while (warmup_watch.elapsed_s() < kWarmupS) (void)engine.run_batch(jobs);
+    const double warmup_s = warmup_watch.elapsed_s();
+
+    const auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    std::vector<double> serial_ms, batch_ms, speedups;
+    util::json::Value serial_job_ms = util::json::Value::array();
+    util::json::Value batch_job_ms = util::json::Value::array();
+    util::json::Value batch_job_start_ms = util::json::Value::array();
+    bool batch_identical = true;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      util::json::Value serial_jobs = util::json::Value::array();
+      std::vector<thermal::TransientResult> serial;
+      const util::Stopwatch serial_watch;
+      for (const thermal::TransientJob& job : jobs) {
+        const util::Stopwatch job_watch;
+        serial.push_back(engine.run_closed_loop(job.control,
+                                                job.initial_temperatures,
+                                                job.options));
+        serial_jobs.push_back(job_watch.elapsed_ms());
+      }
+      serial_ms.push_back(serial_watch.elapsed_ms());
+
+      spans.assign(n_jobs, Span{});
+      const double batch_start_ms = clock.elapsed_ms();
+      const std::vector<thermal::TransientResult> batched =
+          engine.run_batch(jobs);
+      batch_ms.push_back(clock.elapsed_ms() - batch_start_ms);
+      speedups.push_back(serial_ms.back() / batch_ms.back());
+
+      util::json::Value batch_jobs = util::json::Value::array();
+      util::json::Value batch_starts = util::json::Value::array();
+      for (std::size_t i = 0; i < n_jobs; ++i) {
+        batch_identical =
+            batch_identical && results_identical(serial[i], batched[i]);
+        batch_jobs.push_back(spans[i].last_ms - spans[i].first_ms);
+        batch_starts.push_back(spans[i].first_ms - batch_start_ms);
+      }
+      serial_job_ms.push_back(std::move(serial_jobs));
+      batch_job_ms.push_back(std::move(batch_jobs));
+      batch_job_start_ms.push_back(std::move(batch_starts));
+    }
+    const double batch_speedup = median(speedups);
+    std::printf("  run_batch (%zu jobs, median of %d pairs after a %.1f-s "
+                "warm-up batch): serial %.1f ms, batched %.1f ms, %.2fx, "
+                "bit-identical: %s\n", n_jobs, kPairs, warmup_s,
+                median(serial_ms), median(batch_ms), batch_speedup,
                 batch_identical ? "yes" : "NO (BUG)");
 
     util::json::Value jb = util::json::Value::object();
     jb["jobs"] = n_jobs;
-    jb["serial_ms"] = serial_ms;
-    jb["batch_ms"] = batch_ms;
-    jb["speedup"] = batch_ms > 0.0 ? serial_ms / batch_ms : 0.0;
+    jb["pairs"] = kPairs;
+    jb["warmup_s"] = warmup_s;
+    jb["serial_ms"] = median(serial_ms);
+    jb["batch_ms"] = median(batch_ms);
+    jb["speedup"] = batch_speedup;
+    jb["serial_job_ms"] = std::move(serial_job_ms);
+    jb["batch_job_ms"] = std::move(batch_job_ms);
+    jb["batch_job_start_ms"] = std::move(batch_job_start_ms);
     jb["bit_identical"] = batch_identical;
     // Scaling context: a 1.07x "speedup" on hardware_concurrency=1 is the
     // physical ceiling, not a regression — interpret the number against the

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "la/vector_ops.h"
 #include "util/obs.h"
@@ -100,31 +101,90 @@ CoolingSystem::CoolingSystem(const floorplan::Floorplan& fp,
           "' is " + (std::isfinite(w) ? "negative" : "not finite"));
     }
   }
+  const std::size_t cells = config.grid_nx * config.grid_ny;
+  std::optional<std::vector<bool>> coverage;  // empty → the default policy
+  if (config.zones) {
+    const ZonePartition& zones = *config.zones;
+    if (!config.package.has_tec || zones.zone_count == 0 ||
+        zones.zone_of_cell.size() != cells) {
+      throw std::invalid_argument(
+          "CoolingSystem: zones need a TEC package, at least one zone and "
+          "one entry per grid cell");
+    }
+    coverage.emplace(cells, false);
+    directions_.assign(zones.zone_count, la::Vector(cells, 0.0));
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      const std::size_t zone = zones.zone_of_cell[cell];
+      if (zone == ZonePartition::kUnzoned) continue;
+      if (zone >= zones.zone_count) {
+        throw std::invalid_argument("CoolingSystem: zone index out of range");
+      }
+      (*coverage)[cell] = true;
+      directions_[zone][cell] = 1.0;
+    }
+  } else if (config.package.has_tec) {
+    directions_.emplace_back(cells, 1.0);
+  }
   model_ = std::make_unique<thermal::ThermalModel>(
       std::move(config.package), fp, config.grid_nx, config.grid_ny,
-      std::move(config.tec_coverage));
+      std::move(coverage));
   solver_ = std::make_unique<thermal::SteadySolver>(
       *model_, model_->distribute(dynamic_power), model_->cell_leakage(leakage),
       config.steady);
   engine_ = std::make_unique<thermal::SolveEngine>(*solver_, config.engine);
 }
 
-void CoolingSystem::check_point(double omega, double current) const {
+la::Vector CoolingSystem::point_of(double omega,
+                                   const la::Vector& currents) const {
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("CoolingSystem::evaluate: omega out of range");
   }
-  if (!(current >= 0.0) || current > current_max() * (1.0 + 1e-9) ||
-      (!has_tec() && current != 0.0)) {
+  if (currents.size() != zone_count()) {
+    throw std::invalid_argument(
+        "CoolingSystem::evaluate: one current per TEC zone expected");
+  }
+  for (const double current : currents) {
+    if (!(current >= 0.0) || current > current_max() * (1.0 + 1e-9)) {
+      throw std::invalid_argument(
+          "CoolingSystem::evaluate: current out of range");
+    }
+  }
+  la::Vector point{omega};
+  point.insert(point.end(), currents.begin(), currents.end());
+  return point;
+}
+
+la::Vector CoolingSystem::single_current(double current) const {
+  if (zone_count() > 1) {
+    throw std::logic_error(
+        "CoolingSystem: a single current cannot drive " +
+        std::to_string(zone_count()) + " TEC zones");
+  }
+  if (zone_count() == 1) return {current};
+  if (current != 0.0) {
     throw std::invalid_argument(
         "CoolingSystem::evaluate: current out of range");
   }
+  return {};
 }
 
-const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
-  check_point(omega, current);
+la::Vector CoolingSystem::cell_currents(const la::Vector& currents) const {
+  if (currents.size() != zone_count()) {
+    throw std::invalid_argument(
+        "CoolingSystem::cell_currents: one current per TEC zone expected");
+  }
+  la::Vector cell_current(model_->layout().cells_per_layer(), 0.0);
+  for (std::size_t z = 0; z < directions_.size(); ++z) {
+    la::axpy(currents[z], directions_[z], cell_current);
+  }
+  return cell_current;
+}
+
+const Evaluation& CoolingSystem::evaluate(double omega,
+                                          const la::Vector& currents) const {
+  la::Vector point = point_of(omega, currents);
   g_obs_evaluations.add();
-  const auto key = std::make_pair(omega, current);
-  if (const Evaluation* hit = memo_.find(key)) {
+  if (const Evaluation* hit = memo_.find(point)) {
     g_obs_cache_hits.add();
     if (obs::enabled()) {
       const auto hits = static_cast<double>(memo_.hits());
@@ -135,20 +195,27 @@ const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
   }
 
   // Solve outside the lock — the engine is internally synchronized, and the
-  // solve is a pure function of (ω, I), so concurrent duplicate solves of
-  // the same point produce identical Evaluations.
-  thermal::SteadyResult sr = engine_->solve({omega, current});
+  // solve is a pure function of the point, so concurrent duplicate solves
+  // of the same point produce identical Evaluations.
+  thermal::SteadyResult sr =
+      engine_->solve_cells(omega, cell_currents(currents));
   Evaluation ev = make_evaluation(*model_, sr, omega);
-  return memo_.insert(key, std::move(ev), std::move(sr.temperatures));
+  return memo_.insert(std::move(point), std::move(ev),
+                      std::move(sr.temperatures));
+}
+
+const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
+  return evaluate(omega, single_current(current));
+}
+
+EvaluationGradient CoolingSystem::gradient(double omega,
+                                           const la::Vector& currents) const {
+  return memo_.gradient(point_of(omega, currents), *engine_,
+                        cell_currents(currents), directions_);
 }
 
 EvaluationGradient CoolingSystem::gradient(double omega, double current) const {
-  check_point(omega, current);
-  const la::Vector cell_current(model_->layout().cells_per_layer(), current);
-  std::vector<la::Vector> directions;
-  if (has_tec()) directions.emplace_back(cell_current.size(), 1.0);
-  return memo_.gradient({omega, current}, *engine_, omega, cell_current,
-                        directions);
+  return gradient(omega, single_current(current));
 }
 
 double CoolingSystem::t_max() const noexcept { return model_->config().t_max; }

@@ -2,10 +2,13 @@
 //
 // Binds one workload (max dynamic-power map + leakage model) to one package
 // on one floorplan, and evaluates the two quantities OFTEC's formulations
-// need at a given (ω, I_TEC):
-//   𝒯(ω, I) — maximum chip-layer temperature (Optimization 2 objective,
-//              Optimization 1 constraint), +inf in thermal runaway;
-//   𝒫(ω, I) — cooling-related power P_leakage + P_TEC + P_fan (Eq. 10).
+// need at a decision point (ω, I₁ … I_Z):
+//   𝒯 — maximum chip-layer temperature (Optimization 2 objective,
+//        Optimization 1 constraint), +inf in thermal runaway;
+//   𝒫 — cooling-related power P_leakage + P_TEC + P_fan (Eq. 10).
+// Z is the number of independently driven TEC zones: 0 for a fan-only
+// package, 1 by default (the paper's one series current, Sec. 6.1), or the
+// zone count of a ZonePartition given in Config::zones (multizone.h).
 // Evaluations are memoized: the SQP evaluates 𝒯 and 𝒫 at identical points
 // (objective + constraint), and each uncached point costs a full nonlinear
 // thermal solve. The optimizers' gradients ∂𝒯/∂(ω, I) and ∂𝒫/∂(ω, I) are
@@ -24,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/multizone.h"
 #include "floorplan/floorplan.h"
 #include "package/package_config.h"
 #include "power/leakage.h"
@@ -96,14 +100,13 @@ struct GradientStats {
   std::size_t resolves = 0;    ///< the state had left the ring: re-solved
 };
 
-/// Memo of Evaluations by operating point, shared by CoolingSystem and
-/// MultiZoneSystem. Each entry keeps the point's Evaluation and, once asked
-/// for, its EvaluationGradient (2·(1 + Z) doubles); it is cleared wholesale
-/// when it reaches `limit` entries and holds no node vectors. Beside it, a
-/// ring of the kStates most recent fresh solves keeps their converged
-/// temperatures, which is where a point's first gradient request finds the
-/// state to differentiate. Internally synchronized.
-template <typename Key>
+/// Memo of Evaluations by decision point (ω, I₁ … I_Z). Each entry keeps
+/// the point's Evaluation and, once asked for, its EvaluationGradient
+/// (2·(1 + Z) doubles); it is cleared wholesale when it reaches `limit`
+/// entries and holds no node vectors. Beside it, a ring of the kStates most
+/// recent fresh solves keeps their converged temperatures, which is where a
+/// point's first gradient request finds the state to differentiate.
+/// Internally synchronized.
 class PointMemo {
  public:
   static constexpr std::size_t kStates = 4;
@@ -112,7 +115,7 @@ class PointMemo {
       : limit_(std::max<std::size_t>(limit, 1)) {}
 
   /// The memoized Evaluation at `key` (counted as a hit), or nullptr.
-  [[nodiscard]] const Evaluation* find(const Key& key) {
+  [[nodiscard]] const Evaluation* find(const la::Vector& key) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end()) return nullptr;
@@ -123,22 +126,25 @@ class PointMemo {
   /// Record a fresh solve at `key` with its converged node temperatures;
   /// returns the memoized Evaluation. The reference stays valid until the
   /// memo next fills up and is cleared.
-  const Evaluation& insert(Key key, Evaluation ev, la::Vector temperatures) {
+  const Evaluation& insert(la::Vector key, Evaluation ev,
+                           la::Vector temperatures) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++solves_;
     if (!ev.runaway) remember(key, std::move(temperatures));
     return emplace(std::move(key), std::move(ev)).evaluation;
   }
 
-  /// ∂𝒯 and ∂𝒫 at `key` = (ω, cell_current), one entry for ω and one per
-  /// current direction. A gradient already in the point's entry is returned
-  /// as is; otherwise the converged state comes from the ring, or, when it
-  /// has left the ring, from a re-solve (bit-identical: solves are pure
-  /// functions of the point), which is memoized and counted as a solve.
+  /// ∂𝒯 and ∂𝒫 at `key` = (ω, I₁ … I_Z), whose per-cell currents are
+  /// `cell_current`: one entry for ω and one per current direction. A
+  /// gradient already in the point's entry is returned as is; otherwise the
+  /// converged state comes from the ring, or, when it has left the ring,
+  /// from a re-solve (bit-identical: solves are pure functions of the
+  /// point), which is memoized and counted as a solve.
   [[nodiscard]] EvaluationGradient gradient(
-      const Key& key, const thermal::SolveEngine& engine, double omega,
+      const la::Vector& key, const thermal::SolveEngine& engine,
       const la::Vector& cell_current,
       const std::vector<la::Vector>& directions) {
+    const double omega = key.front();
     la::Vector temperatures;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -206,7 +212,7 @@ class PointMemo {
   };
 
   // Callers hold mutex_.
-  Entry& emplace(Key key, Evaluation ev) {
+  Entry& emplace(la::Vector key, Evaluation ev) {
     if (const auto it = entries_.find(key); it != entries_.end()) {
       return it->second;  // a concurrent solve of the same point got here
     }
@@ -214,15 +220,15 @@ class PointMemo {
     return entries_.emplace(std::move(key), Entry{std::move(ev), {}})
         .first->second;
   }
-  void remember(const Key& key, la::Vector temperatures) {
+  void remember(const la::Vector& key, la::Vector temperatures) {
     if (states_.size() == kStates) states_.pop_back();
     states_.emplace_front(key, std::move(temperatures));
   }
 
   std::size_t limit_;
   mutable std::mutex mutex_;
-  std::map<Key, Entry> entries_;
-  std::deque<std::pair<Key, la::Vector>> states_;  // front = most recent
+  std::map<la::Vector, Entry> entries_;
+  std::deque<std::pair<la::Vector, la::Vector>> states_;  // front = most recent
   std::size_t solves_ = 0;
   std::size_t hits_ = 0;
   GradientStats gradient_stats_;
@@ -241,9 +247,11 @@ class CoolingSystem {
     /// factor cache).
     thermal::EngineOptions engine;
     std::size_t cache_limit = 1 << 14;
-    /// Explicit TEC placement; empty → the paper's default policy (cover
-    /// every core-majority cell).
-    std::optional<std::vector<bool>> tec_coverage;
+    /// TEC placement and wiring: the zoned cells are the covered ones, and
+    /// each zone is driven by its own current. Empty → the paper's policy:
+    /// every core-majority cell covered, all TECs on one series current.
+    /// Must stay empty for packages without TECs.
+    std::optional<ZonePartition> zones;
 
     Config() : package(package::PackageConfig::paper_default()) {}
   };
@@ -253,24 +261,31 @@ class CoolingSystem {
                 const power::PowerMap& dynamic_power,
                 const power::LeakageModel& leakage, Config config = {});
 
-  /// Evaluate (memoized). ω in [0, ω_max] rad/s, I in [0, I_max] A; I must be
-  /// 0 for packages without TECs.
+  /// Evaluate (memoized) at fan speed ω in [0, ω_max] rad/s and one current
+  /// per TEC zone, each in [0, I_max] A (`currents.size()` = zone_count()).
   ///
   /// Solves run through the batched SolveEngine from a fixed initial guess,
-  /// so every evaluation is a pure function of (ω, I): results are identical
-  /// regardless of call order or thread count. Safe to call concurrently;
-  /// the returned reference stays valid until the memo cache overflows
-  /// `cache_limit` entries and is evicted wholesale — callers that hold
-  /// references across that many distinct evaluations must copy.
+  /// so every evaluation is a pure function of (ω, I₁ … I_Z): results are
+  /// identical regardless of call order or thread count. Safe to call
+  /// concurrently; the returned reference stays valid until the memo cache
+  /// overflows `cache_limit` entries and is evicted wholesale — callers
+  /// that hold references across that many distinct evaluations must copy.
+  [[nodiscard]] const Evaluation& evaluate(double omega,
+                                           const la::Vector& currents) const;
+  /// The single-current form, for Z ≤ 1: I must be 0 for packages without
+  /// TECs. Throws std::logic_error when the system has several zones.
   [[nodiscard]] const Evaluation& evaluate(double omega, double current) const;
 
-  /// Exact ∂𝒯 and ∂𝒫 at (ω, I): entries (ω) for fan-only packages, (ω, I)
-  /// for hybrid ones; I = 0 gives the right derivative. Memoized with the
-  /// point's Evaluation; the first request costs one tangent solve per
-  /// entry (thermal::SolveEngine::tangents) from the converged state of a
-  /// recent evaluate() at the same point. When that state has left the
-  /// ring, the point is re-solved, which reproduces it bit for bit and
-  /// counts in evaluation_count(). Thread-safe.
+  /// Exact ∂𝒯 and ∂𝒫 at (ω, I₁ … I_Z): one entry for ω, then one per zone;
+  /// I_z = 0 gives the right derivative. Memoized with the point's
+  /// Evaluation; the first request costs one tangent solve per entry
+  /// (thermal::SolveEngine::tangents) from the converged state of a recent
+  /// evaluate() at the same point. When that state has left the ring, the
+  /// point is re-solved, which reproduces it bit for bit and counts in
+  /// evaluation_count(). Thread-safe.
+  [[nodiscard]] EvaluationGradient gradient(double omega,
+                                            const la::Vector& currents) const;
+  /// The single-current form, for Z ≤ 1 (see evaluate(double, double)).
   [[nodiscard]] EvaluationGradient gradient(double omega, double current) const;
 
   [[nodiscard]] double t_max() const noexcept;     ///< [K]
@@ -278,6 +293,14 @@ class CoolingSystem {
   [[nodiscard]] double omega_max() const noexcept; ///< [rad/s]
   [[nodiscard]] double current_max() const noexcept;  ///< [A]; 0 if no TECs
   [[nodiscard]] bool has_tec() const noexcept;
+  /// Independently driven TEC zones Z: 0 without TECs, 1 by default.
+  [[nodiscard]] std::size_t zone_count() const noexcept {
+    return directions_.size();
+  }
+  /// The per-cell currents the engine solves for: Σ_z I_z·d_z, where the
+  /// direction d_z is zone z's indicator, or 1 on every cell for the
+  /// default single zone (uncovered cells' currents are never read).
+  [[nodiscard]] la::Vector cell_currents(const la::Vector& currents) const;
 
   [[nodiscard]] const thermal::ThermalModel& thermal_model() const noexcept {
     return *model_;
@@ -305,12 +328,17 @@ class CoolingSystem {
   }
 
  private:
-  void check_point(double omega, double current) const;
+  /// The validated memo key (ω, I₁ … I_Z).
+  [[nodiscard]] la::Vector point_of(double omega,
+                                    const la::Vector& currents) const;
+  /// (I), or () without TECs, for the single-current forms.
+  [[nodiscard]] la::Vector single_current(double current) const;
 
   std::unique_ptr<thermal::ThermalModel> model_;
   std::unique_ptr<thermal::SteadySolver> solver_;
   std::unique_ptr<thermal::SolveEngine> engine_;
-  mutable PointMemo<std::pair<double, double>> memo_;
+  std::vector<la::Vector> directions_;  ///< ∂(cell currents)/∂I_z
+  mutable PointMemo memo_;
 };
 
 }  // namespace oftec::core

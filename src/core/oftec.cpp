@@ -1,6 +1,7 @@
 #include "core/oftec.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/problems.h"
@@ -35,6 +36,12 @@ std::string solver_name(Solver s) {
 }
 
 namespace {
+
+/// OftecResult::current of a point's zone currents.
+[[nodiscard]] double shared_current(const la::Vector& zone_currents) {
+  if (zone_currents.size() > 1) return std::numeric_limits<double>::quiet_NaN();
+  return zone_currents.empty() ? 0.0 : zone_currents[0];
+}
 
 [[nodiscard]] opt::OptResult dispatch(Solver solver, const opt::Problem& problem,
                                       const la::Vector& x0,
@@ -71,11 +78,12 @@ MinTemperatureResult run_min_temperature(const CoolingSystem& system,
 
   MinTemperatureResult result;
   result.omega = opt2.omega_of(r.x);
-  result.current = opt2.current_of(r.x);
+  result.zone_currents = opt2.currents_of(r.x);
+  result.current = shared_current(result.zone_currents);
   result.max_chip_temperature = r.objective;
   result.finite = std::isfinite(r.objective);
   if (result.finite) {
-    result.power = system.evaluate(result.omega, result.current).power;
+    result.power = system.evaluate(result.omega, result.zone_currents).power;
   }
   result.runtime_ms = watch.elapsed_ms();
   result.thermal_solves = system.evaluation_count() - solves_before;
@@ -127,11 +135,11 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
       result.status = is_definitive(r2.status) ? SolveStatus::kRunaway
                                                : r2.status;
       result.opt2_omega = opt2.omega_of(x);
-      result.opt2_current = opt2.current_of(x);
+      result.opt2_current = shared_current(opt2.currents_of(x));
       result.opt2_temperature = temperature;
       if (std::isfinite(temperature)) {
         result.opt2_power =
-            system.evaluate(result.opt2_omega, result.opt2_current).power;
+            system.evaluate(result.opt2_omega, opt2.currents_of(x)).power;
       }
       result.runtime_ms = watch.elapsed_ms();
       result.thermal_solves = system.evaluation_count() - solves_before;
@@ -144,10 +152,10 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
     }
   }
   result.opt2_omega = opt2.omega_of(x);
-  result.opt2_current = opt2.current_of(x);
+  result.opt2_current = shared_current(opt2.currents_of(x));
   result.opt2_temperature = temperature;
   result.opt2_power =
-      system.evaluate(result.opt2_omega, result.opt2_current).power;
+      system.evaluate(result.opt2_omega, opt2.currents_of(x)).power;
 
   // Line 6: minimize cooling power from the feasible start.
   OBS_SPAN("oftec.opt1");
@@ -157,16 +165,17 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
   // the Optimization 2 point, which is feasible by construction.
   la::Vector x_star = r1.x;
   const Evaluation* ev = &system.evaluate(opt1.omega_of(x_star),
-                                          opt1.current_of(x_star));
+                                          opt1.currents_of(x_star));
   if (ev->runaway || !(ev->max_chip_temperature < t_max)) {
     x_star = x;
-    ev = &system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
+    ev = &system.evaluate(opt1.omega_of(x_star), opt1.currents_of(x_star));
   }
 
   result.success = true;
   result.status = SolveStatus::kOk;
   result.omega = opt1.omega_of(x_star);
-  result.current = opt1.current_of(x_star);
+  result.zone_currents = opt1.currents_of(x_star);
+  result.current = shared_current(result.zone_currents);
   result.max_chip_temperature = ev->max_chip_temperature;
   result.power = ev->power;
   result.runtime_ms = watch.elapsed_ms();

@@ -8,8 +8,11 @@
 //   5. x* ← active-set SQP on Optimization 1 from x1
 //   6. return (ω*, I_TEC*)
 //
-// The NLP engine is pluggable (SQP / interior point / trust region /
-// exhaustive search) to reproduce the paper's solver comparison.
+// The same run serves every CoolingSystem: x = (ω) for a fan-only package,
+// (ω, I_TEC) for the paper's single series current, and (ω, I₁ … I_Z) for
+// a system built with a ZonePartition (multizone.h). The NLP engine is
+// pluggable (SQP / interior point / trust region / exhaustive search) to
+// reproduce the paper's solver comparison.
 #pragma once
 
 #include <string>
@@ -48,11 +51,14 @@ struct OftecResult {
   SolveStatus status = SolveStatus::kNotConverged;
   bool used_opt2 = false;    ///< the bootstrap phase ran
   double omega = 0.0;        ///< ω* [rad/s]
-  double current = 0.0;      ///< I_TEC* [A]
+  /// I_TEC* [A] of a single-current system (0 when fan-only); NaN when the
+  /// system drives several TEC zones — read zone_currents instead.
+  double current = 0.0;
+  la::Vector zone_currents;  ///< (I₁* … I_Z*) [A]; empty when fan-only
   double max_chip_temperature = 0.0;  ///< 𝒯 at the solution [K]
   CoolingBreakdown power;    ///< 𝒫 breakdown at the solution
   /// 𝒯-minimizing point found by the Optimization 2 phase (valid when
-  /// used_opt2; equals the start otherwise).
+  /// used_opt2; equals the start otherwise). opt2_current follows `current`.
   double opt2_omega = 0.0;
   double opt2_current = 0.0;
   double opt2_temperature = 0.0;
@@ -61,10 +67,11 @@ struct OftecResult {
   std::size_t thermal_solves = 0;  ///< uncached simulator invocations
 };
 
-/// Run Algorithm 1 on a hybrid (TEC + fan) system. Also accepts fan-only
-/// systems (decision vector degenerates to ω) — that is exactly the paper's
-/// variable-ω baseline ("the speed is set using a method similar to OFTEC
-/// with the difference that no TEC current is required to be found").
+/// Run Algorithm 1 on a hybrid (TEC + fan) system, over one current per TEC
+/// zone. Also accepts fan-only systems (decision vector degenerates to ω) —
+/// that is exactly the paper's variable-ω baseline ("the speed is set using
+/// a method similar to OFTEC with the difference that no TEC current is
+/// required to be found").
 [[nodiscard]] OftecResult run_oftec(const CoolingSystem& system,
                                     const OftecOptions& options = {});
 
@@ -75,14 +82,16 @@ struct OftecResult {
 struct MinTemperatureResult {
   bool finite = false;  ///< a non-runaway operating point was found
   double omega = 0.0;
-  double current = 0.0;
+  double current = 0.0;      ///< as OftecResult::current
+  la::Vector zone_currents;  ///< as OftecResult::zone_currents
   double max_chip_temperature = 0.0;  ///< the minimized 𝒯 [K]
   CoolingBreakdown power;             ///< 𝒫 at the 𝒯-minimizing point
   double runtime_ms = 0.0;
   std::size_t thermal_solves = 0;
 };
 
-/// Minimize 𝒯(ω, I) to convergence (Optimization 2 run in isolation).
+/// Minimize 𝒯(ω, I₁ … I_Z) to convergence (Optimization 2 run in
+/// isolation).
 [[nodiscard]] MinTemperatureResult run_min_temperature(
     const CoolingSystem& system, const OftecOptions& options = {});
 

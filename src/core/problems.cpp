@@ -1,6 +1,7 @@
 #include "core/problems.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace oftec::core {
 
@@ -12,13 +13,9 @@ CoolingProblem::CoolingProblem(const CoolingSystem& system, Objective objective,
       temperature_constraint_(temperature_constraint),
       strictness_(strictness),
       t_max_(t_max_override > 0.0 ? t_max_override : system.t_max()) {
-  if (system.has_tec()) {
-    bounds_.lower = {0.0, 0.0};
-    bounds_.upper = {system.omega_max(), system.current_max()};
-  } else {
-    bounds_.lower = {0.0};
-    bounds_.upper = {system.omega_max()};
-  }
+  bounds_.lower.assign(1 + system.zone_count(), 0.0);
+  bounds_.upper.assign(1 + system.zone_count(), system.current_max());
+  bounds_.upper[0] = system.omega_max();
 }
 
 std::size_t CoolingProblem::dimension() const {
@@ -38,27 +35,36 @@ double CoolingProblem::omega_of(const la::Vector& x) const {
   return x[0];
 }
 
-double CoolingProblem::current_of(const la::Vector& x) const {
+la::Vector CoolingProblem::currents_of(const la::Vector& x) const {
   if (x.size() != dimension()) {
     throw std::invalid_argument("CoolingProblem: bad decision vector");
   }
-  return dimension() == 2 ? x[1] : 0.0;
+  return la::Vector(x.begin() + 1, x.end());
+}
+
+double CoolingProblem::current_of(const la::Vector& x) const {
+  if (dimension() > 2) {
+    throw std::logic_error("CoolingProblem: no single current for " +
+                           std::to_string(dimension() - 1) + " TEC zones");
+  }
+  const la::Vector currents = currents_of(x);
+  return currents.empty() ? 0.0 : currents[0];
 }
 
 double CoolingProblem::objective(const la::Vector& x) const {
-  const Evaluation& ev = system_->evaluate(omega_of(x), current_of(x));
+  const Evaluation& ev = system_->evaluate(omega_of(x), currents_of(x));
   return objective_ == Objective::kCoolingPower ? ev.cooling_power()
                                                 : ev.max_chip_temperature;
 }
 
 la::Vector CoolingProblem::constraints(const la::Vector& x) const {
   if (!temperature_constraint_) return {};
-  const Evaluation& ev = system_->evaluate(omega_of(x), current_of(x));
+  const Evaluation& ev = system_->evaluate(omega_of(x), currents_of(x));
   return {ev.max_chip_temperature - (t_max_ - strictness_)};
 }
 
 opt::Gradients CoolingProblem::gradients(const la::Vector& x) const {
-  EvaluationGradient g = system_->gradient(omega_of(x), current_of(x));
+  EvaluationGradient g = system_->gradient(omega_of(x), currents_of(x));
   opt::Gradients out;
   if (temperature_constraint_) {
     out.constraints.push_back(g.max_chip_temperature);

@@ -1,7 +1,9 @@
 // Optimization 1 and 2 as opt::Problem instances.
 //
-// Decision vector: x = (ω) for fan-only packages, x = (ω, I_TEC) for hybrid
-// ones. Two objective choices cover both of the paper's formulations:
+// Decision vector: x = (ω, I₁ … I_Z), one current per TEC zone of the
+// system: x = (ω) for fan-only packages, x = (ω, I_TEC) for the paper's
+// single series current. Two objective choices cover both of the paper's
+// formulations:
 //   Optimization 1: minimize 𝒫, subject to 𝒯 ≤ T_max   (kCoolingPower + constraint)
 //   Optimization 2: minimize 𝒯, box constraints only    (kMaxTemperature)
 #pragma once
@@ -35,6 +37,10 @@ class CoolingProblem final : public opt::Problem {
 
   /// Decode the decision vector.
   [[nodiscard]] double omega_of(const la::Vector& x) const;
+  /// (I₁ … I_Z); empty for fan-only packages.
+  [[nodiscard]] la::Vector currents_of(const la::Vector& x) const;
+  /// The one current of a Z ≤ 1 system (0 when fan-only); throws
+  /// std::logic_error when the system has several zones.
   [[nodiscard]] double current_of(const la::Vector& x) const;
 
   [[nodiscard]] const CoolingSystem& system() const noexcept {
@@ -44,7 +50,7 @@ class CoolingProblem final : public opt::Problem {
   /// Threshold actually enforced (override or the system's T_max) [K].
   [[nodiscard]] double t_max() const noexcept { return t_max_; }
 
-  /// Midpoint of the box — Algorithm 1's initial guess (ω_max/2, I_max/2).
+  /// Midpoint of the box — Algorithm 1's initial guess (ω_max/2, I_max/2, …).
   [[nodiscard]] la::Vector midpoint() const;
 
  private:

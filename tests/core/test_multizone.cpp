@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
+#include "core/cooling_system.h"
+#include "core/oftec.h"
+#include "core/problems.h"
 #include "floorplan/grid_map.h"
 #include "test_fixtures.h"
 
@@ -12,6 +18,30 @@ using testing::benchmark_power;
 using testing::coarse_config;
 using testing::fp;
 using testing::leakage;
+
+/// `config` with the TEC array split into the int / fp / misc clusters.
+CoolingSystem::Config cluster_config(CoolingSystem::Config config =
+                                         coarse_config()) {
+  config.zones =
+      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny);
+  return config;
+}
+
+CoolingSystem::Config single_zone_config(CoolingSystem::Config config) {
+  config.zones =
+      ZonePartition::single_zone(fp(), config.grid_nx, config.grid_ny);
+  return config;
+}
+
+void expect_same_bits(const Evaluation& a, const Evaluation& b) {
+  EXPECT_EQ(a.runaway, b.runaway);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.max_chip_temperature, b.max_chip_temperature);
+  EXPECT_EQ(a.power.leakage, b.power.leakage);
+  EXPECT_EQ(a.power.tec, b.power.tec);
+  EXPECT_EQ(a.power.fan, b.power.fan);
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+}
 
 TEST(ZonePartition, ClusterPartitionCoversExactlyTheDefaultCoverage) {
   const ZonePartition part = ZonePartition::by_unit_cluster(fp(), 8, 8);
@@ -38,46 +68,50 @@ TEST(ZonePartition, EveryZoneIsNonEmptyOnEv6) {
 }
 
 TEST(ZonePartition, ExpandRoutesCurrentsByZone) {
-  const ZonePartition part = ZonePartition::by_unit_cluster(fp(), 8, 8);
-  const la::Vector cell_current = part.expand({1.0, 2.0, 3.0});
+  // The engine sees each zone's current on that zone's cells and none
+  // elsewhere; the default single zone puts its current on every cell, as
+  // SolveEngine::solve({ω, I}) does, so both share factor-cache keys.
+  const CoolingSystem::Config config = cluster_config();
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), config);
+  const la::Vector cell_current = sys.cell_currents({1.0, 2.0, 3.0});
+  const ZonePartition& part = *config.zones;
+  ASSERT_EQ(cell_current.size(), part.zone_of_cell.size());
   for (std::size_t cell = 0; cell < part.zone_of_cell.size(); ++cell) {
     const std::size_t z = part.zone_of_cell[cell];
     if (z == ZonePartition::kUnzoned) {
-      EXPECT_DOUBLE_EQ(cell_current[cell], 0.0);
+      EXPECT_EQ(cell_current[cell], 0.0);
     } else {
-      EXPECT_DOUBLE_EQ(cell_current[cell], static_cast<double>(z + 1));
+      EXPECT_EQ(cell_current[cell], static_cast<double>(z + 1));
     }
   }
-  EXPECT_THROW((void)part.expand({1.0}), std::invalid_argument);
+  EXPECT_THROW((void)sys.cell_currents({1.0}), std::invalid_argument);
+
+  const CoolingSystem scalar = testing::make_system(workload::Benchmark::kFft);
+  EXPECT_EQ(scalar.cell_currents({0.7}),
+            la::Vector(part.zone_of_cell.size(), 0.7));
 }
 
 TEST(MultiZone, SingleZoneMatchesScalarSystem) {
-  // With one zone the multi-zone machinery must reproduce CoolingSystem.
+  // With one zone the partition must reproduce the default system bit for
+  // bit: uncovered cells' currents are never read.
   const auto power = benchmark_power(workload::Benchmark::kFft);
   const auto config = coarse_config();
-  const MultiZoneSystem multi(
-      fp(), power, leakage(),
-      ZonePartition::single_zone(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem multi(fp(), power, leakage(),
+                            single_zone_config(config));
   const CoolingSystem scalar(fp(), power, leakage(), config);
+  ASSERT_EQ(multi.zone_count(), 1u);
 
   for (const double current : {0.0, 0.8, 2.0}) {
-    const Evaluation& em = multi.evaluate(400.0, {current});
-    const Evaluation& es = scalar.evaluate(400.0, current);
-    ASSERT_EQ(em.runaway, es.runaway) << current;
-    if (!em.runaway) {
-      EXPECT_NEAR(em.max_chip_temperature, es.max_chip_temperature, 1e-6);
-      EXPECT_NEAR(em.power.tec, es.power.tec, 1e-6);
-    }
+    SCOPED_TRACE(current);
+    expect_same_bits(multi.evaluate(400.0, la::Vector{current}),
+                     scalar.evaluate(400.0, current));
   }
 }
 
 TEST(MultiZone, EvaluationIsMemoized) {
-  const auto config = coarse_config();
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cluster_config());
   (void)sys.evaluate(400.0, {1.0, 0.5, 0.0});
   const std::size_t solves = sys.evaluation_count();
   (void)sys.evaluate(400.0, {1.0, 0.5, 0.0});
@@ -87,24 +121,20 @@ TEST(MultiZone, EvaluationIsMemoized) {
 }
 
 TEST(MultiZone, EngineOptionsReachTheEngine) {
-  CoolingSystem::Config config = coarse_config();
+  CoolingSystem::Config config = cluster_config();
   config.engine.use_iterative = false;
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), config);
   ASSERT_FALSE(sys.evaluate(400.0, {1.0, 0.5, 0.0}).runaway);
   EXPECT_GT(sys.engine().stats().direct_fallbacks, 0u);
   EXPECT_EQ(sys.engine().stats().cg_iterations, 0u);
 }
 
 TEST(MultiZone, MemoNeverExceedsCacheLimit) {
-  CoolingSystem::Config config = coarse_config();
+  CoolingSystem::Config config = cluster_config();
   config.cache_limit = 3;
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), config);
   for (std::size_t k = 0; k < 10; ++k) {
     (void)sys.evaluate(400.0, {0.2 * static_cast<double>(k), 0.5, 0.0});
     EXPECT_LE(sys.memo_size(), 3u);
@@ -116,13 +146,12 @@ TEST(MultiZone, ZoneGradientMatchesCentralDifferences) {
   CoolingSystem::Config config = coarse_config();
   config.steady.tolerance = 1e-10;
   config.steady.iterative_tolerance = 1e-12;
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kBitCount), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem sys(fp(),
+                          benchmark_power(workload::Benchmark::kBitCount),
+                          leakage(), cluster_config(config));
   const la::Vector x = {300.0, 1.0, 0.8, 0.6};
-  const MultiZoneProblem problem(
-      sys, MultiZoneProblem::Objective::kCoolingPower, true);
+  const CoolingProblem problem(sys, CoolingProblem::Objective::kCoolingPower,
+                               true);
   const opt::Gradients g = problem.gradients(x);
   ASSERT_EQ(g.objective.size(), 4u);
   ASSERT_EQ(g.constraints.size(), 1u);
@@ -145,11 +174,9 @@ TEST(MultiZone, ZoneGradientMatchesCentralDifferences) {
 TEST(MultiZone, ZonedCurrentCoolsItsOwnCluster) {
   // Feeding only the integer zone must cool an integer-bound workload more
   // than feeding only the FP zone with the same current.
-  const auto config = coarse_config();
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kBitCount), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem sys(fp(),
+                          benchmark_power(workload::Benchmark::kBitCount),
+                          leakage(), cluster_config());
   const Evaluation& int_fed = sys.evaluate(450.0, {1.5, 0.0, 0.0});
   const Evaluation& fp_fed = sys.evaluate(450.0, {0.0, 1.5, 0.0});
   ASSERT_FALSE(int_fed.runaway);
@@ -158,13 +185,9 @@ TEST(MultiZone, ZonedCurrentCoolsItsOwnCluster) {
 }
 
 TEST(MultiZone, ProblemDimensions) {
-  const auto config = coarse_config();
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kFft), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
-  const MultiZoneProblem p(sys, MultiZoneProblem::Objective::kCoolingPower,
-                           true);
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cluster_config());
+  const CoolingProblem p(sys, CoolingProblem::Objective::kCoolingPower, true);
   EXPECT_EQ(p.dimension(), 4u);
   EXPECT_EQ(p.constraint_count(), 1u);
   EXPECT_DOUBLE_EQ(p.bounds().upper[0], sys.omega_max());
@@ -172,15 +195,31 @@ TEST(MultiZone, ProblemDimensions) {
   const la::Vector mid = p.midpoint();
   EXPECT_NEAR(mid[0], sys.omega_max() / 2.0, 1e-12);
   EXPECT_NEAR(mid[2], sys.current_max() / 2.0, 1e-12);
+  EXPECT_EQ(p.currents_of(mid), la::Vector(mid.begin() + 1, mid.end()));
+}
+
+TEST(MultiZone, SingleCurrentFormsThrowOnSeveralZones) {
+  // One current cannot stand for three: the single-current accessors throw
+  // instead of answering for one zone.
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cluster_config());
+  EXPECT_THROW((void)sys.evaluate(400.0, 1.0), std::logic_error);
+  EXPECT_THROW((void)sys.gradient(400.0, 1.0), std::logic_error);
+  const CoolingProblem p(sys, CoolingProblem::Objective::kCoolingPower, true);
+  EXPECT_THROW((void)p.current_of(p.midpoint()), std::logic_error);
+  EXPECT_THROW((void)sys.evaluate(400.0, {1.0, 0.5}), std::invalid_argument);
+
+  CoolingSystem::Config fan_only = cluster_config(coarse_config(false));
+  EXPECT_THROW(CoolingSystem(fp(), benchmark_power(workload::Benchmark::kFft),
+                             leakage(), fan_only),
+               std::invalid_argument);
 }
 
 TEST(MultiZone, OftecSucceedsAndMeetsTmax) {
-  const auto config = coarse_config();
-  const MultiZoneSystem sys(
-      fp(), benchmark_power(workload::Benchmark::kQuicksort), leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
-  const MultiZoneResult r = run_multizone_oftec(sys);
+  const CoolingSystem sys(fp(),
+                          benchmark_power(workload::Benchmark::kQuicksort),
+                          leakage(), cluster_config());
+  const OftecResult r = run_oftec(sys);
   ASSERT_TRUE(r.success);
   EXPECT_LT(r.max_chip_temperature, sys.t_max());
   ASSERT_EQ(r.zone_currents.size(), 3u);
@@ -188,23 +227,48 @@ TEST(MultiZone, OftecSucceedsAndMeetsTmax) {
     EXPECT_GE(current, 0.0);
     EXPECT_LE(current, sys.current_max() + 1e-9);
   }
+  EXPECT_TRUE(std::isnan(r.current));
+  const Evaluation& at = sys.evaluate(r.omega, r.zone_currents);
+  EXPECT_EQ(at.power.total(), r.power.total());
 }
 
 TEST(MultiZone, BeatsOrMatchesSingleCurrentOftec) {
   // Strictly more freedom cannot do worse (up to solver tolerance).
   const auto config = coarse_config();
   const auto power = benchmark_power(workload::Benchmark::kQuicksort);
-  const MultiZoneSystem multi(
-      fp(), power, leakage(),
-      ZonePartition::by_unit_cluster(fp(), config.grid_nx, config.grid_ny),
-      config);
+  const CoolingSystem multi(fp(), power, leakage(), cluster_config(config));
   const CoolingSystem scalar(fp(), power, leakage(), config);
 
-  const MultiZoneResult rm = run_multizone_oftec(multi);
+  const OftecResult rm = run_oftec(multi);
   const OftecResult rs = run_oftec(scalar);
   ASSERT_TRUE(rm.success);
   ASSERT_TRUE(rs.success);
   EXPECT_LE(rm.power.total(), rs.power.total() * 1.03);
+}
+
+TEST(MultiZone, SingleZoneOftecIsBitIdenticalOnAllProfiles) {
+  // Algorithm 1 over an explicit single-zone partition is the paper's
+  // single-current run: same iterates, same solves, same bits.
+  CoolingSystem::Config config;
+  config.grid_nx = config.grid_ny = 10;
+  for (const workload::Benchmark b : workload::all_benchmarks()) {
+    SCOPED_TRACE(workload::benchmark_name(b));
+    const auto power = benchmark_power(b);
+    const CoolingSystem multi(fp(), power, leakage(),
+                              single_zone_config(config));
+    const CoolingSystem scalar(fp(), power, leakage(), config);
+    const OftecResult rm = run_oftec(multi);
+    const OftecResult rs = run_oftec(scalar);
+    EXPECT_EQ(rm.success, rs.success);
+    EXPECT_EQ(rm.omega, rs.omega);
+    EXPECT_EQ(rm.current, rs.current);
+    EXPECT_EQ(rm.zone_currents, rs.zone_currents);
+    EXPECT_EQ(rm.max_chip_temperature, rs.max_chip_temperature);
+    EXPECT_EQ(rm.power.leakage, rs.power.leakage);
+    EXPECT_EQ(rm.power.tec, rs.power.tec);
+    EXPECT_EQ(rm.power.fan, rs.power.fan);
+    EXPECT_EQ(rm.thermal_solves, rs.thermal_solves);
+  }
 }
 
 }  // namespace
