@@ -9,6 +9,7 @@
 
 #include "common.h"
 #include "core/reactive_controllers.h"
+#include "thermal/transient_engine.h"
 #include "util/units.h"
 
 namespace {
@@ -61,7 +62,7 @@ int main() {
   topt.record_stride = 5;
   const double dt_per_sample =
       topt.time_step * static_cast<double>(topt.record_stride);
-  const thermal::TransientSolver transient(
+  const thermal::TransientEngine transient(
       sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(), topt);
 
   // Start everyone from the hot fan-only steady state at the reactive

@@ -21,6 +21,7 @@
 #include "common.h"
 #include "core/dtm_loop.h"
 #include "la/backend.h"
+#include "tests/thermal/transient_oracle.h"
 #include "thermal/transient_engine.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -133,13 +134,14 @@ int main(int argc, char** argv) {
                 r.reoptimizations);
   }
 
-  // --- Fast transient engine vs reference solver -------------------------
+  // --- Fast transient engine vs the transient oracle ---------------------
   // The DTM loop's dominant cost is the banded factorization. Hold the
   // static policy's constant setting over the whole trace horizon and
-  // integrate it twice — reference TransientSolver (assemble + factor every
-  // step) vs TransientEngine (factor reused while the leakage slopes are
-  // held). Both run the default slope hold, so results are bit-identical
-  // and the comparison is honest.
+  // integrate it twice — the transient oracle
+  // (tests/thermal/transient_oracle.h: assemble + factor every step) vs
+  // TransientEngine (factor reused while the leakage slopes are held). Both
+  // run the default slope hold, so results are bit-identical and the
+  // comparison is honest.
   {
     power::PowerMap peak(fp);
     for (const power::PowerMap& s : trace.samples) peak.max_with(s);
@@ -154,7 +156,7 @@ int main(int argc, char** argv) {
     topt.duration = trace.duration();
     topt.record_stride = 8;
 
-    const thermal::TransientSolver reference(
+    const thermal::testing::TransientOracle reference(
         sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(),
         topt);
     const thermal::TransientEngine engine(

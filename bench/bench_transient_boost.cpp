@@ -14,6 +14,7 @@
 #include "common.h"
 #include "core/transient_boost.h"
 #include "la/backend.h"
+#include "tests/thermal/transient_oracle.h"
 #include "thermal/transient_engine.h"
 #include "util/stopwatch.h"
 #include "util/units.h"
@@ -65,11 +66,12 @@ int main() {
               format_celsius(exp.steady_temperature).c_str());
 
   // --- Engine-vs-reference timing on the control trajectory --------------
-  // Exact mode (slope tolerance 0) takes the exact leakage tangent — and
+  // The reference is the transient oracle (tests/thermal/transient_oracle.h),
+  // which assembles and factors the full step matrix at every step. Exact
+  // mode (slope tolerance 0) takes the exact leakage tangent — and
   // therefore refactors — at every step on both paths; the default slope
   // hold lets the engine reuse one factorization until a chip cell's slope
-  // drifts 10 %. Both modes are bit-identical between the two
-  // implementations.
+  // drifts 10 %. Both modes are bit-identical between the two.
   //
   // Timing discipline: one untimed warmup run per implementation, then
   // alternating timed repeats scored by minimum. A virgin process hands the
@@ -97,7 +99,7 @@ int main() {
                  {"default", thermal::kDefaultRelinearizationThreshold}};
     for (const auto& mode : modes) {
       topt.relinearization_threshold = mode.threshold;
-      const thermal::TransientSolver reference(
+      const thermal::testing::TransientOracle reference(
           sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(),
           topt);
       const thermal::TransientEngine engine(

@@ -12,7 +12,7 @@
 #include "core/oftec.h"
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
-#include "thermal/transient.h"
+#include "thermal/transient_engine.h"
 #include "util/units.h"
 #include "workload/benchmarks.h"
 
@@ -45,7 +45,7 @@ int main() {
   topt.time_step = 5e-3;
   topt.duration = 3.0;
   topt.record_stride = 10;
-  const thermal::TransientSolver transient(burst_sys.thermal_model(),
+  const thermal::TransientEngine transient(burst_sys.thermal_model(),
                                            burst_sys.cell_dynamic_power(),
                                            burst_sys.cell_leakage(), topt);
 

@@ -40,6 +40,16 @@ const obs::Counter g_obs_step_factor_hits =
 const obs::Counter g_obs_step_lu_fallbacks =
     obs::counter("dtm.step_lu_fallbacks");
 
+/// Watchdog: consecutive steps above T_max with non-decreasing temperature
+/// before the fail-safe tier is forced (bounds time-to-fail-safe by
+/// patience · time_step).
+constexpr std::size_t kWatchdogPatience = 3;
+/// The watchdog releases fail-safe once max_chip < T_max − margin [K].
+constexpr double kWatchdogReleaseMargin = 2.0;
+/// Dynamic-power scale applied while fail-safe is active (models the DVFS
+/// throttle that accompanies max cooling).
+constexpr double kFailsafeThrottle = 0.5;
+
 /// Whole intervals of length `interval` in `span` (both > 0, span may be 0):
 /// floor(span / interval), except that a quotient within 1e-9 of an integer
 /// counts as that integer — plan_steps' rounding-noise tolerance. In
@@ -89,13 +99,6 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   }
   if (options.control_period <= 0.0 || options.time_step <= 0.0) {
     throw std::invalid_argument("run_dtm_loop: bad timing parameters");
-  }
-  if (options.watchdog_patience == 0) {
-    throw std::invalid_argument("run_dtm_loop: watchdog_patience must be >= 1");
-  }
-  if (!(options.failsafe_throttle > 0.0) || options.failsafe_throttle > 1.0) {
-    throw std::invalid_argument(
-        "run_dtm_loop: failsafe_throttle must be in (0, 1]");
   }
   if (options.fallback_grid_points < 2) {
     throw std::invalid_argument(
@@ -278,7 +281,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     ++result.watchdog_trips;
     g_obs_watchdog_trips.add();
     la::Vector throttled = power_at(0);
-    la::scale(options.failsafe_throttle, throttled);
+    la::scale(kFailsafeThrottle, throttled);
     initial = thermal::SteadySolver(model, throttled, leak_terms,
                                     options.system.steady)
                   .solve(setting.omega, setting.current);
@@ -291,9 +294,11 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   stepper.reset(initial.temperatures);
 
   // A trace of 3 × 0.1-s samples lasts 0.30000000000000004 s; plan_steps
-  // absorbs that noise instead of running a step past the end.
-  const std::size_t total_steps =
-      thermal::plan_steps(trace.duration(), dt).steps;
+  // absorbs that noise instead of running a step past the end, and clamps
+  // the last step of a trace that is not a whole number of steps so the
+  // replay ends on the trace end.
+  const thermal::StepPlan plan = thermal::plan_steps(trace.duration(), dt);
+  const std::size_t total_steps = plan.steps;
   const std::size_t record_stride =
       std::max<std::size_t>(1, total_steps / 400);
 
@@ -301,24 +306,26 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   std::size_t power_count = 0;
 
   // Watchdog state: consecutive steps that are both above T_max and not
-  // cooling down. Bounded reaction time: patience · dt after the first hot
-  // step, the fail-safe tier is in charge.
+  // cooling down. Bounded reaction time: kWatchdogPatience · dt after the
+  // first hot step, the fail-safe tier is in charge.
   std::size_t hot_streak = 0;
   double prev_max_chip = model.config().ambient;
-
-  // One backward-Euler step under setting `s` with cell power `p`. False —
-  // leaving the state unchanged, so a fail-safe retry re-integrates from the
-  // same temperatures — when the step matrix is singular or the stepped
-  // state fails the chip-only runaway verdict (no exception escapes).
-  const auto integrate = [&](const Setting& s, const la::Vector& p) -> bool {
-    return stepper.step({s.omega, s.current}, p, dt);
-  };
 
   la::Vector throttled_power;  // scratch for the fail-safe power scaling
 
   for (std::size_t step = 0; step < total_steps; ++step) {
     const double time = static_cast<double>(step) * dt;
+    const double step_dt = step + 1 == total_steps ? plan.last_step : dt;
     const std::size_t sample = sample_of(step);
+
+    // One backward-Euler step under setting `s` with cell power `p`. False —
+    // leaving the state unchanged, so a fail-safe retry re-integrates from
+    // the same temperatures — when the step matrix is singular or the
+    // stepped state fails the chip-only runaway verdict (no exception
+    // escapes).
+    const auto integrate = [&](const Setting& s, const la::Vector& p) {
+      return stepper.step({s.omega, s.current}, p, step_dt);
+    };
 
     // Re-optimize when the step enters a new control period (the first
     // decision was made before the loop). A fresh decision also releases
@@ -338,7 +345,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     const la::Vector* step_power = &power_at(sample);
     if (failsafe_active) {
       throttled_power = *step_power;
-      la::scale(options.failsafe_throttle, throttled_power);
+      la::scale(kFailsafeThrottle, throttled_power);
       step_power = &throttled_power;
     }
 
@@ -359,7 +366,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
       g_obs_watchdog_trips.add();
       hot_streak = 0;
       throttled_power = power_at(sample);
-      la::scale(options.failsafe_throttle, throttled_power);
+      la::scale(kFailsafeThrottle, throttled_power);
       if (!integrate(setting, throttled_power)) {
         result.runaway = true;
         result.status = ControlStatus::kRunaway;
@@ -369,10 +376,10 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
 
     const double max_chip = stepper.max_chip_temperature();
     result.peak_temperature = std::max(result.peak_temperature, max_chip);
-    if (max_chip > t_max) result.violation_time += dt;
-    if (failsafe_active) result.failsafe_time += dt;
+    if (max_chip > t_max) result.violation_time += step_dt;
+    if (failsafe_active) result.failsafe_time += step_dt;
 
-    // Watchdog: trip to fail-safe after `patience` consecutive hot,
+    // Watchdog: trip to fail-safe after kWatchdogPatience consecutive hot,
     // non-cooling steps; release once safely below T_max.
     if (max_chip > t_max && max_chip >= prev_max_chip) {
       ++hot_streak;
@@ -380,7 +387,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
       hot_streak = 0;
     }
     prev_max_chip = max_chip;
-    if (!failsafe_active && hot_streak >= options.watchdog_patience) {
+    if (!failsafe_active && hot_streak >= kWatchdogPatience) {
       failsafe_active = true;
       tier = ControllerTier::kFailSafe;
       setting = failsafe_setting;
@@ -388,7 +395,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
       g_obs_watchdog_trips.add();
       hot_streak = 0;
     } else if (failsafe_active &&
-               max_chip < t_max - options.watchdog_release_margin &&
+               max_chip < t_max - kWatchdogReleaseMargin &&
                decision.tier != ControllerTier::kFailSafe) {
       // Cool again: hand control back to the last real decision. If it
       // overheats once more the watchdog re-trips, so oscillation stays
@@ -405,7 +412,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     ++power_count;
 
     if (step % record_stride == 0 || step + 1 == total_steps) {
-      result.samples.push_back({time + dt, max_chip, setting.omega,
+      result.samples.push_back({time + step_dt, max_chip, setting.omega,
                                 setting.current, cooling, tier});
     }
   }

@@ -26,9 +26,9 @@
 // Tiers are tried in order per decision, driven by the structured
 // SolveStatus each layer reports — no exception ever escapes a decision.
 // Independently, a thermal-runaway watchdog forces the fail-safe tier after
-// `watchdog_patience` consecutive integration steps that are both above
-// T_max and non-decreasing, and releases it once the die cools below
-// T_max − watchdog_release_margin.
+// three consecutive integration steps that are both above T_max and
+// non-decreasing, and releases it once the die cools below T_max − 2 K;
+// fail-safe halves the dynamic power.
 #pragma once
 
 #include <cstddef>
@@ -58,16 +58,6 @@ enum class ControllerTier {
   kGridSearch,  ///< fell back to coarse grid-search OFTEC
   kFailSafe,    ///< max fan, zero TEC current, dynamic power throttled
 };
-
-[[nodiscard]] constexpr const char* tier_name(ControllerTier t) noexcept {
-  switch (t) {
-    case ControllerTier::kPrimary: return "primary";
-    case ControllerTier::kLut: return "lut";
-    case ControllerTier::kGridSearch: return "grid_search";
-    case ControllerTier::kFailSafe: return "fail_safe";
-  }
-  return "unknown";
-}
 
 /// Overall verdict of a DTM run. Honesty invariant: any violation time or
 /// fallback activity forbids kOk — a run that ever exceeded T_max (or could
@@ -102,15 +92,6 @@ struct DtmOptions {
   /// refactors only when the chip has drifted a few kelvin.
   double time_step = 10e-3;
 
-  /// Watchdog: consecutive steps above T_max with non-decreasing temperature
-  /// before the fail-safe tier is forced (bounds time-to-fail-safe by
-  /// patience · time_step).
-  std::size_t watchdog_patience = 3;
-  /// Release fail-safe once max_chip < T_max − margin [K].
-  double watchdog_release_margin = 2.0;
-  /// Dynamic-power scale applied while fail-safe is active (models the DVFS
-  /// throttle that accompanies max cooling). In (0, 1].
-  double failsafe_throttle = 0.5;
   /// Grid resolution of the tier-3 grid-search fallback.
   std::size_t fallback_grid_points = 9;
 };

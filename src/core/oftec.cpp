@@ -15,6 +15,10 @@ namespace oftec::core {
 
 namespace {
 
+/// Optimization 2 stops as soon as 𝒯 < T_max − margin [K]; the margin keeps
+/// the Optimization 1 start strictly feasible.
+constexpr double kFeasibilityMargin = 0.25;
+
 const obs::Counter g_obs_runs = obs::counter("oftec.runs");
 const obs::Counter g_obs_opt2_bootstraps = obs::counter("oftec.opt2_bootstraps");
 const obs::Counter g_obs_infeasible = obs::counter("oftec.infeasible");
@@ -105,7 +109,7 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
                             /*strictness=*/0.01, options.t_max_override);
 
   const double t_max = opt1.t_max();
-  const double stop_threshold = t_max - options.feasibility_margin;
+  const double stop_threshold = t_max - kFeasibilityMargin;
 
   // Line 1: start at the middle of the (ω, I) box.
   la::Vector x = opt2.midpoint();

@@ -30,9 +30,6 @@ enum class Solver { kActiveSetSqp, kInteriorPoint, kTrustRegion, kGridSearch };
 struct OftecOptions {
   Solver solver = Solver::kActiveSetSqp;
   opt::SqpOptions sqp;
-  /// Stop the Optimization 2 phase as soon as 𝒯 < T_max − margin [K]
-  /// (margin keeps the Optimization 1 start strictly feasible).
-  double feasibility_margin = 0.25;
   /// Grid resolution when solver == kGridSearch.
   std::size_t grid_points = 41;
   /// Thermal threshold override [K]; 0 → the system's T_max. Evaluations

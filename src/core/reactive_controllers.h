@@ -33,7 +33,7 @@ class HysteresisController {
 
   explicit HysteresisController(const Params& params);
 
-  /// Feedback-control step (bind into TransientSolver::run_closed_loop).
+  /// Feedback-control step (bind into TransientEngine::run_closed_loop).
   [[nodiscard]] thermal::ControlSetting control(double time,
                                                 double max_chip_temperature);
 

@@ -11,8 +11,8 @@
 // matrix indefinite; the pivoted LU still solves any nonsingular member.
 // This type is the one place that choice is made: the
 // steady SolveEngine's factor cache, the TransientStepper's factor slots and
-// the reference TransientSolver all factor through it, so the engine ≡
-// reference bit-identity holds on either path by construction.
+// the transient oracle in tests/ all factor through it, so the engine ≡
+// oracle bit-identity holds on either path by construction.
 //
 // Only the lower band is read on the Cholesky path, so the matrix must be
 // symmetric (the LU fallback reads the full band).

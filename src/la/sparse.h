@@ -31,9 +31,6 @@ class TripletBuilder {
   void add(std::size_t r, std::size_t c, double v);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  [[nodiscard]] std::size_t triplet_count() const noexcept {
-    return triplets_.size();
-  }
 
   /// Coalesce into a CSR matrix.
   [[nodiscard]] CsrMatrix build() const;

@@ -15,6 +15,12 @@ namespace oftec::opt {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Largest constraint value that still counts as feasible.
+constexpr double kConstraintTolerance = 1e-6;
+/// ℓ1 merit penalty: μ ≥ margin·max λ.
+constexpr double kMeritPenaltyMargin = 10.0;
+/// Trial steps per line search (α halves after each rejected one).
+constexpr std::size_t kMaxLineSearchSteps = 12;
 
 const obs::Counter g_obs_runs = obs::counter("opt.sqp.runs");
 const obs::Counter g_obs_backtracks =
@@ -143,7 +149,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
       step_rel = std::max(step_rel, std::abs(d[j]) / std::max(width, 1e-300));
     }
     if (step_rel < options.step_tolerance &&
-        violation(g) <= options.constraint_tolerance) {
+        violation(g) <= kConstraintTolerance) {
       result.converged = true;
       break;
     }
@@ -154,7 +160,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
     for (std::size_t c = 0; c < m; ++c) {
       max_lambda = std::max(max_lambda, qp.multipliers[c]);
     }
-    mu = std::max(mu, options.merit_penalty_margin * max_lambda + 1.0);
+    mu = std::max(mu, kMeritPenaltyMargin * max_lambda + 1.0);
 
     // Backtracking line search on the ℓ1 merit.
     const double merit0 = merit(f, g, mu);
@@ -170,7 +176,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
     la::Vector x_new;
     double f_new = kInf;
     la::Vector g_new;
-    for (std::size_t ls = 0; ls < options.max_line_search_steps; ++ls) {
+    for (std::size_t ls = 0; ls < kMaxLineSearchSteps; ++ls) {
       x_new = x;
       la::axpy(alpha, d, x_new);
       x_new = clamp_to_bounds(x_new, bounds);
@@ -258,7 +264,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
 
   result.x = x;
   result.objective = f;
-  result.feasible = violation(g) <= options.constraint_tolerance;
+  result.feasible = violation(g) <= kConstraintTolerance;
   result.status =
       result.converged ? SolveStatus::kOk : SolveStatus::kNotConverged;
   if (obs::enabled()) {

@@ -22,9 +22,6 @@ namespace oftec::opt {
 struct SqpOptions {
   std::size_t max_iterations = 60;
   double step_tolerance = 1e-5;     ///< ‖d‖∞ relative to box width
-  double constraint_tolerance = 1e-6;
-  double merit_penalty_margin = 10.0;  ///< μ ≥ margin·max λ
-  std::size_t max_line_search_steps = 12;
 };
 
 /// Early-stop predicate: return true to accept the current iterate and stop.

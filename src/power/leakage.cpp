@@ -96,16 +96,6 @@ TaylorCoefficients LeakageModel::linearize_block(std::size_t block,
   return coeffs;
 }
 
-TaylorCoefficients LeakageModel::tangent_block(std::size_t block,
-                                               double t_ref) const {
-  TaylorCoefficients coeffs;
-  const double p = block_leakage(block, t_ref);
-  coeffs.a = beta_ * p;  // d/dT of p0·exp(β(T−T0)) at T = Tref
-  coeffs.b = p;
-  coeffs.t_ref = t_ref;
-  return coeffs;
-}
-
 std::vector<TaylorCoefficients> LeakageModel::linearize_all(
     double t_ref, double t_lo, double t_hi, std::size_t samples) const {
   std::vector<TaylorCoefficients> out;

@@ -72,11 +72,6 @@ class LeakageModel {
                                                    double t_hi = 390.0,
                                                    std::size_t samples = 10) const;
 
-  /// Tangent linearization at t_ref (exact first-order Taylor), provided for
-  /// the model-fidelity ablation bench.
-  [[nodiscard]] TaylorCoefficients tangent_block(std::size_t block,
-                                                 double t_ref) const;
-
   /// Linearize every block at the same reference temperature.
   [[nodiscard]] std::vector<TaylorCoefficients> linearize_all(
       double t_ref, double t_lo = 300.0, double t_hi = 390.0,

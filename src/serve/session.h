@@ -89,7 +89,7 @@ class Session {
   std::mutex transient_mutex_;
   /// Lazy fast path for transient_step: the engine's warm factor cache makes
   /// repeated steps at a held (ω, I, dt) reuse one banded factorization
-  /// across requests (bit-identical to the reference solver).
+  /// across requests (bit-identical to refactoring at every step).
   std::unique_ptr<thermal::TransientEngine> transient_engine_;
   la::Vector transient_state_;  ///< node temperatures; empty = start fresh
   double transient_time_ = 0.0;

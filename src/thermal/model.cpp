@@ -300,18 +300,21 @@ AssembledSystem ThermalModel::assemble(
     double omega, const la::Vector& cell_current,
     const la::Vector& cell_dynamic_power,
     const std::vector<power::TaylorCoefficients>& cell_taylor) const {
-  const std::size_t cells = layout_.cells_per_layer();
-  if (cell_dynamic_power.size() != cells || cell_taylor.size() != cells ||
-      cell_current.size() != cells) {
-    throw std::invalid_argument("ThermalModel::assemble: per-cell arity");
-  }
   for (const double current : cell_current) {
     if (current < 0.0 || current > cfg_.tec.max_current * (1.0 + 1e-9)) {
       throw std::invalid_argument(
           "ThermalModel::assemble: current out of range");
     }
   }
+  AssembledSystem sys = static_system();
+  la::BandedMatrix& m = sys.matrix;
+  stamp_diagonal(m.col_ptr(0) + m.lower_bandwidth() + m.upper_bandwidth(),
+                 m.storage_rows(), omega, cell_current, cell_taylor);
+  stamp_rhs(sys.rhs, omega, cell_current, cell_dynamic_power, cell_taylor);
+  return sys;
+}
 
+AssembledSystem ThermalModel::static_system() const {
   const std::size_t n = layout_.node_count();
   const std::size_t bw = layout_.bandwidth();
   AssembledSystem sys{la::BandedMatrix(n, bw, bw), la::Vector(n, 0.0)};
@@ -323,46 +326,80 @@ AssembledSystem ThermalModel::assemble(
     sys.matrix.add(e.i, e.j, -e.g);
     sys.matrix.add(e.j, e.i, -e.g);
   }
-  // Ambient couplings: diag += g, rhs += g·T_amb.
+  // PCB-to-ambient couplings: diag += g, rhs += g·T_amb.
   for (const auto& [node, g] : static_ambient_) {
     sys.matrix.add(node, node, g);
     sys.rhs[node] += g * cfg_.ambient;
   }
+  return sys;
+}
+
+void ThermalModel::stamp_diagonal(
+    double* diag, std::size_t stride, double omega,
+    const la::Vector& cell_current,
+    const std::vector<power::TaylorCoefficients>& cell_taylor) const {
+  const std::size_t cells = layout_.cells_per_layer();
+  if (cell_current.size() != cells || cell_taylor.size() != cells) {
+    throw std::invalid_argument("ThermalModel::stamp_diagonal: arity");
+  }
+  const auto add = [diag, stride](std::size_t node, double v) {
+    diag[node * stride] += v;
+  };
+  // Heat-sink top to ambient: g_HS&fan(ω) split by top-surface area share.
   const double g_sink_total = cfg_.sink_fan.conductance(omega);
   for (const auto& [node, share] : sink_ambient_share_) {
-    const double g = g_sink_total * share;
-    sys.matrix.add(node, node, g);
-    sys.rhs[node] += g * cfg_.ambient;
+    add(node, g_sink_total * share);
   }
-
-  // Chip layer: dynamic power plus linearized leakage (Eq. 4). The slope a
-  // moves to the diagonal — this is the term that can destroy diagonal
-  // dominance and produce thermal runaway.
+  // Linearized leakage (Eq. 4): the slope a moves to the diagonal — the
+  // term that can destroy diagonal dominance and produce thermal runaway.
   for (std::size_t cell = 0; cell < cells; ++cell) {
-    const std::size_t node = layout_.node(Slab::kChip, cell);
-    const power::TaylorCoefficients& tc = cell_taylor[cell];
-    sys.matrix.add(node, node, -tc.a);
-    sys.rhs[node] += cell_dynamic_power[cell] + tc.b - tc.a * tc.t_ref;
+    add(layout_.node(Slab::kChip, cell), -cell_taylor[cell].a);
   }
-
-  // TEC sources (Eqs. 5–7): Peltier transport on the interface nodes
-  // (temperature-proportional → LHS), Joule heat on the body node (→ rhs).
+  // Peltier transport on the TEC interface nodes (Eqs. 5–6), temperature-
+  // proportional and therefore on the left-hand side.
   if (tec_array_) {
     for (std::size_t cell = 0; cell < cells; ++cell) {
       const tec::CellTec& ct = tec_array_->cell(cell);
       const double current = cell_current[cell];
       if (!ct.covered || current <= 0.0) continue;
       const double peltier = ct.seebeck * current;
-      const std::size_t abs_node = layout_.node(Slab::kTecAbs, cell);
-      const std::size_t rej_node = layout_.node(Slab::kTecRej, cell);
-      const std::size_t gen_node = layout_.node(Slab::kTecGen, cell);
-      sys.matrix.add(abs_node, abs_node, peltier);   // p = −α·I·T_c
-      sys.matrix.add(rej_node, rej_node, -peltier);  // p = +α·I·T_h
-      sys.rhs[gen_node] += ct.resistance * current * current;
+      add(layout_.node(Slab::kTecAbs, cell), peltier);   // p = −α·I·T_c
+      add(layout_.node(Slab::kTecRej, cell), -peltier);  // p = +α·I·T_h
     }
   }
+}
 
-  return sys;
+void ThermalModel::stamp_rhs(
+    la::Vector& rhs, double omega, const la::Vector& cell_current,
+    const la::Vector& cell_dynamic_power,
+    const std::vector<power::TaylorCoefficients>& cell_taylor) const {
+  const std::size_t cells = layout_.cells_per_layer();
+  if (rhs.size() != layout_.node_count() || cell_current.size() != cells ||
+      cell_dynamic_power.size() != cells || cell_taylor.size() != cells) {
+    throw std::invalid_argument("ThermalModel::stamp_rhs: arity");
+  }
+  const double g_sink_total = cfg_.sink_fan.conductance(omega);
+  for (const auto& [node, share] : sink_ambient_share_) {
+    const double g = g_sink_total * share;
+    rhs[node] += g * cfg_.ambient;
+  }
+  // Chip layer: dynamic power plus the constant part of the linearized
+  // leakage.
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const power::TaylorCoefficients& tc = cell_taylor[cell];
+    rhs[layout_.node(Slab::kChip, cell)] +=
+        cell_dynamic_power[cell] + tc.b - tc.a * tc.t_ref;
+  }
+  // Joule heat R·I² (Eq. 7) on the TEC body node.
+  if (tec_array_) {
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      const tec::CellTec& ct = tec_array_->cell(cell);
+      const double current = cell_current[cell];
+      if (!ct.covered || current <= 0.0) continue;
+      rhs[layout_.node(Slab::kTecGen, cell)] +=
+          ct.resistance * current * current;
+    }
+  }
 }
 
 la::Vector ThermalModel::slab_temperatures(const la::Vector& temperatures,

@@ -78,7 +78,8 @@ class ThermalModel {
       const power::LeakageModel& model) const;
 
   /// Assemble M(ω,I)·T = rhs. `cell_dynamic_power` and `cell_taylor` are
-  /// indexed by chip grid cell (size = cells_per_layer).
+  /// indexed by chip grid cell (size = cells_per_layer). Built as
+  /// static_system() plus stamp_diagonal() and stamp_rhs().
   [[nodiscard]] AssembledSystem assemble(
       double omega, double current, const la::Vector& cell_dynamic_power,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
@@ -92,7 +93,32 @@ class ThermalModel {
       const la::Vector& cell_dynamic_power,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
 
-  /// Per-node thermal capacitance [J/K] for the transient solver.
+  /// The operating-point-independent part of M·T = rhs: the conduction
+  /// edges and the PCB-to-ambient couplings (diag += g, rhs += g·T_amb).
+  /// Built on each call; every banded system (assemble(), a transient step
+  /// matrix) starts from it.
+  [[nodiscard]] AssembledSystem static_system() const;
+
+  /// Add the operating-point terms of M to the diagonal whose entry for
+  /// node i is diag[i·stride] (band storage or a lower band), in
+  /// assemble()'s order: the sink couplings g(ω)·share, the chip leakage
+  /// slopes −a, and on covered cells with I > 0 the Peltier terms +α·I
+  /// (absorb node) and −α·I (reject node). Per-cell arguments are checked.
+  void stamp_diagonal(
+      double* diag, std::size_t stride, double omega,
+      const la::Vector& cell_current,
+      const std::vector<power::TaylorCoefficients>& cell_taylor) const;
+
+  /// Add the operating-point terms of rhs (size node_count) in assemble()'s
+  /// order: g(ω)·share·T_amb on the sink couplings, p + b − a·t_ref on chip
+  /// cells, and on covered cells with I > 0 the Joule heat R·I² on the TEC
+  /// body node. Arities are checked.
+  void stamp_rhs(
+      la::Vector& rhs, double omega, const la::Vector& cell_current,
+      const la::Vector& cell_dynamic_power,
+      const std::vector<power::TaylorCoefficients>& cell_taylor) const;
+
+  /// Per-node thermal capacitance [J/K] for transient steps.
   [[nodiscard]] const la::Vector& capacitances() const noexcept {
     return capacitance_;
   }
@@ -146,7 +172,6 @@ class ThermalModel {
 
  private:
   friend class IncrementalAssembler;
-  friend class TransientStepper;
 
   void build_static_network();
   void add_edge(std::size_t i, std::size_t j, double conductance);

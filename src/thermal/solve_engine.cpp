@@ -21,6 +21,10 @@ namespace oftec::thermal {
 
 namespace {
 
+/// Krylov tolerance for intermediate Newton iterations; the reported state
+/// is always polished to SteadyOptions::iterative_tolerance.
+constexpr double kInnerTolerance = 1e-6;
+
 std::uint64_t bits_of(double x) noexcept {
   std::uint64_t u = 0;
   std::memcpy(&u, &x, sizeof(u));
@@ -442,9 +446,8 @@ void SolveEngine::linearize(
         taylor[i] = {0.0, leakage[i].evaluate(ambient), ambient};
         break;
       case LeakageMode::kChordLinear:
-        taylor[i] = power::chord_linearize(leakage[i], ambient,
-                                           sopts.chord_t_lo, sopts.chord_t_hi,
-                                           sopts.chord_samples);
+        // The paper's chord: 10 samples over [300, 390] K.
+        taylor[i] = power::chord_linearize(leakage[i], ambient);
         break;
       case LeakageMode::kNewtonExact:
         taylor[i] = power::tangent_linearize(leakage[i], chip[i]);
@@ -485,7 +488,7 @@ SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
   // concave in T and every Newton matrix is a symmetric Z-matrix, so an
   // iterate reached through an SPD matrix (nonnegative inverse) lies below
   // every steady state. The first guess is not such an iterate.
-  const double inner_tol = std::min(options_.inner_tolerance, polish_tol * 1e3);
+  const double inner_tol = std::min(kInnerTolerance, polish_tol * 1e3);
   bool at_bound = false;
   for (std::size_t it = 1; it <= sopts.max_iterations; ++it) {
     linearize(t_ref, ws.taylor);

@@ -81,9 +81,6 @@ struct EngineOptions {
   /// direct cached factorization, which exercises the factor cache
   /// exclusively.
   bool use_iterative = true;
-  /// Krylov tolerance for intermediate Newton iterations; the final result
-  /// is always polished to SteadyOptions::iterative_tolerance.
-  double inner_tolerance = 1e-6;
 };
 
 /// Point-in-time snapshot of the engine's internally-atomic counters.

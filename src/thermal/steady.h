@@ -44,10 +44,6 @@ struct SteadyOptions {
   std::size_t max_iterations = 50;
   /// Temperatures beyond this are declared runaway [K].
   double runaway_temperature = 500.0;
-  /// Chord-fit sampling window and count (paper: 10 pts over [300, 390] K).
-  double chord_t_lo = 300.0;
-  double chord_t_hi = 390.0;
-  std::size_t chord_samples = 10;
   /// Relative residual of the reported linear solve (SolveEngine's polish).
   double iterative_tolerance = 1e-9;
 };

@@ -1,18 +1,19 @@
-// Transient thermal simulation (backward Euler on the RC network).
+// Transient thermal simulation types (backward Euler on the RC network).
 //
 // Used for the paper's Sec. 6.2 extension experiments: the Peltier effect
 // responds instantly to a current step while Joule heat accumulates with the
 // package RC delay, so briefly over-driving I_TEC above its steady-state
 // optimum buys extra transient cooling (Ref. [8] suggests ≈ +1 A for ≈ 1 s).
-// The solver integrates C·dT/dt = −M(ω,I)·T + rhs(ω,I) + p_leak(T) with a
-// linearly implicit Euler step: the exact leakage p(Tₙ) of the current state
-// goes to the right-hand side, and only its slope a ≈ ∂p/∂T enters the step
-// matrix (semi-implicit in the exponential). With a = p′(Tₙ) this is
-// backward Euler on the tangent; with a held slope it is a W-method
-// (Steihaug & Wolfbrandt, Math. Comp. 33, 1979): still first order for any
-// a, and its fixed points are the true steady states, because the slope only
-// multiplies ΔT = Tₙ₊₁ − Tₙ. TransientOptions::relinearization_threshold says
-// how far a held slope may drift before it is refreshed.
+// thermal::TransientEngine (thermal/transient_engine.h) integrates
+// C·dT/dt = −M(ω,I)·T + rhs(ω,I) + p_leak(T) with a linearly implicit Euler
+// step: the exact leakage p(Tₙ) of the current state goes to the right-hand
+// side, and only its slope a ≈ ∂p/∂T enters the step matrix (semi-implicit
+// in the exponential). With a = p′(Tₙ) this is backward Euler on the
+// tangent; with a held slope it is a W-method (Steihaug & Wolfbrandt, Math.
+// Comp. 33, 1979): still first order for any a, and its fixed points are the
+// true steady states, because the slope only multiplies
+// ΔT = Tₙ₊₁ − Tₙ. TransientOptions::relinearization_threshold says how far a
+// held slope may drift before it is refreshed.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +21,6 @@
 #include <vector>
 
 #include "la/vector_ops.h"
-#include "power/leakage.h"
-#include "thermal/model.h"
 
 namespace oftec::thermal {
 
@@ -68,8 +67,6 @@ struct TransientOptions {
   /// ΔT, so it adds an O(ε·dt) term to backward Euler's O(dt) error and
   /// leaves the steady states alone. 0 refreshes whenever a slope moves:
   /// backward Euler on the exact leakage tangent at every step.
-  /// TransientSolver and TransientEngine apply the rule identically, so
-  /// their results stay bit-equal at any setting.
   double relinearization_threshold = kDefaultRelinearizationThreshold;
 };
 
@@ -100,33 +97,6 @@ struct TransientResult {
   la::Vector final_temperatures;  ///< empty if runaway
   bool runaway = false;
   std::size_t steps = 0;
-};
-
-class TransientSolver {
- public:
-  TransientSolver(const ThermalModel& model, la::Vector cell_dynamic_power,
-                  std::vector<power::ExponentialTerm> cell_leakage,
-                  TransientOptions options = {});
-
-  /// Integrate from `initial_temperatures` (all nodes; pass the ambient
-  /// vector or a steady solution) under the given control schedule.
-  [[nodiscard]] TransientResult run(const ControlSchedule& control,
-                                    const la::Vector& initial_temperatures) const;
-
-  /// Closed-loop variant: the controller is consulted every step with the
-  /// current max chip temperature.
-  [[nodiscard]] TransientResult run_closed_loop(
-      const FeedbackControl& control,
-      const la::Vector& initial_temperatures) const;
-
-  /// All-nodes-at-ambient initial condition.
-  [[nodiscard]] la::Vector ambient_state() const;
-
- private:
-  const ThermalModel* model_;
-  la::Vector dynamic_;
-  std::vector<power::ExponentialTerm> leakage_;
-  TransientOptions options_;
 };
 
 }  // namespace oftec::thermal

@@ -32,6 +32,9 @@ const obs::Counter g_obs_batches = obs::counter("transient_engine.batches");
 const obs::Gauge g_obs_steps_per_s =
     obs::gauge("transient_engine.steps_per_s");
 
+/// Factors a stepper keeps warm (LRU): distinct (dt, ω, I, slopes) keys.
+constexpr std::size_t kFactorSlots = 8;
+
 // Injects a corrupt solution on the cached-factor path (a stale or
 // bit-rotted factor slot); the stepper's self-heal must rebuild the factor
 // and recover bit-identically.
@@ -80,28 +83,15 @@ TransientStepper::TransientStepper(
   if (leakage_.size() != cells_) {
     throw std::invalid_argument("TransientStepper: per-cell arity mismatch");
   }
-  if (config_.factor_slots == 0) {
-    throw std::invalid_argument("TransientStepper: factor_slots must be >= 1");
-  }
 
-  // Static base, stamped exactly like the head of ThermalModel::assemble —
-  // the per-step stamps replay the remaining groups in the same order, so
-  // every entry accumulates the reference's additions in the reference's
-  // order (bit-equality depends on this). Only its lower band is kept.
-  la::BandedMatrix base(n_, bw_, bw_);
-  base_rhs_.assign(n_, 0.0);
-  for (const ThermalModel::Edge& e : model.edges_) {
-    base.add(e.i, e.i, e.g);
-    base.add(e.j, e.j, e.g);
-    base.add(e.i, e.j, -e.g);
-    base.add(e.j, e.i, -e.g);
-  }
-  for (const auto& [node, g] : model.static_ambient_) {
-    base.add(node, node, g);
-    base_rhs_[node] += g * model.config().ambient;
-  }
-  base_lower_ = la::lower_band(base);
+  // The model's static part; the per-step stamps add the operating point in
+  // ThermalModel::assemble's order, so every entry accumulates assemble()'s
+  // additions in its order. Only the lower band is kept.
+  AssembledSystem base = model.static_system();
+  base_lower_ = la::lower_band(base.matrix);
+  base_rhs_ = std::move(base.rhs);
 
+  cell_current_.assign(cells_, 0.0);
   rhs_.assign(n_, 0.0);
   next_.assign(n_, 0.0);
   chip_next_.assign(cells_, 0.0);
@@ -110,7 +100,7 @@ TransientStepper::TransientStepper(
   taylor_.resize(cells_);
   exact_slope_.assign(cells_, 0.0);
   key_slopes_.assign(cells_, 0);
-  slots_.resize(config_.factor_slots);
+  slots_.resize(kFactorSlots);
   for (FactorSlot& slot : slots_) slot.key_slopes.assign(cells_, 0);
 
   reset(la::Vector(n_, model.config().ambient));
@@ -142,8 +132,8 @@ void TransientStepper::reset(const la::Vector& initial_temperatures) {
 }
 
 void TransientStepper::linearize_leakage() {
-  // The reference loop's rule, statement for statement: exact p(Tₙ) and
-  // t_ref = Tₙ every step, slopes refreshed together once one drifts.
+  // Exact p(Tₙ) and t_ref = Tₙ every step, slopes refreshed together once
+  // one drifts past the tolerance.
   bool refresh = !holding_;
   for (std::size_t i = 0; i < cells_; ++i) {
     const power::TaylorCoefficients exact =
@@ -168,7 +158,7 @@ void TransientStepper::linearize_leakage() {
   // this trace, yet "used" slots survive LRU preference — so when every
   // step refreshes (tolerance 0) eviction used to cycle round-robin through
   // all slots, streaming the full multi-slot factor working set each step
-  // and running *slower* than the reference's single recycled buffer.
+  // and running *slower* than refactoring into one recycled buffer.
   // Invalidating the stale slots steers lru_slot() back to one cache-warm
   // buffer. Pure cache policy: factors are exact functions of their keys,
   // so results are unchanged bit-for-bit.
@@ -181,87 +171,46 @@ void TransientStepper::linearize_leakage() {
   }
 }
 
-void TransientStepper::stamp_diagonal(double* diag, std::size_t stride,
-                                      double omega, double current,
-                                      double dt) const {
-  const NodeLayout& layout = model_->layout();
-  const auto add = [diag, stride](std::size_t node, double v) {
-    diag[node * stride] += v;
-  };
-  const double g_sink_total = model_->config().sink_fan.conductance(omega);
-  for (const auto& [node, share] : model_->sink_ambient_share_) {
-    add(node, g_sink_total * share);
-  }
-  for (std::size_t cell = 0; cell < cells_; ++cell) {
-    add(layout.node(Slab::kChip, cell), -taylor_[cell].a);
-  }
-  if (const tec::TecArray* tec = model_->tec_array()) {
-    for (std::size_t cell = 0; cell < cells_; ++cell) {
-      const tec::CellTec& ct = tec->cell(cell);
-      if (!ct.covered || current <= 0.0) continue;
-      const double peltier = ct.seebeck * current;
-      add(layout.node(Slab::kTecAbs, cell), peltier);
-      add(layout.node(Slab::kTecRej, cell), -peltier);
-    }
-  }
+void TransientStepper::stamp_step_diagonal(double* diag, std::size_t stride,
+                                           double omega, double dt) const {
+  model_->stamp_diagonal(diag, stride, omega, cell_current_, taylor_);
   const la::Vector& cap = model_->capacitances();
-  for (std::size_t i = 0; i < n_; ++i) add(i, cap[i] / dt);
+  for (std::size_t i = 0; i < n_; ++i) diag[i * stride] += cap[i] / dt;
 }
 
-bool TransientStepper::refactor(FactorSlot& slot, double omega,
-                                double current, double dt) {
+bool TransientStepper::refactor(FactorSlot& slot, double omega, double dt) {
   slot.used = false;
   try {
     // Cholesky on the base lower band plus this step's diagonal, stamped in
     // place; a non-positive pivot rebuilds the full band (the mirrored base
-    // with the same stamps) for the pivoted LU — the reference's matrix, bit
-    // for bit, on either path.
+    // with the same stamps) for the pivoted LU — the assembled step matrix,
+    // bit for bit, on either path.
     slot.factor.refactorize(
         n_, bw_,
         [&](double* lower) {
           std::copy(base_lower_.begin(), base_lower_.end(), lower);
-          stamp_diagonal(lower, bw_ + 1, omega, current, dt);
+          stamp_step_diagonal(lower, bw_ + 1, omega, dt);
         },
         [&] {
           la::BandedMatrix full =
               la::symmetric_from_lower(n_, bw_, base_lower_.data());
-          stamp_diagonal(full.col_ptr(0) + 2 * bw_, full.storage_rows(),
-                         omega, current, dt);
+          stamp_step_diagonal(full.col_ptr(0) + 2 * bw_, full.storage_rows(),
+                              omega, dt);
           return full;
         });
   } catch (const std::runtime_error&) {
-    return false;  // singular step matrix — the reference's runaway verdict
+    return false;  // singular step matrix: a runaway verdict
   }
   ++n_factorizations_;
   if (slot.factor.kind() == la::BandedFactor::Kind::kLu) ++n_lu_fallbacks_;
   return true;
 }
 
-void TransientStepper::assemble_rhs(double omega, double current,
+void TransientStepper::assemble_rhs(double omega,
                                     const la::Vector& cell_dynamic_power,
                                     double dt) {
-  const NodeLayout& layout = model_->layout();
   rhs_ = base_rhs_;
-
-  const double ambient = model_->config().ambient;
-  const double g_sink_total = model_->config().sink_fan.conductance(omega);
-  for (const auto& [node, share] : model_->sink_ambient_share_) {
-    const double g = g_sink_total * share;
-    rhs_[node] += g * ambient;
-  }
-  for (std::size_t cell = 0; cell < cells_; ++cell) {
-    const power::TaylorCoefficients& tc = taylor_[cell];
-    rhs_[layout.node(Slab::kChip, cell)] +=
-        cell_dynamic_power[cell] + tc.b - tc.a * tc.t_ref;
-  }
-  if (const tec::TecArray* tec = model_->tec_array()) {
-    for (std::size_t cell = 0; cell < cells_; ++cell) {
-      const tec::CellTec& ct = tec->cell(cell);
-      if (!ct.covered || current <= 0.0) continue;
-      rhs_[layout.node(Slab::kTecGen, cell)] +=
-          ct.resistance * current * current;
-    }
-  }
+  model_->stamp_rhs(rhs_, omega, cell_current_, cell_dynamic_power, taylor_);
   const la::Vector& cap = model_->capacitances();
   for (std::size_t i = 0; i < n_; ++i) {
     const double c_dt = cap[i] / dt;
@@ -322,9 +271,9 @@ bool TransientStepper::step(const ControlSetting& setting,
   if (cell_dynamic_power.size() != cells_) {
     throw std::invalid_argument("TransientStepper::step: per-cell arity");
   }
-  // The reference path re-validates the operating point at every assemble;
-  // mirror it so out-of-range controller outputs fail identically whether
-  // or not the factor is cached.
+  // ThermalModel::assemble's range check, made on every step so that
+  // out-of-range controller outputs fail whether or not the factor is
+  // cached.
   if (setting.current < 0.0 ||
       setting.current > model_->config().tec.max_current * (1.0 + 1e-9)) {
     throw std::invalid_argument("TransientStepper::step: current out of range");
@@ -334,6 +283,7 @@ bool TransientStepper::step(const ControlSetting& setting,
   }
 
   linearize_leakage();
+  std::fill(cell_current_.begin(), cell_current_.end(), setting.current);
 
   FactorSlot* slot = find_slot(setting.omega, setting.current, dt);
   const bool hit = slot != nullptr;
@@ -342,7 +292,7 @@ bool TransientStepper::step(const ControlSetting& setting,
     slot->stamp = ++lru_stamp_;
   } else {
     slot = &lru_slot();
-    if (!refactor(*slot, setting.omega, setting.current, dt)) return false;
+    if (!refactor(*slot, setting.omega, dt)) return false;
     slot->key_dt = bits_of(dt);
     slot->key_omega = bits_of(setting.omega);
     slot->key_current = bits_of(setting.current);
@@ -351,7 +301,7 @@ bool TransientStepper::step(const ControlSetting& setting,
     slot->stamp = ++lru_stamp_;
   }
 
-  assemble_rhs(setting.omega, setting.current, cell_dynamic_power, dt);
+  assemble_rhs(setting.omega, cell_dynamic_power, dt);
   next_ = rhs_;
   slot->factor.solve_in_place(next_);
   if (hit && g_fault_factor_corrupt.should_fail()) {
@@ -366,7 +316,7 @@ bool TransientStepper::step(const ControlSetting& setting,
     // A genuine runaway re-fails identically — a fresh factor of the same
     // matrix is bit-identical — so exactness is preserved.
     ++n_self_heals_;
-    if (!refactor(*slot, setting.omega, setting.current, dt)) return false;
+    if (!refactor(*slot, setting.omega, dt)) return false;
     slot->used = true;
     slot->stamp = ++lru_stamp_;
     next_ = rhs_;
@@ -420,11 +370,8 @@ TransientSample TransientStepper::sample(double time,
 class TransientEngine::StepperPool {
  public:
   StepperPool(const ThermalModel& model,
-              std::vector<power::ExponentialTerm> leakage,
-              std::size_t factor_slots)
-      : model_(&model),
-        leakage_(std::move(leakage)),
-        factor_slots_(factor_slots) {}
+              std::vector<power::ExponentialTerm> leakage)
+      : model_(&model), leakage_(std::move(leakage)) {}
 
   [[nodiscard]] std::unique_ptr<TransientStepper> checkout() {
     {
@@ -435,9 +382,7 @@ class TransientEngine::StepperPool {
         return s;
       }
     }
-    TransientStepper::Config cfg;
-    cfg.factor_slots = factor_slots_;
-    return std::make_unique<TransientStepper>(*model_, leakage_, cfg);
+    return std::make_unique<TransientStepper>(*model_, leakage_);
   }
 
   void checkin(std::unique_ptr<TransientStepper> stepper) {
@@ -456,16 +401,15 @@ class TransientEngine::StepperPool {
  private:
   const ThermalModel* model_;
   std::vector<power::ExponentialTerm> leakage_;
-  std::size_t factor_slots_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<TransientStepper>> idle_;
 };
 
 namespace {
 
-/// The reference run_closed_loop body, executed on a stepper. Control-call
-/// sequence, record times, and runaway accounting mirror TransientSolver
-/// statement for statement.
+/// One run on a stepper: a control call and a step per planned step, a
+/// sample every record_stride steps and at the horizon (the clamped last
+/// step records the true duration), early exit on runaway.
 [[nodiscard]] TransientResult run_on(TransientStepper& stepper,
                                      const FeedbackControl& control,
                                      const la::Vector& initial_temperatures,
@@ -532,12 +476,8 @@ TransientEngine::TransientEngine(const ThermalModel& model,
   if (dynamic_.size() != cells || leakage_.size() != cells) {
     throw std::invalid_argument("TransientEngine: per-cell arity mismatch");
   }
-  if (config_.factor_slots == 0) {
-    throw std::invalid_argument("TransientEngine: factor_slots must be >= 1");
-  }
   validate_options(options_);
-  steppers_ = std::make_unique<StepperPool>(model, leakage_,
-                                            config_.factor_slots);
+  steppers_ = std::make_unique<StepperPool>(model, leakage_);
 }
 
 TransientEngine::~TransientEngine() = default;

@@ -1,45 +1,48 @@
-// Fast transient engine: the production path for backward-Euler transient
-// simulation, bit-identical to the reference TransientSolver.
+// Transient engine: backward-Euler simulation of the RC network, the one
+// transient path in the library.
 //
-// TransientSolver assembles the full banded system at every step and
-// factors it afresh through la::BandedFactor (Cholesky, pivoted LU when the
-// step matrix is not positive definite), which makes the factorization
-// (O(n·bw²)) the dominant cost of every closed-loop run — the DTM loop,
-// transient boost, serve sessions and the ablation benches all pay it. This
-// engine cuts that cost without changing a single output bit:
+// A step solves (C/dt + M(ω, I, a))·Tₙ₊₁ = C/dt·Tₙ + rhs(ω, I, Tₙ), where
+// the exact leakage of the current state enters rhs and only its held
+// slopes a enter the matrix (thermal/transient.h). Refactoring that banded
+// matrix (O(n·bw²)) at every step would dominate every closed-loop run —
+// the DTM loop, transient boost, serve sessions and the ablation benches —
+// so the engine avoids it without changing an output bit:
 //
-//   1. Static base, diagonal stamps, one policy. The conduction edges and
-//      PCB-ambient couplings never change across steps; they are stamped
-//      once, at construction, into a base lower band ((k+1)·n doubles) and
-//      base rhs. A factorization copies the base lower band straight into a
-//      factor slot's storage, stamps only the diagonal groups (sink·g(ω),
-//      chip leakage slope, TEC ±α·I, C/dt) in exactly the order
-//      ThermalModel::assemble uses, and runs Cholesky in place — so every
-//      entry accumulates the reference's additions in the reference's
-//      order, and the factor is the reference's, bit for bit. The step
-//      matrix is symmetric, and with C/dt on its diagonal positive definite
-//      away from runaway; on a non-positive pivot the stepper rebuilds the
-//      full band (mirrored base + the same stamps) and takes the pivoted LU,
-//      as the reference does (counted in lu_fallbacks()).
+//   1. Static base plus stamps. The conduction edges and PCB-ambient
+//      couplings never change across steps; the stepper takes them once,
+//      at construction, from ThermalModel::static_system() and keeps the
+//      lower band ((k+1)·n doubles) and rhs. A factorization copies that
+//      base straight into a factor slot's storage, lets the model stamp the
+//      operating point onto its diagonal (ThermalModel::stamp_diagonal,
+//      assemble()'s order), adds C/dt, and runs Cholesky in place — so
+//      every entry accumulates ThermalModel::assemble's additions in its
+//      order, followed by C/dt, and the factor is that of the assembled
+//      step matrix, bit for bit. The step matrix is symmetric, and with C/dt
+//      on its diagonal positive definite away from runaway; on a
+//      non-positive pivot the stepper rebuilds the full band (mirrored base
+//      + the same stamps) and takes the pivoted LU (counted in
+//      lu_fallbacks()). The rhs is built the same way (stamp_rhs, then
+//      C/dt·Tₙ).
 //
 //   2. Factor reuse. The step matrix depends only on (dt, ω, I, held
 //      leakage slopes); the exact leakage of the current state enters the
-//      right-hand side alone. Factors are cached in a small LRU keyed on the
-//      exact IEEE bits of those inputs (the steady SolveEngine's keying
-//      discipline). Under a held setting a factorization lasts until some
-//      chip cell's exact slope leaves the relative tolerance around its
-//      held one (TransientOptions::relinearization_threshold, default 0.1:
-//      ≈ 3 K of drift) — a few dozen 10-ms steps of a DTM replay, a whole
-//      run near steady state; controllers that toggle between a few
-//      settings (LUT, fail-safe chains) hit warm slots. At tolerance 0 the
-//      slopes refresh whenever the chip moves, and every such step
-//      refactors.
+//      right-hand side alone. Factors are cached in a small LRU (eight
+//      slots) keyed on the exact IEEE bits of those inputs (the steady
+//      SolveEngine's keying discipline). Under a held setting a
+//      factorization lasts until some chip cell's exact slope leaves the
+//      relative tolerance around its held one
+//      (TransientOptions::relinearization_threshold, default 0.1: ≈ 3 K of
+//      drift) — a few dozen 10-ms steps of a DTM replay, a whole run near
+//      steady state; controllers that toggle between a few settings (LUT,
+//      fail-safe chains) hit warm slots. At tolerance 0 the slopes refresh
+//      whenever the chip moves, and every such step refactors.
 //
-//   3. Allocation-free stepping. All workspaces are preallocated; a
-//      Cholesky refactorization reuses its slot's lower-band storage and
-//      solves run in place, so once the slots are warm the step loop
-//      performs zero heap allocations. (The LU fallback allocates its full
-//      band; it fires only on non-positive-definite step matrices.)
+//   3. Allocation-free stepping. All workspaces, the per-cell current
+//      buffer included, are preallocated; a Cholesky refactorization reuses
+//      its slot's lower-band storage and solves run in place, so once the
+//      slots are warm the step loop performs zero heap allocations. (The LU
+//      fallback allocates its full band; it fires only on
+//      non-positive-definite step matrices.)
 //
 //   4. run_batch fans independent traces across util::ThreadPool. Each
 //      trace runs on its own stepper, results are written by job index, and
@@ -47,9 +50,11 @@
 //      results are bit-identical to serial at any thread count.
 //
 // Exactness contract: for identical inputs (model, workload, options,
-// control), TransientEngine and TransientSolver produce bit-identical
-// TransientResults — samples, final temperatures, step counts, runaway
-// verdicts — at any thread count and any slope tolerance.
+// control), TransientEngine produces bit-identical TransientResults —
+// samples, final temperatures, step counts, runaway verdicts — to the
+// executable specification in tests/thermal/transient_oracle.h, which
+// assembles and factors the full step matrix at every step, at any thread
+// count and any slope tolerance.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +74,7 @@ namespace oftec::thermal {
 
 /// What the post-step runaway verdict inspects.
 enum class RunawayCheck {
-  kAllNodes,  ///< any node non-finite or above the limit (TransientSolver)
+  kAllNodes,  ///< any node non-finite or above the limit (TransientEngine)
   kChipOnly,  ///< the max chip temperature only (the DTM loop's verdict)
 };
 
@@ -85,7 +90,6 @@ class TransientStepper {
     /// Relative slope tolerance; see TransientOptions.
     double relinearization_threshold = kDefaultRelinearizationThreshold;
     RunawayCheck runaway_check = RunawayCheck::kAllNodes;
-    std::size_t factor_slots = 8;  ///< LRU capacity (distinct warm settings)
   };
 
   TransientStepper(const ThermalModel& model,
@@ -100,15 +104,15 @@ class TransientStepper {
                  RunawayCheck check);
 
   /// Set the integration state and drop the held slopes (a fresh run always
-  /// takes exact slopes at its first step, like the reference).
+  /// takes exact slopes at its first step).
   /// Throws std::invalid_argument on arity mismatch.
   void reset(const la::Vector& initial_temperatures);
 
   /// Advance one backward-Euler step of length `dt` under `setting` with the
   /// given per-cell dynamic power. Returns false — leaving the state
   /// unchanged — when the step matrix is singular or the stepped state fails
-  /// the runaway verdict; semantics match TransientSolver's step loop
-  /// bit for bit. Throws std::invalid_argument on bad current or arity.
+  /// the runaway verdict. Throws std::invalid_argument on bad current or
+  /// arity.
   [[nodiscard]] bool step(const ControlSetting& setting,
                           const la::Vector& cell_dynamic_power, double dt);
 
@@ -116,7 +120,7 @@ class TransientStepper {
     return temps_;
   }
   /// Chip-slab temperatures of the current state (kept in lockstep with
-  /// temperatures() — the hoisted slab_temperatures of the reference loop).
+  /// temperatures()).
   [[nodiscard]] const la::Vector& chip_temperatures() const noexcept {
     return chip_;
   }
@@ -132,8 +136,7 @@ class TransientStepper {
   /// TEC electrical power of the current state; bit-equal to
   /// ThermalModel::tec_power.
   [[nodiscard]] double tec_power(double current) const;
-  /// Sample of the current state at `time` under `setting`; field-for-field
-  /// what TransientSolver records.
+  /// Sample of the current state at `time` under `setting`.
   [[nodiscard]] TransientSample sample(double time,
                                        const ControlSetting& setting) const;
 
@@ -170,15 +173,14 @@ class TransientStepper {
   /// Exact leakage at the current state with the held slopes, refreshed
   /// when one drifts past the tolerance (TransientOptions).
   void linearize_leakage();
-  /// Add the per-step diagonal groups, in ThermalModel::assemble's order, to
-  /// the diagonal at diag[i·stride].
-  void stamp_diagonal(double* diag, std::size_t stride, double omega,
-                      double current, double dt) const;
+  /// The model's operating-point stamps, then C/dt, on the diagonal at
+  /// diag[i·stride].
+  void stamp_step_diagonal(double* diag, std::size_t stride, double omega,
+                           double dt) const;
   /// Factor the step matrix into `slot`; false when it is singular.
-  [[nodiscard]] bool refactor(FactorSlot& slot, double omega, double current,
-                              double dt);
-  void assemble_rhs(double omega, double current,
-                    const la::Vector& cell_dynamic_power, double dt);
+  [[nodiscard]] bool refactor(FactorSlot& slot, double omega, double dt);
+  void assemble_rhs(double omega, const la::Vector& cell_dynamic_power,
+                    double dt);
   [[nodiscard]] FactorSlot* find_slot(double omega, double current, double dt);
   [[nodiscard]] FactorSlot& lru_slot();
   void commit(double verdict_max_chip);
@@ -191,12 +193,13 @@ class TransientStepper {
   std::size_t cells_ = 0;
   std::size_t bw_ = 0;  ///< band half-width k
 
-  // Static base (conduction edges + PCB-ambient), stamped once; the matrix
-  // is kept as its lower band (la::BandedFactor's staging layout).
+  // ThermalModel::static_system(), taken once; the matrix is kept as its
+  // lower band (la::BandedFactor's staging layout).
   la::Vector base_lower_;
   la::Vector base_rhs_;
 
   // Step workspaces.
+  la::Vector cell_current_;  ///< the step's current on every cell
   la::Vector rhs_;
   la::Vector next_;
   la::Vector temps_;
@@ -244,15 +247,13 @@ struct TransientEngineStats {
   std::size_t lu_fallbacks = 0;  ///< factorizations that took the LU fallback
 };
 
-/// Drop-in fast path for TransientSolver: same construction signature, same
-/// run()/run_closed_loop()/ambient_state() surface, bit-identical results,
-/// plus run_batch for fanning independent traces. Thread-safe: concurrent
-/// runs check steppers out of an internal pool (warm factor caches carry
-/// across runs).
+/// Transient integration of one model + workload: run()/run_closed_loop()
+/// from a given state, plus run_batch for fanning independent traces.
+/// Thread-safe: concurrent runs check steppers out of an internal pool (warm
+/// factor caches carry across runs).
 class TransientEngine {
  public:
   struct Config {
-    std::size_t factor_slots = 8;  ///< per-stepper LRU capacity
     /// Worker threads for run_batch; 0 = ThreadPool::default_thread_count()
     /// (the OFTEC_THREADS environment variable, else hardware concurrency).
     std::size_t threads = 0;

@@ -142,6 +142,24 @@ TEST(DtmLoop, InexactTraceDurationStopsAtTheTraceEnd) {
   EXPECT_EQ(r.reoptimizations, 1u);  // the whole trace is one period
 }
 
+TEST(DtmLoop, ClampedFinalStepLandsOnTheTraceEnd) {
+  // One 0.05-s sample at 20-ms steps: two full steps and a clamped 10-ms
+  // one. Integrated at the full dt, the replay ended at 0.06 s.
+  workload::TraceOptions topts;
+  topts.sample_count = 1;
+  topts.sample_interval = 0.05;
+  const workload::PowerTrace trace = workload::generate_trace(
+      workload::profile_for(workload::Benchmark::kFft), fp(), topts);
+  DtmOptions opts = fast_options(DtmPolicy::kStatic);
+  opts.time_step = 20e-3;
+  const DtmResult r = run_dtm_loop(fp(), trace, leakage(), opts);
+  ASSERT_FALSE(r.runaway);
+  ASSERT_EQ(r.samples.size(), 3u);  // every step is recorded
+  EXPECT_NEAR(r.samples.back().time, 0.05, 1e-12);
+  EXPECT_LE(r.violation_time, 0.05 + 1e-12);
+  EXPECT_LE(r.failsafe_time, 0.05 + 1e-12);
+}
+
 TEST(DtmLoop, SamplesCarryMonotoneTime) {
   const workload::PowerTrace trace = short_trace(workload::Benchmark::kCrc32);
   const DtmResult r =

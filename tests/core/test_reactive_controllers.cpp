@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.h"
+#include "thermal/transient_engine.h"
 #include "util/units.h"
 
 namespace oftec::core {
@@ -93,7 +94,7 @@ TEST(Hysteresis, ClosedLoopRegulatesTemperature) {
   topt.time_step = 20e-3;
   topt.duration = 40.0;
   topt.record_stride = 10;
-  const thermal::TransientSolver transient(sys.thermal_model(),
+  const thermal::TransientEngine transient(sys.thermal_model(),
                                            sys.cell_dynamic_power(),
                                            sys.cell_leakage(), topt);
   // Start from the hot (TEC-off) steady state so the test skips the slow

@@ -1,4 +1,4 @@
-#include "thermal/transient.h"
+#include "thermal/transient_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -52,11 +52,11 @@ TEST(Transient, ValidatesOptions) {
   const Workload w = make_workload(20.0);
   TransientOptions bad;
   bad.time_step = 0.0;
-  EXPECT_THROW(TransientSolver(model(), w.dynamic, w.leak, bad),
+  EXPECT_THROW(TransientEngine(model(), w.dynamic, w.leak, bad),
                std::invalid_argument);
   bad = TransientOptions{};
   bad.record_stride = 0;
-  EXPECT_THROW(TransientSolver(model(), w.dynamic, w.leak, bad),
+  EXPECT_THROW(TransientEngine(model(), w.dynamic, w.leak, bad),
                std::invalid_argument);
 }
 
@@ -66,7 +66,7 @@ TEST(Transient, WarmUpApproachesSteadyState) {
   opts.time_step = 20e-3;
   opts.duration = 60.0;  // several sink time constants
   opts.record_stride = 100;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(450.0, 0.5), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -83,7 +83,7 @@ TEST(Transient, TemperatureRisesMonotonicallyFromAmbient) {
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 2.0;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(450.0, 0.0), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -102,7 +102,7 @@ TEST(Transient, SteadyInitialStateStaysPut) {
   TransientOptions opts;
   opts.time_step = 5e-3;
   opts.duration = 0.5;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(400.0, 1.0), s.temperatures);
   ASSERT_FALSE(r.runaway);
@@ -123,7 +123,7 @@ TEST(Transient, CurrentStepCoolsFastThenJouleCatchesUp) {
   opts.time_step = 2e-3;
   opts.duration = 8.0;
   opts.record_stride = 5;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(450.0, 2.0), s.temperatures);
   ASSERT_FALSE(r.runaway);
@@ -148,7 +148,7 @@ TEST(Transient, NoFanRunsAway) {
   opts.time_step = 50e-3;
   opts.duration = 600.0;
   opts.record_stride = 200;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(0.0, 0.0), transient.ambient_state());
   EXPECT_TRUE(r.runaway);
@@ -160,7 +160,7 @@ TEST(Transient, RecordStrideControlsSampleCount) {
   opts.time_step = 10e-3;
   opts.duration = 0.1;
   opts.record_stride = 5;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(300.0, 0.0), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -174,7 +174,7 @@ TEST(Transient, SamplesCarryPowerBreakdown) {
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 0.05;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(300.0, 1.0), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -189,7 +189,7 @@ TEST(Transient, ZeroLengthHorizonIsANoOp) {
   const Workload w = make_workload(20.0);
   TransientOptions opts;
   opts.duration = 0.0;
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const la::Vector start(model().layout().node_count(), 330.0);
   const TransientResult r = transient.run(constant_control(400.0, 0.5), start);
   EXPECT_FALSE(r.runaway);
@@ -204,7 +204,7 @@ TEST(Transient, ZeroLengthHorizonIsANoOp) {
 
   TransientOptions bad;
   bad.duration = -1.0;
-  EXPECT_THROW(TransientSolver(model(), w.dynamic, w.leak, bad),
+  EXPECT_THROW(TransientEngine(model(), w.dynamic, w.leak, bad),
                std::invalid_argument);
 }
 
@@ -217,7 +217,7 @@ TEST(Transient, VeryLargeTimeStepStaysStableAndLandsNearSteadyState) {
   TransientOptions opts;
   opts.time_step = 1000.0;  // ~10^5 × the sink time constant
   opts.duration = 10000.0;  // 10 giant steps
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(450.0, 0.5), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -250,7 +250,7 @@ TEST(Transient, StepChangeMidHorizonMatchesTwoStageComposition) {
     whole_opts.time_step = 10e-3;
     whole_opts.duration = 0.5;
     whole_opts.relinearization_threshold = tolerance;
-    const TransientSolver whole(model(), w.dynamic, w.leak, whole_opts);
+    const TransientEngine whole(model(), w.dynamic, w.leak, whole_opts);
     const TransientResult one_shot = whole.run(
         [t_step](double t) {
           return t < t_step ? ControlSetting{450.0, 0.0}
@@ -261,7 +261,7 @@ TEST(Transient, StepChangeMidHorizonMatchesTwoStageComposition) {
 
     TransientOptions half_opts = whole_opts;
     half_opts.duration = t_step;
-    const TransientSolver half(model(), w.dynamic, w.leak, half_opts);
+    const TransientEngine half(model(), w.dynamic, w.leak, half_opts);
     const TransientResult leg1 =
         half.run(constant_control(450.0, 0.0), half.ambient_state());
     ASSERT_FALSE(leg1.runaway);
@@ -310,7 +310,7 @@ TEST(Transient, ClampedFinalStepLandsOnDuration) {
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 0.105;  // 10 full steps + one clamped half-step
-  const TransientSolver transient(model(), w.dynamic, w.leak, opts);
+  const TransientEngine transient(model(), w.dynamic, w.leak, opts);
   const TransientResult r =
       transient.run(constant_control(400.0, 0.5), transient.ambient_state());
   ASSERT_FALSE(r.runaway);
@@ -320,7 +320,7 @@ TEST(Transient, ClampedFinalStepLandsOnDuration) {
 
 TEST(Transient, StateArityChecked) {
   const Workload w = make_workload(20.0);
-  const TransientSolver transient(model(), w.dynamic, w.leak);
+  const TransientEngine transient(model(), w.dynamic, w.leak);
   EXPECT_THROW(
       (void)transient.run(constant_control(300.0, 0.0), la::Vector(3, 318.0)),
       std::invalid_argument);

@@ -14,7 +14,10 @@
 // right-hand side (a sign, a stale expansion point) breaks the balance.
 //
 // Every step of a 0.5-s, 10-ms replay of each benchmark's trace from
-// ambient, on the 8×8 and 10×10 grids.
+// ambient, at 0.6·ω_max and 1 A on the 8×8 and 10×10 grids. Every other
+// branch of the model's operating-point stamps gets a 10×10 replay too:
+// I = 0 (no Peltier or Joule terms), ω = 0 at 1 A (g(ω) on its
+// natural-convection floor) and a fan-only package (no TEC array).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -49,6 +52,27 @@ const ThermalModel& model(std::size_t grid) {
   return grid == 8 ? m8 : m10;
 }
 
+const ThermalModel& fan_only_model() {
+  static const ThermalModel m(
+      package::PackageConfig::paper_default().without_tecs(), fp(), 10, 10);
+  return m;
+}
+
+struct Case {
+  std::string name;
+  const ThermalModel* model;
+  ControlSetting control;
+};
+
+std::vector<Case> cases() {
+  const double omega = 0.6 * model(10).config().fan.max_speed;
+  return {{"8x8", &model(8), {omega, 1.0}},
+          {"10x10", &model(10), {omega, 1.0}},
+          {"10x10, I = 0", &model(10), {omega, 0.0}},
+          {"10x10, omega = 0", &model(10), {0.0, 1.0}},
+          {"10x10, fan-only", &fan_only_model(), {omega, 1.0}}};
+}
+
 class BenchmarkTransientEnergyTest
     : public ::testing::TestWithParam<workload::Benchmark> {};
 
@@ -61,16 +85,15 @@ TEST_P(BenchmarkTransientEnergyTest, EveryStepBalancesEnergy) {
   const workload::PowerTrace trace =
       workload::generate_trace(workload::profile_for(GetParam()), fp(), topts);
 
-  for (const std::size_t grid : {std::size_t{8}, std::size_t{10}}) {
-    const ThermalModel& m = model(grid);
+  for (const Case& c : cases()) {
+    const ThermalModel& m = *c.model;
     const NodeLayout& layout = m.layout();
     const std::vector<power::ExponentialTerm> leak = m.cell_leakage(leakage());
     const la::Vector& cap = m.capacitances();
-    const ControlSetting setting{0.6 * m.config().fan.max_speed, 1.0};
+    const ControlSetting setting = c.control;
 
     for (const double tolerance : {0.0, kDefaultRelinearizationThreshold}) {
-      SCOPED_TRACE(std::to_string(grid) + "x" + std::to_string(grid) +
-                   ", tolerance " + std::to_string(tolerance));
+      SCOPED_TRACE(c.name + ", tolerance " + std::to_string(tolerance));
       TransientStepper::Config cfg;
       cfg.relinearization_threshold = tolerance;
       TransientStepper stepper(m, leak, cfg);

@@ -1,7 +1,8 @@
 // TransientEngine's exactness contract: for identical inputs it must produce
-// bit-identical TransientResults to the reference TransientSolver — across
-// record strides, controller types, leakage-slope tolerances, runaway
-// early-exits, clamped horizons, and run_batch at any thread count.
+// bit-identical TransientResults to the transient oracle
+// (transient_oracle.h) — across record strides, controller types,
+// leakage-slope tolerances, runaway early-exits, clamped horizons, and
+// run_batch at any thread count.
 #include "thermal/transient_engine.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +16,12 @@
 #include "power/mcpat_like.h"
 #include "thermal/steady.h"
 #include "thermal/transient.h"
+#include "transient_oracle.h"
 
 namespace oftec::thermal {
 namespace {
+
+using testing::TransientOracle;
 
 const floorplan::Floorplan& fp() {
   static const floorplan::Floorplan f = floorplan::make_ev6_floorplan();
@@ -101,7 +105,7 @@ TEST(TransientEngine, BitIdenticalAcrossStridesAndThresholds) {
       opts.duration = 0.3;
       opts.record_stride = stride;
       opts.relinearization_threshold = tolerance;
-      const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+      const TransientOracle reference(model(), w.dynamic, w.leak, opts);
       const TransientEngine engine(model(), w.dynamic, w.leak, opts);
       const TransientResult ref = reference.run_closed_loop(
           constant_control(400.0, 1.0), reference.ambient_state());
@@ -121,7 +125,7 @@ TEST(TransientEngine, BitIdenticalUnderStatefulToggleController) {
     opts.time_step = 10e-3;
     opts.duration = 0.5;
     opts.relinearization_threshold = tolerance;
-    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
     const TransientEngine engine(model(), w.dynamic, w.leak, opts);
     const la::Vector init(model().layout().node_count(), 341.0);  // above trip
     const TransientResult ref =
@@ -140,7 +144,7 @@ TEST(TransientEngine, BitIdenticalUnderScheduleStepChange) {
     opts.time_step = 10e-3;
     opts.duration = 0.4;
     opts.relinearization_threshold = tolerance;
-    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
     const TransientEngine engine(model(), w.dynamic, w.leak, opts);
     const ControlSchedule schedule = [](double t) {
       return t < 0.2 ? ControlSetting{450.0, 0.0} : ControlSetting{250.0, 1.5};
@@ -160,7 +164,7 @@ TEST(TransientEngine, RunawayEarlyExitMatchesReference) {
   opts.time_step = 50e-3;
   opts.duration = 600.0;
   opts.record_stride = 200;
-  const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+  const TransientOracle reference(model(), w.dynamic, w.leak, opts);
   const TransientEngine engine(model(), w.dynamic, w.leak, opts);
   const TransientResult ref = reference.run(
       [](double) { return ControlSetting{0.0, 0.0}; },
@@ -196,7 +200,7 @@ TEST(TransientEngine, ClampedHorizonMatchesReferenceAndLandsOnDuration) {
   TransientOptions opts;
   opts.time_step = 10e-3;
   opts.duration = 0.105;  // 10 full steps + a half-step remainder
-  const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+  const TransientOracle reference(model(), w.dynamic, w.leak, opts);
   const TransientEngine engine(model(), w.dynamic, w.leak, opts);
   const TransientResult ref = reference.run_closed_loop(
       constant_control(400.0, 0.5), reference.ambient_state());
@@ -235,10 +239,10 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
     return jobs;
   };
 
-  // Serial baseline from the reference solver.
+  // Serial baseline from the oracle.
   std::vector<TransientResult> serial;
   for (const TransientJob& job : make_jobs()) {
-    const TransientSolver reference(model(), w.dynamic, w.leak, job.options);
+    const TransientOracle reference(model(), w.dynamic, w.leak, job.options);
     serial.push_back(
         reference.run_closed_loop(job.control, job.initial_temperatures));
   }
@@ -314,7 +318,7 @@ TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
     TransientOptions opts;
     opts.time_step = 1.0;
     opts.duration = 5.0;
-    const TransientSolver reference(model(), w.dynamic, w.leak, opts);
+    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
     const TransientEngine engine(model(), w.dynamic, w.leak, opts);
     const la::Vector hot(model().layout().node_count(), start);
     const TransientResult ref =

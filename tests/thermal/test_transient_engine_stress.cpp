@@ -13,9 +13,12 @@
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
 #include "thermal/transient.h"
+#include "transient_oracle.h"
 
 namespace oftec::thermal {
 namespace {
+
+using testing::TransientOracle;
 
 const floorplan::Floorplan& fp() {
   static const floorplan::Floorplan f = floorplan::make_ev6_floorplan();
@@ -98,8 +101,8 @@ TEST(TransientEngineStress, ConcurrentClosedLoopRunsAreIsolated) {
   // Single-threaded references, one per distinct setting.
   std::vector<TransientResult> expected;
   for (std::size_t i = 0; i < kThreads; ++i) {
-    const TransientSolver reference(model(), w.dynamic, w.leak,
-                                    options_for(i, opts));
+    const TransientOracle reference(model(), w.dynamic, w.leak,
+                                     options_for(i, opts));
     const ControlSetting s = setting_for(i);
     expected.push_back(reference.run_closed_loop(
         constant_control(s.omega, s.current), init));
@@ -148,7 +151,7 @@ TEST(TransientEngineStress, ConcurrentBatchesBitIdenticalToSerial) {
 
   std::vector<TransientResult> serial;
   for (const TransientJob& job : make_jobs()) {
-    const TransientSolver reference(model(), w.dynamic, w.leak, job.options);
+    const TransientOracle reference(model(), w.dynamic, w.leak, job.options);
     serial.push_back(
         reference.run_closed_loop(job.control, job.initial_temperatures));
   }
