@@ -3,11 +3,22 @@
 // active-set SQP" and found active-set SQP best in quality × speed. This
 // bench runs OFTEC (Algorithm 1) under each engine plus an exhaustive
 // grid-search oracle, per benchmark, and compares solution power and runtime.
+// The interior-point and trust-region comparators live in tests/ (only this
+// bench and their suites run them), and each engine reaches run_oftec as its
+// OftecOptions::solver.
+//
+// Exit 1 unless the §5.2 row of EXPERIMENTS.md holds: every engine finds a
+// feasible point on all 8 profiles, and SQP lands within 2 % of the best
+// feasible power on all 8.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 
 #include "common.h"
 #include "core/problems.h"
+#include "opt/grid_search.h"
+#include "tests/opt/comparators.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -20,9 +31,31 @@ int main() {
                "trade-off; grid search confirms near-global optima despite "
                "minor non-convexity");
 
-  const core::Solver solvers[] = {
-      core::Solver::kActiveSetSqp, core::Solver::kInteriorPoint,
-      core::Solver::kTrustRegion, core::Solver::kGridSearch};
+  const struct {
+    const char* name;
+    core::PhaseSolver solver;
+  } engines[] = {
+      {"active-set-SQP", core::OftecOptions{}.solver},
+      {"interior-point",
+       [](const opt::Problem& p, const la::Vector& x0,
+          const opt::StopPredicate&) {
+         return opt::solve_interior_point(p, x0);
+       }},
+      {"trust-region",
+       [](const opt::Problem& p, const la::Vector& x0,
+          const opt::StopPredicate&) {
+         return opt::solve_trust_region(p, x0);
+       }},
+      {"grid-search",
+       [](const opt::Problem& p, const la::Vector&,
+          const opt::StopPredicate&) {
+         opt::GridSearchOptions gs;
+         gs.points_per_dimension = 21;
+         return opt::solve_grid_search(p, gs);
+       }},
+  };
+  constexpr std::size_t kEngines = std::size(engines);
+  constexpr std::size_t kSqp = 0;
 
   util::Table table;
   table.set_header({"Benchmark", "solver", "ok", "P* [W]", "T [C]",
@@ -34,7 +67,7 @@ int main() {
     std::size_t wins = 0;
     std::size_t feasible = 0;
   };
-  Tally tally[4];
+  Tally tally[kEngines];
 
   for (const workload::Benchmark b : workload::all_benchmarks()) {
     const auto& prof = workload::profile_for(b);
@@ -42,13 +75,12 @@ int main() {
         workload::peak_power_map(prof, paper_floorplan());
 
     double best_power = 1e300;
-    double powers[4];
-    for (std::size_t s = 0; s < 4; ++s) {
+    double powers[kEngines];
+    for (std::size_t s = 0; s < kEngines; ++s) {
       const core::CoolingSystem sys(paper_floorplan(), peak, paper_leakage(),
                                     {});
       core::OftecOptions opts;
-      opts.solver = solvers[s];
-      opts.grid_points = 21;
+      opts.solver = engines[s].solver;
       const core::OftecResult r = core::run_oftec(sys, opts);
       powers[s] = r.success ? r.power.total() : 1e300;
       if (r.success) {
@@ -57,28 +89,40 @@ int main() {
         tally[s].ms += r.runtime_ms;
         ++tally[s].feasible;
       }
-      table.add_row({prof.name, core::solver_name(solvers[s]),
+      table.add_row({prof.name, engines[s].name,
                      r.success ? "yes" : "NO",
                      r.success ? format_watts(r.power.total()) : std::string("-"),
                      r.success ? format_celsius(r.max_chip_temperature) : std::string("-"),
                      util::format_double(r.runtime_ms, 0),
                      std::to_string(r.thermal_solves)});
     }
-    for (std::size_t s = 0; s < 4; ++s) {
+    for (std::size_t s = 0; s < kEngines; ++s) {
       if (powers[s] <= best_power * 1.02) ++tally[s].wins;
     }
   }
   table.print(std::cout);
 
+  const std::size_t profiles = workload::all_benchmarks().size();
   std::printf("\nSummary over 8 benchmarks "
               "(win = within 2%% of the best feasible power):\n");
-  for (std::size_t s = 0; s < 4; ++s) {
+  int exit_code = 0;
+  for (std::size_t s = 0; s < kEngines; ++s) {
     std::printf("  %-16s feasible %zu/8, wins %zu/8, avg P %.2f W, "
                 "avg runtime %.0f ms\n",
-                core::solver_name(solvers[s]).c_str(), tally[s].feasible,
-                tally[s].wins,
+                engines[s].name, tally[s].feasible, tally[s].wins,
                 tally[s].feasible ? tally[s].power / tally[s].feasible : 0.0,
                 tally[s].feasible ? tally[s].ms / tally[s].feasible : 0.0);
+    if (tally[s].feasible != profiles) {
+      std::printf("FAIL: %s is infeasible on %zu of %zu profiles\n",
+                  engines[s].name, profiles - tally[s].feasible, profiles);
+      exit_code = 1;
+    }
   }
-  return 0;
+  if (tally[kSqp].wins != profiles) {
+    std::printf("FAIL: active-set SQP is more than 2%% above the best "
+                "feasible power on %zu of %zu profiles\n",
+                profiles - tally[kSqp].wins, profiles);
+    exit_code = 1;
+  }
+  return exit_code;
 }

@@ -107,8 +107,11 @@ int main() {
           topt);
       thermal::TransientResult ref =
           reference.run_closed_loop(constant, steady.temperatures);
+      // The engine's stats accumulate over every run; the untimed warm-up
+      // run from a fresh engine is the one whose factorizations we report.
       thermal::TransientResult eng =
           engine.run_closed_loop(constant, steady.temperatures);
+      const std::size_t factorizations = engine.stats().factorizations;
       double ref_ms = std::numeric_limits<double>::infinity();
       double eng_ms = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < kRepeats; ++rep) {
@@ -126,12 +129,11 @@ int main() {
         identical = ref.samples[i].max_chip_temperature ==
                     eng.samples[i].max_chip_temperature;
       }
-      const thermal::TransientEngineStats stats = engine.stats();
       const double speedup = eng_ms > 0.0 ? ref_ms / eng_ms : 0.0;
       std::printf("\n%s (slope tolerance %.2f): reference %.1f ms, engine "
                   "%.1f ms (%.1fx, %zu factorizations / %zu steps, "
                   "bit-identical: %s)\n", mode.key, mode.threshold, ref_ms,
-                  eng_ms, speedup, stats.factorizations, eng.steps,
+                  eng_ms, speedup, factorizations, eng.steps,
                   identical ? "yes" : "NO (BUG)");
       util::json::Value m = util::json::Value::object();
       m["steps"] = eng.steps;
@@ -139,7 +141,7 @@ int main() {
       m["reference_ms"] = ref_ms;
       m["engine_ms"] = eng_ms;
       m["speedup"] = speedup;
-      m["engine_factorizations"] = stats.factorizations;
+      m["engine_factorizations"] = factorizations;
       m["bit_identical"] = identical;
       j[mode.key] = m;
 
@@ -148,6 +150,17 @@ int main() {
       // (0.95 leaves room for timer noise on loaded machines).
       if (!identical) {
         std::printf("FAIL: %s mode is not bit-identical\n", mode.key);
+        exit_code = 1;
+      }
+      // Work-count gate, deterministic where the timing is not: exact mode
+      // factors at most once per step, as the reference does, and the
+      // default slope hold at most once per 100 steps.
+      const std::size_t steps_per_factorization =
+          mode.threshold > 0.0 ? 100 : 1;
+      if (factorizations * steps_per_factorization > eng.steps) {
+        std::printf("FAIL: %s mode factored %zu times in %zu steps (limit "
+                    "one per %zu steps)\n", mode.key, factorizations,
+                    eng.steps, steps_per_factorization);
         exit_code = 1;
       }
       if (speedup < 0.95) {

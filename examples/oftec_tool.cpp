@@ -177,8 +177,8 @@ int main(int argc, char** argv) {
                 "%.2f C exceeds the %.1f C limit.\n",
                 units::kelvin_to_celsius(result.opt2_temperature),
                 units::kelvin_to_celsius(config.package.t_max));
-    std::printf("Consider a larger sink, higher fan ceiling, or throttling "
-                "(see core/throttle.h).\n");
+    std::printf("Consider a larger sink, a higher fan ceiling, or "
+                "throttling the workload.\n");
     return 1;
   }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "la/vector_ops.h"
+#include "opt/grid_search.h"
 #include "thermal/model.h"
 #include "thermal/steady.h"
 #include "thermal/transient.h"
@@ -245,8 +246,13 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     // line-search/QP failure modes of the gradient-based solvers.
     if (!decided) {
       OftecOptions grid = options.oftec;
-      grid.solver = Solver::kGridSearch;
-      grid.grid_points = options.fallback_grid_points;
+      grid.solver = [points = options.fallback_grid_points](
+                        const opt::Problem& problem, const la::Vector&,
+                        const opt::StopPredicate&) {
+        opt::GridSearchOptions gs;
+        gs.points_per_dimension = points;
+        return opt::solve_grid_search(problem, gs);
+      };
       try_oftec(grid, ControllerTier::kGridSearch);
     }
     // Tier 4 is the pre-loaded fail-safe decision.

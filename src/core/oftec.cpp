@@ -2,12 +2,8 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "core/problems.h"
-#include "opt/grid_search.h"
-#include "opt/interior_point.h"
-#include "opt/trust_region.h"
 #include "util/obs.h"
 #include "util/stopwatch.h"
 
@@ -27,44 +23,10 @@ const obs::Histogram g_obs_runtime_ms =
 const obs::Histogram g_obs_thermal_solves = obs::histogram(
     "oftec.thermal_solves", {8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
 
-}  // namespace
-
-std::string solver_name(Solver s) {
-  switch (s) {
-    case Solver::kActiveSetSqp: return "active-set-SQP";
-    case Solver::kInteriorPoint: return "interior-point";
-    case Solver::kTrustRegion: return "trust-region";
-    case Solver::kGridSearch: return "grid-search";
-  }
-  throw std::invalid_argument("solver_name: unknown solver");
-}
-
-namespace {
-
 /// OftecResult::current of a point's zone currents.
 [[nodiscard]] double shared_current(const la::Vector& zone_currents) {
   if (zone_currents.size() > 1) return std::numeric_limits<double>::quiet_NaN();
   return zone_currents.empty() ? 0.0 : zone_currents[0];
-}
-
-[[nodiscard]] opt::OptResult dispatch(Solver solver, const opt::Problem& problem,
-                                      const la::Vector& x0,
-                                      const OftecOptions& options,
-                                      const opt::StopPredicate& stop) {
-  switch (solver) {
-    case Solver::kActiveSetSqp:
-      return opt::solve_sqp(problem, x0, options.sqp, stop);
-    case Solver::kInteriorPoint:
-      return opt::solve_interior_point(problem, x0);
-    case Solver::kTrustRegion:
-      return opt::solve_trust_region(problem, x0);
-    case Solver::kGridSearch: {
-      opt::GridSearchOptions gs;
-      gs.points_per_dimension = options.grid_points;
-      return opt::solve_grid_search(problem, gs);
-    }
-  }
-  throw std::invalid_argument("dispatch: unknown solver");
 }
 
 }  // namespace
@@ -77,8 +39,7 @@ MinTemperatureResult run_min_temperature(const CoolingSystem& system,
 
   const CoolingProblem opt2(system, CoolingProblem::Objective::kMaxTemperature,
                             /*temperature_constraint=*/false);
-  const opt::OptResult r =
-      dispatch(options.solver, opt2, opt2.midpoint(), options, nullptr);
+  const opt::OptResult r = options.solver(opt2, opt2.midpoint(), nullptr);
 
   MinTemperatureResult result;
   result.omega = opt2.omega_of(r.x);
@@ -124,8 +85,7 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
         [&](const la::Vector&, double objective) {
           return objective < stop_threshold;
         };
-    const opt::OptResult r2 = dispatch(options.solver, opt2, x, options,
-                                       early_stop);
+    const opt::OptResult r2 = options.solver(opt2, x, early_stop);
     x = r2.x;
     temperature = r2.objective;
     if (!(temperature < t_max)) {
@@ -163,7 +123,7 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
 
   // Line 6: minimize cooling power from the feasible start.
   OBS_SPAN("oftec.opt1");
-  const opt::OptResult r1 = dispatch(options.solver, opt1, x, options, nullptr);
+  const opt::OptResult r1 = options.solver(opt1, x, nullptr);
 
   // Guard against a solver returning an infeasible "optimum": fall back to
   // the Optimization 2 point, which is feasible by construction.

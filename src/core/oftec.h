@@ -10,28 +10,31 @@
 //
 // The same run serves every CoolingSystem: x = (ω) for a fan-only package,
 // (ω, I_TEC) for the paper's single series current, and (ω, I₁ … I_Z) for
-// a system built with a ZonePartition (multizone.h). The NLP engine is
-// pluggable (SQP / interior point / trust region / exhaustive search) to
-// reproduce the paper's solver comparison.
+// a system built with a ZonePartition (multizone.h). Both phases run one
+// PhaseSolver: active-set SQP, the method Sec. 5.2 chose; the DTM loop's
+// last fallback tier passes a grid search instead.
 #pragma once
 
-#include <string>
+#include <functional>
 
 #include "core/cooling_system.h"
 #include "opt/sqp.h"
 
 namespace oftec::core {
 
-/// Which nonlinear solver drives both phases.
-enum class Solver { kActiveSetSqp, kInteriorPoint, kTrustRegion, kGridSearch };
-
-[[nodiscard]] std::string solver_name(Solver s);
+/// Runs one phase of Algorithm 1: minimize `problem` from x0, stopping as
+/// soon as `stop` accepts an iterate (line 3's early stop; null for
+/// Optimization 1 and for run_min_temperature).
+using PhaseSolver = std::function<opt::OptResult(
+    const opt::Problem& problem, const la::Vector& x0,
+    const opt::StopPredicate& stop)>;
 
 struct OftecOptions {
-  Solver solver = Solver::kActiveSetSqp;
-  opt::SqpOptions sqp;
-  /// Grid resolution when solver == kGridSearch.
-  std::size_t grid_points = 41;
+  /// The solver of both phases; active-set SQP by default.
+  PhaseSolver solver = [](const opt::Problem& problem, const la::Vector& x0,
+                          const opt::StopPredicate& stop) {
+    return opt::solve_sqp(problem, x0, {}, stop);
+  };
   /// Thermal threshold override [K]; 0 → the system's T_max. Evaluations
   /// are threshold-independent, so sweeping this on one shared (memoized)
   /// CoolingSystem reuses every thermal solve across thresholds — the

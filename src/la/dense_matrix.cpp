@@ -104,14 +104,4 @@ double DenseMatrix::max_abs_diff(const DenseMatrix& b) const {
   return m;
 }
 
-bool DenseMatrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = r + 1; c < cols_; ++c) {
-      if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace oftec::la

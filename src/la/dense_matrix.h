@@ -56,9 +56,6 @@ class DenseMatrix {
   /// max_{i,j} |A_ij - B_ij|; matrices must be the same shape.
   [[nodiscard]] double max_abs_diff(const DenseMatrix& b) const;
 
-  /// true if |A - Aᵀ|_max <= tol.
-  [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -23,10 +23,8 @@ struct IterTally {
   }
 };
 
-[[nodiscard]] Vector jacobi_inverse_diagonal(const CsrMatrix& a,
-                                             bool enabled) {
+[[nodiscard]] Vector jacobi_inverse_diagonal(const CsrMatrix& a) {
   Vector inv_d(a.size(), 1.0);
-  if (!enabled) return inv_d;
   const Vector d = a.diagonal();
   for (std::size_t i = 0; i < d.size(); ++i) {
     inv_d[i] = d[i] != 0.0 ? 1.0 / d[i] : 1.0;
@@ -70,9 +68,8 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
   }
   const std::size_t max_iter =
       opts.max_iterations != 0 ? opts.max_iterations : 10 * n;
-  const Vector inv_d = column != nullptr
-                           ? Vector()
-                           : jacobi_inverse_diagonal(a, opts.jacobi_precondition);
+  const Vector inv_d =
+      column != nullptr ? Vector() : jacobi_inverse_diagonal(a);
   const BackendOps& ops = backend();
 
   IterativeResult res;

@@ -45,7 +45,6 @@ struct CgWorkspace {
 struct IterativeOptions {
   double tolerance = 1e-10;      ///< relative residual target ‖r‖/‖b‖
   std::size_t max_iterations = 0;  ///< 0 → 10·n
-  bool jacobi_precondition = true;
   /// Optional warm start (must have size n when set). Krylov iterations then
   /// run on the residual system, which cuts the iteration count sharply when
   /// the guess is close — e.g. successive Newton linearizations of the
@@ -55,8 +54,8 @@ struct IterativeOptions {
   /// outlive the call.
   CgWorkspace* workspace = nullptr;
   /// Optional successfully factored column block-Jacobi preconditioner.
-  /// When set it replaces diagonal Jacobi and jacobi_precondition is not
-  /// consulted; its size must be n. Not owned; must outlive the call.
+  /// When set it replaces diagonal Jacobi; its size must be n. Not owned;
+  /// must outlive the call.
   const ColumnBlockJacobi* preconditioner = nullptr;
 };
 

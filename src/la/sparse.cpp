@@ -15,7 +15,9 @@ void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
 
 CsrMatrix TripletBuilder::build() const {
   std::vector<Triplet> sorted = triplets_;
-  std::sort(sorted.begin(), sorted.end(),
+  // Stable: duplicates stay in insertion order, so each sum below runs in
+  // the order the caller added its terms, on every standard library.
+  std::stable_sort(sorted.begin(), sorted.end(),
             [](const Triplet& a, const Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
@@ -125,36 +127,6 @@ double CsrMatrix::get(std::size_t r, std::size_t c) const {
     if (col_idx_[k] == c) return values_[k];
   }
   return 0.0;
-}
-
-std::pair<std::size_t, std::size_t> CsrMatrix::bandwidths() const {
-  std::size_t kl = 0;
-  std::size_t ku = 0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (r >= c) {
-        kl = std::max(kl, r - c);
-      } else {
-        ku = std::max(ku, c - r);
-      }
-    }
-  }
-  return {kl, ku};
-}
-
-BandedMatrix CsrMatrix::to_banded(std::size_t kl, std::size_t ku) const {
-  BandedMatrix band(n_, kl, ku);
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (!band.in_band(r, c)) {
-        throw std::invalid_argument("CsrMatrix::to_banded: entry outside band");
-      }
-      band.at(r, c) = values_[k];
-    }
-  }
-  return band;
 }
 
 bool CsrMatrix::is_symmetric(double tol) const {

@@ -1,14 +1,13 @@
 // Compressed-sparse-row matrix with a triplet (COO) builder.
 //
 // The thermal network assembler emits (row, col, value) triplets; the builder
-// coalesces duplicates and produces a CSR matrix for matvec-based iterative
-// solvers and for conversion to band storage for the direct solver.
+// coalesces duplicates and produces a CSR matrix for the matvec-based
+// iterative solver.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "la/banded_matrix.h"
 #include "la/vector_ops.h"
 
 namespace oftec::la {
@@ -22,7 +21,10 @@ struct Triplet {
 
 class CsrMatrix;
 
-/// Accumulates triplets; duplicates are summed on build().
+/// Accumulates triplets; duplicates are summed on build(), in the order they
+/// were added: 0.0 + v₁ + v₂ + … from left to right. A caller that adds an
+/// entry's terms in the same order as another assembler therefore gets the
+/// same bits.
 class TripletBuilder {
  public:
   explicit TripletBuilder(std::size_t n) : n_(n) {}
@@ -70,14 +72,6 @@ class CsrMatrix {
 
   /// Entry (r, c), 0 if not stored.
   [[nodiscard]] double get(std::size_t r, std::size_t c) const;
-
-  /// Maximum of max(r−c) and max(c−r) over stored nonzeros — the band
-  /// widths needed to hold this matrix.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> bandwidths() const;
-
-  /// Convert to band storage (for BandedLu). Throws if an entry falls outside
-  /// the provided bandwidths.
-  [[nodiscard]] BandedMatrix to_banded(std::size_t kl, std::size_t ku) const;
 
   /// True if A is structurally and numerically symmetric within tol.
   [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;

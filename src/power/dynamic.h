@@ -4,9 +4,9 @@
 // Dynamic power of a CMOS unit follows P = a · C_eff · V² · f: an activity
 // factor per unit, an effective switched capacitance per unit, and the
 // chip-wide voltage/frequency point. This module maps (activity vector,
-// V/f state) → per-unit PowerMap, giving the throttling fallback a physical
-// meaning (f scaling → linear; V-f scaling → cubic) and letting users
-// derive workloads from microarchitectural activity instead of raw watts.
+// V/f state) → per-unit PowerMap, giving throttling a physical meaning
+// (f scaling → linear; V-f scaling → cubic) and letting users derive
+// workloads from microarchitectural activity instead of raw watts.
 #pragma once
 
 #include <string_view>

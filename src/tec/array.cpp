@@ -31,18 +31,6 @@ const CellTec& TecArray::cell(std::size_t i) const {
   return cells_[i];
 }
 
-std::size_t TecArray::covered_cell_count() const noexcept {
-  std::size_t n = 0;
-  for (const CellTec& c : cells_) n += c.covered ? 1 : 0;
-  return n;
-}
-
-double TecArray::total_units() const noexcept {
-  double n = 0.0;
-  for (const CellTec& c : cells_) n += c.multiplier;
-  return n;
-}
-
 double TecArray::electrical_power(const std::vector<double>& t_cold,
                                   const std::vector<double>& t_hot,
                                   double current) const {
@@ -55,23 +43,6 @@ double TecArray::electrical_power(const std::vector<double>& t_cold,
     if (!c.covered) continue;
     const double delta_t = t_hot[i] - t_cold[i];
     acc += c.seebeck * delta_t * current + c.resistance * current * current;
-  }
-  return acc;
-}
-
-double TecArray::total_cold_heat(const std::vector<double>& t_cold,
-                                 const std::vector<double>& t_hot,
-                                 double current) const {
-  if (t_cold.size() != cells_.size() || t_hot.size() != cells_.size()) {
-    throw std::invalid_argument("TecArray::total_cold_heat: arity mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const CellTec& c = cells_[i];
-    if (!c.covered) continue;
-    const double delta_t = t_hot[i] - t_cold[i];
-    acc += c.seebeck * t_cold[i] * current - c.conductance * delta_t -
-           0.5 * c.resistance * current * current;
   }
   return acc;
 }

@@ -39,23 +39,12 @@ class TecArray {
   }
   [[nodiscard]] const CellTec& cell(std::size_t i) const;
 
-  /// Number of covered cells.
-  [[nodiscard]] std::size_t covered_cell_count() const noexcept;
-
-  /// Total device count N = Σ m over covered cells.
-  [[nodiscard]] double total_units() const noexcept;
-
   /// Total electrical power at driving current `current` given per-cell
   /// cold/hot temperatures (Eq. 3 summed over the array). Vectors are indexed
   /// by cell; entries for uncovered cells are ignored.
   [[nodiscard]] double electrical_power(const std::vector<double>& t_cold,
                                         const std::vector<double>& t_hot,
                                         double current) const;
-
-  /// Total heat absorbed at the cold sides (Eq. 1 summed over the array).
-  [[nodiscard]] double total_cold_heat(const std::vector<double>& t_cold,
-                                       const std::vector<double>& t_hot,
-                                       double current) const;
 
  private:
   TecDeviceParams params_;

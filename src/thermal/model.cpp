@@ -1,5 +1,6 @@
 #include "thermal/model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -308,43 +309,67 @@ AssembledSystem ThermalModel::assemble(
   }
   AssembledSystem sys = static_system();
   la::BandedMatrix& m = sys.matrix;
-  stamp_diagonal(m.col_ptr(0) + m.lower_bandwidth() + m.upper_bandwidth(),
-                 m.storage_rows(), omega, cell_current, cell_taylor);
+  stamp_diagonal({m.col_ptr(0) + m.lower_bandwidth() + m.upper_bandwidth(),
+                  m.storage_rows()},
+                 omega, cell_current, cell_taylor);
   stamp_rhs(sys.rhs, omega, cell_current, cell_dynamic_power, cell_taylor);
   return sys;
+}
+
+template <class AddMatrix, class AddRhs>
+void ThermalModel::for_each_static_term(AddMatrix&& add,
+                                        AddRhs&& add_rhs) const {
+  // Conduction network (Eq. 18 structure).
+  for (const Edge& e : edges_) {
+    add(e.i, e.i, e.g);
+    add(e.j, e.j, e.g);
+    add(e.i, e.j, -e.g);
+    add(e.j, e.i, -e.g);
+  }
+  // PCB-to-ambient couplings: diag += g, rhs += g·T_amb.
+  for (const auto& [node, g] : static_ambient_) {
+    add(node, node, g);
+    add_rhs(node, g * cfg_.ambient);
+  }
 }
 
 AssembledSystem ThermalModel::static_system() const {
   const std::size_t n = layout_.node_count();
   const std::size_t bw = layout_.bandwidth();
   AssembledSystem sys{la::BandedMatrix(n, bw, bw), la::Vector(n, 0.0)};
+  for_each_static_term(
+      [&m = sys.matrix](std::size_t r, std::size_t c, double v) {
+        m.add(r, c, v);
+      },
+      [&rhs = sys.rhs](std::size_t node, double v) { rhs[node] += v; });
+  return sys;
+}
 
-  // Conduction network (Eq. 18 structure).
-  for (const Edge& e : edges_) {
-    sys.matrix.add(e.i, e.i, e.g);
-    sys.matrix.add(e.j, e.j, e.g);
-    sys.matrix.add(e.i, e.j, -e.g);
-    sys.matrix.add(e.j, e.i, -e.g);
-  }
-  // PCB-to-ambient couplings: diag += g, rhs += g·T_amb.
-  for (const auto& [node, g] : static_ambient_) {
-    sys.matrix.add(node, node, g);
-    sys.rhs[node] += g * cfg_.ambient;
-  }
+CsrSystem ThermalModel::static_csr_system() const {
+  const std::size_t n = layout_.node_count();
+  CsrSystem sys{{}, la::Vector(n, 0.0)};
+  la::TripletBuilder builder(n);
+  // Band storage and the builder both start every entry at 0.0 and add its
+  // terms in insertion order, so both forms hold the same bits. The
+  // leading zeros store a diagonal on every node for the stamps.
+  for (std::size_t i = 0; i < n; ++i) builder.add(i, i, 0.0);
+  for_each_static_term(
+      [&builder](std::size_t r, std::size_t c, double v) {
+        builder.add(r, c, v);
+      },
+      [&rhs = sys.rhs](std::size_t node, double v) { rhs[node] += v; });
+  sys.matrix = builder.build();
   return sys;
 }
 
 void ThermalModel::stamp_diagonal(
-    double* diag, std::size_t stride, double omega,
-    const la::Vector& cell_current,
+    DiagonalView diag, double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& cell_taylor) const {
   const std::size_t cells = layout_.cells_per_layer();
   if (cell_current.size() != cells || cell_taylor.size() != cells) {
     throw std::invalid_argument("ThermalModel::stamp_diagonal: arity");
   }
-  const auto add = [diag, stride](std::size_t node, double v) {
-    diag[node * stride] += v;
-  };
+  const auto add = [diag](std::size_t node, double v) { diag[node] += v; };
   // Heat-sink top to ambient: g_HS&fan(ω) split by top-surface area share.
   const double g_sink_total = cfg_.sink_fan.conductance(omega);
   for (const auto& [node, share] : sink_ambient_share_) {
@@ -399,6 +424,45 @@ void ThermalModel::stamp_rhs(
       rhs[layout_.node(Slab::kTecGen, cell)] +=
           ct.resistance * current * current;
     }
+  }
+}
+
+void ThermalModel::omega_sensitivity_rhs(double omega,
+                                         const la::Vector& temperatures,
+                                         la::Vector& out) const {
+  const std::size_t n = layout_.node_count();
+  if (temperatures.size() != n) {
+    throw std::invalid_argument("ThermalModel::omega_sensitivity_rhs: arity");
+  }
+  out.assign(n, 0.0);
+  const double dg = cfg_.sink_fan.conductance_derivative(omega);
+  for (const auto& [node, share] : sink_ambient_share_) {
+    out[node] = dg * share * (cfg_.ambient - temperatures[node]);
+  }
+}
+
+void ThermalModel::current_sensitivity_rhs(const la::Vector& cell_current,
+                                           const la::Vector& direction,
+                                           const la::Vector& temperatures,
+                                           la::Vector& out) const {
+  const std::size_t cells = layout_.cells_per_layer();
+  if (cell_current.size() != cells || direction.size() != cells ||
+      temperatures.size() != layout_.node_count()) {
+    throw std::invalid_argument(
+        "ThermalModel::current_sensitivity_rhs: arity");
+  }
+  out.assign(layout_.node_count(), 0.0);
+  if (!tec_array_) return;
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const tec::CellTec& ct = tec_array_->cell(cell);
+    if (!ct.covered || direction[cell] == 0.0) continue;
+    const std::size_t abs_node = layout_.node(Slab::kTecAbs, cell);
+    const std::size_t rej_node = layout_.node(Slab::kTecRej, cell);
+    const double d = direction[cell];
+    out[abs_node] = -ct.seebeck * temperatures[abs_node] * d;
+    out[rej_node] = ct.seebeck * temperatures[rej_node] * d;
+    out[layout_.node(Slab::kTecGen, cell)] =
+        2.0 * ct.resistance * cell_current[cell] * d;
   }
 }
 
@@ -494,53 +558,20 @@ double ThermalModel::ambient_outflow(const la::Vector& temperatures,
 
 IncrementalAssembler::IncrementalAssembler(const ThermalModel& model,
                                            la::Vector cell_dynamic_power)
-    : model_(&model), dynamic_(std::move(cell_dynamic_power)) {
-  const NodeLayout& layout = model.layout();
-  const std::size_t n = layout.node_count();
-  const std::size_t cells = layout.cells_per_layer();
-  if (dynamic_.size() != cells) {
+    : model_(&model),
+      dynamic_(std::move(cell_dynamic_power)),
+      base_(model.static_csr_system()) {
+  if (dynamic_.size() != model.layout().cells_per_layer()) {
     throw std::invalid_argument("IncrementalAssembler: per-cell arity");
   }
-
-  // Build the static base in CSR form: conduction edges plus the
-  // ω-independent ambient couplings. All per-operating-point terms are
-  // diagonal, so the pattern only needs edge off-diagonals + full diagonal.
-  la::TripletBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) builder.add(i, i, 0.0);
-  for (const ThermalModel::Edge& e : model.edges_) {
-    builder.add(e.i, e.i, e.g);
-    builder.add(e.j, e.j, e.g);
-    builder.add(e.i, e.j, -e.g);
-    builder.add(e.j, e.i, -e.g);
-  }
-  base_rhs_.assign(n, 0.0);
-  for (const auto& [node, g] : model.static_ambient_) {
-    builder.add(node, node, g);
-    base_rhs_[node] += g * model.cfg_.ambient;
-  }
-  // Dynamic power is fixed for the lifetime of the assembler — fold it in.
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    base_rhs_[layout.node(Slab::kChip, cell)] += dynamic_[cell];
-  }
-
-  const la::CsrMatrix base = builder.build();
-  row_ptr_ = base.row_ptr();
-  col_idx_ = base.col_idx();
-  base_values_ = base.values();
-
-  diag_pos_.assign(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    bool found = false;
-    for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      if (col_idx_[p] == r) {
-        diag_pos_[r] = p;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::logic_error("IncrementalAssembler: missing diagonal entry");
-    }
+  // Columns are sorted within each row, and every row stores its diagonal.
+  const std::vector<std::size_t>& rows = base_.matrix.row_ptr();
+  const std::vector<std::size_t>& cols = base_.matrix.col_idx();
+  diag_pos_.resize(base_.matrix.size());
+  for (std::size_t r = 0; r < diag_pos_.size(); ++r) {
+    const auto row_end = cols.begin() + rows[r + 1];
+    diag_pos_[r] = static_cast<std::size_t>(
+        std::lower_bound(cols.begin() + rows[r], row_end, r) - cols.begin());
   }
 }
 
@@ -548,47 +579,19 @@ void IncrementalAssembler::assemble_csr(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& cell_taylor,
     CsrSystem& out) const {
-  const NodeLayout& layout = model_->layout();
-  const std::size_t n = layout.node_count();
-  const std::size_t cells = layout.cells_per_layer();
-  if (cell_current.size() != cells || cell_taylor.size() != cells) {
-    throw std::invalid_argument("IncrementalAssembler::assemble_csr: arity");
-  }
-
-  // Re-stamp values in place when the pattern matches; rebuild otherwise.
-  if (out.matrix.size() == n && out.matrix.nnz() == base_values_.size()) {
-    out.matrix.mutable_values() = base_values_;
+  // Re-stamp values in place when the pattern matches; copy it otherwise.
+  if (out.matrix.size() == base_.matrix.size() &&
+      out.matrix.nnz() == base_.matrix.nnz()) {
+    out.matrix.mutable_values() = base_.matrix.values();
   } else {
-    out.matrix = la::CsrMatrix(n, row_ptr_, col_idx_, base_values_);
+    out.matrix = base_.matrix;
   }
-  std::vector<double>& values = out.matrix.mutable_values();
-  out.rhs = base_rhs_;
-
-  const double ambient = model_->cfg_.ambient;
-  const double g_sink_total = model_->cfg_.sink_fan.conductance(omega);
-  for (const auto& [node, share] : model_->sink_ambient_share_) {
-    const double g = g_sink_total * share;
-    values[diag_pos_[node]] += g;
-    out.rhs[node] += g * ambient;
-  }
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    const std::size_t node = layout.node(Slab::kChip, cell);
-    const power::TaylorCoefficients& tc = cell_taylor[cell];
-    values[diag_pos_[node]] += -tc.a;
-    out.rhs[node] += tc.b - tc.a * tc.t_ref;
-  }
-  if (const tec::TecArray* array = model_->tec_array()) {
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const tec::CellTec& ct = array->cell(cell);
-      const double current = cell_current[cell];
-      if (!ct.covered || current <= 0.0) continue;
-      const double peltier = ct.seebeck * current;
-      values[diag_pos_[layout.node(Slab::kTecAbs, cell)]] += peltier;
-      values[diag_pos_[layout.node(Slab::kTecRej, cell)]] -= peltier;
-      out.rhs[layout.node(Slab::kTecGen, cell)] +=
-          ct.resistance * current * current;
-    }
-  }
+  out.rhs = base_.rhs;
+  model_->stamp_diagonal(
+      {.data = out.matrix.mutable_values().data(),
+       .positions = diag_pos_.data()},
+      omega, cell_current, cell_taylor);
+  model_->stamp_rhs(out.rhs, omega, cell_current, dynamic_, cell_taylor);
 }
 
 la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
@@ -597,57 +600,14 @@ la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
   for (std::size_t k = 0; k < kSlabCount; ++k) {
     slab_first[k] = layout.node(static_cast<Slab>(k), 0);
   }
-  const la::CsrMatrix pattern(layout.node_count(), row_ptr_, col_idx_,
-                              base_values_);
   return la::ColumnBlockSymbolic::analyze(
-      pattern, layout.cells_per_layer(), std::move(slab_first));
+      base_.matrix, layout.cells_per_layer(), std::move(slab_first));
 }
 
 AssembledSystem IncrementalAssembler::assemble_banded(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& cell_taylor) const {
   return model_->assemble(omega, cell_current, dynamic_, cell_taylor);
-}
-
-void IncrementalAssembler::omega_sensitivity_rhs(
-    double omega, const la::Vector& temperatures, la::Vector& out) const {
-  const std::size_t n = model_->layout().node_count();
-  if (temperatures.size() != n) {
-    throw std::invalid_argument(
-        "IncrementalAssembler::omega_sensitivity_rhs: arity");
-  }
-  out.assign(n, 0.0);
-  const double ambient = model_->cfg_.ambient;
-  const double dg = model_->cfg_.sink_fan.conductance_derivative(omega);
-  for (const auto& [node, share] : model_->sink_ambient_share_) {
-    out[node] = dg * share * (ambient - temperatures[node]);
-  }
-}
-
-void IncrementalAssembler::current_sensitivity_rhs(
-    const la::Vector& cell_current, const la::Vector& direction,
-    const la::Vector& temperatures, la::Vector& out) const {
-  const NodeLayout& layout = model_->layout();
-  const std::size_t cells = layout.cells_per_layer();
-  if (cell_current.size() != cells || direction.size() != cells ||
-      temperatures.size() != layout.node_count()) {
-    throw std::invalid_argument(
-        "IncrementalAssembler::current_sensitivity_rhs: arity");
-  }
-  out.assign(layout.node_count(), 0.0);
-  const tec::TecArray* array = model_->tec_array();
-  if (array == nullptr) return;
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    const tec::CellTec& ct = array->cell(cell);
-    if (!ct.covered || direction[cell] == 0.0) continue;
-    const std::size_t abs_node = layout.node(Slab::kTecAbs, cell);
-    const std::size_t rej_node = layout.node(Slab::kTecRej, cell);
-    const double d = direction[cell];
-    out[abs_node] = -ct.seebeck * temperatures[abs_node] * d;
-    out[rej_node] = ct.seebeck * temperatures[rej_node] * d;
-    out[layout.node(Slab::kTecGen, cell)] =
-        2.0 * ct.resistance * cell_current[cell] * d;
-  }
 }
 
 double ThermalModel::leakage_power(

@@ -46,6 +46,18 @@ struct CsrSystem {
   la::Vector rhs;
 };
 
+/// Where node i's diagonal entry of M lives: data[i·stride] in band storage
+/// (or a lower band), data[positions[i]] in CSR values when positions is set.
+struct DiagonalView {
+  double* data = nullptr;
+  std::size_t stride = 1;
+  const std::size_t* positions = nullptr;
+
+  [[nodiscard]] double& operator[](std::size_t node) const noexcept {
+    return data[positions != nullptr ? positions[node] : node * stride];
+  }
+};
+
 class ThermalModel {
  public:
   /// Build the network geometry for `cfg` over `fp` with an nx×ny grid.
@@ -99,14 +111,18 @@ class ThermalModel {
   /// matrix) starts from it.
   [[nodiscard]] AssembledSystem static_system() const;
 
-  /// Add the operating-point terms of M to the diagonal whose entry for
-  /// node i is diag[i·stride] (band storage or a lower band), in
-  /// assemble()'s order: the sink couplings g(ω)·share, the chip leakage
-  /// slopes −a, and on covered cells with I > 0 the Peltier terms +α·I
-  /// (absorb node) and −α·I (reject node). Per-cell arguments are checked.
+  /// static_system() in CSR form: the same entries, summed in the same
+  /// order (so bit for bit the same values), plus a stored diagonal on
+  /// every node for the operating-point stamps. The CG system starts
+  /// from it.
+  [[nodiscard]] CsrSystem static_csr_system() const;
+
+  /// Add the operating-point terms of M to `diag`, in assemble()'s order:
+  /// the sink couplings g(ω)·share, the chip leakage slopes −a, and on
+  /// covered cells with I > 0 the Peltier terms +α·I (absorb node) and
+  /// −α·I (reject node). Per-cell arguments are checked.
   void stamp_diagonal(
-      double* diag, std::size_t stride, double omega,
-      const la::Vector& cell_current,
+      DiagonalView diag, double omega, const la::Vector& cell_current,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
 
   /// Add the operating-point terms of rhs (size node_count) in assemble()'s
@@ -117,6 +133,24 @@ class ThermalModel {
       la::Vector& rhs, double omega, const la::Vector& cell_current,
       const la::Vector& cell_dynamic_power,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
+
+  /// Right-hand sides of the sensitivity systems J·∂T/∂p = −∂R/∂p, where
+  /// R(T) = M·T − rhs is the steady residual at node temperatures T: the
+  /// derivatives of the stamps above, each closed form.
+  ///
+  /// ω: the sink-to-ambient couplings, g′(ω)·share·(T_amb − T) on the sink
+  /// top (zero on the natural-convection floor).
+  void omega_sensitivity_rhs(double omega, const la::Vector& temperatures,
+                             la::Vector& out) const;
+  /// Currents moving as I + s·direction (per cell; uncovered cells are
+  /// ignored): on each covered cell −α·T_c on the absorb node, +α·T_h on
+  /// the reject node and the Joule slope 2·R·I on the body node, scaled by
+  /// the cell's direction entry. The Peltier terms are stamped at I = 0
+  /// too — the right derivative — although assembly skips them there.
+  void current_sensitivity_rhs(const la::Vector& cell_current,
+                               const la::Vector& direction,
+                               const la::Vector& temperatures,
+                               la::Vector& out) const;
 
   /// Per-node thermal capacitance [J/K] for transient steps.
   [[nodiscard]] const la::Vector& capacitances() const noexcept {
@@ -171,10 +205,12 @@ class ThermalModel {
                                        double omega) const;
 
  private:
-  friend class IncrementalAssembler;
-
   void build_static_network();
   void add_edge(std::size_t i, std::size_t j, double conductance);
+  /// Call add(r, c, v) for every static matrix term and add_rhs(node, v)
+  /// for every static rhs term, in the one order both static systems sum.
+  template <class AddMatrix, class AddRhs>
+  void for_each_static_term(AddMatrix&& add, AddRhs&& add_rhs) const;
 
   package::PackageConfig cfg_;
   const floorplan::Floorplan* fp_;
@@ -203,17 +239,14 @@ class ThermalModel {
 /// ω scales the sink-to-ambient couplings, I_TEC adds ±α·I on the TEC
 /// interface diagonals, and the leakage linearization moves the chip
 /// diagonal. The off-diagonal conduction structure never changes. This
-/// class therefore precomputes the static base of M and rhs (conduction
-/// edges, PCB-ambient couplings, dynamic power) once, and produces each
-/// operating point's system by copying the base values and re-stamping
-/// ~4 diagonal groups — roughly 5× faster than ThermalModel::assemble()
-/// followed by a band-to-CSR copy.
+/// class therefore takes the model's static CSR system once, and produces
+/// each operating point's system by copying it and stamping the diagonal
+/// and rhs through the model (ThermalModel::stamp_diagonal, stamp_rhs) —
+/// so assemble_csr() equals ThermalModel::assemble() entry for entry, bit
+/// for bit, in CSR form.
 ///
-/// assemble_csr() produces a matrix numerically identical entry-for-entry
-/// to the base-plus-delta sums regardless of calling order, so results are
-/// reproducible across serial and batched execution. The assembler itself
-/// is immutable after construction and safe to share across threads when
-/// each thread supplies its own CsrSystem scratch.
+/// The assembler is immutable after construction and safe to share across
+/// threads when each thread supplies its own CsrSystem scratch.
 class IncrementalAssembler {
  public:
   /// Binds one model and one per-cell dynamic power vector (the workload).
@@ -235,38 +268,16 @@ class IncrementalAssembler {
   /// three ring nodes are singletons.
   [[nodiscard]] la::ColumnBlockSymbolic column_structure() const;
 
-  /// Band-storage form for the direct solvers (delegates to the model's
-  /// reference assembler — only used on the direct fallback path).
+  /// Band-storage form for the direct solvers (ThermalModel::assemble —
+  /// only used on the direct fallback path).
   [[nodiscard]] AssembledSystem assemble_banded(
       double omega, const la::Vector& cell_current,
       const std::vector<power::TaylorCoefficients>& cell_taylor) const;
 
-  /// Right-hand sides of the sensitivity systems J·∂T/∂p = −∂R/∂p, where
-  /// R(T) = M·T − rhs is the steady residual at node temperatures T. Only
-  /// diagonal stamps depend on the operating point, so each is closed form.
-  ///
-  /// ω: the sink-to-ambient couplings, g′(ω)·share·(T_amb − T) on the sink
-  /// top (zero on the natural-convection floor).
-  void omega_sensitivity_rhs(double omega, const la::Vector& temperatures,
-                             la::Vector& out) const;
-  /// Currents moving as I + s·direction (per cell; uncovered cells are
-  /// ignored): on each covered cell −α·T_c on the absorb node, +α·T_h on
-  /// the reject node and the Joule slope 2·R·I on the body node, scaled by
-  /// the cell's direction entry. The Peltier terms are stamped at I = 0
-  /// too — the right derivative — although assembly skips them there.
-  void current_sensitivity_rhs(const la::Vector& cell_current,
-                               const la::Vector& direction,
-                               const la::Vector& temperatures,
-                               la::Vector& out) const;
-
  private:
   const ThermalModel* model_;
   la::Vector dynamic_;
-  // Fixed CSR pattern plus static base values (conduction + PCB ambient).
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> col_idx_;
-  std::vector<double> base_values_;
-  la::Vector base_rhs_;                  // static ambient + dynamic power
+  CsrSystem base_;                       // ThermalModel::static_csr_system()
   std::vector<std::size_t> diag_pos_;    // values index of (i, i) per node
 };
 

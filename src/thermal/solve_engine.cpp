@@ -535,10 +535,10 @@ std::vector<la::Vector> SolveEngine::tangents(
     throw std::invalid_argument("SolveEngine::tangents: arity mismatch");
   }
   std::vector<la::Vector> rhs(1 + current_directions.size());
-  assembler_.omega_sensitivity_rhs(omega, temperatures, rhs[0]);
+  model.omega_sensitivity_rhs(omega, temperatures, rhs[0]);
   for (std::size_t k = 0; k < current_directions.size(); ++k) {
-    assembler_.current_sensitivity_rhs(cell_current, current_directions[k],
-                                       temperatures, rhs[k + 1]);
+    model.current_sensitivity_rhs(cell_current, current_directions[k],
+                                  temperatures, rhs[k + 1]);
   }
 
   Workspace ws;

@@ -173,7 +173,7 @@ void TransientStepper::linearize_leakage() {
 
 void TransientStepper::stamp_step_diagonal(double* diag, std::size_t stride,
                                            double omega, double dt) const {
-  model_->stamp_diagonal(diag, stride, omega, cell_current_, taylor_);
+  model_->stamp_diagonal({diag, stride}, omega, cell_current_, taylor_);
   const la::Vector& cap = model_->capacitances();
   for (std::size_t i = 0; i < n_; ++i) diag[i * stride] += cap[i] / dt;
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "opt/grid_search.h"
 #include "test_fixtures.h"
 #include "util/units.h"
 
@@ -11,13 +12,6 @@ namespace oftec::core {
 namespace {
 
 using testing::make_system;
-
-TEST(Oftec, SolverNames) {
-  EXPECT_EQ(solver_name(Solver::kActiveSetSqp), "active-set-SQP");
-  EXPECT_EQ(solver_name(Solver::kInteriorPoint), "interior-point");
-  EXPECT_EQ(solver_name(Solver::kTrustRegion), "trust-region");
-  EXPECT_EQ(solver_name(Solver::kGridSearch), "grid-search");
-}
 
 TEST(Oftec, LightBenchmarkSkipsOpt2) {
   // Basicmath is coolable from the (ω_max/2, I_max/2) start, so the
@@ -122,8 +116,12 @@ TEST(Oftec, GridSearchEngineAgreesWithSqp) {
   const CoolingSystem sys = make_system(workload::Benchmark::kFft);
   OftecOptions sqp_opts;
   OftecOptions grid_opts;
-  grid_opts.solver = Solver::kGridSearch;
-  grid_opts.grid_points = 15;
+  grid_opts.solver = [](const opt::Problem& p, const la::Vector&,
+                        const opt::StopPredicate&) {
+    opt::GridSearchOptions gs;
+    gs.points_per_dimension = 15;
+    return opt::solve_grid_search(p, gs);
+  };
   const OftecResult rs = run_oftec(sys, sqp_opts);
   const OftecResult rg = run_oftec(sys, grid_opts);
   ASSERT_TRUE(rs.success);

@@ -44,13 +44,6 @@ TEST(DenseMatrix, MatrixProductAndTranspose) {
   EXPECT_DOUBLE_EQ(at(1, 0), 2.0);
 }
 
-TEST(DenseMatrix, SymmetryCheck) {
-  const DenseMatrix sym = {{2.0, 1.0}, {1.0, 5.0}};
-  const DenseMatrix asym = {{2.0, 1.0}, {0.0, 5.0}};
-  EXPECT_TRUE(sym.is_symmetric());
-  EXPECT_FALSE(asym.is_symmetric());
-}
-
 TEST(DenseLu, SolvesKnownSystem) {
   const DenseMatrix a = {{2.0, 1.0}, {1.0, 3.0}};
   const Vector x = solve_dense(a, {5.0, 10.0});

@@ -82,30 +82,5 @@ TEST(Iterative, ResidualNormIsReported) {
   EXPECT_NEAR(norm2(res), r.residual_norm, 1e-8);
 }
 
-TEST(Iterative, PreconditioningReducesIterations) {
-  // Badly scaled SPD system: Jacobi preconditioning should help.
-  const std::size_t n = 50;
-  TripletBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scale = (i % 2 == 0) ? 1.0 : 1e4;
-    builder.add(i, i, 2.0 * scale);
-    if (i + 1 < n) {
-      const double v = -0.5 * std::sqrt(scale);
-      builder.add(i, i + 1, v);
-      builder.add(i + 1, i, v);
-    }
-  }
-  const CsrMatrix m = builder.build();
-  Vector b(n, 1.0);
-
-  IterativeOptions with, without;
-  without.jacobi_precondition = false;
-  const IterativeResult rp = solve_cg(m, b, with);
-  const IterativeResult rn = solve_cg(m, b, without);
-  ASSERT_TRUE(rp.converged);
-  ASSERT_TRUE(rn.converged);
-  EXPECT_LE(rp.iterations, rn.iterations);
-}
-
 }  // namespace
 }  // namespace oftec::la

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "la/dense_matrix.h"
 #include "la/sparse.h"
-#include "util/rng.h"
 
 namespace oftec::la {
 namespace {
@@ -17,6 +15,27 @@ TEST(TripletBuilder, CoalescesDuplicates) {
   EXPECT_DOUBLE_EQ(m.get(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.get(1, 2), -1.0);
   EXPECT_DOUBLE_EQ(m.get(2, 2), 0.0);
+}
+
+TEST(TripletBuilder, SumsDuplicatesInInsertionOrder) {
+  // 2⁵³ + 1 rounds back to 2⁵³, so the sum of these duplicates depends on
+  // the order they are added in: left to right it is exactly 2⁵³ − 2⁵³ = 0,
+  // while any 1.0 summed ahead of 2⁵³ survives. Interleaving them with
+  // entries added in descending row order gives the sort something to
+  // move, and 40 triplets take it past a 16-element insertion sort.
+  constexpr double kBig = 9007199254740992.0;  // 2⁵³
+  TripletBuilder builder(4);
+  double expected = 0.0;
+  for (std::size_t k = 0; k < 20; ++k) {
+    const double v = k == 0 ? kBig : (k == 19 ? -kBig : 1.0);
+    builder.add(1, 3, v);
+    expected += v;
+    builder.add(3 - k % 4, k % 3, 0.5);
+  }
+  ASSERT_EQ(expected, 0.0);
+  const CsrMatrix m = builder.build();
+  EXPECT_EQ(m.get(1, 3), expected);
+  EXPECT_EQ(m.get(3, 0), 1.0);  // k = 0 and 12
 }
 
 TEST(TripletBuilder, OutOfRangeThrows) {
@@ -45,37 +64,6 @@ TEST(CsrMatrix, Diagonal) {
   EXPECT_DOUBLE_EQ(d[0], 5.0);
   EXPECT_DOUBLE_EQ(d[1], 0.0);
   EXPECT_DOUBLE_EQ(d[2], -2.0);
-}
-
-TEST(CsrMatrix, Bandwidths) {
-  TripletBuilder builder(5);
-  builder.add(0, 3, 1.0);  // ku = 3
-  builder.add(4, 2, 1.0);  // kl = 2
-  const auto [kl, ku] = builder.build().bandwidths();
-  EXPECT_EQ(kl, 2u);
-  EXPECT_EQ(ku, 3u);
-}
-
-TEST(CsrMatrix, ToBandedRoundTrip) {
-  util::Rng rng(5);
-  TripletBuilder builder(10);
-  for (std::size_t i = 0; i < 10; ++i) {
-    builder.add(i, i, rng.uniform(1.0, 2.0));
-    if (i + 2 < 10) builder.add(i, i + 2, rng.uniform(-1.0, 1.0));
-    if (i >= 1) builder.add(i, i - 1, rng.uniform(-1.0, 1.0));
-  }
-  const CsrMatrix m = builder.build();
-  const auto [kl, ku] = m.bandwidths();
-  const BandedMatrix band = m.to_banded(kl, ku);
-  const Vector x = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_LT(max_abs_diff(band.multiply(x), m.multiply(x)), 1e-14);
-}
-
-TEST(CsrMatrix, ToBandedOutsideBandThrows) {
-  TripletBuilder builder(4);
-  builder.add(0, 3, 1.0);
-  const CsrMatrix m = builder.build();
-  EXPECT_THROW((void)m.to_banded(0, 1), std::invalid_argument);
 }
 
 TEST(CsrMatrix, SymmetryCheck) {

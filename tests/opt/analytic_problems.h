@@ -4,13 +4,13 @@
 #include <cmath>
 #include <limits>
 
-#include "opt/finite_diff.h"
+#include "comparators.h"
 #include "opt/problem.h"
 
 namespace oftec::opt::testing {
 
 /// The gradient hook for problems without analytic derivatives: central
-/// differences (opt/finite_diff.h) of the objective and of each constraint
+/// differences (comparators.h) of the objective and of each constraint
 /// at the default step.
 inline Gradients finite_difference_gradients(const Problem& p,
                                              const la::Vector& x) {

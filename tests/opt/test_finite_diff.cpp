@@ -1,4 +1,4 @@
-#include "opt/finite_diff.h"
+#include "comparators.h"
 
 #include <gtest/gtest.h>
 

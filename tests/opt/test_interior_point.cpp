@@ -1,4 +1,4 @@
-#include "opt/interior_point.h"
+#include "comparators.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "opt/trust_region.h"
+#include "comparators.h"
 
 #include <gtest/gtest.h>
 

@@ -73,8 +73,8 @@ TEST(DynamicPower, ValidatesInputs) {
 }
 
 TEST(DynamicPower, ThrottleExponentsMatchThrottleModule) {
-  // find_minimum_throttle's power_exponent: 1 for f-only, 3 for full DVFS
-  // (V tracks f). The dynamic model reproduces both limits.
+  // Throttling scales dynamic power as factor^exponent: 1 for f-only, 3 for
+  // full DVFS (V tracks f). The dynamic model reproduces both limits.
   const DynamicPowerModel model = DynamicPowerModel::calibrate(fp(), 40.0);
   const double factor = 0.8;
   VfPoint f_only = model.nominal();

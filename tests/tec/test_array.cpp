@@ -17,10 +17,8 @@ TEST(TecArray, MultiplierScalesWithCellArea) {
   // A 2.5 mm² cell holds 2.5 one-mm² units.
   const TecArray arr(unit_params(), {true, false, true}, 2.5e-6);
   EXPECT_EQ(arr.cell_count(), 3u);
-  EXPECT_EQ(arr.covered_cell_count(), 2u);
   EXPECT_NEAR(arr.cell(0).multiplier, 2.5, 1e-12);
   EXPECT_FALSE(arr.cell(1).covered);
-  EXPECT_NEAR(arr.total_units(), 5.0, 1e-12);
 }
 
 TEST(TecArray, EffectiveParametersScaleLinearly) {
@@ -55,23 +53,10 @@ TEST(TecArray, ElectricalPowerMatchesPerDeviceSum) {
   EXPECT_NEAR(arr.electrical_power(cold, hot, current), expected, 1e-12);
 }
 
-TEST(TecArray, ColdHeatMatchesPerDeviceSum) {
-  const TecDeviceParams p = unit_params();
-  const TecArray arr(p, {true, false, true}, 1e-6);
-  const std::vector<double> cold = {350.0, 340.0, 345.0};
-  const std::vector<double> hot = {355.0, 341.0, 352.0};
-  const double current = 1.5;
-  const double expected = cold_side_heat(p, cold[0], hot[0], current) +
-                          cold_side_heat(p, cold[2], hot[2], current);
-  EXPECT_NEAR(arr.total_cold_heat(cold, hot, current), expected, 1e-12);
-}
-
 TEST(TecArray, UncoveredCellsContributeNothing) {
   const TecArray arr(unit_params(), {false, false}, 1e-6);
   const std::vector<double> t = {350.0, 350.0};
   EXPECT_DOUBLE_EQ(arr.electrical_power(t, t, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(arr.total_cold_heat(t, t, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(arr.total_units(), 0.0);
 }
 
 TEST(TecArray, ArityMismatchThrows) {
@@ -79,8 +64,6 @@ TEST(TecArray, ArityMismatchThrows) {
   const std::vector<double> wrong = {350.0};
   const std::vector<double> right = {350.0, 350.0};
   EXPECT_THROW((void)arr.electrical_power(wrong, right, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)arr.total_cold_heat(right, wrong, 1.0),
                std::invalid_argument);
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "floorplan/ev6.h"
 #include "la/banded_lu.h"
+#include "power/leakage.h"
 #include "power/mcpat_like.h"
 #include "workload/benchmarks.h"
 
@@ -210,6 +215,80 @@ TEST(ThermalModel, HigherFanSpeedLowersTemperatures) {
   const la::Vector t_fast = la::BandedLu(fast.matrix).solve(fast.rhs);
   EXPECT_LT(m.max_slab_temperature(t_fast, Slab::kChip),
             m.max_slab_temperature(t_slow, Slab::kChip));
+}
+
+TEST(ThermalModel, CsrAssemblyEqualsBandAssemblyBitwise) {
+  // CG solves IncrementalAssembler::assemble_csr's system and the direct
+  // fallback ThermalModel::assemble()'s, so the two must be one system, bit
+  // for bit: every matrix entry and every rhs entry. The CSR matrix must
+  // also be exactly symmetric, which CG and the runaway certificate assume.
+  // Tangent leakage at a different temperature per cell gives every chip
+  // diagonal its own slope.
+  const power::LeakageModel leakage =
+      power::characterize_leakage(fp(), power::ProcessConfig{});
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t systems = 0;
+  std::size_t matrix_mismatches = 0;
+  std::size_t rhs_mismatches = 0;
+  std::size_t asymmetric = 0;
+  for (const bool with_tec : {true, false}) {
+    const ThermalModel m = make_model(10, with_tec);
+    const std::size_t cells = m.layout().cells_per_layer();
+    const std::size_t n = m.layout().node_count();
+    const std::size_t bw = m.layout().bandwidth();
+    const std::vector<power::ExponentialTerm> leak = m.cell_leakage(leakage);
+    std::vector<power::TaylorCoefficients> taylor(cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+      taylor[c] = power::tangent_linearize(
+          leak[c], 330.0 + 0.25 * static_cast<double>(c));
+    }
+    std::vector<double> currents = {0.0};
+    if (with_tec) currents = {0.0, 0.7, 2.3};
+    for (const workload::Benchmark b : workload::all_benchmarks()) {
+      const la::Vector dyn = m.distribute(
+          workload::peak_power_map(workload::profile_for(b), fp()));
+      const IncrementalAssembler assembler(m, dyn);
+      CsrSystem csr;  // reused: the in-place restamp path after the first
+      for (const double omega : {0.0, 100.0, 300.0, 520.0}) {
+        for (const double current : currents) {
+          const AssembledSystem band =
+              m.assemble(omega, current, dyn, taylor);
+          assembler.assemble_csr(omega, la::Vector(cells, current), taylor,
+                                 csr);
+          ++systems;
+          ASSERT_EQ(csr.matrix.size(), n);
+          ASSERT_EQ(csr.rhs.size(), n);
+          // Entry for entry: every stored CSR value against the band, and
+          // every band entry the CSR pattern leaves out must be zero.
+          const std::vector<std::size_t>& row_ptr = csr.matrix.row_ptr();
+          const std::vector<std::size_t>& col_idx = csr.matrix.col_idx();
+          const std::vector<double>& values = csr.matrix.values();
+          for (std::size_t r = 0; r < n; ++r) {
+            std::size_t band_nonzeros = 0;
+            const std::size_t lo = r > bw ? r - bw : 0;
+            const std::size_t hi = std::min(n - 1, r + bw);
+            for (std::size_t c = lo; c <= hi; ++c) {
+              band_nonzeros += band.matrix.get(r, c) != 0.0 ? 1 : 0;
+            }
+            std::size_t stored_nonzeros = 0;
+            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+              stored_nonzeros += values[k] != 0.0 ? 1 : 0;
+              if (bits(values[k]) != bits(band.matrix.get(r, col_idx[k]))) {
+                ++matrix_mismatches;
+              }
+            }
+            if (stored_nonzeros != band_nonzeros) ++matrix_mismatches;
+            if (bits(csr.rhs[r]) != bits(band.rhs[r])) ++rhs_mismatches;
+          }
+          if (!csr.matrix.is_symmetric(0.0)) ++asymmetric;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(systems, 8u * 4u * 3u + 8u * 4u);
+  EXPECT_EQ(matrix_mismatches, 0u) << "over " << systems << " systems";
+  EXPECT_EQ(rhs_mismatches, 0u) << "over " << systems << " systems";
+  EXPECT_EQ(asymmetric, 0u) << "over " << systems << " systems";
 }
 
 }  // namespace
