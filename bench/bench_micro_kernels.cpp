@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "la/banded_factor.h"
 #include "la/banded_lu.h"
 #include "la/banded_matrix.h"
+#include "la/column_jacobi.h"
 #include "la/sparse.h"
 #include "la/split_cholesky.h"
 #include "la/vector_ops.h"
@@ -212,8 +214,8 @@ BENCHMARK(BM_PanelFold)->Args({8192, 0})->Args({8192, 1})->Args({8192, 2});
 
 /// Jacobi-preconditioned SPD five-diagonal system (a 96-wide grid stencil)
 /// at the 32×32-floorplan node count.
-const la::CsrMatrix& cg_matrix(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<la::CsrMatrix>> cache;
+const la::SparseMatrix& cg_matrix(std::size_t n) {
+  static std::map<std::size_t, std::unique_ptr<la::SparseMatrix>> cache;
   auto& slot = cache[n];
   if (!slot) {
     la::TripletBuilder b(n);
@@ -228,24 +230,26 @@ const la::CsrMatrix& cg_matrix(std::size_t n) {
         b.add(i + 96, i, -1.0);
       }
     }
-    slot = std::make_unique<la::CsrMatrix>(b.build());
+    slot = std::make_unique<la::SparseMatrix>(b.build());
   }
   return *slot;
 }
 
-/// Fixed count of fully fused CG iterations (the exact solve_cg loop body:
-/// multiply_dot, cg_update, precond_dot, search_dir_update — zero unfused
-/// vector passes). Returns an arithmetic sink so nothing is optimized away.
-double fused_cg_iterations(const la::CsrMatrix& a, const la::BackendOps& ops,
-                           std::size_t iters) {
+/// Fixed count of fully fused CG iterations from x = 0 under the installed
+/// backend: the exact solve_cg loop body — multiply_dot, cg_update,
+/// `precondition(r, z)` (z = M⁻¹r, returning r·z), search_dir_update — with
+/// zero unfused vector passes. Returns an arithmetic sink so nothing is
+/// optimized away.
+template <class Precondition>
+double fused_cg_iterations(const la::SparseMatrix& a, const la::Vector& b,
+                           Precondition&& precondition, std::size_t iters) {
+  const la::BackendOps& ops = la::backend();
   const std::size_t n = a.size();
-  const la::Vector b(n, 1.0);
-  const la::Vector inv_d(n, 1.0 / 4.5);
   la::Vector x(n, 0.0);
   la::Vector r = b;
-  la::Vector z(n), p, ap;
-  double rz = ops.precond_dot(n, inv_d.data(), r.data(), z.data());
-  p = z;
+  la::Vector z(n), ap;
+  double rz = precondition(r.data(), z.data());
+  la::Vector p = z;
   double sink = 0.0;
   for (std::size_t it = 0; it < iters; ++it) {
     const double p_ap = a.multiply_dot(p, ap);
@@ -253,28 +257,44 @@ double fused_cg_iterations(const la::CsrMatrix& a, const la::BackendOps& ops,
     const double alpha = rz / p_ap;
     sink += std::sqrt(
         ops.cg_update(n, alpha, p.data(), ap.data(), x.data(), r.data()));
-    const double rz_new = ops.precond_dot(n, inv_d.data(), r.data(), z.data());
+    const double rz_new = precondition(r.data(), z.data());
     ops.search_dir_update(n, rz_new / rz, z.data(), p.data());
     rz = rz_new;
   }
   return sink;
 }
 
+/// fused_cg_iterations on a cg_matrix stencil (diagonal 4.5) under diagonal
+/// Jacobi, right-hand side all ones.
+double jacobi_cg_iterations(const la::SparseMatrix& a, std::size_t iters) {
+  const std::size_t n = a.size();
+  const la::Vector inv_d(n, 1.0 / 4.5);
+  return fused_cg_iterations(
+      a, la::Vector(n, 1.0),
+      [&inv_d, n](const double* r, double* z) {
+        return la::backend().precond_dot(n, inv_d.data(), r, z);
+      },
+      iters);
+}
+
 void BM_FusedCgIter(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const la::BackendOps* ops = backend_table(static_cast<int>(state.range(1)));
-  if (ops == nullptr) {
+  const int idx = static_cast<int>(state.range(1));
+  if (backend_table(idx) == nullptr) {
     state.SkipWithError("backend flavor unavailable on this machine");
     return;
   }
-  const la::CsrMatrix& a = cg_matrix(n);
+  // The mat-vec dispatches through the installed table, so install it.
+  la::install_backend(backend_arg_label(idx));
+  const la::SparseMatrix& a = cg_matrix(n);
   constexpr std::size_t kIters = 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fused_cg_iterations(a, *ops, kIters));
+    benchmark::DoNotOptimize(jacobi_cg_iterations(a, kIters));
   }
+  la::install_backend(std::getenv("OFTEC_LA_BACKEND"));  // restore selection
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kIters));
-  state.SetLabel(backend_arg_label(static_cast<int>(state.range(1))));
+  state.SetLabel(backend_arg_label(idx));
 }
 BENCHMARK(BM_FusedCgIter)->Args({9219, 0})->Args({9219, 1})->Args({9219, 2});
 
@@ -353,10 +373,10 @@ BackendTiming measure_backend(const char* spec,
     t.panel_fold_ms = watch.elapsed_ms() / static_cast<double>(reps);
   }
   {
-    const la::CsrMatrix& a = cg_matrix(9219);
+    const la::SparseMatrix& a = cg_matrix(9219);
     const std::size_t iters = 512;
     const util::Stopwatch watch;
-    benchmark::DoNotOptimize(fused_cg_iterations(a, ops, iters));
+    benchmark::DoNotOptimize(jacobi_cg_iterations(a, iters));
     t.fused_cg_iter_ms = watch.elapsed_ms() / static_cast<double>(iters);
   }
   return t;
@@ -372,6 +392,7 @@ struct Grid10Timing {
   double chol_refactorize_ms = 0.0;
   double lu_refactorize_ms = 0.0;
   double step_ms = 0.0;  ///< one TransientStepper step at threshold 0
+  double cg_iteration_us = 0.0;  ///< one column-preconditioned CG iteration
 };
 
 double median_of(std::vector<double> v) {
@@ -380,14 +401,17 @@ double median_of(std::vector<double> v) {
 }
 
 /// Medians over repeated factorizations of the 10-ms backward-Euler step
-/// matrix (SPD: Cholesky), its pivoted LU, and threshold-0 stepper steps
-/// (each re-linearizes and refactors), under one installed backend.
+/// matrix (SPD: Cholesky), its pivoted LU, threshold-0 stepper steps (each
+/// re-linearizes and refactors), and column-preconditioned CG iterations on
+/// the steady CG system, under one installed backend.
 Grid10Timing measure_grid10(const char* spec,
                             const thermal::AssembledSystem& step_sys,
                             const thermal::ThermalModel& model,
                             const la::Vector& dyn,
                             const std::vector<power::ExponentialTerm>& leak,
-                            const la::Vector& start) {
+                            const la::Vector& start,
+                            const thermal::CsrSystem& cg_sys,
+                            const la::ColumnBlockJacobi& column) {
   const la::BackendOps& ops = la::install_backend(spec);
   Grid10Timing t;
   t.name = ops.name;
@@ -432,6 +456,24 @@ Grid10Timing measure_grid10(const char* spec,
     if (!ok) break;
   }
   t.step_ms = median_of(ms);
+
+  // 32 iterations per sample stay well short of convergence (≈ 56 at this
+  // point), so every timed iteration does full work.
+  constexpr std::size_t kCgIters = 32;
+  const auto column_cg_iterations = [&] {
+    return fused_cg_iterations(
+        cg_sys.matrix, cg_sys.rhs,
+        [&column](const double* r, double* z) { return column.apply(r, z); },
+        kCgIters);
+  };
+  ms.clear();
+  benchmark::DoNotOptimize(column_cg_iterations());
+  for (int r = 0; r < kReps; ++r) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(column_cg_iterations());
+    ms.push_back(watch.elapsed_ms());
+  }
+  t.cg_iteration_us = 1e3 * median_of(ms) / static_cast<double>(kCgIters);
   return t;
 }
 
@@ -452,8 +494,22 @@ util::json::Value grid10_section() {
   for (std::size_t i = 0; i < cap.size(); ++i) {
     step_sys.matrix.add(i, i, cap[i] / 10e-3);
   }
-  std::printf("10x10-grid backend timings (n = %zu, bandwidth = %zu):\n",
-              model.layout().node_count(), step_sys.matrix.lower_bandwidth());
+  // The steady CG system SolveEngine solves at the same setting.
+  const thermal::IncrementalAssembler assembler(model, dyn);
+  thermal::CsrSystem cg_sys;
+  assembler.assemble_csr(
+      0.6 * model.config().fan.max_speed,
+      la::Vector(dyn.size(), 0.5 * model.config().tec.max_current), taylor,
+      cg_sys);
+  const la::ColumnBlockSymbolic column_symbolic = assembler.column_structure();
+  la::ColumnBlockJacobi column;
+  if (!column.factor(column_symbolic, cg_sys.matrix)) {
+    std::fprintf(stderr, "micro_kernels: 10x10 CG system is not SPD\n");
+  }
+  std::printf("10x10-grid backend timings (n = %zu, bandwidth = %zu, "
+              "CG entries = %zu):\n",
+              model.layout().node_count(), step_sys.matrix.lower_bandwidth(),
+              cg_sys.matrix.nnz());
 
   std::vector<Grid10Timing> timings;
   for (const char* spec : {"scalar", "avx2", "avx512"}) {
@@ -463,27 +519,32 @@ util::json::Value grid10_section() {
     if (std::strcmp(spec, "avx512") == 0 && la::avx512_backend() == nullptr) {
       continue;
     }
-    timings.push_back(measure_grid10(spec, step_sys, model, dyn, leak, start));
+    timings.push_back(measure_grid10(spec, step_sys, model, dyn, leak, start,
+                                     cg_sys, column));
   }
 
   util::json::Value chol = util::json::Value::object();
   util::json::Value lu = util::json::Value::object();
   util::json::Value step = util::json::Value::object();
+  util::json::Value cg_iter = util::json::Value::object();
   for (const Grid10Timing& t : timings) {
     std::printf("  %-12s chol_refactorize %.3f ms | lu_refactorize %.3f ms | "
-                "stepper step %.3f ms\n",
+                "stepper step %.3f ms | cg iteration %.3f us\n",
                 t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
-                t.step_ms);
+                t.step_ms, t.cg_iteration_us);
     chol[t.name] = t.chol_refactorize_ms;
     lu[t.name] = t.lu_refactorize_ms;
     step[t.name] = t.step_ms;
+    cg_iter[t.name] = t.cg_iteration_us;
   }
   util::json::Value j = util::json::Value::object();
   j["nodes"] = model.layout().node_count();
   j["bandwidth"] = step_sys.matrix.lower_bandwidth();
+  j["cg_entries"] = cg_sys.matrix.nnz();
   j["cholesky_refactorize_ms"] = chol;
   j["lu_refactorize_ms"] = lu;
   j["stepper_step_ms_threshold0"] = step;
+  j["cg_iteration_us"] = cg_iter;
   if (timings.size() > 1) {
     const Grid10Timing& s = timings.front();
     const Grid10Timing& v = timings.back();
@@ -492,11 +553,13 @@ util::json::Value grid10_section() {
     j["lu_refactorize_speedup_simd_vs_scalar"] =
         s.lu_refactorize_ms / v.lu_refactorize_ms;
     j["stepper_step_speedup_simd_vs_scalar"] = s.step_ms / v.step_ms;
+    j["cg_iteration_speedup_simd_vs_scalar"] =
+        s.cg_iteration_us / v.cg_iteration_us;
     std::printf("  speedups (%s vs scalar): chol %.2fx, lu %.2fx, step "
-                "%.2fx\n", v.name.c_str(),
+                "%.2fx, cg iteration %.2fx\n", v.name.c_str(),
                 s.chol_refactorize_ms / v.chol_refactorize_ms,
                 s.lu_refactorize_ms / v.lu_refactorize_ms,
-                s.step_ms / v.step_ms);
+                s.step_ms / v.step_ms, s.cg_iteration_us / v.cg_iteration_us);
   }
   return j;
 }

@@ -148,12 +148,41 @@ void scalar_search_dir_update(std::size_t n, double beta, const double* z,
   for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
 }
 
+double scalar_sell8_matvec(const Sell8View& a, const double* x,
+                           const double* b, double* y) {
+  // Row by row, each row's entries in slot (= column) order: the seed's CSR
+  // row loop, then its fused sequential dot, with the row's slots 8 apart.
+  double dot = 0.0;
+  for (std::size_t r = 0; r < a.n; ++r) {
+    const std::size_t first = a.slice_start[r / 8] + r % 8;
+    const double* val = a.val + first;
+    const std::int32_t* col = a.col + first;
+    const auto len = static_cast<std::size_t>(a.row_len[r]);
+    double acc = 0.0;
+    for (std::size_t k = 0; k < len; ++k) acc += val[8 * k] * x[col[8 * k]];
+    y[r] = b != nullptr ? b[r] - acc : acc;
+    dot += x[r] * y[r];
+  }
+  return dot;
+}
+
+void scalar_column_sweep_fwd(std::size_t n, const double* r, const double* l,
+                             const double* w, double* z) {
+  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] - l[i] * w[i];
+}
+
+void scalar_column_sweep_bwd(std::size_t n, const double* d, const double* l,
+                             const double* w, double* z) {
+  for (std::size_t i = 0; i < n; ++i) z[i] = z[i] * d[i] - l[i] * w[i];
+}
+
 constexpr BackendOps kScalarOps = {
     "scalar",          BackendKind::kScalar, scalar_axpy,
     scalar_scale,      scalar_dot,           scalar_axpy_dot,
     scalar_max_abs_diff, scalar_nmsub_fold,  scalar_panel_update,
     scalar_panel_fold, scalar_trsv_fwd,      scalar_trsv_bwd,
     scalar_cg_update,  scalar_precond_dot,   scalar_search_dir_update,
+    scalar_sell8_matvec, scalar_column_sweep_fwd, scalar_column_sweep_bwd,
 };
 
 // ---------------------------------------------------------------------------

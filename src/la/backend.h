@@ -1,25 +1,27 @@
-// Runtime-dispatched kernel backend for the dense/banded hot loops.
+// Runtime-dispatched kernel backend for the dense, banded and sparse hot loops.
 //
 // Every solver in the library funnels its inner arithmetic through a handful
 // of BLAS-1-shaped kernels: contiguous axpy/dot (CG, the banded LU forward
 // substitution and trailing update after the column-major storage change),
-// the fused axpy_dot residual update, and strided negative-multiply-subtract
-// folds (back substitution, both Cholesky factorizations and solves). This
-// header is the seam that lets those call sites pick an implementation at
-// runtime:
+// the fused axpy_dot residual update, strided negative-multiply-subtract
+// folds (back substitution, both Cholesky factorizations and solves), and
+// the whole CG iteration: the SELL-8 sparse mat-vec with its fused p·Ap and
+// the column preconditioner's slab sweeps. This header is the seam that lets
+// those call sites pick an implementation at runtime:
 //
 //   scalar — the reference. Plain sequential C++ loops, bit-identical to the
 //            seed implementations they replaced (enforced against checked-in
 //            goldens by tests/la/test_backend_parity.cpp). Always available.
-//   simd   — AVX2 or AVX-512 kernels. Element-wise kernels (axpy, scale) are
+//   simd   — AVX2 or AVX-512 kernels. Element-wise kernels (axpy, scale, the
+//            column sweeps, and the rows of the sparse mat-vec) are
 //            bit-identical to scalar (same multiply/add per element, no FMA
 //            contraction). Reduction kernels (dot, axpy_dot, nmsub_fold,
-//            max_abs_diff) accumulate in a fixed 8-lane interleave combined
-//            pairwise, so they are ULP-close to scalar and — because AVX2
-//            and AVX-512 realize the *same* 8-lane tree — bit-identical
-//            between the two instruction sets. The simd backend is therefore
-//            deterministic: same inputs give the same bits on every machine
-//            that runs it, at any thread count.
+//            max_abs_diff, the mat-vec's fused dot) accumulate in a fixed
+//            8-lane interleave combined pairwise, so they are ULP-close to
+//            scalar and — because AVX2 and AVX-512 realize the *same* 8-lane
+//            tree — bit-identical between the two instruction sets. The
+//            simd backend is therefore deterministic: same inputs give the
+//            same bits on every machine that runs it, at any thread count.
 //
 // Selection (first call to backend(), or an explicit install_backend()):
 //   OFTEC_LA_BACKEND = scalar | simd | auto (default) | avx2 | avx512
@@ -39,10 +41,24 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace oftec::la {
 
 enum class BackendKind { kScalar, kSimd };
+
+/// SELL-8 storage as the mat-vec kernel reads it (built by la::SparseMatrix;
+/// see la/sparse.h). Slice s holds rows 8s … 8s+7; its slot k is the 8
+/// values (and int32 columns) at slice_start[s] + 8k + l, lane l being row
+/// 8s + l. Lane l of slot k is live while k < row_len[8s + l]; the dead
+/// lanes (value 0, column 0) are never loaded from x nor added.
+struct Sell8View {
+  std::size_t n = 0;                         ///< rows = columns
+  const std::size_t* slice_start = nullptr;  ///< ceil(n/8) + 1 entries
+  const std::int32_t* row_len = nullptr;     ///< 8·ceil(n/8), 0 past n
+  const std::int32_t* col = nullptr;         ///< slice_start[ceil(n/8)]
+  const double* val = nullptr;               ///< same layout as col
+};
 
 /// Kernel table. All pointers are non-null and callable from any thread.
 struct BackendOps {
@@ -129,6 +145,31 @@ struct BackendOps {
   /// bit-identical across backends).
   void (*search_dir_update)(std::size_t n, double beta, const double* z,
                             double* p);
+
+  // --- Sparse mat-vec and column-preconditioner sweeps: the rest of the
+  // --- CG iteration.
+
+  /// SELL-8 mat-vec y = A·x, or the residual y = b − A·x when b is non-null
+  /// (x, b, y hold a.n doubles; y aliases neither). Every row sums its live
+  /// entries from +0.0 in slot (= ascending column) order, multiply then
+  /// add, so y is element-wise: bit-identical across backends and to a
+  /// sequential CSR row loop. Returns Σ x[i]·y[i] over the y written,
+  /// exactly dot(a.n, x, y) of the same table — lane l of every slice is a
+  /// row ≡ l (mod 8), the lane the simd dot accumulates that row in, so the
+  /// dot rides along in the same pass. Callers that need no dot ignore it.
+  double (*sell8_matvec)(const Sell8View& a, const double* x, const double* b,
+                         double* y);
+
+  /// Column preconditioner forward sweep z[i] = r[i] − l[i]·w[i]
+  /// (element-wise; bit-identical across backends). z aliases no input.
+  void (*column_sweep_fwd)(std::size_t n, const double* r, const double* l,
+                           const double* w, double* z);
+
+  /// Column preconditioner backward sweep z[i] = z[i]·d[i] − l[i]·w[i], in
+  /// place (element-wise; bit-identical across backends). z aliases no
+  /// other argument.
+  void (*column_sweep_bwd)(std::size_t n, const double* d, const double* l,
+                           const double* w, double* z);
 };
 
 /// The active backend. Resolved from OFTEC_LA_BACKEND (else "auto") on first

@@ -18,6 +18,9 @@
 //     return identical bits for identical inputs, and a fixed backend is
 //     deterministic across runs and thread counts. For n < 8 the whole input
 //     is tail, so reductions degenerate to the scalar result exactly.
+//   * The SELL-8 mat-vec is element-wise per row (each lane is one row,
+//     summed from +0.0 in slot order, dead lanes masked off), and its fused
+//     dot is the same 8-lane tree: a slice's lane l is a row ≡ l (mod 8).
 //   * max_abs_diff assumes finite inputs (NaN handling follows _mm_max_pd
 //     operand order, which differs from std::max; the library never feeds
 //     NaNs here — solvers reject non-finite state upstream).
@@ -446,12 +449,130 @@ __attribute__((target("avx2"))) void avx2_search_dir_update(std::size_t n,
   for (; i < n; ++i) p[i] = z[i] + beta * p[i];
 }
 
+// SELL-8 mat-vec as two 4-lane halves: lanes 0–3 and 4–7 of every slot and
+// every dot accumulator, the AVX-512 kernel's one register split in two.
+// A dead lane is not gathered (its mask bit is clear, so the zero source
+// stays) and its accumulator keeps its bits through the blend.
+__attribute__((target("avx2"))) double avx2_sell8_matvec(const Sell8View& a,
+                                                        const double* x,
+                                                        const double* b,
+                                                        double* y) {
+  const std::size_t n = a.n;
+  const std::size_t full = n / 8;  // slices whose 8 rows all exist
+  const std::size_t slices = (n + 7) / 8;
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256i one = _mm256_set1_epi64x(1);
+  __m256d dot_lo = _mm256_setzero_pd();
+  __m256d dot_hi = _mm256_setzero_pd();
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::size_t first = a.slice_start[s];
+    const std::size_t width = (a.slice_start[s + 1] - first) / 8;
+    const double* val = a.val + first;
+    const std::int32_t* col = a.col + first;
+    const std::int32_t* len = a.row_len + 8 * s;
+    const __m256i len_lo = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(len)));
+    const __m256i len_hi = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(len + 4)));
+    __m256i k = _mm256_setzero_si256();
+    __m256d acc_lo = _mm256_setzero_pd();
+    __m256d acc_hi = _mm256_setzero_pd();
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const __m256d live_lo =
+          _mm256_castsi256_pd(_mm256_cmpgt_epi64(len_lo, k));
+      const __m256d live_hi =
+          _mm256_castsi256_pd(_mm256_cmpgt_epi64(len_hi, k));
+      const __m256d x_lo = _mm256_mask_i32gather_pd(
+          zero, x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col)),
+          live_lo, 8);
+      const __m256d x_hi = _mm256_mask_i32gather_pd(
+          zero, x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + 4)),
+          live_hi, 8);
+      acc_lo = _mm256_blendv_pd(
+          acc_lo,
+          _mm256_add_pd(acc_lo, _mm256_mul_pd(_mm256_loadu_pd(val), x_lo)),
+          live_lo);
+      acc_hi = _mm256_blendv_pd(
+          acc_hi,
+          _mm256_add_pd(acc_hi, _mm256_mul_pd(_mm256_loadu_pd(val + 4), x_hi)),
+          live_hi);
+      k = _mm256_add_epi64(k, one);
+      val += 8;
+      col += 8;
+    }
+    const std::size_t r0 = 8 * s;
+    if (s < full) {
+      if (b != nullptr) {
+        acc_lo = _mm256_sub_pd(_mm256_loadu_pd(b + r0), acc_lo);
+        acc_hi = _mm256_sub_pd(_mm256_loadu_pd(b + r0 + 4), acc_hi);
+      }
+      _mm256_storeu_pd(y + r0, acc_lo);
+      _mm256_storeu_pd(y + r0 + 4, acc_hi);
+      dot_lo = _mm256_add_pd(dot_lo,
+                             _mm256_mul_pd(_mm256_loadu_pd(x + r0), acc_lo));
+      dot_hi = _mm256_add_pd(
+          dot_hi, _mm256_mul_pd(_mm256_loadu_pd(x + r0 + 4), acc_hi));
+      continue;
+    }
+    // The short last slice: rows r0..n−1 only; their dot terms are the
+    // sequential tail below, as in avx2_dot.
+    const __m256i rows = _mm256_set1_epi64x(static_cast<long long>(n - r0));
+    const __m256i m_lo =
+        _mm256_cmpgt_epi64(rows, _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256i m_hi =
+        _mm256_cmpgt_epi64(rows, _mm256_setr_epi64x(4, 5, 6, 7));
+    if (b != nullptr) {
+      acc_lo = _mm256_sub_pd(_mm256_maskload_pd(b + r0, m_lo), acc_lo);
+      acc_hi = _mm256_sub_pd(_mm256_maskload_pd(b + r0 + 4, m_hi), acc_hi);
+    }
+    _mm256_maskstore_pd(y + r0, m_lo, acc_lo);
+    _mm256_maskstore_pd(y + r0 + 4, m_hi, acc_hi);
+  }
+  alignas(32) double lanes[8];
+  _mm256_store_pd(lanes, dot_lo);
+  _mm256_store_pd(lanes + 4, dot_hi);
+  double dot = combine8(lanes);
+  for (std::size_t i = 8 * full; i < n; ++i) dot += x[i] * y[i];
+  return dot;
+}
+
+__attribute__((target("avx2"))) void avx2_column_sweep_fwd(std::size_t n,
+                                                           const double* r,
+                                                           const double* l,
+                                                           const double* w,
+                                                           double* z) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d lw =
+        _mm256_mul_pd(_mm256_loadu_pd(l + i), _mm256_loadu_pd(w + i));
+    _mm256_storeu_pd(z + i, _mm256_sub_pd(_mm256_loadu_pd(r + i), lw));
+  }
+  for (; i < n; ++i) z[i] = r[i] - l[i] * w[i];
+}
+
+__attribute__((target("avx2"))) void avx2_column_sweep_bwd(std::size_t n,
+                                                           const double* d,
+                                                           const double* l,
+                                                           const double* w,
+                                                           double* z) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d zd =
+        _mm256_mul_pd(_mm256_loadu_pd(z + i), _mm256_loadu_pd(d + i));
+    const __m256d lw =
+        _mm256_mul_pd(_mm256_loadu_pd(l + i), _mm256_loadu_pd(w + i));
+    _mm256_storeu_pd(z + i, _mm256_sub_pd(zd, lw));
+  }
+  for (; i < n; ++i) z[i] = z[i] * d[i] - l[i] * w[i];
+}
+
 constexpr BackendOps kAvx2Ops = {
     "simd-avx2",       BackendKind::kSimd, avx2_axpy,
     avx2_scale,        avx2_dot,           avx2_axpy_dot,
     avx2_max_abs_diff, avx2_nmsub_fold,    avx2_panel_update,
     avx2_panel_fold,   avx2_trsv_fwd,      avx2_trsv_bwd,
     avx2_cg_update,    avx2_precond_dot,   avx2_search_dir_update,
+    avx2_sell8_matvec, avx2_column_sweep_fwd, avx2_column_sweep_bwd,
 };
 
 // ---------------------------------------------------------------------------
@@ -792,12 +913,111 @@ __attribute__((target("avx512f"))) void avx512_search_dir_update(
   for (; i < n; ++i) p[i] = z[i] + beta * p[i];
 }
 
+// SELL-8 mat-vec: one slot is one masked gather and one masked add. Lane l
+// of slot k is live while k < row_len; dead lanes are neither gathered nor
+// added, so every row's accumulator sees exactly its own entries in column
+// order. The full slices feed the dot's 8-lane accumulator as they finish
+// (lane l holds rows ≡ l mod 8, as in avx512_dot); the short last slice is
+// the dot's sequential tail.
+__attribute__((target("avx512f"))) double avx512_sell8_matvec(
+    const Sell8View& a, const double* x, const double* b, double* y) {
+  const std::size_t n = a.n;
+  const std::size_t full = n / 8;
+  const std::size_t slices = (n + 7) / 8;
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512d dot8 = _mm512_setzero_pd();
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::size_t first = a.slice_start[s];
+    const std::size_t width = (a.slice_start[s + 1] - first) / 8;
+    const double* val = a.val + first;
+    const std::int32_t* col = a.col + first;
+    // (The maskz form: GCC's plain _mm512_cvtepi32_epi64 starts from an
+    // undefined register and draws a -Wmaybe-uninitialized warning.)
+    const __m512i len = _mm512_maskz_cvtepi32_epi64(
+        0xFF, _mm256_loadu_si256(
+                  reinterpret_cast<const __m256i*>(a.row_len + 8 * s)));
+    __m512i k = _mm512_setzero_si512();
+    __m512d acc = _mm512_setzero_pd();
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const __mmask8 live = _mm512_cmpgt_epi64_mask(len, k);
+      const __m512d xv = _mm512_mask_i32gather_pd(
+          zero, live, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col)),
+          x, 8);
+      acc = _mm512_mask_add_pd(acc, live, acc,
+                               _mm512_mul_pd(_mm512_loadu_pd(val), xv));
+      k = _mm512_add_epi64(k, one);
+      val += 8;
+      col += 8;
+    }
+    const std::size_t r0 = 8 * s;
+    if (s < full) {
+      if (b != nullptr) acc = _mm512_sub_pd(_mm512_loadu_pd(b + r0), acc);
+      _mm512_storeu_pd(y + r0, acc);
+      dot8 = _mm512_add_pd(dot8, _mm512_mul_pd(_mm512_loadu_pd(x + r0), acc));
+      continue;
+    }
+    const auto rows = static_cast<__mmask8>((1u << (n - r0)) - 1u);
+    if (b != nullptr) {
+      acc = _mm512_sub_pd(_mm512_maskz_loadu_pd(rows, b + r0), acc);
+    }
+    _mm512_mask_storeu_pd(y + r0, rows, acc);
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, dot8);
+  double dot = combine8(lanes);
+  for (std::size_t i = 8 * full; i < n; ++i) dot += x[i] * y[i];
+  return dot;
+}
+
+// Column sweeps with a masked tail: the lanes past n are neither loaded nor
+// stored.
+__attribute__((target("avx512f"))) void avx512_column_sweep_fwd(
+    std::size_t n, const double* r, const double* l, const double* w,
+    double* z) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d lw =
+        _mm512_mul_pd(_mm512_loadu_pd(l + i), _mm512_loadu_pd(w + i));
+    _mm512_storeu_pd(z + i, _mm512_sub_pd(_mm512_loadu_pd(r + i), lw));
+  }
+  if (i < n) {
+    const auto m = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    const __m512d lw = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, l + i),
+                                     _mm512_maskz_loadu_pd(m, w + i));
+    _mm512_mask_storeu_pd(z + i, m,
+                          _mm512_sub_pd(_mm512_maskz_loadu_pd(m, r + i), lw));
+  }
+}
+
+__attribute__((target("avx512f"))) void avx512_column_sweep_bwd(
+    std::size_t n, const double* d, const double* l, const double* w,
+    double* z) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d zd =
+        _mm512_mul_pd(_mm512_loadu_pd(z + i), _mm512_loadu_pd(d + i));
+    const __m512d lw =
+        _mm512_mul_pd(_mm512_loadu_pd(l + i), _mm512_loadu_pd(w + i));
+    _mm512_storeu_pd(z + i, _mm512_sub_pd(zd, lw));
+  }
+  if (i < n) {
+    const auto m = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    const __m512d zd = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, z + i),
+                                     _mm512_maskz_loadu_pd(m, d + i));
+    const __m512d lw = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, l + i),
+                                     _mm512_maskz_loadu_pd(m, w + i));
+    _mm512_mask_storeu_pd(z + i, m, _mm512_sub_pd(zd, lw));
+  }
+}
+
 constexpr BackendOps kAvx512Ops = {
     "simd-avx512",       BackendKind::kSimd,  avx512_axpy,
     avx512_scale,        avx512_dot,          avx512_axpy_dot,
     avx512_max_abs_diff, avx512_nmsub_fold,   avx512_panel_update,
     avx512_panel_fold,   avx512_trsv_fwd,     avx512_trsv_bwd,
     avx512_cg_update,    avx512_precond_dot,  avx512_search_dir_update,
+    avx512_sell8_matvec, avx512_column_sweep_fwd, avx512_column_sweep_bwd,
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "la/column_jacobi.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,7 +9,7 @@
 namespace oftec::la {
 
 ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
-    const CsrMatrix& pattern, std::size_t cells,
+    const SparseMatrix& pattern, std::size_t cells,
     std::vector<std::size_t> slab_first) {
   const std::size_t n = pattern.size();
   std::vector<bool> in_slab(n, false);
@@ -25,15 +26,6 @@ ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
     }
   }
 
-  const std::vector<std::size_t>& row_ptr = pattern.row_ptr();
-  const std::vector<std::size_t>& col_idx = pattern.col_idx();
-  const auto position = [&](std::size_t row, std::size_t col) {
-    for (std::size_t p = row_ptr[row]; p < row_ptr[row + 1]; ++p) {
-      if (col_idx[p] == col) return p;
-    }
-    return kAbsent;
-  };
-
   ColumnBlockSymbolic s;
   s.n_ = n;
   s.nnz_ = pattern.nnz();
@@ -44,24 +36,24 @@ ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
   for (std::size_t k = 0; k < m; ++k) {
     for (std::size_t c = 0; c < cells; ++c) {
       const std::size_t node = slab_first[k] + c;
-      s.diag_pos_[k * cells + c] = position(node, node);
+      s.diag_pos_[k * cells + c] = pattern.position(node, node);
       if (k > 0) {
         s.below_pos_[(k - 1) * cells + c] =
-            position(node, slab_first[k - 1] + c);
+            pattern.position(node, slab_first[k - 1] + c);
       }
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (in_slab[i]) continue;
     s.singletons_.push_back(i);
-    s.singleton_diag_pos_.push_back(position(i, i));
+    s.singleton_diag_pos_.push_back(pattern.position(i, i));
   }
   s.first_ = std::move(slab_first);
   return s;
 }
 
 bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
-                               const CsrMatrix& a) {
+                               const SparseMatrix& a) {
   if (a.size() != symbolic.n_ || a.nnz() != symbolic.nnz_) {
     throw std::invalid_argument(
         "ColumnBlockJacobi::factor: matrix does not match the pattern");
@@ -69,7 +61,7 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
   symbolic_ = nullptr;
   const std::vector<double>& values = a.values();
   const auto entry = [&values](std::size_t pos) {
-    return pos == ColumnBlockSymbolic::kAbsent ? 0.0 : values[pos];
+    return pos == SparseMatrix::npos ? 0.0 : values[pos];
   };
   const std::size_t cells = symbolic.cells_;
   const std::size_t m = symbolic.slabs();
@@ -110,20 +102,21 @@ double ColumnBlockJacobi::apply(const double* r, double* z) const {
   const std::size_t cells = s.cells_;
   const std::size_t m = s.slabs();
   const std::vector<std::size_t>& first = s.first_;
+  const BackendOps& ops = backend();
 
-  // Forward, bottom slab up: L·y = r (y is written into z).
+  // Forward, bottom slab up: L·y = r (y is written into z), one backend
+  // sweep per slab: z_k = r_k − l∘z_{k−1}.
   for (std::size_t k = 0; k < m; ++k) {
-    const double* __restrict rk = r + first[k];
-    double* __restrict zk = z + first[k];
+    const double* rk = r + first[k];
+    double* zk = z + first[k];
     if (k == 0) {
-      for (std::size_t c = 0; c < cells; ++c) zk[c] = rk[c];
+      std::copy(rk, rk + cells, zk);
       continue;
     }
-    const double* __restrict below = z + first[k - 1];
-    const double* __restrict l = multiplier_.data() + (k - 1) * cells;
-    for (std::size_t c = 0; c < cells; ++c) zk[c] = rk[c] - l[c] * below[c];
+    ops.column_sweep_fwd(cells, rk, multiplier_.data() + (k - 1) * cells,
+                         z + first[k - 1], zk);
   }
-  // Backward, top slab down: D·Lᵀ·z = y.
+  // Backward, top slab down: D·Lᵀ·z = y, i.e. z_k = z_k∘d⁻¹ − l∘z_{k+1}.
   for (std::size_t k = m; k-- > 0;) {
     double* __restrict zk = z + first[k];
     const double* __restrict inv = inv_pivot_.data() + k * cells;
@@ -131,17 +124,14 @@ double ColumnBlockJacobi::apply(const double* r, double* z) const {
       for (std::size_t c = 0; c < cells; ++c) zk[c] *= inv[c];
       continue;
     }
-    const double* __restrict above = z + first[k + 1];
-    const double* __restrict l = multiplier_.data() + k * cells;
-    for (std::size_t c = 0; c < cells; ++c) {
-      zk[c] = zk[c] * inv[c] - l[c] * above[c];
-    }
+    ops.column_sweep_bwd(cells, inv, multiplier_.data() + k * cells,
+                         z + first[k + 1], zk);
   }
   for (std::size_t j = 0; j < s.singletons_.size(); ++j) {
     const std::size_t i = s.singletons_[j];
     z[i] = r[i] * inv_singleton_[j];
   }
-  return backend().dot(s.n_, r, z);
+  return ops.dot(s.n_, r, z);
 }
 
 }  // namespace oftec::la

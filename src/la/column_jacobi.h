@@ -12,19 +12,22 @@
 // every node outside the slabs (the lumped ring nodes, "singletons").
 //
 // The preconditioner is split like the banded Cholesky:
-//   ColumnBlockSymbolic — where each column's entries live in a fixed CSR
-//                         pattern. Computed once per pattern; immutable and
+//   ColumnBlockSymbolic — where each column's entries live in a fixed
+//                         sparse pattern (their SparseMatrix::position()).
+//                         Computed once per pattern; immutable and
 //                         shareable across threads.
 //   ColumnBlockJacobi   — the numeric LDLᵀ factor of every column block
 //                         (the Thomas algorithm, O(n)), refactored from the
-//                         CSR values whenever the matrix changes.
+//                         matrix values whenever they change.
 //
 // Determinism: factor() and the z = M⁻¹r sweeps of apply() run one slab at
 // a time across all cells, so every inner loop is contiguous and
-// element-wise and produces the same bits under every kernel backend. The
-// r·z that apply() returns goes through the active backend's dot, so it is
-// exactly what backend().dot would return for the produced z (the simd
-// backends' fixed 8-lane tree; see la/backend.h).
+// element-wise. The forward and backward sweeps are the backend's
+// column_sweep_fwd / column_sweep_bwd kernels (vectorized under simd), which
+// produce the same bits under every kernel backend. The r·z that apply()
+// returns goes through the active backend's dot, so it is exactly what
+// backend().dot would return for the produced z (the simd backends' fixed
+// 8-lane tree; see la/backend.h).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +39,7 @@ namespace oftec::la {
 
 class ColumnBlockSymbolic {
  public:
-  /// Locate, in `pattern`'s CSR structure (values are not read), the
+  /// Locate, in `pattern`'s sparsity structure (values are not read), the
   /// diagonal entry of every slab node and the coupling of every slab node
   /// to the same cell in the slab below. `slab_first[k]` is the first node
   /// of slab k, listed bottom to top along the column; every slab holds
@@ -44,7 +47,7 @@ class ColumnBlockSymbolic {
   /// Throws std::invalid_argument when a slab runs past the matrix or two
   /// slabs overlap. A coupling absent from the pattern factors as 0.
   [[nodiscard]] static ColumnBlockSymbolic analyze(
-      const CsrMatrix& pattern, std::size_t cells,
+      const SparseMatrix& pattern, std::size_t cells,
       std::vector<std::size_t> slab_first);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -56,16 +59,14 @@ class ColumnBlockSymbolic {
  private:
   friend class ColumnBlockJacobi;
 
-  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-
   std::size_t n_ = 0;
   std::size_t nnz_ = 0;
   std::size_t cells_ = 0;
   std::vector<std::size_t> first_;
-  /// CSR value index of A(first[k]+c, first[k]+c), at k·cells + c.
+  /// Storage index of A(first[k]+c, first[k]+c), at k·cells + c.
   std::vector<std::size_t> diag_pos_;
-  /// CSR value index of A(first[k]+c, first[k−1]+c) for k ≥ 1, at
-  /// (k−1)·cells + c; kAbsent where the pattern has no such entry.
+  /// Storage index of A(first[k]+c, first[k−1]+c) for k ≥ 1, at
+  /// (k−1)·cells + c; SparseMatrix::npos where the pattern has no such entry.
   std::vector<std::size_t> below_pos_;
   std::vector<std::size_t> singletons_;
   std::vector<std::size_t> singleton_diag_pos_;
@@ -73,14 +74,14 @@ class ColumnBlockSymbolic {
 
 class ColumnBlockJacobi {
  public:
-  /// Factor every column block of `a`, whose CSR pattern must be the one
+  /// Factor every column block of `a`, whose sparsity pattern must be the one
   /// `symbolic` was analyzed on. Returns false on a non-positive (or NaN)
   /// pivot or singleton diagonal: a principal submatrix that is not SPD,
   /// which proves `a` is not SPD either. The factor is then unusable until
   /// the next successful factor(). Reuses its storage across calls. The
   /// symbolic must outlive every apply() that follows.
   [[nodiscard]] bool factor(const ColumnBlockSymbolic& symbolic,
-                            const CsrMatrix& a);
+                            const SparseMatrix& a);
 
   /// z = M⁻¹r over the last successful factor(); returns r·z computed by
   /// the active backend's dot. r and z hold size() doubles and must not

@@ -2,7 +2,7 @@
 //
 // Dense storage is used for small systems only: the SQP/QP working matrices
 // (a handful of variables/constraints) and as a brute-force reference in
-// tests. The thermal network uses BandedMatrix / CsrMatrix instead.
+// tests. The thermal network uses BandedMatrix / SparseMatrix instead.
 #pragma once
 
 #include <cstddef>

@@ -23,7 +23,7 @@ struct IterTally {
   }
 };
 
-[[nodiscard]] Vector jacobi_inverse_diagonal(const CsrMatrix& a) {
+[[nodiscard]] Vector jacobi_inverse_diagonal(const SparseMatrix& a) {
   Vector inv_d(a.size(), 1.0);
   const Vector d = a.diagonal();
   for (std::size_t i = 0; i < d.size(); ++i) {
@@ -33,9 +33,9 @@ struct IterTally {
 }
 
 /// Initialize x and r = b − A·x from the optional warm start. The warm
-/// residual goes through the fused CsrMatrix::residual_into (one pass, no
+/// residual goes through the fused SparseMatrix::residual_into (one pass, no
 /// temporary; bit-identical to the multiply + axpy(−1) it replaced).
-void init_iterate(const CsrMatrix& a, const Vector& b,
+void init_iterate(const SparseMatrix& a, const Vector& b,
                   const IterativeOptions& opts, Vector& x, Vector& r) {
   if (opts.initial_guess != nullptr && opts.initial_guess->size() == b.size()) {
     x = *opts.initial_guess;
@@ -48,7 +48,7 @@ void init_iterate(const CsrMatrix& a, const Vector& b,
 
 }  // namespace
 
-IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
+IterativeResult solve_cg(const SparseMatrix& a, const Vector& b,
                          const IterativeOptions& opts) {
   static const fault::Site cg_stall = fault::site("la.cg_stall");
   const std::size_t n = a.size();
@@ -91,14 +91,14 @@ IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
   }
 
   // Every vector touch in the iteration is one fused backend pass:
-  //   multiply_dot      ap = A·p and p·ap          (1 pass over p, ap)
+  //   sell8_matvec      ap = A·p and p·ap          (1 pass over A, p, ap)
   //   cg_update         x += αp, r −= α·ap, ‖r‖²   (1 pass over p/ap/x/r)
   //   precond_dot       z = d∘r and r·z            (1 pass over r, z)
   //   search_dir_update p = z + βp                 (1 pass over z, p)
   // The scalar backend reproduces the unfused sequence bit for bit; the simd
-  // backend's reductions use its fixed 8-lane tree (see backend.h). A column
-  // preconditioner replaces precond_dot with its slab sweeps plus one
-  // backend dot for r·z.
+  // backend's reductions, p·ap included, use its fixed 8-lane tree (see
+  // backend.h). A column preconditioner replaces precond_dot with its
+  // backend slab sweeps plus one backend dot for r·z.
   Vector& z = ws.z;
   z.resize(n);
   const auto precondition = [&] {

@@ -7,7 +7,14 @@
 // therefore carries the thermal solves: thermal::SolveEngine runs
 // warm-started CG first, preconditioned by the z-column block-Jacobi factor
 // of la/column_jacobi.h, and drops to a direct banded factorization only
-// when CG fails near runaway. Bare CSR callers get diagonal Jacobi.
+// when CG fails near runaway. Bare SparseMatrix callers get diagonal Jacobi.
+//
+// One CG iteration is four backend calls (la/backend.h): the SELL-8 mat-vec
+// with p·Ap fused in, the x/r update with ‖r‖², the preconditioner (column
+// slab sweeps plus r·z, or the fused Jacobi product), and the search
+// direction refresh. Under the scalar backend every reduction is the seed's
+// sequential sum; under simd each is the fixed 8-lane tree, so one solve's
+// bits depend on the backend flavor (scalar vs simd) and on nothing else.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +69,8 @@ struct IterativeOptions {
 /// Preconditioned conjugate gradient for symmetric A. When A is not SPD the
 /// iteration may meet non-positive curvature; it then stops unconverged
 /// with IterativeResult::indefinite set.
-[[nodiscard]] IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
+[[nodiscard]] IterativeResult solve_cg(const SparseMatrix& a,
+                                       const Vector& b,
                                        const IterativeOptions& opts = {});
 
 }  // namespace oftec::la

@@ -2,9 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
+#include "la/backend.h"
+
 namespace oftec::la {
+
+namespace {
+
+constexpr std::size_t kC = 8;  // slice height: rows per slice, lanes per slot
+
+}  // namespace
 
 void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
   if (r >= n_ || c >= n_) {
@@ -13,127 +23,128 @@ void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
   triplets_.push_back({r, c, v});
 }
 
-CsrMatrix TripletBuilder::build() const {
+SparseMatrix TripletBuilder::build() const {
+  if (n_ > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::length_error(
+        "TripletBuilder::build: more than 2^31 - 1 rows for int32 columns");
+  }
   std::vector<Triplet> sorted = triplets_;
   // Stable: duplicates stay in insertion order, so each sum below runs in
   // the order the caller added its terms, on every standard library.
   std::stable_sort(sorted.begin(), sorted.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
 
-  std::vector<std::size_t> row_ptr(n_ + 1, 0);
-  std::vector<std::size_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(sorted.size());
-  values.reserve(sorted.size());
+  SparseMatrix a;
+  a.n_ = n_;
+  const std::size_t slices = (n_ + kC - 1) / kC;
+  a.row_len_.assign(slices * kC, 0);
+  // Coalesce duplicates in place: sorted[0, m) ends up holding each stored
+  // entry once, rows ascending and columns ascending within a row.
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < sorted.size();) {
+    const std::size_t r = sorted[i].row;
+    const std::size_t c = sorted[i].col;
+    double acc = 0.0;
+    while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
+      acc += sorted[i].value;
+      ++i;
+    }
+    sorted[m++] = {r, c, acc};
+    ++a.row_len_[r];
+  }
+  a.nnz_ = m;
 
-  std::size_t i = 0;
+  a.slice_start_.resize(slices + 1);
+  std::size_t storage = 0;
+  for (std::size_t s = 0; s < slices; ++s) {
+    a.slice_start_[s] = storage;
+    const auto first =
+        a.row_len_.begin() + static_cast<std::ptrdiff_t>(s * kC);
+    storage +=
+        kC * static_cast<std::size_t>(*std::max_element(first, first + kC));
+  }
+  a.slice_start_[slices] = storage;
+
+  // Padding: value 0 at column 0, which is in range whenever n > 0.
+  a.col_.assign(storage, 0);
+  a.values_.assign(storage, 0.0);
+  std::size_t e = 0;
   for (std::size_t r = 0; r < n_; ++r) {
-    row_ptr[r] = values.size();
-    while (i < sorted.size() && sorted[i].row == r) {
-      const std::size_t c = sorted[i].col;
-      double acc = 0.0;
-      while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
-        acc += sorted[i].value;
-        ++i;
-      }
-      col_idx.push_back(c);
-      values.push_back(acc);
+    std::size_t p = a.slice_start_[r / kC] + r % kC;
+    for (std::int32_t k = 0; k < a.row_len_[r]; ++k, ++e, p += kC) {
+      a.col_[p] = static_cast<std::int32_t>(sorted[e].col);
+      a.values_[p] = sorted[e].value;
     }
   }
-  row_ptr[n_] = values.size();
-  return CsrMatrix(n_, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  return a;
 }
 
-CsrMatrix::CsrMatrix(std::size_t n, std::vector<std::size_t> row_ptr,
-                     std::vector<std::size_t> col_idx,
-                     std::vector<double> values)
-    : n_(n),
-      row_ptr_(std::move(row_ptr)),
-      col_idx_(std::move(col_idx)),
-      values_(std::move(values)) {
-  if (row_ptr_.size() != n_ + 1 || col_idx_.size() != values_.size()) {
-    throw std::invalid_argument("CsrMatrix: inconsistent arrays");
-  }
+Sell8View SparseMatrix::view() const {
+  return {n_, slice_start_.data(), row_len_.data(), col_.data(),
+          values_.data()};
 }
 
-Vector CsrMatrix::multiply(const Vector& x) const {
+Vector SparseMatrix::multiply(const Vector& x) const {
   if (x.size() != n_) {
-    throw std::invalid_argument("CsrMatrix::multiply: size mismatch");
+    throw std::invalid_argument("SparseMatrix::multiply: size mismatch");
   }
   Vector y(n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] = acc;
-  }
+  backend().sell8_matvec(view(), x.data(), nullptr, y.data());
   return y;
 }
 
-double CsrMatrix::multiply_dot(const Vector& x, Vector& y) const {
+double SparseMatrix::multiply_dot(const Vector& x, Vector& y) const {
   if (x.size() != n_) {
-    throw std::invalid_argument("CsrMatrix::multiply_dot: size mismatch");
+    throw std::invalid_argument("SparseMatrix::multiply_dot: size mismatch");
   }
   y.resize(n_);
-  double dot_acc = 0.0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] = acc;
-    dot_acc += x[r] * acc;
-  }
-  return dot_acc;
+  return backend().sell8_matvec(view(), x.data(), nullptr, y.data());
 }
 
-void CsrMatrix::residual_into(const Vector& b, const Vector& x,
-                              Vector& r) const {
+void SparseMatrix::residual_into(const Vector& b, const Vector& x,
+                                 Vector& r) const {
   if (x.size() != n_ || b.size() != n_) {
-    throw std::invalid_argument("CsrMatrix::residual_into: size mismatch");
+    throw std::invalid_argument("SparseMatrix::residual_into: size mismatch");
   }
   r.resize(n_);
-  for (std::size_t row = 0; row < n_; ++row) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    r[row] = b[row] - acc;
-  }
+  backend().sell8_matvec(view(), x.data(), b.data(), r.data());
 }
 
-Vector CsrMatrix::diagonal() const {
+Vector SparseMatrix::diagonal() const {
   Vector d(n_, 0.0);
   for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) {
-        d[r] = values_[k];
-        break;
-      }
-    }
+    const std::size_t p = position(r, r);
+    if (p != npos) d[r] = values_[p];
   }
   return d;
 }
 
-double CsrMatrix::get(std::size_t r, std::size_t c) const {
+std::size_t SparseMatrix::position(std::size_t r, std::size_t c) const {
   if (r >= n_ || c >= n_) {
-    throw std::out_of_range("CsrMatrix::get: index out of range");
+    throw std::out_of_range("SparseMatrix::position: index out of range");
   }
-  for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-    if (col_idx_[k] == c) return values_[k];
+  std::size_t p = slice_start_[r / kC] + r % kC;
+  for (std::int32_t k = 0; k < row_len_[r]; ++k, p += kC) {
+    const auto col = static_cast<std::size_t>(col_[p]);
+    if (col == c) return p;
+    if (col > c) break;
   }
-  return 0.0;
+  return npos;
 }
 
-bool CsrMatrix::is_symmetric(double tol) const {
+double SparseMatrix::get(std::size_t r, std::size_t c) const {
+  const std::size_t p = position(r, c);
+  return p != npos ? values_[p] : 0.0;
+}
+
+bool SparseMatrix::is_symmetric(double tol) const {
   for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (std::abs(values_[k] - get(c, r)) > tol) return false;
+    std::size_t p = slice_start_[r / kC] + r % kC;
+    for (std::int32_t k = 0; k < row_len_[r]; ++k, p += kC) {
+      const auto c = static_cast<std::size_t>(col_[p]);
+      if (std::abs(values_[p] - get(c, r)) > tol) return false;
     }
   }
   return true;

@@ -1,6 +1,5 @@
 #include "thermal/model.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -60,6 +59,19 @@ ThermalModel::ThermalModel(package::PackageConfig cfg,
   }
 
   build_static_network();
+
+  const std::size_t cells = layout_.cells_per_layer();
+  chip_node_.resize(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    chip_node_[cell] = layout_.node(Slab::kChip, cell);
+    if (!tec_array_) continue;
+    const tec::CellTec& ct = tec_array_->cell(cell);
+    if (!ct.covered) continue;
+    tec_stamps_.push_back({cell, layout_.node(Slab::kTecAbs, cell),
+                           layout_.node(Slab::kTecGen, cell),
+                           layout_.node(Slab::kTecRej, cell), ct.seebeck,
+                           ct.resistance});
+  }
 }
 
 void ThermalModel::add_edge(std::size_t i, std::size_t j, double conductance) {
@@ -378,19 +390,16 @@ void ThermalModel::stamp_diagonal(
   // Linearized leakage (Eq. 4): the slope a moves to the diagonal — the
   // term that can destroy diagonal dominance and produce thermal runaway.
   for (std::size_t cell = 0; cell < cells; ++cell) {
-    add(layout_.node(Slab::kChip, cell), -cell_taylor[cell].a);
+    add(chip_node_[cell], -cell_taylor[cell].a);
   }
   // Peltier transport on the TEC interface nodes (Eqs. 5–6), temperature-
   // proportional and therefore on the left-hand side.
-  if (tec_array_) {
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const tec::CellTec& ct = tec_array_->cell(cell);
-      const double current = cell_current[cell];
-      if (!ct.covered || current <= 0.0) continue;
-      const double peltier = ct.seebeck * current;
-      add(layout_.node(Slab::kTecAbs, cell), peltier);   // p = −α·I·T_c
-      add(layout_.node(Slab::kTecRej, cell), -peltier);  // p = +α·I·T_h
-    }
+  for (const TecStamp& t : tec_stamps_) {
+    const double current = cell_current[t.cell];
+    if (current <= 0.0) continue;
+    const double peltier = t.seebeck * current;
+    add(t.abs_node, peltier);   // p = −α·I·T_c
+    add(t.rej_node, -peltier);  // p = +α·I·T_h
   }
 }
 
@@ -412,18 +421,13 @@ void ThermalModel::stamp_rhs(
   // leakage.
   for (std::size_t cell = 0; cell < cells; ++cell) {
     const power::TaylorCoefficients& tc = cell_taylor[cell];
-    rhs[layout_.node(Slab::kChip, cell)] +=
-        cell_dynamic_power[cell] + tc.b - tc.a * tc.t_ref;
+    rhs[chip_node_[cell]] += cell_dynamic_power[cell] + tc.b - tc.a * tc.t_ref;
   }
   // Joule heat R·I² (Eq. 7) on the TEC body node.
-  if (tec_array_) {
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const tec::CellTec& ct = tec_array_->cell(cell);
-      const double current = cell_current[cell];
-      if (!ct.covered || current <= 0.0) continue;
-      rhs[layout_.node(Slab::kTecGen, cell)] +=
-          ct.resistance * current * current;
-    }
+  for (const TecStamp& t : tec_stamps_) {
+    const double current = cell_current[t.cell];
+    if (current <= 0.0) continue;
+    rhs[t.gen_node] += t.resistance * current * current;
   }
 }
 
@@ -564,14 +568,10 @@ IncrementalAssembler::IncrementalAssembler(const ThermalModel& model,
   if (dynamic_.size() != model.layout().cells_per_layer()) {
     throw std::invalid_argument("IncrementalAssembler: per-cell arity");
   }
-  // Columns are sorted within each row, and every row stores its diagonal.
-  const std::vector<std::size_t>& rows = base_.matrix.row_ptr();
-  const std::vector<std::size_t>& cols = base_.matrix.col_idx();
+  // static_csr_system() stores a diagonal on every node.
   diag_pos_.resize(base_.matrix.size());
   for (std::size_t r = 0; r < diag_pos_.size(); ++r) {
-    const auto row_end = cols.begin() + rows[r + 1];
-    diag_pos_[r] = static_cast<std::size_t>(
-        std::lower_bound(cols.begin() + rows[r], row_end, r) - cols.begin());
+    diag_pos_[r] = base_.matrix.position(r, r);
   }
 }
 
@@ -581,7 +581,8 @@ void IncrementalAssembler::assemble_csr(
     CsrSystem& out) const {
   // Re-stamp values in place when the pattern matches; copy it otherwise.
   if (out.matrix.size() == base_.matrix.size() &&
-      out.matrix.nnz() == base_.matrix.nnz()) {
+      out.matrix.nnz() == base_.matrix.nnz() &&
+      out.matrix.values().size() == base_.matrix.values().size()) {
     out.matrix.mutable_values() = base_.matrix.values();
   } else {
     out.matrix = base_.matrix;

@@ -39,15 +39,17 @@ struct AssembledSystem {
   la::Vector rhs;
 };
 
-/// Assembled system in CSR form (for the iterative solvers). The sparsity
-/// pattern is fixed per model; only values change across operating points.
+/// Assembled system in sparse (SELL-8) form, for the CG solver. The
+/// sparsity pattern is fixed per model; only values change across operating
+/// points.
 struct CsrSystem {
-  la::CsrMatrix matrix;
+  la::SparseMatrix matrix;
   la::Vector rhs;
 };
 
 /// Where node i's diagonal entry of M lives: data[i·stride] in band storage
-/// (or a lower band), data[positions[i]] in CSR values when positions is set.
+/// (or a lower band), data[positions[i]] in sparse storage when positions is
+/// set.
 struct DiagonalView {
   double* data = nullptr;
   std::size_t stride = 1;
@@ -111,7 +113,7 @@ class ThermalModel {
   /// matrix) starts from it.
   [[nodiscard]] AssembledSystem static_system() const;
 
-  /// static_system() in CSR form: the same entries, summed in the same
+  /// static_system() in sparse form: the same entries, summed in the same
   /// order (so bit for bit the same values), plus a stored diagonal on
   /// every node for the operating-point stamps. The CG system starts
   /// from it.
@@ -226,6 +228,19 @@ class ThermalModel {
     double g;
   };
   std::vector<Edge> edges_;
+  /// Chip node of every cell, for the stamps.
+  std::vector<std::size_t> chip_node_;
+  /// A covered TEC cell as the stamps see it: its three nodes and its m·α
+  /// and m·R. Ascending by cell.
+  struct TecStamp {
+    std::size_t cell;
+    std::size_t abs_node;
+    std::size_t gen_node;
+    std::size_t rej_node;
+    double seebeck;
+    double resistance;
+  };
+  std::vector<TecStamp> tec_stamps_;
   /// ω-independent ambient couplings (node, g): PCB bottom.
   std::vector<std::pair<std::size_t, double>> static_ambient_;
   /// Sink-node share of the ω-dependent g_HS&fan (node, area fraction).
@@ -239,11 +254,12 @@ class ThermalModel {
 /// ω scales the sink-to-ambient couplings, I_TEC adds ±α·I on the TEC
 /// interface diagonals, and the leakage linearization moves the chip
 /// diagonal. The off-diagonal conduction structure never changes. This
-/// class therefore takes the model's static CSR system once, and produces
-/// each operating point's system by copying it and stamping the diagonal
-/// and rhs through the model (ThermalModel::stamp_diagonal, stamp_rhs) —
-/// so assemble_csr() equals ThermalModel::assemble() entry for entry, bit
-/// for bit, in CSR form.
+/// class therefore takes the model's static sparse system once, and
+/// produces each operating point's system by copying its values and
+/// stamping the diagonal (at positions looked up once with
+/// SparseMatrix::position) and rhs through the model
+/// (ThermalModel::stamp_diagonal, stamp_rhs) — so assemble_csr() equals
+/// ThermalModel::assemble() entry for entry, bit for bit, in sparse form.
 ///
 /// The assembler is immutable after construction and safe to share across
 /// threads when each thread supplies its own CsrSystem scratch.
@@ -263,7 +279,7 @@ class IncrementalAssembler {
                     const std::vector<power::TaylorCoefficients>& cell_taylor,
                     CsrSystem& out) const;
 
-  /// Column structure of the fixed CSR pattern for la::ColumnBlockJacobi:
+  /// Column structure of the fixed sparse pattern for la::ColumnBlockJacobi:
   /// every (x, y) column runs through the nine slabs bottom to top, and the
   /// three ring nodes are singletons.
   [[nodiscard]] la::ColumnBlockSymbolic column_structure() const;
@@ -278,7 +294,7 @@ class IncrementalAssembler {
   const ThermalModel* model_;
   la::Vector dynamic_;
   CsrSystem base_;                       // ThermalModel::static_csr_system()
-  std::vector<std::size_t> diag_pos_;    // values index of (i, i) per node
+  std::vector<std::size_t> diag_pos_;    // storage index of (i, i) per node
 };
 
 }  // namespace oftec::thermal

@@ -208,7 +208,7 @@ class SolveEngine {
   const SteadySolver* solver_;
   EngineOptions options_;
   IncrementalAssembler assembler_;
-  /// Column structure of the assembler's fixed CSR pattern. It lives here,
+  /// Column structure of the assembler's fixed sparse pattern. It lives here,
   /// never in a Workspace: solve_batch's thread-local workspaces are shared
   /// by every engine that runs on a thread.
   la::ColumnBlockSymbolic column_symbolic_;

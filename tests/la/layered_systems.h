@@ -22,7 +22,7 @@
 namespace oftec::la::testing {
 
 struct LayeredCase {
-  CsrMatrix a;
+  SparseMatrix a;
   Vector b;
   std::size_t cells = 0;
   std::vector<std::size_t> slab_first;

@@ -16,6 +16,7 @@
 //      the near-singular cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,14 +26,17 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "la/backend.h"
 #include "la/banded_lu.h"
 #include "la/column_jacobi.h"
+#include "la/sparse.h"
 #include "la/vector_ops.h"
 #include "tests/la/golden_systems.h"
 #include "tests/la/layered_systems.h"
+#include "util/rng.h"
 
 namespace oftec::la {
 namespace {
@@ -595,6 +599,131 @@ TEST(BackendParity, ColumnPreconditionerSweepsBitIdenticalDotUlpBounded) {
       EXPECT_EQ(hex_double(out.at("avx2").second),
                 hex_double(out.at("avx512").second))
           << "seed " << k.seed;
+    }
+  }
+}
+
+/// A seeded random sparse pattern for the SELL-8 mat-vec, with the triplets
+/// it was built from coalesced here (in insertion order, like the builder)
+/// into the CSR-order rows a reference loop walks.
+struct SparsePatternCase {
+  SparseMatrix a;
+  std::vector<std::vector<std::pair<std::size_t, double>>> rows;
+  std::vector<bool> referenced;  ///< column c appears in some stored entry
+};
+
+SparsePatternCase make_sparse_pattern_case(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  SparsePatternCase c;
+  std::map<std::pair<std::size_t, std::size_t>, double> entries;
+  TripletBuilder builder(n);
+  const auto add = [&](std::size_t r, std::size_t col, double v) {
+    builder.add(r, col, v);
+    entries[{r, col}] += v;
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    // Rows 8..15 form an all-empty slice; row 3 holds exactly 8 entries and
+    // row 17 exactly 9 where n allows; the rest hold 0 to 41.
+    std::size_t len = static_cast<std::size_t>(rng.uniform_index(42));
+    if (r >= 8 && r < 16) len = 0;
+    if (r == 3) len = 8;
+    if (r == 17) len = 9;
+    // Columns come from [1, n) so column 0 — the padding lanes' column —
+    // stays unreferenced whenever n > 1.
+    const std::size_t span = n > 1 ? n - 1 : 1;
+    len = std::min(len, span);
+    std::vector<std::size_t> cols;
+    while (cols.size() < len) {
+      const std::size_t col =
+          n > 1 ? 1 + static_cast<std::size_t>(rng.uniform_index(span)) : 0;
+      if (std::find(cols.begin(), cols.end(), col) == cols.end()) {
+        cols.push_back(col);
+      }
+    }
+    for (const std::size_t col : cols) {
+      const double v = rng.uniform(-2.0, 2.0);
+      if (rng.uniform() < 0.2) {  // a duplicate triplet, summed on build
+        add(r, col, 0.5 * v);
+        add(r, col, rng.uniform(-1.0, 1.0));
+      } else {
+        add(r, col, v);
+      }
+    }
+  }
+  c.a = builder.build();
+  c.rows.resize(n);
+  c.referenced.assign(n, false);
+  for (const auto& [rc, v] : entries) {
+    c.rows[rc.first].emplace_back(rc.second, v);
+    c.referenced[rc.second] = true;
+  }
+  return c;
+}
+
+TEST(BackendParity, SparseMatVecRowsBitIdenticalDotIsBackendDot) {
+  // SELL-8 rows are element-wise: every backend must reproduce a sequential
+  // CSR-order row loop bit for bit. The fused p·Ap must be exactly the
+  // active backend's dot of the y it wrote (so AVX2 ≡ AVX-512), and the
+  // padding lanes must never be loaded from x: with NaN in every column no
+  // stored entry references (column 0, the padding column, among them),
+  // y stays finite.
+  const std::pair<const char*, bool> specs[] = {
+      {"scalar", true},
+      {"simd", simd_supported()},
+      {"avx2", avx2_backend() != nullptr},
+      {"avx512", avx512_backend() != nullptr}};
+  for (const std::size_t n : {1, 7, 8, 9, 64, 903}) {
+    const SparsePatternCase c = make_sparse_pattern_case(0x5E11 + n, n);
+    util::Rng rng(0xB0 + n);
+    Vector x(n), b(n), x_nan(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = rng.uniform(-1.0, 1.0);
+      b[i] = rng.uniform(-1.0, 1.0);
+      x_nan[i] = c.referenced[i] ? x[i] : std::nan("");
+    }
+    Vector y_ref(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      double acc = 0.0;
+      for (const auto& [col, v] : c.rows[r]) acc += v * x[col];
+      y_ref[r] = acc;
+    }
+    std::map<std::string, std::string> dots;
+    for (const auto& [spec, available] : specs) {
+      if (!available) continue;
+      const ScopedBackend scoped(spec);
+      const std::string tag = std::string(spec) + " n=" + std::to_string(n);
+      Vector y;
+      const double dot = c.a.multiply_dot(x, y);
+      ASSERT_EQ(y.size(), n);
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(hex_double(y_ref[r]), hex_double(y[r])) << tag << " y[" << r
+                                                          << "]";
+      }
+      ASSERT_EQ(hex_double(backend().dot(n, x.data(), y.data())),
+                hex_double(dot))
+          << tag;
+      dots[spec] = hex_double(dot);
+
+      const Vector ax = c.a.multiply(x);
+      Vector r;
+      c.a.residual_into(b, x, r);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hex_double(y_ref[i]), hex_double(ax[i])) << tag;
+        ASSERT_EQ(hex_double(b[i] - ax[i]), hex_double(r[i]))
+            << tag << " r[" << i << "]";
+      }
+
+      Vector y_nan;
+      (void)c.a.multiply_dot(x_nan, y_nan);
+      c.a.residual_into(b, x_nan, r);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(std::isfinite(y_nan[i])) << tag << " y[" << i << "]";
+        ASSERT_EQ(hex_double(y_ref[i]), hex_double(y_nan[i])) << tag;
+        ASSERT_TRUE(std::isfinite(r[i])) << tag << " r[" << i << "]";
+      }
+    }
+    if (dots.count("avx2") != 0 && dots.count("avx512") != 0) {
+      EXPECT_EQ(dots.at("avx2"), dots.at("avx512")) << "n=" << n;
     }
   }
 }

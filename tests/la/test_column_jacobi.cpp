@@ -107,7 +107,7 @@ TEST(ColumnBlockJacobi, NonPositivePivotReportsFailure) {
   t.add(2, 0, -2.0);
   t.add(1, 1, 1.0);
   t.add(3, 3, 1.0);
-  const CsrMatrix indefinite = t.build();
+  const SparseMatrix indefinite = t.build();
   const ColumnBlockSymbolic s =
       ColumnBlockSymbolic::analyze(indefinite, 2, {0, 2});
   ColumnBlockJacobi m;
@@ -126,7 +126,7 @@ TEST(ColumnBlockJacobi, NonPositivePivotReportsFailure) {
     u.add(0, 0, 2.0);
     u.add(1, 1, 2.0);
     u.add(2, 2, bad);
-    const CsrMatrix a = u.build();
+    const SparseMatrix a = u.build();
     const ColumnBlockSymbolic as_slab =
         ColumnBlockSymbolic::analyze(a, 1, {2, 0});
     const ColumnBlockSymbolic as_singleton =
@@ -181,9 +181,7 @@ TEST(ColumnBlockJacobi, RefactorReusesStorageAcrossValueChanges) {
   for (int round = 0; round < 3; ++round) {
     std::vector<double>& v = c.a.mutable_values();
     for (std::size_t r = 0; r < c.a.size(); ++r) {
-      for (std::size_t p = c.a.row_ptr()[r]; p < c.a.row_ptr()[r + 1]; ++p) {
-        if (c.a.col_idx()[p] == r) v[p] *= 1.0 + 0.1 * (round + 1);
-      }
+      v[c.a.position(r, r)] *= 1.0 + 0.1 * (round + 1);
     }
     ColumnBlockJacobi fresh;
     ASSERT_TRUE(reused.factor(s, c.a));

@@ -11,9 +11,9 @@
 namespace oftec::la {
 namespace {
 
-/// Random diagonally dominant SPD matrix in both CSR and dense form.
+/// Random diagonally dominant SPD matrix in both sparse and dense form.
 struct SpdPair {
-  CsrMatrix sparse;
+  SparseMatrix sparse;
   DenseMatrix dense;
 };
 

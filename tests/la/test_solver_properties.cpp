@@ -70,7 +70,7 @@ DenseMatrix to_dense(const BandedMatrix& a) {
   return d;
 }
 
-CsrMatrix to_csr(const BandedMatrix& a) {
+SparseMatrix to_sparse(const BandedMatrix& a) {
   TripletBuilder builder(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (std::size_t j = 0; j < a.size(); ++j) {
@@ -116,7 +116,7 @@ TEST(SolverProperties, AllSolversAgreeOnRandomSpdSystems) {
     IterativeOptions cg_opts;
     cg_opts.tolerance = 1e-13;
     cg_opts.max_iterations = 20 * n;
-    const IterativeResult cg = solve_cg(to_csr(a), b, cg_opts);
+    const IterativeResult cg = solve_cg(to_sparse(a), b, cg_opts);
     ASSERT_TRUE(cg.converged) << "trial " << trial;
 
     EXPECT_LT(max_abs_diff(x_chol, x_split), 1e-9) << "trial " << trial;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
+
 #include "la/sparse.h"
 
 namespace oftec::la {
@@ -10,7 +15,7 @@ TEST(TripletBuilder, CoalescesDuplicates) {
   builder.add(0, 0, 1.0);
   builder.add(0, 0, 2.0);
   builder.add(1, 2, -1.0);
-  const CsrMatrix m = builder.build();
+  const SparseMatrix m = builder.build();
   EXPECT_EQ(m.nnz(), 2u);
   EXPECT_DOUBLE_EQ(m.get(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.get(1, 2), -1.0);
@@ -33,7 +38,7 @@ TEST(TripletBuilder, SumsDuplicatesInInsertionOrder) {
     builder.add(3 - k % 4, k % 3, 0.5);
   }
   ASSERT_EQ(expected, 0.0);
-  const CsrMatrix m = builder.build();
+  const SparseMatrix m = builder.build();
   EXPECT_EQ(m.get(1, 3), expected);
   EXPECT_EQ(m.get(3, 0), 1.0);  // k = 0 and 12
 }
@@ -44,12 +49,20 @@ TEST(TripletBuilder, OutOfRangeThrows) {
   EXPECT_THROW(builder.add(0, 2, 1.0), std::out_of_range);
 }
 
+TEST(TripletBuilder, RejectsMoreRowsThanInt32ColumnsReach) {
+  // Checked before anything is allocated, so the huge size costs nothing.
+  const TripletBuilder builder(std::size_t{1} << 31);
+  EXPECT_THROW((void)builder.build(), std::length_error);
+}
+
+// The CsrMatrix suite name predates the SELL-8 storage; its tests cover the
+// same SparseMatrix operations.
 TEST(CsrMatrix, MultiplyMatchesManual) {
   TripletBuilder builder(2);
   builder.add(0, 0, 2.0);
   builder.add(0, 1, 1.0);
   builder.add(1, 1, 3.0);
-  const CsrMatrix m = builder.build();
+  const SparseMatrix m = builder.build();
   const Vector y = m.multiply({1.0, 2.0});
   EXPECT_DOUBLE_EQ(y[0], 4.0);
   EXPECT_DOUBLE_EQ(y[1], 6.0);
@@ -81,10 +94,88 @@ TEST(CsrMatrix, SymmetryCheck) {
 TEST(CsrMatrix, EmptyRowsHandled) {
   TripletBuilder builder(4);
   builder.add(3, 3, 1.0);
-  const CsrMatrix m = builder.build();
+  const SparseMatrix m = builder.build();
   const Vector y = m.multiply({1.0, 1.0, 1.0, 2.0});
   EXPECT_DOUBLE_EQ(y[0], 0.0);
   EXPECT_DOUBLE_EQ(y[3], 2.0);
+}
+
+TEST(SparseMatrix, SlicesAreAsWideAsTheirLongestRow) {
+  // Rows 0..7 (slice 0) hold 1, 3, 0, … entries; row 9 (slice 1) holds 2.
+  // Slot k of a slice is one 8-lane vector, so storage is 8·(3 + 2) values.
+  TripletBuilder builder(10);
+  builder.add(0, 0, 1.0);
+  builder.add(1, 0, 2.0);
+  builder.add(1, 4, 3.0);
+  builder.add(1, 9, 4.0);
+  builder.add(9, 2, 5.0);
+  builder.add(9, 8, 6.0);
+  const SparseMatrix m = builder.build();
+  EXPECT_EQ(m.nnz(), 6u);
+  EXPECT_EQ(m.values().size(), 8u * (3u + 2u));
+  // Row r's k-th entry sits at slice_start + 8k + r mod 8.
+  EXPECT_EQ(m.position(1, 0), 1u);
+  EXPECT_EQ(m.position(1, 4), 9u);
+  EXPECT_EQ(m.position(1, 9), 17u);
+  EXPECT_EQ(m.position(9, 2), 24u + 1u);
+  EXPECT_EQ(m.position(9, 8), 24u + 9u);
+  // Padding lanes hold 0.
+  double sum = 0.0;
+  for (const double v : m.values()) sum += v;
+  EXPECT_EQ(sum, 21.0);
+}
+
+TEST(SparseMatrix, PositionLocatesStoredEntries) {
+  TripletBuilder builder(12);
+  for (std::size_t r = 0; r < 12; ++r) {
+    builder.add(r, r, 1.0 + static_cast<double>(r));
+    if (r + 3 < 12) builder.add(r, r + 3, -0.5 * static_cast<double>(r));
+  }
+  builder.add(4, 11, 7.0);
+  builder.add(4, 11, 0.25);  // duplicates coalesce into one stored entry
+  const SparseMatrix m = builder.build();
+
+  // A stored entry: its value sits at its position.
+  const std::size_t p = m.position(4, 11);
+  ASSERT_NE(p, SparseMatrix::npos);
+  EXPECT_EQ(m.values()[p], 7.25);
+  // An absent entry.
+  EXPECT_EQ(m.position(4, 5), SparseMatrix::npos);
+  EXPECT_EQ(m.position(11, 0), SparseMatrix::npos);
+  // Out of range.
+  EXPECT_THROW((void)m.position(12, 0), std::out_of_range);
+  EXPECT_THROW((void)m.position(0, 12), std::out_of_range);
+  // values()[position(r, c)] == get(r, c) for every stored entry, and each
+  // position is distinct.
+  std::vector<std::size_t> seen;
+  for (std::size_t r = 0; r < 12; ++r) {
+    for (std::size_t c = 0; c < 12; ++c) {
+      const std::size_t q = m.position(r, c);
+      if (q == SparseMatrix::npos) {
+        EXPECT_EQ(m.get(r, c), 0.0) << r << "," << c;
+        continue;
+      }
+      EXPECT_EQ(m.values()[q], m.get(r, c)) << r << "," << c;
+      seen.push_back(q);
+    }
+  }
+  EXPECT_EQ(seen.size(), m.nnz());
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(SparseMatrix, RestampThroughPositionMovesOnlyThatEntry) {
+  TripletBuilder builder(9);
+  for (std::size_t r = 0; r < 9; ++r) {
+    builder.add(r, r, 2.0);
+    if (r > 0) builder.add(r, r - 1, -1.0);
+  }
+  SparseMatrix m = builder.build();
+  m.mutable_values()[m.position(8, 8)] += 3.0;
+  const Vector y = m.multiply(Vector(9, 1.0));
+  EXPECT_EQ(y[0], 2.0);
+  for (std::size_t r = 1; r < 8; ++r) EXPECT_EQ(y[r], 1.0) << r;
+  EXPECT_EQ(y[8], 4.0);
 }
 
 }  // namespace

@@ -258,28 +258,27 @@ TEST(ThermalModel, CsrAssemblyEqualsBandAssemblyBitwise) {
           ++systems;
           ASSERT_EQ(csr.matrix.size(), n);
           ASSERT_EQ(csr.rhs.size(), n);
-          // Entry for entry: every stored CSR value against the band, and
-          // every band entry the CSR pattern leaves out must be zero.
-          const std::vector<std::size_t>& row_ptr = csr.matrix.row_ptr();
-          const std::vector<std::size_t>& col_idx = csr.matrix.col_idx();
+          // Entry for entry: every stored sparse value against the band,
+          // and every band entry the sparse pattern leaves out must be
+          // zero. Every stored entry lies within the band.
           const std::vector<double>& values = csr.matrix.values();
+          std::size_t stored = 0;
           for (std::size_t r = 0; r < n; ++r) {
-            std::size_t band_nonzeros = 0;
             const std::size_t lo = r > bw ? r - bw : 0;
             const std::size_t hi = std::min(n - 1, r + bw);
             for (std::size_t c = lo; c <= hi; ++c) {
-              band_nonzeros += band.matrix.get(r, c) != 0.0 ? 1 : 0;
-            }
-            std::size_t stored_nonzeros = 0;
-            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-              stored_nonzeros += values[k] != 0.0 ? 1 : 0;
-              if (bits(values[k]) != bits(band.matrix.get(r, col_idx[k]))) {
-                ++matrix_mismatches;
+              const double b = band.matrix.get(r, c);
+              const std::size_t p = csr.matrix.position(r, c);
+              if (p == la::SparseMatrix::npos) {
+                if (b != 0.0) ++matrix_mismatches;
+                continue;
               }
+              ++stored;
+              if (bits(values[p]) != bits(b)) ++matrix_mismatches;
             }
-            if (stored_nonzeros != band_nonzeros) ++matrix_mismatches;
             if (bits(csr.rhs[r]) != bits(band.rhs[r])) ++rhs_mismatches;
           }
+          if (stored != csr.matrix.nnz()) ++matrix_mismatches;
           if (!csr.matrix.is_symmetric(0.0)) ++asymmetric;
         }
       }
