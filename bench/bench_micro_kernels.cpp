@@ -313,13 +313,33 @@ struct BackendTiming {
   double fused_cg_iter_ms = 0.0;  // per fused iteration, n = 9219
 };
 
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Median wall time of `reps` calls of f, in ms.
+template <class F>
+double median_ms(int reps, F&& f) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const util::Stopwatch watch;
+    f();
+    ms.push_back(watch.elapsed_ms());
+  }
+  return median_of(std::move(ms));
+}
+
 /// Measures the hot path at the 32×32 grid (n = 9219, bandwidth 1025) under
-/// one installed backend. The factorizations run once per call — at this
-/// size a single factorization is seconds-scale, well above timer noise.
+/// one installed backend. Every row is a median, so runs compare: of 3
+/// repeats for the seconds-scale rows (the factorizations and the direct
+/// steady solve), of 11 blocks for the panel_fold and fused-CG rows.
 BackendTiming measure_backend(const char* spec,
                               const thermal::AssembledSystem& spd,
                               const thermal::AssembledSystem& gen,
                               const thermal::SteadySolver& solver32) {
+  constexpr int kSlowReps = 3;
+  constexpr int kBlocks = 11;
   const la::BackendOps& ops = la::install_backend(spec);
   BackendTiming t;
   t.name = ops.name;
@@ -329,30 +349,39 @@ BackendTiming measure_backend(const char* spec,
         spd.matrix.size(), spd.matrix.lower_bandwidth());
     la::BandedCholeskyNumeric numeric(symbolic);
     numeric.refactorize(spd.matrix);  // warm the factor storage
-    const util::Stopwatch watch;
-    numeric.refactorize(spd.matrix);
-    t.chol_refactorize_ms = watch.elapsed_ms();
+    t.chol_refactorize_ms =
+        median_ms(kSlowReps, [&] { numeric.refactorize(spd.matrix); });
   }
   {
-    la::BandedMatrix copy = gen.matrix;  // the LU factors in place
-    const util::Stopwatch watch;
-    const la::BandedLu lu(std::move(copy));
-    t.lu_refactorize_ms = watch.elapsed_ms();
-    benchmark::DoNotOptimize(lu.valid());
+    std::vector<double> ms;
+    for (int r = 0; r < kSlowReps; ++r) {
+      la::BandedMatrix copy = gen.matrix;  // the LU factors in place
+      const util::Stopwatch watch;
+      const la::BandedLu lu(std::move(copy));
+      ms.push_back(watch.elapsed_ms());
+      benchmark::DoNotOptimize(lu.valid());
+    }
+    t.lu_refactorize_ms = median_of(std::move(ms));
   }
   {
     thermal::EngineOptions direct;
     direct.use_iterative = false;
-    const thermal::SolveEngine engine(solver32, direct);
     const thermal::OperatingPoint pt{
         0.7 * solver32.model().config().fan.max_speed, 0.0};
-    const util::Stopwatch watch;
-    const thermal::SteadyResult r = engine.solve(pt);
-    t.steady_solve_ms = watch.elapsed_ms();
-    if (r.status != SolveStatus::kOk) {
-      std::fprintf(stderr, "micro_kernels: 32x32 steady solve under %s did "
-                           "not converge\n", ops.name);
+    std::vector<double> ms;
+    for (int r = 0; r < kSlowReps; ++r) {
+      // A fresh engine each time: a warm factor cache would skip the
+      // factorization this row times.
+      const thermal::SolveEngine engine(solver32, direct);
+      const util::Stopwatch watch;
+      const thermal::SteadyResult res = engine.solve(pt);
+      ms.push_back(watch.elapsed_ms());
+      if (res.status != SolveStatus::kOk) {
+        std::fprintf(stderr, "micro_kernels: 32x32 steady solve under %s did "
+                             "not converge\n", ops.name);
+      }
     }
+    t.steady_solve_ms = median_of(std::move(ms));
   }
   {
     const std::size_t n = 8192;
@@ -364,20 +393,24 @@ BackendTiming measure_backend(const char* spec,
     const std::size_t len0 = std::max<std::size_t>(1, len_cap / 2);
     double out[kBenchFolds];
     const std::size_t reps = 4000;
-    const util::Stopwatch watch;
-    for (std::size_t i = 0; i < reps; ++i) {
-      ops.panel_fold(kBenchFolds, init.data(), a.data(), sa, len0, len_cap,
-                     x.data(), out);
-      benchmark::DoNotOptimize(out[0]);
-    }
-    t.panel_fold_ms = watch.elapsed_ms() / static_cast<double>(reps);
+    t.panel_fold_ms = median_ms(kBlocks, [&] {
+                        for (std::size_t i = 0; i < reps; ++i) {
+                          ops.panel_fold(kBenchFolds, init.data(), a.data(),
+                                         sa, len0, len_cap, x.data(), out);
+                          benchmark::DoNotOptimize(out[0]);
+                        }
+                      }) /
+                      static_cast<double>(reps);
   }
   {
     const la::SparseMatrix& a = cg_matrix(9219);
     const std::size_t iters = 512;
-    const util::Stopwatch watch;
-    benchmark::DoNotOptimize(jacobi_cg_iterations(a, iters));
-    t.fused_cg_iter_ms = watch.elapsed_ms() / static_cast<double>(iters);
+    t.fused_cg_iter_ms =
+        median_ms(kBlocks,
+                  [&] {
+                    benchmark::DoNotOptimize(jacobi_cg_iterations(a, iters));
+                  }) /
+        static_cast<double>(iters);
   }
   return t;
 }
@@ -394,11 +427,6 @@ struct Grid10Timing {
   double step_ms = 0.0;  ///< one TransientStepper step at threshold 0
   double cg_iteration_us = 0.0;  ///< one column-preconditioned CG iteration
 };
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Medians over repeated factorizations of the 10-ms backward-Euler step
 /// matrix (SPD: Cholesky), its pivoted LU, threshold-0 stepper steps (each
@@ -422,14 +450,9 @@ Grid10Timing measure_grid10(const char* spec,
   if (factor.kind() != la::BandedFactor::Kind::kCholesky) {
     std::fprintf(stderr, "micro_kernels: 10x10 step matrix is not SPD\n");
   }
-  for (int r = 0; r < kReps; ++r) {
-    const util::Stopwatch watch;
-    factor.refactorize(step_sys.matrix);
-    ms.push_back(watch.elapsed_ms());
-  }
-  t.chol_refactorize_ms = median_of(ms);
+  t.chol_refactorize_ms =
+      median_ms(kReps, [&] { factor.refactorize(step_sys.matrix); });
 
-  ms.clear();
   for (int r = 0; r < kReps; ++r) {
     la::BandedMatrix copy = step_sys.matrix;
     const util::Stopwatch watch;
@@ -466,14 +489,12 @@ Grid10Timing measure_grid10(const char* spec,
         [&column](const double* r, double* z) { return column.apply(r, z); },
         kCgIters);
   };
-  ms.clear();
   benchmark::DoNotOptimize(column_cg_iterations());
-  for (int r = 0; r < kReps; ++r) {
-    const util::Stopwatch watch;
-    benchmark::DoNotOptimize(column_cg_iterations());
-    ms.push_back(watch.elapsed_ms());
-  }
-  t.cg_iteration_us = 1e3 * median_of(ms) / static_cast<double>(kCgIters);
+  t.cg_iteration_us =
+      1e3 *
+      median_ms(kReps,
+                [&] { benchmark::DoNotOptimize(column_cg_iterations()); }) /
+      static_cast<double>(kCgIters);
   return t;
 }
 

@@ -12,16 +12,20 @@
 //   scalar — the reference. Plain sequential C++ loops, bit-identical to the
 //            seed implementations they replaced (enforced against checked-in
 //            goldens by tests/la/test_backend_parity.cpp). Always available.
-//   simd   — AVX2 or AVX-512 kernels. Element-wise kernels (axpy, scale, the
-//            column sweeps, and the rows of the sparse mat-vec) are
-//            bit-identical to scalar (same multiply/add per element, no FMA
-//            contraction). Reduction kernels (dot, axpy_dot, nmsub_fold,
-//            max_abs_diff, the mat-vec's fused dot) accumulate in a fixed
-//            8-lane interleave combined pairwise, so they are ULP-close to
-//            scalar and — because AVX2 and AVX-512 realize the *same* 8-lane
-//            tree — bit-identical between the two instruction sets. The
-//            simd backend is therefore deterministic: same inputs give the
-//            same bits on every machine that runs it, at any thread count.
+//   simd   — AVX2 or AVX-512 kernels: one kernel source
+//            (backend_simd_kernels.inc) written over an 8-lane pack and
+//            compiled once per instruction set (backend_simd.cpp).
+//            Element-wise kernels (axpy, scale, the column sweeps, and the
+//            rows of the sparse mat-vec) are bit-identical to scalar (same
+//            multiply/add per element, no FMA contraction). Reduction
+//            kernels (dot, axpy_dot, nmsub_fold, max_abs_diff, the
+//            mat-vec's fused dot) accumulate in a fixed 8-lane interleave
+//            combined pairwise, so they are ULP-close to scalar and — the
+//            two instruction sets running the same source — bit-identical
+//            between AVX2 and AVX-512 by construction. The simd backend is
+//            therefore deterministic: same inputs give the same bits on
+//            every machine that runs it, at any thread count, and its bits
+//            are pinned by tests/la/goldens/la_simd.txt.
 //
 // Selection (first call to backend(), or an explicit install_backend()):
 //   OFTEC_LA_BACKEND = scalar | simd | auto (default) | avx2 | avx512

@@ -587,12 +587,19 @@ void IncrementalAssembler::assemble_csr(
   } else {
     out.matrix = base_.matrix;
   }
-  out.rhs = base_.rhs;
   model_->stamp_diagonal(
       {.data = out.matrix.mutable_values().data(),
        .positions = diag_pos_.data()},
       omega, cell_current, cell_taylor);
-  model_->stamp_rhs(out.rhs, omega, cell_current, dynamic_, cell_taylor);
+  assemble_rhs(omega, cell_current, cell_taylor, out.rhs);
+}
+
+void IncrementalAssembler::assemble_rhs(
+    double omega, const la::Vector& cell_current,
+    const std::vector<power::TaylorCoefficients>& cell_taylor,
+    la::Vector& out) const {
+  out = base_.rhs;
+  model_->stamp_rhs(out, omega, cell_current, dynamic_, cell_taylor);
 }
 
 la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {

@@ -279,6 +279,13 @@ class IncrementalAssembler {
                     const std::vector<power::TaylorCoefficients>& cell_taylor,
                     CsrSystem& out) const;
 
+  /// The rhs of M(ω, cell_current, taylor)·T = rhs into `out`: the static
+  /// rhs plus ThermalModel::stamp_rhs — the rhs of assemble_csr() and, bit
+  /// for bit, of assemble_banded().
+  void assemble_rhs(double omega, const la::Vector& cell_current,
+                    const std::vector<power::TaylorCoefficients>& cell_taylor,
+                    la::Vector& out) const;
+
   /// Column structure of the fixed sparse pattern for la::ColumnBlockJacobi:
   /// every (x, y) column runs through the nine slabs bottom to top, and the
   /// three ring nodes are singletons.

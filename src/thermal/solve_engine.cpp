@@ -301,14 +301,17 @@ SolveEngine::Step SolveEngine::solve_direct(
     key.slope.push_back(bits_of(tc.a));
   }
 
-  const AssembledSystem sys =
-      assembler_.assemble_banded(omega, cell_current, taylor);
+  // The band is built only to be factored: a cache hit needs just the rhs.
+  const auto factorize = [&] {
+    return cache_->factorize(
+        assembler_.assemble_banded(omega, cell_current, taylor).matrix);
+  };
 
   // A null factor means singular even under pivoting: runaway.
   FactorEntry entry;
   const bool hit = cache_->find(key, entry);
   if (!hit) {
-    entry = cache_->factorize(sys.matrix);
+    entry = factorize();
     if (!entry) return Step::kFailed;
     cache_->insert(key, entry);
   }
@@ -323,7 +326,9 @@ SolveEngine::Step SolveEngine::solve_direct(
     }
   }
 
-  out = entry->solve(sys.rhs);
+  la::Vector rhs;
+  assembler_.assemble_rhs(omega, cell_current, taylor, rhs);
+  out = entry->solve(rhs);
   if (hit && factor_corrupt.should_fail()) {
     // Simulate a rotted cached factor: the numbers come back garbage.
     for (double& t : out) t = std::numeric_limits<double>::quiet_NaN();
@@ -335,9 +340,9 @@ SolveEngine::Step SolveEngine::solve_direct(
     // fresh factorization might not (corruption, or a stale borderline
     // factor). Evict it, refactorize from the assembled matrix, retry once.
     cache_->erase(key);
-    entry = cache_->factorize(sys.matrix);
+    entry = factorize();
     if (!entry) return Step::kFailed;
-    out = entry->solve(sys.rhs);
+    out = entry->solve(rhs);
     cache_->insert(std::move(key), entry);
     if (!physical(out)) return Step::kFailed;
   }

@@ -1,13 +1,17 @@
 // Regenerates tests/la/goldens/la_scalar.txt — the bit-exact outputs of the
-// scalar solver stack over the frozen cases in golden_systems.h.
+// scalar solver stack over the frozen cases in golden_systems.h — and
+// la_simd.txt, the bits of every simd kernel (backend_golden_lines) as the
+// AVX-512 table computes them.
 //
-// The checked-in file was produced at the seed revision, *before* the
-// column-major band storage and the la::Backend seam existed; the parity
+// The checked-in la_scalar.txt was produced at the seed revision, *before*
+// the column-major band storage and the la::Backend seam existed; the parity
 // suite uses it to prove the scalar backend still reproduces those bits.
+// la_simd.txt was produced from the hand-written AVX2/AVX-512 kernels that
+// preceded the single kernel source, and pins the simd bits from then on.
 // Rerun this tool only when deliberately adding new cases (append-only) —
 // regenerating existing lines after a numerics change would defeat the test.
 //
-// Usage: gen_la_goldens <output-file>
+// Usage: gen_la_goldens <scalar-output-file> <simd-output-file>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -18,8 +22,9 @@
 int main(int argc, char** argv) {
   using namespace oftec::la;
   using namespace oftec::la::testing;
-  if (argc != 2) {
-    std::cerr << "usage: gen_la_goldens <output-file>\n";
+  if (argc != 3) {
+    std::cerr << "usage: gen_la_goldens <scalar-output-file> "
+                 "<simd-output-file>\n";
     return 2;
   }
   std::ofstream out(argv[1]);
@@ -79,7 +84,27 @@ int main(int argc, char** argv) {
     }
     out << '\n';
   }
-
   std::cout << "wrote " << argv[1] << "\n";
+
+  if (!avx512_supported()) {
+    std::cerr << "gen_la_goldens: the simd goldens come from the AVX-512 "
+                 "table, which this CPU lacks; "
+              << argv[2] << " not written\n";
+    return 1;
+  }
+  std::ofstream simd(argv[2]);
+  if (!simd) {
+    std::cerr << "gen_la_goldens: cannot open " << argv[2] << "\n";
+    return 1;
+  }
+  install_backend("avx512");
+  simd << "# simd-backend goldens (AVX-512 table; AVX2 must match); doubles "
+          "and FNV-1a vector digests as hex. Append-only.\n";
+  for (const auto& [name, toks] : backend_golden_lines()) {
+    simd << name;
+    for (const std::string& t : toks) simd << ' ' << t;
+    simd << '\n';
+  }
+  std::cout << "wrote " << argv[2] << "\n";
   return 0;
 }

@@ -3,11 +3,12 @@
 //
 // The golden file tests/la/goldens/la_scalar.txt pins the *bits* the scalar
 // backend produced at the seed revision (before the column-major band
-// storage and the backend seam landed). The generator rebuilds each case
-// from a named seed; the parity suite replays the same builders and asserts
-// the scalar backend still reproduces every value exactly. Doubles travel as
-// 16-hex-digit IEEE-754 payloads so the comparison is bit-level, not
-// tolerance-level.
+// storage and the backend seam landed); la_simd.txt pins the bits of every
+// simd kernel (backend_golden_lines, written from the AVX-512 table and
+// replayed on both flavors). The generator rebuilds each case from a named
+// seed; the parity suite replays the same builders and asserts the backend
+// still reproduces every value exactly. Doubles travel as 16-hex-digit
+// IEEE-754 payloads so the comparison is bit-level, not tolerance-level.
 //
 // Keep the builders frozen: changing any Rng draw order silently retires the
 // goldens. New cases append; existing cases never change.
@@ -17,13 +18,17 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/backend.h"
+#include "la/banded_lu.h"
 #include "la/banded_matrix.h"
+#include "la/sparse.h"
 #include "la/split_cholesky.h"
 #include "la/vector_ops.h"
 #include "util/rng.h"
@@ -34,6 +39,24 @@ inline std::string hex_double(double v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// FNV-1a (64-bit) over the IEEE-754 bytes of v[0..n): an exact fingerprint
+/// of a whole output vector in one token (any bit change moves it, barring a
+/// 2⁻⁶⁴ collision).
+inline std::string hex_digest(const double* v, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(v[i]);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -301,6 +324,210 @@ inline std::vector<std::string> kernel_fingerprint(const BackendOps& ops,
     fp.push_back(chk(p));
   }
   return fp;
+}
+
+/// A seeded random sparse pattern for the SELL-8 mat-vec, with the triplets
+/// it was built from coalesced here (in insertion order, like the builder)
+/// into the CSR-order rows a reference loop walks.
+struct SparsePatternCase {
+  SparseMatrix a;
+  std::vector<std::vector<std::pair<std::size_t, double>>> rows;
+  std::vector<bool> referenced;  ///< column c appears in some stored entry
+};
+
+inline SparsePatternCase make_sparse_pattern_case(std::uint64_t seed,
+                                                  std::size_t n) {
+  util::Rng rng(seed);
+  SparsePatternCase c;
+  std::map<std::pair<std::size_t, std::size_t>, double> entries;
+  TripletBuilder builder(n);
+  const auto add = [&](std::size_t r, std::size_t col, double v) {
+    builder.add(r, col, v);
+    entries[{r, col}] += v;
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    // Rows 8..15 form an all-empty slice; row 3 holds exactly 8 entries and
+    // row 17 exactly 9 where n allows; the rest hold 0 to 41.
+    std::size_t len = static_cast<std::size_t>(rng.uniform_index(42));
+    if (r >= 8 && r < 16) len = 0;
+    if (r == 3) len = 8;
+    if (r == 17) len = 9;
+    // Columns come from [1, n) so column 0 — the padding lanes' column —
+    // stays unreferenced whenever n > 1.
+    const std::size_t span = n > 1 ? n - 1 : 1;
+    len = std::min(len, span);
+    std::vector<std::size_t> cols;
+    while (cols.size() < len) {
+      const std::size_t col =
+          n > 1 ? 1 + static_cast<std::size_t>(rng.uniform_index(span)) : 0;
+      if (std::find(cols.begin(), cols.end(), col) == cols.end()) {
+        cols.push_back(col);
+      }
+    }
+    for (const std::size_t col : cols) {
+      const double v = rng.uniform(-2.0, 2.0);
+      if (rng.uniform() < 0.2) {  // a duplicate triplet, summed on build
+        add(r, col, 0.5 * v);
+        add(r, col, rng.uniform(-1.0, 1.0));
+      } else {
+        add(r, col, v);
+      }
+    }
+  }
+  c.a = builder.build();
+  c.rows.resize(n);
+  c.referenced.assign(n, false);
+  for (const auto& [rc, v] : entries) {
+    c.rows[rc.first].emplace_back(rc.second, v);
+    c.referenced[rc.second] = true;
+  }
+  return c;
+}
+
+/// Deterministic well-conditioned lower-band factor in the column-major
+/// layout the trsv kernels consume (column j at factor + j·(k+1), diagonal
+/// first). Diagonals in [2,3], off-diagonals O(1/k): far from singular.
+inline std::vector<double> make_band_factor(std::uint64_t seed, std::size_t n,
+                                            std::size_t k) {
+  util::Rng rng(seed);
+  std::vector<double> f((k + 1) * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double* col = f.data() + j * (k + 1);
+    col[0] = rng.uniform(2.0, 3.0);
+    const std::size_t sub = std::min(k, n - 1 - j);
+    for (std::size_t r = 1; r <= sub; ++r) {
+      col[r] = rng.uniform(-1.0, 1.0) / static_cast<double>(k + 1);
+    }
+  }
+  return f;
+}
+
+/// One golden line: a case name and its tokens.
+using GoldenLine = std::pair<std::string, std::vector<std::string>>;
+
+/// The bit surface of the *installed* backend: every BackendOps entry on
+/// frozen cases, one line per case, in a fixed order —
+///   LU, Cholesky and large-band Cholesky solves (min pivot / min diagonal
+///   and the full solution; these run trsv and the panel kernels);
+///   vec_*: dot, axpy, scale, axpy_dot, max_abs_diff and nmsub_fold forwards
+///   and with stride −1, plus one case at strides −3 / −2;
+///   kern_*: kernel_fingerprint (panel and fused-CG kernels);
+///   sell8_*: y = A·x with its fused dot and r = b − A·x at n ∈ {1, 7, 8, 9,
+///   903} (short last slices, an all-empty slice);
+///   sweep_*: both column sweeps at n ∈ {1, 7, 9, 903};
+///   trsv_*: trsv_fwd then trsv_bwd at k < 8 and k ≥ 8.
+/// Whole output vectors are pinned through hex_digest. gen_la_goldens writes
+/// these lines from the AVX-512 table into la_simd.txt.
+inline std::vector<GoldenLine> backend_golden_lines() {
+  const BackendOps& ops = backend();
+  std::vector<GoldenLine> lines;
+  const auto with_solution = [](std::vector<std::string> t, const Vector& x) {
+    t.emplace_back("x");
+    for (const double v : x) t.push_back(hex_double(v));
+    return t;
+  };
+  for (const auto& s : lu_golden_specs()) {
+    const BandedCase c = make_banded_case(s.seed, s.n, s.kl, s.ku, s.boost);
+    const BandedLu lu(c.a);
+    lines.emplace_back(c.name, with_solution({"pivot", hex_double(
+                                                           lu.min_abs_pivot())},
+                                             lu.solve(c.b)));
+  }
+  for (const auto* specs : {&spd_golden_specs(), &large_spd_golden_specs()}) {
+    for (const auto& s : *specs) {
+      const BandedCase c = make_spd_case(s.seed, s.n, s.k);
+      const BandedCholeskyNumeric chol = factor_cholesky(c.a);
+      lines.emplace_back(c.name,
+                         with_solution({"diag", hex_double(chol.min_diagonal())},
+                                       chol.solve(c.b)));
+    }
+  }
+  for (const auto& s : vec_golden_specs()) {
+    const VectorCase c = make_vector_case(s.seed, s.n);
+    const std::size_t n = s.n;
+    std::vector<std::string> t = {"dot",
+                                  hex_double(ops.dot(n, c.x.data(), c.y.data()))};
+    Vector y = c.y;
+    ops.axpy(n, c.alpha, c.x.data(), y.data());
+    t.insert(t.end(), {"axpy", hex_digest(y.data(), n)});
+    Vector x = c.x;
+    ops.scale(n, c.alpha, x.data());
+    t.insert(t.end(), {"scale", hex_digest(x.data(), n)});
+    y = c.y;
+    const double ad = ops.axpy_dot(n, c.alpha, c.x.data(), y.data());
+    t.insert(t.end(), {"axpy_dot", hex_double(ad), hex_digest(y.data(), n)});
+    t.insert(t.end(),
+             {"mad", hex_double(ops.max_abs_diff(n, c.x.data(), c.y.data()))});
+    t.insert(t.end(), {"fold", hex_double(ops.nmsub_fold(1.5, n, c.x.data(), 1,
+                                                         c.y.data(), 1))});
+    t.insert(t.end(),
+             {"rfold", hex_double(ops.nmsub_fold(1.5, n, c.x.data() + n - 1, -1,
+                                                 c.y.data() + n - 1, -1))});
+    lines.emplace_back(c.name, std::move(t));
+  }
+  {
+    // The Cholesky row-walk shape: both operands backwards, unequal strides.
+    const VectorCase c = make_vector_case(777, 601);
+    lines.emplace_back(
+        "nmsub_s777_n601",
+        std::vector<std::string>{
+            "fold", hex_double(ops.nmsub_fold(0.25, 200, c.x.data() + 600, -3,
+                                              c.y.data() + 600, -2))});
+  }
+  for (const auto& s : kernel_golden_specs()) {
+    const KernelCase c = make_kernel_case(s.seed, s.n);
+    lines.emplace_back(c.name, kernel_fingerprint(ops, c));
+  }
+  for (const std::size_t n : {1, 7, 8, 9, 903}) {
+    const std::uint64_t seed = 0x5E11 + n;
+    const SparsePatternCase c = make_sparse_pattern_case(seed, n);
+    util::Rng rng(0xB0 + n);
+    Vector x(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = rng.uniform(-1.0, 1.0);
+      b[i] = rng.uniform(-1.0, 1.0);
+    }
+    Vector y, r;
+    const double dot = c.a.multiply_dot(x, y);
+    c.a.residual_into(b, x, r);
+    lines.emplace_back(
+        "sell8_s" + std::to_string(seed) + "_n" + std::to_string(n),
+        std::vector<std::string>{"y", hex_digest(y.data(), n), "dot",
+                                 hex_double(dot), "r", hex_digest(r.data(), n)});
+  }
+  for (const std::size_t n : {1, 7, 9, 903}) {
+    const std::uint64_t seed = 600 + n;
+    util::Rng rng(seed);
+    Vector r(n), l(n), w(n), d(n), z(n);
+    for (Vector* v : {&r, &l, &w, &d, &z}) {
+      for (double& e : *v) e = rng.uniform(-1.0, 1.0);
+    }
+    Vector zf(n);
+    ops.column_sweep_fwd(n, r.data(), l.data(), w.data(), zf.data());
+    ops.column_sweep_bwd(n, d.data(), l.data(), w.data(), z.data());
+    lines.emplace_back(
+        "sweep_s" + std::to_string(seed) + "_n" + std::to_string(n),
+        std::vector<std::string>{"fwd", hex_digest(zf.data(), n), "bwd",
+                                 hex_digest(z.data(), n)});
+  }
+  const struct { std::size_t n, k; } trsv_sizes[] = {
+      {5, 2}, {64, 7}, {65, 8}, {257, 33}, {903, 101},
+  };
+  std::uint64_t seed = 501;
+  for (const auto& sz : trsv_sizes) {
+    const std::vector<double> f = make_band_factor(seed, sz.n, sz.k);
+    Vector x = make_vector_case(seed ^ 0xF0F0u, sz.n).x;
+    std::vector<std::string> t;
+    ops.trsv_fwd(sz.n, sz.k, f.data(), x.data());
+    t.insert(t.end(), {"fwd", hex_digest(x.data(), sz.n)});
+    ops.trsv_bwd(sz.n, sz.k, f.data(), x.data());
+    t.insert(t.end(), {"bwd", hex_digest(x.data(), sz.n)});
+    lines.emplace_back("trsv_s" + std::to_string(seed) + "_n" +
+                           std::to_string(sz.n) + "_k" + std::to_string(sz.k),
+                       std::move(t));
+    ++seed;
+  }
+  return lines;
 }
 
 }  // namespace oftec::la::testing

@@ -6,9 +6,11 @@
 //      the backend seam existed (tests/la/goldens/la_scalar.txt, generated
 //      at the seed revision by gen_la_goldens).
 //   2. Simd is deterministic. For a fixed table, identical inputs give
-//      identical bits across repeated runs and across threads; and the AVX2
-//      and AVX-512 flavors — which realize the same fixed 8-lane reduction
-//      tree — give identical bits to *each other*.
+//      identical bits across repeated runs and across threads; the AVX2 and
+//      AVX-512 flavors — one kernel source compiled twice over the same
+//      8-lane pack — give identical bits to *each other*; and both reproduce
+//      tests/la/goldens/la_simd.txt, so a simd kernel's bits cannot move
+//      between commits unnoticed.
 //   3. Simd is ULP-close to scalar. Element-wise kernels (axpy, scale) are
 //      bit-identical; reductions reassociate, so they carry a bounded
 //      accumulation-error difference; end-to-end solves are compared by
@@ -41,8 +43,10 @@
 namespace oftec::la {
 namespace {
 
+using testing::backend_golden_lines;
 using testing::BandedCase;
 using testing::factor_cholesky;
+using testing::GoldenLine;
 using testing::hex_double;
 using testing::kernel_fingerprint;
 using testing::kernel_golden_specs;
@@ -50,9 +54,12 @@ using testing::KernelCase;
 using testing::large_spd_golden_specs;
 using testing::lu_golden_specs;
 using testing::make_banded_case;
+using testing::make_band_factor;
 using testing::make_kernel_case;
+using testing::make_sparse_pattern_case;
 using testing::make_spd_case;
 using testing::make_vector_case;
+using testing::SparsePatternCase;
 using testing::spd_golden_specs;
 using testing::vec_golden_specs;
 using testing::VectorCase;
@@ -108,8 +115,9 @@ double stability_bound(const BandedCase& c, const Vector& x) {
 // 1. Scalar == seed goldens, bit for bit
 // --------------------------------------------------------------------------
 
-std::map<std::string, std::vector<std::string>> load_goldens() {
-  const std::string path = std::string(OFTEC_LA_GOLDEN_DIR) + "/la_scalar.txt";
+std::map<std::string, std::vector<std::string>> load_goldens(
+    const char* file = "la_scalar.txt") {
+  const std::string path = std::string(OFTEC_LA_GOLDEN_DIR) + "/" + file;
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "missing golden file " << path;
   std::map<std::string, std::vector<std::string>> lines;
@@ -217,6 +225,32 @@ TEST(BackendGoldens, ScalarLargeBandCholeskyBitIdenticalToGolden) {
       ASSERT_EQ(hex_double(x[i]), t[3 + i]) << c.name << " x[" << i << "]";
     }
   }
+}
+
+TEST(BackendGoldens, SimdBitIdenticalToGolden) {
+  // la_simd.txt was written from the AVX-512 table; AVX2 compiles the same
+  // kernel source over a two-register pack, so one file pins both flavors.
+  const auto goldens = load_goldens("la_simd.txt");
+  bool ran = false;
+  for (const auto& [spec, table] :
+       {std::pair{"avx2", avx2_backend()}, {"avx512", avx512_backend()}}) {
+    if (table == nullptr) continue;
+    ran = true;
+    const ScopedBackend b(spec);
+    ASSERT_STREQ(backend().name, table->name);
+    const std::vector<GoldenLine> lines = backend_golden_lines();
+    EXPECT_EQ(lines.size(), goldens.size()) << spec;
+    for (const auto& [name, toks] : lines) {
+      const auto it = goldens.find(name);
+      ASSERT_NE(it, goldens.end()) << "no golden line for " << name;
+      ASSERT_EQ(it->second.size(), toks.size()) << spec << " " << name;
+      for (std::size_t i = 0; i < toks.size(); ++i) {
+        ASSERT_EQ(it->second[i], toks[i])
+            << spec << " " << name << " token " << i;
+      }
+    }
+  }
+  if (!ran) GTEST_SKIP() << "machine lacks both simd flavors";
 }
 
 // --------------------------------------------------------------------------
@@ -603,63 +637,6 @@ TEST(BackendParity, ColumnPreconditionerSweepsBitIdenticalDotUlpBounded) {
   }
 }
 
-/// A seeded random sparse pattern for the SELL-8 mat-vec, with the triplets
-/// it was built from coalesced here (in insertion order, like the builder)
-/// into the CSR-order rows a reference loop walks.
-struct SparsePatternCase {
-  SparseMatrix a;
-  std::vector<std::vector<std::pair<std::size_t, double>>> rows;
-  std::vector<bool> referenced;  ///< column c appears in some stored entry
-};
-
-SparsePatternCase make_sparse_pattern_case(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  SparsePatternCase c;
-  std::map<std::pair<std::size_t, std::size_t>, double> entries;
-  TripletBuilder builder(n);
-  const auto add = [&](std::size_t r, std::size_t col, double v) {
-    builder.add(r, col, v);
-    entries[{r, col}] += v;
-  };
-  for (std::size_t r = 0; r < n; ++r) {
-    // Rows 8..15 form an all-empty slice; row 3 holds exactly 8 entries and
-    // row 17 exactly 9 where n allows; the rest hold 0 to 41.
-    std::size_t len = static_cast<std::size_t>(rng.uniform_index(42));
-    if (r >= 8 && r < 16) len = 0;
-    if (r == 3) len = 8;
-    if (r == 17) len = 9;
-    // Columns come from [1, n) so column 0 — the padding lanes' column —
-    // stays unreferenced whenever n > 1.
-    const std::size_t span = n > 1 ? n - 1 : 1;
-    len = std::min(len, span);
-    std::vector<std::size_t> cols;
-    while (cols.size() < len) {
-      const std::size_t col =
-          n > 1 ? 1 + static_cast<std::size_t>(rng.uniform_index(span)) : 0;
-      if (std::find(cols.begin(), cols.end(), col) == cols.end()) {
-        cols.push_back(col);
-      }
-    }
-    for (const std::size_t col : cols) {
-      const double v = rng.uniform(-2.0, 2.0);
-      if (rng.uniform() < 0.2) {  // a duplicate triplet, summed on build
-        add(r, col, 0.5 * v);
-        add(r, col, rng.uniform(-1.0, 1.0));
-      } else {
-        add(r, col, v);
-      }
-    }
-  }
-  c.a = builder.build();
-  c.rows.resize(n);
-  c.referenced.assign(n, false);
-  for (const auto& [rc, v] : entries) {
-    c.rows[rc.first].emplace_back(rc.second, v);
-    c.referenced[rc.second] = true;
-  }
-  return c;
-}
-
 TEST(BackendParity, SparseMatVecRowsBitIdenticalDotIsBackendDot) {
   // SELL-8 rows are element-wise: every backend must reproduce a sequential
   // CSR-order row loop bit for bit. The fused p·Ap must be exactly the
@@ -726,24 +703,6 @@ TEST(BackendParity, SparseMatVecRowsBitIdenticalDotIsBackendDot) {
       EXPECT_EQ(dots.at("avx2"), dots.at("avx512")) << "n=" << n;
     }
   }
-}
-
-/// Deterministic well-conditioned lower-band factor in the column-major
-/// layout the trsv kernels consume (column j at factor + j·(k+1), diagonal
-/// first). Diagonals in [2,3], off-diagonals O(1/k): far from singular.
-std::vector<double> make_band_factor(std::uint64_t seed, std::size_t n,
-                                     std::size_t k) {
-  util::Rng rng(seed);
-  std::vector<double> f((k + 1) * n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    double* col = f.data() + j * (k + 1);
-    col[0] = rng.uniform(2.0, 3.0);
-    const std::size_t sub = std::min(k, n - 1 - j);
-    for (std::size_t r = 1; r <= sub; ++r) {
-      col[r] = rng.uniform(-1.0, 1.0) / static_cast<double>(k + 1);
-    }
-  }
-  return f;
 }
 
 TEST(BackendParity, TrsvForwardBitIdenticalBackwardUlpClose) {
@@ -846,31 +805,11 @@ std::vector<std::string> solve_fingerprint() {
   return fp;
 }
 
-/// solve_fingerprint plus the large-bandwidth Cholesky case and every panel /
-/// fused kernel — the full bit surface of the currently installed backend.
-/// Kept separate from solve_fingerprint so the 4-thread determinism test
-/// stays fast.
-std::vector<std::string> extended_fingerprint() {
-  std::vector<std::string> fp = solve_fingerprint();
-  for (const auto& s : large_spd_golden_specs()) {
-    const BandedCase c = make_spd_case(s.seed, s.n, s.k);
-    for (const double v : factor_cholesky(c.a).solve(c.b)) {
-      fp.push_back(hex_double(v));
-    }
-  }
-  for (const auto& s : kernel_golden_specs()) {
-    const KernelCase c = make_kernel_case(s.seed, s.n);
-    const std::vector<std::string> kf = kernel_fingerprint(backend(), c);
-    fp.insert(fp.end(), kf.begin(), kf.end());
-  }
-  return fp;
-}
-
 TEST(BackendDeterminism, RepeatedRunsBitIdenticalPerBackend) {
   for (const char* spec : {"scalar", "simd"}) {
     if (std::string(spec) == "simd" && !simd_supported()) continue;
     const ScopedBackend b(spec);
-    EXPECT_EQ(extended_fingerprint(), extended_fingerprint()) << spec;
+    EXPECT_EQ(backend_golden_lines(), backend_golden_lines()) << spec;
   }
 }
 
@@ -894,22 +833,22 @@ TEST(BackendDeterminism, Avx2AndAvx512BitIdentical) {
   if (avx2_backend() == nullptr || avx512_backend() == nullptr) {
     GTEST_SKIP() << "machine lacks one of the simd flavors";
   }
-  // extended_fingerprint covers factor+trsv at the 32×32 bandwidth and every
-  // panel/fused kernel: both flavors realize the same fixed 8-lane reduction
-  // tree and the same 8-row trsv_bwd blocking, so the whole surface —
-  // reductions included — must agree bit for bit.
-  std::vector<std::string> fp2, fp512;
+  // backend_golden_lines covers every kernel, factor+trsv at the 32×32
+  // bandwidth included: both flavors compile one kernel source over the
+  // same 8-lane pack, so the whole surface — reductions included — must
+  // agree bit for bit.
+  std::vector<GoldenLine> lines2, lines512;
   {
     const ScopedBackend b("avx2");
     ASSERT_STREQ(backend().name, "simd-avx2");
-    fp2 = extended_fingerprint();
+    lines2 = backend_golden_lines();
   }
   {
     const ScopedBackend b("avx512");
     ASSERT_STREQ(backend().name, "simd-avx512");
-    fp512 = extended_fingerprint();
+    lines512 = backend_golden_lines();
   }
-  EXPECT_EQ(fp2, fp512);
+  EXPECT_EQ(lines2, lines512);
 }
 
 TEST(BackendDeterminism, InstallResolvesSpecs) {

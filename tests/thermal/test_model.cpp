@@ -122,7 +122,7 @@ TEST(ThermalModel, EnergyBalanceAtSolution) {
   EXPECT_NEAR(lhs_total - amb_coupling * cfg.ambient, rhs_power, 1e-6);
 }
 
-TEST(ThermalModel, TecCurrentBreaksSymmetryAndCoolsInterface) {
+TEST(ThermalModel, TecCurrentMovesAbsorbDiagonalAndCoolsChip) {
   const ThermalModel m = make_model(8, true);
   // A core-concentrated workload: the hottest cells are TEC-covered, so
   // moderate current must lower the max chip temperature. (With *uniform*
@@ -139,7 +139,8 @@ TEST(ThermalModel, TecCurrentBreaksSymmetryAndCoolsInterface) {
   const la::Vector t0 = la::BandedLu(passive.matrix).solve(passive.rhs);
   const la::Vector t1 = la::BandedLu(active.matrix).solve(active.rhs);
 
-  // The active matrix must differ on TEC interface diagonals.
+  // The active matrix must differ on the TEC absorb-node diagonals (only
+  // diagonals move: M stays symmetric).
   bool differs = false;
   for (std::size_t c = 0; c < cells && !differs; ++c) {
     const std::size_t node = m.layout().node(Slab::kTecAbs, c);
