@@ -49,9 +49,7 @@ int main() {
       {"grid-search",
        [](const opt::Problem& p, const la::Vector&,
           const opt::StopPredicate&) {
-         opt::GridSearchOptions gs;
-         gs.points_per_dimension = 21;
-         return opt::solve_grid_search(p, gs);
+         return opt::solve_grid_search(p, 21);
        }},
   };
   constexpr std::size_t kEngines = std::size(engines);

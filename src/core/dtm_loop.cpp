@@ -249,9 +249,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
       grid.solver = [points = options.fallback_grid_points](
                         const opt::Problem& problem, const la::Vector&,
                         const opt::StopPredicate&) {
-        opt::GridSearchOptions gs;
-        gs.points_per_dimension = points;
-        return opt::solve_grid_search(problem, gs);
+        return opt::solve_grid_search(problem, points);
       };
       try_oftec(grid, ControllerTier::kGridSearch);
     }

@@ -56,12 +56,7 @@ LutController LutController::build(const std::vector<power::PowerMap>& training,
     }
     lut.entries_[i] = std::move(e);
   };
-  if (threads == 1) {
-    for (std::size_t i = 0; i < training.size(); ++i) build_entry(i);
-  } else {
-    util::ThreadPool pool(threads);
-    pool.parallel_for(training.size(), build_entry);
-  }
+  util::ThreadPool(threads).parallel_for(training.size(), build_entry);
   return lut;
 }
 

@@ -63,12 +63,7 @@ std::vector<ParetoPoint> sweep_pareto_front(
       oftec.t_max_override = t_limit_k;
       front[i] = point_from(t_limit_k, run_oftec(system, oftec));
     };
-    if (options.threads == 1) {
-      for (std::size_t i = 0; i < options.points; ++i) run_one(i);
-    } else {
-      util::ThreadPool pool(options.threads);
-      pool.parallel_for(options.points, run_one);
-    }
+    util::ThreadPool(options.threads).parallel_for(options.points, run_one);
     return front;
   }
 

@@ -68,7 +68,10 @@ Floorplan make_cmp_floorplan(const CmpOptions& options) {
       const double y0 = tiles_y0 + static_cast<double>(cy) * tile_h;
       for (const FracBlock& fb : kCoreTile) {
         Block b;
-        b.name = "c" + std::to_string(core_id) + "_" + fb.name;
+        b.name = "c";
+        b.name += std::to_string(core_id);
+        b.name += '_';
+        b.name += fb.name;
         b.x = x0 + fb.x * tile_w;
         b.y = y0 + fb.y * tile_h;
         b.width = fb.w * tile_w;

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "util/obs.h"
-#include "util/thread_pool.h"
 
 namespace oftec::opt {
 
@@ -14,46 +14,11 @@ namespace {
 const obs::Counter g_obs_runs = obs::counter("opt.grid.runs");
 const obs::Counter g_obs_points = obs::counter("opt.grid.points");
 
-/// Iterate all points of the nd-grid, invoking fn(x).
-void for_each_grid_point(const Bounds& bounds, std::size_t points,
-                         const std::function<void(const la::Vector&)>& fn) {
-  const std::size_t n = bounds.lower.size();
-  std::vector<std::size_t> idx(n, 0);
-  la::Vector x(n);
-  while (true) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = points == 1
-                           ? 0.0
-                           : static_cast<double>(idx[i]) /
-                                 static_cast<double>(points - 1);
-      x[i] = bounds.lower[i] + t * (bounds.upper[i] - bounds.lower[i]);
-    }
-    fn(x);
-    // Odometer increment.
-    std::size_t dim = 0;
-    while (dim < n && ++idx[dim] == points) {
-      idx[dim] = 0;
-      ++dim;
-    }
-    if (dim == n) break;
-  }
-}
-
-/// Materialize the grid in odometer order (index order == visit order of
-/// for_each_grid_point, which the parallel reductions rely on).
-[[nodiscard]] std::vector<la::Vector> collect_grid_points(
-    const Bounds& bounds, std::size_t points) {
-  std::vector<la::Vector> grid;
-  for_each_grid_point(bounds, points,
-                      [&](const la::Vector& x) { grid.push_back(x); });
-  return grid;
-}
-
 }  // namespace
 
 OptResult solve_grid_search(const Problem& problem,
-                            const GridSearchOptions& options) {
-  if (options.points_per_dimension < 2) {
+                            std::size_t points_per_dimension) {
+  if (points_per_dimension < 2) {
     throw std::invalid_argument("solve_grid_search: need >= 2 points");
   }
   OBS_SPAN("opt.grid_search");
@@ -61,92 +26,49 @@ OptResult solve_grid_search(const Problem& problem,
   OptResult result;
   result.objective = std::numeric_limits<double>::infinity();
 
-  if (options.threads == 1) {
-    // Serial reference path: constraints are only evaluated for candidates
-    // that improve the running best.
-    for_each_grid_point(
-        problem.bounds(), options.points_per_dimension,
-        [&](const la::Vector& x) {
-          ++result.iterations;
-          const double f = problem.objective(x);
-          ++result.evaluations;
-          if (!std::isfinite(f) || f >= result.objective) return;
-          const la::Vector g = problem.constraints(x);
-          ++result.evaluations;
-          for (const double gi : g) {
-            if (!(gi <= 0.0)) return;
-          }
-          result.objective = f;
-          result.x = x;
-          result.feasible = true;
-        });
-    g_obs_points.add(result.iterations);
-    result.converged = result.feasible;
-    result.status =
-        result.feasible ? SolveStatus::kOk : SolveStatus::kRunaway;
-    return result;
-  }
-
-  // Parallel path: evaluate everything up front, then reduce in grid-index
-  // order with the serial skip logic — the winner (the first point to beat
-  // every earlier one) is identical to the serial path's.
-  const std::vector<la::Vector> grid =
-      collect_grid_points(problem.bounds(), options.points_per_dimension);
-  std::vector<double> objective(grid.size());
-  std::vector<la::Vector> constraints(grid.size());
-  util::ThreadPool pool(options.threads);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    objective[i] = problem.objective(grid[i]);
-    constraints[i] = problem.constraints(grid[i]);
-  });
-  result.iterations = grid.size();
-  result.evaluations = 2 * grid.size();
-  g_obs_points.add(grid.size());
-
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double f = objective[i];
-    if (!std::isfinite(f) || f >= result.objective) continue;
-    bool feasible = true;
-    for (const double gi : constraints[i]) {
-      if (!(gi <= 0.0)) {
-        feasible = false;
-        break;
+  const Bounds& bounds = problem.bounds();
+  const std::size_t n = bounds.lower.size();
+  std::vector<std::size_t> idx(n, 0);
+  la::Vector x(n);
+  while (true) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = static_cast<double>(idx[i]) /
+                       static_cast<double>(points_per_dimension - 1);
+      x[i] = bounds.lower[i] + t * (bounds.upper[i] - bounds.lower[i]);
+    }
+    ++result.iterations;
+    const double f = problem.objective(x);
+    ++result.evaluations;
+    if (std::isfinite(f) && f < result.objective) {
+      const la::Vector g = problem.constraints(x);
+      ++result.evaluations;
+      bool feasible = true;
+      for (const double gi : g) {
+        if (!(gi <= 0.0)) {
+          feasible = false;
+          break;
+        }
+      }
+      if (feasible) {
+        result.objective = f;
+        result.x = x;
+        result.feasible = true;
       }
     }
-    if (!feasible) continue;
-    result.objective = f;
-    result.x = grid[i];
-    result.feasible = true;
+    // Odometer increment.
+    std::size_t dim = 0;
+    while (dim < n && ++idx[dim] == points_per_dimension) {
+      idx[dim] = 0;
+      ++dim;
+    }
+    if (dim == n) break;
   }
+  g_obs_points.add(result.iterations);
   result.converged = result.feasible;
   // An exhaustive grid with no feasible point is a definitive "no feasible
   // operating point at this resolution" finding, not a numerical failure.
   result.status = result.feasible ? SolveStatus::kOk : SolveStatus::kRunaway;
   return result;
-}
-
-std::vector<SurfaceSample> sweep_surface(const Problem& problem,
-                                         const GridSearchOptions& options) {
-  const std::vector<la::Vector> grid =
-      collect_grid_points(problem.bounds(), options.points_per_dimension);
-  std::vector<SurfaceSample> samples(grid.size());
-  const auto sample_one = [&](std::size_t i) {
-    SurfaceSample& s = samples[i];
-    s.x = grid[i];
-    s.objective = problem.objective(grid[i]);
-    const la::Vector g = problem.constraints(grid[i]);
-    s.max_constraint = -std::numeric_limits<double>::infinity();
-    for (const double gi : g) {
-      s.max_constraint = std::max(s.max_constraint, gi);
-    }
-  };
-  if (options.threads == 1) {
-    for (std::size_t i = 0; i < grid.size(); ++i) sample_one(i);
-  } else {
-    util::ThreadPool pool(options.threads);
-    pool.parallel_for(grid.size(), sample_one);
-  }
-  return samples;
 }
 
 }  // namespace oftec::opt

@@ -1,43 +1,24 @@
 // Exhaustive grid-search oracle.
 //
-// Not part of OFTEC itself — this is the ground-truth instrument used to
-// (a) verify that the active-set SQP lands near the global optimum despite
-// the "minor non-convexities" of Fig. 6(a,b), and (b) regenerate those
-// surface figures.
+// Derivative-free, so immune to the line-search/QP failure modes of the
+// gradient-based solvers. It is (a) the ground truth that the active-set
+// SQP lands near the global optimum despite the "minor non-convexities" of
+// Fig. 6(a,b) (bench_ablation_optimizers, Oftec.GridSearchEngineAgreesWithSqp)
+// and (b) the DTM loop's tier-3 fallback controller (core/dtm_loop.cpp).
 #pragma once
 
-#include <functional>
-#include <vector>
+#include <cstddef>
 
 #include "opt/problem.h"
 
 namespace oftec::opt {
 
-struct GridSearchOptions {
-  std::size_t points_per_dimension = 41;
-  /// Worker threads to fan grid evaluations across; 1 → serial reference
-  /// path, 0 → OFTEC_THREADS env / hardware concurrency. Parallel runs
-  /// require problem evaluations to be thread-safe (CoolingProblem is) and
-  /// return the same winner as the serial path: candidates are reduced in
-  /// grid-index order after evaluation.
-  std::size_t threads = 1;
-};
-
-/// Evaluate the problem on a regular grid over the box and return the best
-/// feasible point (objective +inf / infeasible cells skipped).
-[[nodiscard]] OptResult solve_grid_search(
-    const Problem& problem, const GridSearchOptions& options = {});
-
-/// One sampled cell of an objective surface sweep.
-struct SurfaceSample {
-  la::Vector x;
-  double objective = 0.0;   ///< +inf inside the runaway region
-  double max_constraint = 0.0;
-};
-
-/// Full sweep (for the Fig. 6(a,b) benches): every grid cell with objective
-/// and worst constraint value.
-[[nodiscard]] std::vector<SurfaceSample> sweep_surface(
-    const Problem& problem, const GridSearchOptions& options = {});
+/// Evaluate the problem on a regular grid of `points_per_dimension` points
+/// per box dimension and return the best feasible point (objective +inf /
+/// infeasible cells skipped). Constraints are evaluated only for cells that
+/// improve the running best; cells are visited in odometer order (first
+/// dimension fastest) and the first of equal objectives wins.
+[[nodiscard]] OptResult solve_grid_search(const Problem& problem,
+                                          std::size_t points_per_dimension = 41);
 
 }  // namespace oftec::opt

@@ -54,8 +54,6 @@ const obs::Counter g_obs_sensitivity_factorizations =
     obs::counter("solve_engine.sensitivity_factorizations");
 const obs::Gauge g_obs_factor_hit_rate =
     obs::gauge("solve_engine.factor_hit_rate");
-const obs::Gauge g_obs_factor_shard_entries =
-    obs::gauge("solve_engine.factor_shard_entries");
 const obs::Histogram g_obs_cg_iterations = obs::histogram(
     "solve_engine.cg_iterations",
     {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0});
@@ -91,34 +89,18 @@ struct FactorKey {
 /// can push the matrix indefinite). Const-thread-safe once built.
 using FactorEntry = std::shared_ptr<const la::BandedFactor>;
 
-/// Sharded LRU. Every direct solve in a batch takes the cache lock at least
-/// once; a single mutex serializes run_batch workers exactly where the
-/// engine is supposed to scale. Keys spread across independent shards by a
-/// hash of their bits, so concurrent lookups of different operating points
-/// contend only 1/kShards of the time. Correctness is unaffected: keys are
-/// exact, so whichever shard holds a key returns the factor of a
-/// bit-identical matrix, and eviction order never influences results.
+/// LRU of at most `capacity` factors behind one mutex. Correctness never
+/// depends on what it holds: keys are exact, so a hit returns the factor of
+/// a bit-identical matrix, and eviction order never influences results.
 struct SolveEngine::FactorCache {
-  static constexpr std::size_t kShards = 8;
-
   using LruList = std::list<std::pair<FactorKey, FactorEntry>>;
 
-  struct Shard {
-    std::mutex mutex;
-    LruList lru;  // front = most recently used
-    std::map<FactorKey, LruList::iterator> index;
-    std::size_t capacity = 0;
-  };
+  explicit FactorCache(std::size_t cap) : capacity(cap) {}
 
-  explicit FactorCache(std::size_t cap) {
-    // Distribute the budget; every shard gets at least one slot when the
-    // cache is enabled at all so small capacities still cache something.
-    for (Shard& s : shards) {
-      s.capacity = cap == 0 ? 0 : std::max<std::size_t>(1, cap / kShards);
-    }
-  }
-
-  Shard shards[kShards];
+  std::mutex mutex;
+  LruList lru;  // front = most recently used
+  std::map<FactorKey, LruList::iterator> index;
+  const std::size_t capacity;
 
   std::atomic<std::size_t> points{0};
   std::atomic<std::size_t> linear_solves{0};
@@ -132,27 +114,12 @@ struct SolveEngine::FactorCache {
   std::atomic<std::size_t> sensitivity_cg_iterations{0};
   std::atomic<std::size_t> sensitivity_factorizations{0};
 
-  [[nodiscard]] static std::size_t shard_of(const FactorKey& key) noexcept {
-    // FNV-1a over the key's IEEE bit words; the same key always lands in
-    // the same shard, neighbouring ω values land in different ones.
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t w) {
-      h ^= w;
-      h *= 1099511628211ull;
-    };
-    mix(key.omega);
-    for (const std::uint64_t w : key.current) mix(w);
-    for (const std::uint64_t w : key.slope) mix(w);
-    return static_cast<std::size_t>(h % kShards);
-  }
-
   [[nodiscard]] bool find(const FactorKey& key, FactorEntry& out) {
-    Shard& s = shards[shard_of(key)];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) return false;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    out = s.lru.front().second;
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto it = index.find(key);
+    if (it == index.end()) return false;
+    lru.splice(lru.begin(), lru, it->second);
+    out = lru.front().second;
     hits.fetch_add(1, std::memory_order_relaxed);
     g_obs_factor_hits.add();
     return true;
@@ -191,36 +158,27 @@ struct SolveEngine::FactorCache {
   }
 
   void erase(const FactorKey& key) {
-    Shard& s = shards[shard_of(key)];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) return;
-    s.lru.erase(it->second);
-    s.index.erase(it);
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto it = index.find(key);
+    if (it == index.end()) return;
+    lru.erase(it->second);
+    index.erase(it);
   }
 
   void insert(FactorKey key, FactorEntry entry) {
-    Shard& s = shards[shard_of(key)];
-    std::size_t entries = 0;
-    {
-      const std::lock_guard<std::mutex> lock(s.mutex);
-      if (s.capacity == 0) return;
-      if (const auto it = s.index.find(key); it != s.index.end()) {
-        // Another thread factored the same point concurrently; keep the
-        // incumbent (identical by construction) and refresh its recency.
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
-        return;
-      }
-      s.lru.emplace_front(std::move(key), std::move(entry));
-      s.index.emplace(s.lru.front().first, s.lru.begin());
-      if (s.lru.size() > s.capacity) {
-        s.index.erase(s.lru.back().first);
-        s.lru.pop_back();
-      }
-      entries = s.lru.size();
+    if (capacity == 0) return;
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (const auto it = index.find(key); it != index.end()) {
+      // Another thread factored the same point concurrently; keep the
+      // incumbent (identical by construction) and refresh its recency.
+      lru.splice(lru.begin(), lru, it->second);
+      return;
     }
-    if (obs::enabled()) {
-      g_obs_factor_shard_entries.set(static_cast<double>(entries));
+    lru.emplace_front(std::move(key), std::move(entry));
+    index.emplace(lru.front().first, lru.begin());
+    if (lru.size() > capacity) {
+      index.erase(lru.back().first);
+      lru.pop_back();
     }
   }
 };

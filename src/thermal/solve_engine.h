@@ -71,11 +71,9 @@ struct EngineOptions {
   /// Worker threads for solve_batch(); 0 → OFTEC_THREADS env or hardware
   /// concurrency (util::ThreadPool::default_thread_count()).
   std::size_t threads = 0;
-  /// Numeric factors kept warm (LRU). Each factor holds (bandwidth+1)·n
-  /// doubles — ~0.7 MB at the default 10×10 grid. The cache is split into
-  /// 8 hash-sharded LRUs (capacity/8 each, minimum 1) so batch workers
-  /// looking up different operating points rarely contend on one mutex;
-  /// 0 disables caching entirely.
+  /// Numeric factors kept warm: one LRU of exactly this many entries behind
+  /// one mutex. Each factor holds (bandwidth+1)·n doubles — ~0.7 MB at the
+  /// default 10×10 grid. 0 disables caching entirely.
   std::size_t factor_cache_capacity = 64;
   /// Try warm-started CG before the direct path. Off → every solve is a
   /// direct cached factorization, which exercises the factor cache

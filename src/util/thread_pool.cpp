@@ -18,7 +18,6 @@ thread_local bool t_inside_pool_body = false;
 
 const obs::Counter g_obs_jobs = obs::counter("thread_pool.jobs");
 const obs::Counter g_obs_tasks = obs::counter("thread_pool.tasks");
-const obs::Counter g_obs_steals = obs::counter("thread_pool.steals");
 const obs::Counter g_obs_inline_tasks = obs::counter("thread_pool.inline_tasks");
 const obs::Gauge g_obs_queue_depth = obs::gauge("thread_pool.queue_depth");
 const obs::Histogram g_obs_task_ms =
@@ -49,7 +48,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
       continue;
     }
     try {
-      workers_.emplace_back([this, id] { worker_loop(id); });
+      workers_.emplace_back([this] { worker_loop(); });
     } catch (const std::system_error& e) {
       log::warn("thread_pool: worker ", id, " failed to start (", e.what(),
                 "); continuing with ", workers_.size(), " workers");
@@ -67,35 +66,10 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::pop_or_steal(Job& job, std::size_t self, std::size_t& index) {
-  // Own deque: front (preserves block locality).
-  {
-    WorkerQueue& own = *job.queues[self];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.indices.empty()) {
-      index = own.indices.front();
-      own.indices.pop_front();
-      return true;
-    }
-  }
-  // Steal: back of the next non-empty victim.
-  const std::size_t participants = job.queues.size();
-  for (std::size_t hop = 1; hop < participants; ++hop) {
-    WorkerQueue& victim = *job.queues[(self + hop) % participants];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.indices.empty()) {
-      index = victim.indices.back();
-      victim.indices.pop_back();
-      g_obs_steals.add();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::participate(Job& job, std::size_t self) {
-  std::size_t index = 0;
-  while (pop_or_steal(job, self, index)) {
+void ThreadPool::participate(Job& job) {
+  while (true) {
+    const std::size_t index = job.next.fetch_add(1);
+    if (index >= job.count) return;
     if (!job.cancelled.load(std::memory_order_relaxed)) {
       const bool timed = obs::enabled();
       const auto start = timed ? std::chrono::steady_clock::now()
@@ -122,7 +96,7 @@ void ThreadPool::participate(Job& job, std::size_t self) {
   }
 }
 
-void ThreadPool::worker_loop(std::size_t worker_id) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   while (true) {
     std::shared_ptr<Job> job;
@@ -134,7 +108,7 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
       job = job_;
       seen = job_seq_;
     }
-    participate(*job, worker_id);
+    participate(*job);
     if (job->remaining.load(std::memory_order_acquire) == 0) {
       // Bridge through the mutex so a submitter that read a stale count
       // under the lock is guaranteed to be blocked before this notify.
@@ -156,26 +130,13 @@ void ThreadPool::parallel_for(std::size_t count,
   }
 
   const std::lock_guard<std::mutex> submit_lock(submit_mutex_);
-  const std::size_t participants = workers_.size() + 1;
   g_obs_jobs.add();
   g_obs_queue_depth.set(static_cast<double>(count));
 
   auto job = std::make_shared<Job>();
   job->body = &body;
+  job->count = count;
   job->remaining.store(count, std::memory_order_relaxed);
-  job->queues.reserve(participants);
-  for (std::size_t p = 0; p < participants; ++p) {
-    job->queues.push_back(std::make_unique<WorkerQueue>());
-  }
-  // Deal contiguous blocks so neighbours (which tend to cost alike) start on
-  // the same worker; stealing rebalances the tails.
-  for (std::size_t p = 0; p < participants; ++p) {
-    const std::size_t lo = count * p / participants;
-    const std::size_t hi = count * (p + 1) / participants;
-    for (std::size_t i = lo; i < hi; ++i) {
-      job->queues[p]->indices.push_back(i);
-    }
-  }
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -184,7 +145,7 @@ void ThreadPool::parallel_for(std::size_t count,
   }
   wake_cv_.notify_all();
 
-  participate(*job, /*self=*/0);
+  participate(*job);
 
   {
     std::unique_lock<std::mutex> lock(mutex_);

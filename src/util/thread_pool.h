@@ -1,20 +1,22 @@
-// Small work-stealing thread pool for fanning independent solves.
+// Small self-scheduling thread pool for fanning independent solves.
 //
 // Design constraints, in priority order:
 //   1. Determinism — parallel_for(n, body) invokes body(i) exactly once per
 //      index; callers write results[i], so output ordering never depends on
 //      scheduling. The pool guarantees nothing about *execution* order.
-//   2. Load balance — indices are dealt to per-worker deques in contiguous
-//      blocks; an idle worker pops from the front of its own deque and
-//      steals from the back of a victim's, so uneven work (e.g. thermal
-//      runaway points whose Newton loops run long) migrates automatically.
-//   3. Simplicity — one job in flight at a time, mutex-guarded deques. The
+//   2. Load balance — every participant claims the next unclaimed index
+//      from one atomic cursor per job, so uneven work (e.g. thermal runaway
+//      points whose Newton loops run long) holds up only the thread running
+//      it while the others drain the rest.
+//   3. Simplicity — one job in flight at a time, one cursor per job. The
 //      tasks this pool exists for (steady-state solves, OFTEC runs) cost
-//      milliseconds to seconds each, so queue overhead is irrelevant.
+//      milliseconds to seconds each, so an atomic increment per index is
+//      noise.
 //
 // The calling thread participates as a worker, so ThreadPool(1) runs the
-// loop inline with zero synchronization. Nested parallel_for calls on the
-// same pool degrade to inline execution instead of deadlocking.
+// loop inline, in index order, with zero synchronization; so does a call
+// with count == 1. Nested parallel_for calls on the same pool degrade to
+// inline execution instead of deadlocking.
 //
 // Thread count resolution: explicit argument, else the OFTEC_THREADS
 // environment variable, else std::thread::hardware_concurrency().
@@ -23,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -59,25 +60,20 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body);
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::size_t> indices;
-  };
-
   /// One parallel_for invocation.
   struct Job {
     const std::function<void(std::size_t)>* body = nullptr;
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
+    std::size_t count = 0;
+    std::atomic<std::size_t> next{0};  // next unclaimed index
     std::atomic<std::size_t> remaining{0};
     std::atomic<bool> cancelled{false};
     std::mutex error_mutex;
     std::exception_ptr error;
   };
 
-  void worker_loop(std::size_t worker_id);
-  /// Drain the job as participant `self`: own deque first, then steal.
-  static void participate(Job& job, std::size_t self);
-  static bool pop_or_steal(Job& job, std::size_t self, std::size_t& index);
+  void worker_loop();
+  /// Claim and run indices until the cursor passes the end.
+  static void participate(Job& job);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

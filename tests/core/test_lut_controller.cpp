@@ -72,6 +72,33 @@ TEST(LutController, LookupCostsNoThermalSolves) {
   EXPECT_LE(r.entry_index, 2u);
 }
 
+TEST(LutController, ParallelBuildBitIdenticalToSerial) {
+  // Each entry is a pure function of its training map, so the pool's
+  // schedule cannot move a bit of the table.
+  const std::vector<power::PowerMap> training = {
+      benchmark_power(workload::Benchmark::kBasicmath),
+      benchmark_power(workload::Benchmark::kCrc32),
+      benchmark_power(workload::Benchmark::kQuicksort),
+      benchmark_power(workload::Benchmark::kFft),
+  };
+  const LutController serial = LutController::build(
+      training, fp(), leakage(), coarse_config(), {}, /*threads=*/1);
+  const LutController parallel = LutController::build(
+      training, fp(), leakage(), coarse_config(), {}, /*threads=*/4);
+  ASSERT_EQ(serial.entries().size(), training.size());
+  ASSERT_EQ(parallel.entries().size(), training.size());
+  for (std::size_t i = 0; i < training.size(); ++i) {
+    const LutController::Entry& a = serial.entries()[i];
+    const LutController::Entry& b = parallel.entries()[i];
+    EXPECT_EQ(a.feature, b.feature) << "entry " << i;
+    EXPECT_EQ(a.feasible, b.feasible) << "entry " << i;
+    EXPECT_EQ(a.status, b.status) << "entry " << i;
+    EXPECT_EQ(a.omega, b.omega) << "entry " << i;
+    EXPECT_EQ(a.current, b.current) << "entry " << i;
+    EXPECT_EQ(a.max_chip_temperature, b.max_chip_temperature) << "entry " << i;
+  }
+}
+
 TEST(LutController, FeatureIsPerBlockPowerVector) {
   const auto map = benchmark_power(workload::Benchmark::kFft);
   const la::Vector f = LutController::feature_of(map);

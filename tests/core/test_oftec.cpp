@@ -118,9 +118,7 @@ TEST(Oftec, GridSearchEngineAgreesWithSqp) {
   OftecOptions grid_opts;
   grid_opts.solver = [](const opt::Problem& p, const la::Vector&,
                         const opt::StopPredicate&) {
-    opt::GridSearchOptions gs;
-    gs.points_per_dimension = 15;
-    return opt::solve_grid_search(p, gs);
+    return opt::solve_grid_search(p, 15);
   };
   const OftecResult rs = run_oftec(sys, sqp_opts);
   const OftecResult rg = run_oftec(sys, grid_opts);

@@ -22,6 +22,38 @@ ParetoOptions fast_options() {
   return opts;
 }
 
+TEST(Pareto, ReferenceSharedAndThreadedFrontsAreBitIdentical) {
+  // Evaluations depend only on (ω, I), so a fresh system per threshold, one
+  // shared memoized system, and that system fanned over a pool must all
+  // trace the same front bit for bit.
+  const auto power = benchmark_power(workload::Benchmark::kQuicksort);
+  ParetoOptions opts = fast_options();
+  opts.share_system = false;
+  const auto reference = sweep_pareto_front(fp(), power, leakage(), opts);
+  opts.share_system = true;
+  opts.threads = 1;
+  const auto shared = sweep_pareto_front(fp(), power, leakage(), opts);
+  opts.threads = 4;
+  const auto threaded = sweep_pareto_front(fp(), power, leakage(), opts);
+
+  ASSERT_EQ(reference.size(), opts.points);
+  for (const auto* front : {&shared, &threaded}) {
+    ASSERT_EQ(front->size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const ParetoPoint& a = reference[i];
+      const ParetoPoint& b = (*front)[i];
+      EXPECT_EQ(a.t_limit, b.t_limit) << "point " << i;
+      EXPECT_EQ(a.feasible, b.feasible) << "point " << i;
+      EXPECT_EQ(a.status, b.status) << "point " << i;
+      EXPECT_EQ(a.cooling_power, b.cooling_power) << "point " << i;
+      EXPECT_EQ(a.max_chip_temperature, b.max_chip_temperature)
+          << "point " << i;
+      EXPECT_EQ(a.omega, b.omega) << "point " << i;
+      EXPECT_EQ(a.current, b.current) << "point " << i;
+    }
+  }
+}
+
 TEST(Pareto, ValidatesRange) {
   const auto power = benchmark_power(workload::Benchmark::kFft);
   ParetoOptions bad = fast_options();

@@ -14,9 +14,7 @@ using testing::WalledBowl;
 
 TEST(GridSearch, FindsGlobalMinimumOfMultimodal) {
   const Multimodal p;
-  GridSearchOptions opts;
-  opts.points_per_dimension = 81;
-  const OptResult r = solve_grid_search(p, opts);
+  const OptResult r = solve_grid_search(p, 81);
   ASSERT_TRUE(r.feasible);
   // Global minimum of sin(3x)+0.1x² in [−2,2] sits near x ≈ −0.54.
   EXPECT_NEAR(r.x[0], -0.54, 0.06);
@@ -25,9 +23,7 @@ TEST(GridSearch, FindsGlobalMinimumOfMultimodal) {
 
 TEST(GridSearch, RespectsConstraints) {
   const ConstrainedQuadratic p;
-  GridSearchOptions opts;
-  opts.points_per_dimension = 41;
-  const OptResult r = solve_grid_search(p, opts);
+  const OptResult r = solve_grid_search(p, 41);
   ASSERT_TRUE(r.feasible);
   EXPECT_GE(r.x[0] + r.x[1], 1.0 - 1e-9);
   EXPECT_NEAR(r.objective, 0.5, 0.05);
@@ -43,41 +39,13 @@ TEST(GridSearch, SkipsInfCells) {
 
 TEST(GridSearch, VisitsExpectedCellCount) {
   const QuadraticBowl p(0.0, 0.0);
-  GridSearchOptions opts;
-  opts.points_per_dimension = 11;
-  const OptResult r = solve_grid_search(p, opts);
+  const OptResult r = solve_grid_search(p, 11);
   EXPECT_EQ(r.iterations, 121u);
 }
 
 TEST(GridSearch, RejectsDegenerateGrid) {
   const QuadraticBowl p(0.0, 0.0);
-  GridSearchOptions opts;
-  opts.points_per_dimension = 1;
-  EXPECT_THROW((void)solve_grid_search(p, opts), std::invalid_argument);
-}
-
-TEST(SweepSurface, CoversTheBoxIncludingInfCells) {
-  const WalledBowl p(0.5);
-  GridSearchOptions opts;
-  opts.points_per_dimension = 9;
-  const auto samples = sweep_surface(p, opts);
-  EXPECT_EQ(samples.size(), 81u);
-  std::size_t inf_cells = 0;
-  for (const SurfaceSample& s : samples) {
-    if (!std::isfinite(s.objective)) ++inf_cells;
-  }
-  // x0 grid points below 0.5: 0.0, 0.25 → 2 of 9 columns.
-  EXPECT_EQ(inf_cells, 2u * 9u);
-}
-
-TEST(SweepSurface, ReportsConstraintValues) {
-  const ConstrainedQuadratic p;
-  GridSearchOptions opts;
-  opts.points_per_dimension = 5;
-  const auto samples = sweep_surface(p, opts);
-  for (const SurfaceSample& s : samples) {
-    EXPECT_NEAR(s.max_constraint, 1.0 - s.x[0] - s.x[1], 1e-12);
-  }
+  EXPECT_THROW((void)solve_grid_search(p, 1), std::invalid_argument);
 }
 
 }  // namespace

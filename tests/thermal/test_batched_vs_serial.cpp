@@ -124,6 +124,42 @@ TEST(BatchedVsSerial, RepeatedBatchesAreIdenticalDespiteCacheState) {
   EXPECT_EQ(engine.stats().points, 2 * pts.size());
 }
 
+TEST(EngineFactorCache, HoldsExactlyCapacityEntriesInLruOrder) {
+  // Under the chord leakage line a point is one linear solve, hence one
+  // factor key. A direct-only engine with capacity 2 keeps the two most
+  // recently used factors and no more.
+  SteadyOptions chord;
+  chord.mode = LeakageMode::kChordLinear;
+  const SteadySolver chord_solver(model(), solver().cell_dynamic_power(),
+                                  solver().cell_leakage(), chord);
+  EngineOptions options;
+  options.use_iterative = false;
+  options.factor_cache_capacity = 2;
+  const SolveEngine engine(chord_solver, options);
+
+  const double omega_max = model().config().fan.max_speed;
+  const OperatingPoint p1{0.5 * omega_max, 0.0};
+  const OperatingPoint p2{0.7 * omega_max, 0.0};
+  const OperatingPoint p3{0.9 * omega_max, 0.0};
+  const SteadyResult first = engine.solve(p1);
+  ASSERT_TRUE(first.converged);
+  (void)engine.solve(p2);
+  (void)engine.solve(p3);
+  EXPECT_EQ(engine.stats().factorizations, 3u);
+  EXPECT_EQ(engine.stats().factor_hits, 0u);
+
+  // p1 is the least recently used of three: evicted, so a miss.
+  expect_identical(first, engine.solve(p1), 0);
+  EXPECT_EQ(engine.stats().factorizations, 4u);
+  EXPECT_EQ(engine.stats().factor_hits, 0u);
+
+  // The cache now holds p1 and p3 (p2 went): both hit.
+  (void)engine.solve(p3);
+  expect_identical(first, engine.solve(p1), 0);
+  EXPECT_EQ(engine.stats().factorizations, 4u);
+  EXPECT_EQ(engine.stats().factor_hits, 2u);
+}
+
 TEST(BatchedVsSerial, SolveMatchesSerialElementwise) {
   // Single-point solve() is the same code path as each serial element.
   const SolveEngine engine(solver());

@@ -214,7 +214,7 @@ TEST(LargeGridEngine, Grid32DirectFactorCacheWarmTinyAndCorruptAllBitExact) {
   EXPECT_EQ(engine.stats().factorizations, cold_factorizations);
   EXPECT_GT(engine.stats().factor_hits, 0u);
 
-  // Eviction-heavy cache (one slot per shard): results still cannot move —
+  // Eviction-heavy cache (a single slot): results still cannot move —
   // eviction order influences work, never bits.
   EngineOptions tiny = direct;
   tiny.factor_cache_capacity = 1;

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace oftec::util {
@@ -43,6 +45,63 @@ TEST(ThreadPool, ZeroAndSmallCounts) {
   // Fewer indices than workers: nothing hangs, every index still runs.
   pool.parallel_for(2, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(ThreadPool, OneThreadAndOneIndexRunInlineInIndexOrder) {
+  // LutController::build and sweep_pareto_front rely on this: their serial
+  // mode is a one-thread pool.
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool one(1);
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> ran_on;
+  one.parallel_for(64, [&](std::size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], caller) << "i=" << i;
+  }
+
+  ThreadPool four(4);
+  std::vector<std::size_t> single;
+  std::thread::id single_on;
+  four.parallel_for(1, [&](std::size_t i) {
+    single.push_back(i);
+    single_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(single, std::vector<std::size_t>{0});
+  EXPECT_EQ(single_on, caller);
+}
+
+TEST(ThreadPool, SlowIndexDoesNotHoldUpTheOthers) {
+  // Whichever thread claims index 0 waits there until every other index has
+  // run, so the rest must be drained by the other participants. Every index
+  // still runs exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 200;
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<std::size_t> others_done{0};
+  bool waited_out = false;
+  pool.parallel_for(kCount, [&](std::size_t i) {
+    if (i == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (others_done.load() < kCount - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      waited_out = others_done.load() == kCount - 1;
+    } else {
+      others_done.fetch_add(1);
+    }
+    hits[i].fetch_add(1);
+  });
+  EXPECT_TRUE(waited_out);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
 }
 
 TEST(ThreadPool, FirstExceptionPropagatesToCaller) {

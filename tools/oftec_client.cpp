@@ -77,6 +77,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -132,14 +133,12 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
                                                int start) {
   std::map<std::string, std::string> flags;
   for (int i = start; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage();
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "1";
-    }
+    if (std::strncmp(argv[i], "--", 2) != 0) usage();
+    std::string key = argv[i] + 2;
+    const bool has_value =
+        i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    flags.insert_or_assign(std::move(key),
+                           std::string(has_value ? argv[++i] : "1"));
   }
   return flags;
 }

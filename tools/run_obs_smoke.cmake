@@ -21,7 +21,7 @@ file(REMOVE "${REPORT}" "${TRACE}")
 set(ENV{OFTEC_OBS} "1")
 set(ENV{OFTEC_OBS_REPORT} "${REPORT}")
 set(ENV{OFTEC_TRACE_FILE} "${TRACE}")
-# Two workers so the pool's steal/task counters see real cross-thread traffic.
+# Two workers so the pool's job/task counters see real cross-thread traffic.
 set(ENV{OFTEC_THREADS} "2")
 
 execute_process(
