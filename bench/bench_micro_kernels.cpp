@@ -22,6 +22,7 @@
 #include "la/banded_lu.h"
 #include "la/banded_matrix.h"
 #include "la/column_jacobi.h"
+#include "la/iterative.h"
 #include "la/sparse.h"
 #include "la/split_cholesky.h"
 #include "la/vector_ops.h"
@@ -426,12 +427,15 @@ struct Grid10Timing {
   double lu_refactorize_ms = 0.0;
   double step_ms = 0.0;  ///< one TransientStepper step at threshold 0
   double cg_iteration_us = 0.0;  ///< one column-preconditioned CG iteration
+  double cg_solve_us = 0.0;  ///< one cold CG solve to 1e-9, factor included
+  std::size_t cg_solve_iterations = 0;
 };
 
 /// Medians over repeated factorizations of the 10-ms backward-Euler step
 /// matrix (SPD: Cholesky), its pivoted LU, threshold-0 stepper steps (each
-/// re-linearizes and refactors), and column-preconditioned CG iterations on
-/// the steady CG system, under one installed backend.
+/// re-linearizes and refactors), column-preconditioned CG iterations on the
+/// steady CG system, and whole cold CG solves of it, under one installed
+/// backend.
 Grid10Timing measure_grid10(const char* spec,
                             const thermal::AssembledSystem& step_sys,
                             const thermal::ThermalModel& model,
@@ -439,7 +443,8 @@ Grid10Timing measure_grid10(const char* spec,
                             const std::vector<power::ExponentialTerm>& leak,
                             const la::Vector& start,
                             const thermal::CsrSystem& cg_sys,
-                            const la::ColumnBlockJacobi& column) {
+                            const la::ColumnBlockSymbolic& column_symbolic,
+                            la::ColumnBlockJacobi& column) {
   const la::BackendOps& ops = la::install_backend(spec);
   Grid10Timing t;
   t.name = ops.name;
@@ -495,6 +500,22 @@ Grid10Timing measure_grid10(const char* spec,
       median_ms(kReps,
                 [&] { benchmark::DoNotOptimize(column_cg_iterations()); }) /
       static_cast<double>(kCgIters);
+
+  // A cold solve to the engine's polish tolerance, the column factor
+  // included: the iteration cost above times the iterations it takes.
+  la::ColumnBlockJacobi solve_column;
+  la::IterativeOptions cold;
+  cold.tolerance = 1e-9;
+  cold.max_iterations = 4 * cg_sys.rhs.size();
+  cold.preconditioner = &solve_column;
+  t.cg_solve_us = 1e3 * median_ms(kReps, [&] {
+                    if (!solve_column.factor(column_symbolic, cg_sys.matrix)) {
+                      return;
+                    }
+                    t.cg_solve_iterations =
+                        la::solve_cg(cg_sys.matrix, cg_sys.rhs, cold)
+                            .iterations;
+                  });
   return t;
 }
 
@@ -541,22 +562,28 @@ util::json::Value grid10_section() {
       continue;
     }
     timings.push_back(measure_grid10(spec, step_sys, model, dyn, leak, start,
-                                     cg_sys, column));
+                                     cg_sys, column_symbolic, column));
   }
 
   util::json::Value chol = util::json::Value::object();
   util::json::Value lu = util::json::Value::object();
   util::json::Value step = util::json::Value::object();
   util::json::Value cg_iter = util::json::Value::object();
+  util::json::Value cg_solve = util::json::Value::object();
+  util::json::Value cg_solve_iters = util::json::Value::object();
   for (const Grid10Timing& t : timings) {
     std::printf("  %-12s chol_refactorize %.3f ms | lu_refactorize %.3f ms | "
-                "stepper step %.3f ms | cg iteration %.3f us\n",
+                "stepper step %.3f ms | cg iteration %.3f us | cold cg solve "
+                "%.1f us (%zu iterations)\n",
                 t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
-                t.step_ms, t.cg_iteration_us);
+                t.step_ms, t.cg_iteration_us, t.cg_solve_us,
+                t.cg_solve_iterations);
     chol[t.name] = t.chol_refactorize_ms;
     lu[t.name] = t.lu_refactorize_ms;
     step[t.name] = t.step_ms;
     cg_iter[t.name] = t.cg_iteration_us;
+    cg_solve[t.name] = t.cg_solve_us;
+    cg_solve_iters[t.name] = t.cg_solve_iterations;
   }
   util::json::Value j = util::json::Value::object();
   j["nodes"] = model.layout().node_count();
@@ -566,6 +593,8 @@ util::json::Value grid10_section() {
   j["lu_refactorize_ms"] = lu;
   j["stepper_step_ms_threshold0"] = step;
   j["cg_iteration_us"] = cg_iter;
+  j["cg_solve_us"] = cg_solve;
+  j["cg_solve_iterations"] = cg_solve_iters;
   if (timings.size() > 1) {
     const Grid10Timing& s = timings.front();
     const Grid10Timing& v = timings.back();

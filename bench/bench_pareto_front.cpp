@@ -8,7 +8,7 @@
 // per threshold, the seed structure), the shared-system path (evaluations
 // are threshold-independent, so one memoized system serves all thresholds),
 // and the shared path fanned across the OFTEC_THREADS pool. All three must
-// produce the same frontier.
+// produce the same frontier: the exit code is 1 when they do not.
 #include <cmath>
 #include <cstdio>
 
@@ -76,12 +76,11 @@ int main() {
   std::printf("  per-threshold systems   %7.1f ms\n", ref_ms);
   std::printf("  shared system, serial   %7.1f ms  (%.2fx)\n", shared_ms,
               ref_ms / shared_ms);
+  const bool identical =
+      fronts_equal(front, reference) && fronts_equal(front, threaded);
   std::printf("  shared system, %zu thr    %7.1f ms  (%.2fx, fronts %s)\n",
               util::ThreadPool::default_thread_count(), pool_ms,
-              ref_ms / pool_ms,
-              fronts_equal(front, reference) && fronts_equal(front, threaded)
-                  ? "identical"
-                  : "MISMATCH");
+              ref_ms / pool_ms, identical ? "identical" : "MISMATCH");
 
   std::printf("\n  T limit [C]   feasible   P* [W]   T achieved [C]   "
               "I* [A]   w* [RPM]\n");
@@ -113,5 +112,5 @@ int main() {
                 "thermal constraint no longer binds and OFTEC's optimum "
                 "stops moving.\n", knee_c);
   }
-  return 0;
+  return identical ? 0 : 1;
 }

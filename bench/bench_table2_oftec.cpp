@@ -5,7 +5,8 @@
 //
 // Timings are informational. The exit code gates deterministic work counts:
 // 1 when any of the eight OFTEC rows is infeasible or above T_max, when the
-// eight runs take more than kMaxFreshSolves fresh steady solves, when any of
+// eight runs take more than kMaxFreshSolves fresh steady solves, more than
+// kMaxNewtonCg Newton or kMaxTangentCg tangent CG iterations, when any of
 // their Newton factorizations fell to pivoted LU, or when any gradient's
 // tangent solve needed a factorization at all.
 #include <algorithm>
@@ -21,6 +22,15 @@ namespace {
 /// Fresh steady solves of the eight runs: 112 with exact sensitivities and
 /// the runaway certificate (393 when SQP differenced every gradient).
 constexpr std::size_t kMaxFreshSolves = 120;
+
+/// CG iterations of the eight runs' Newton and tangent solves: 3 483 and
+/// 3 147 under the column preconditioner with its coarse level (11 582 and
+/// 7 712 with column blocks alone), under scalar, simd and AVX2 alike; the
+/// limits are those counts plus 10 %. The counts are deterministic, so a
+/// rise past the margin means the preconditioner or the Newton schedule
+/// regressed.
+constexpr std::size_t kMaxNewtonCg = 3831;
+constexpr std::size_t kMaxTangentCg = 3461;
 
 }  // namespace
 
@@ -39,11 +49,14 @@ int main() {
                     "P [W]", "Runtime [ms]", "solves"});
   double total_ms = 0.0, worst_ms = 0.0;
   std::size_t solves = 0, lu_fallbacks = 0, tangent_factorizations = 0;
+  std::size_t newton_cg = 0, tangent_cg = 0;
   bool all_feasible = true;
   for (const SweepRow& r : rows) {
     solves += r.oftec.thermal_solves;
     lu_fallbacks += r.oftec_engine.lu_fallbacks;
     tangent_factorizations += r.oftec_engine.sensitivity_factorizations;
+    newton_cg += r.oftec_engine.cg_iterations;
+    tangent_cg += r.oftec_engine.sensitivity_cg_iterations;
     all_feasible = all_feasible && r.oftec.success &&
                    r.oftec.max_chip_temperature <= r.t_max;
     table.add_row({r.name, format_watts(r.dynamic_power, 1),
@@ -65,12 +78,17 @@ int main() {
               all_feasible ? "yes" : "NO");
   std::printf("       fresh steady solves: %zu (limit %zu)\n", solves,
               kMaxFreshSolves);
+  std::printf("       Newton CG iterations: %zu (limit %zu)\n", newton_cg,
+              kMaxNewtonCg);
+  std::printf("       tangent CG iterations: %zu (limit %zu)\n", tangent_cg,
+              kMaxTangentCg);
   std::printf("       pivoted-LU factorizations: %zu (limit 0)\n",
               lu_fallbacks);
   std::printf("       tangent-solve factorizations: %zu (limit 0)\n",
               tangent_factorizations);
-  return all_feasible && solves <= kMaxFreshSolves && lu_fallbacks == 0 &&
-                 tangent_factorizations == 0
+  return all_feasible && solves <= kMaxFreshSolves &&
+                 newton_cg <= kMaxNewtonCg && tangent_cg <= kMaxTangentCg &&
+                 lu_fallbacks == 0 && tangent_factorizations == 0
              ? 0
              : 1;
 }

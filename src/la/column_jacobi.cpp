@@ -1,6 +1,8 @@
 #include "la/column_jacobi.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -8,9 +10,31 @@
 
 namespace oftec::la {
 
+namespace {
+
+/// 1 + the largest id; throws unless every id below it is used.
+std::size_t id_count(const std::vector<std::size_t>& ids) {
+  const std::size_t count = 1 + *std::max_element(ids.begin(), ids.end());
+  std::vector<bool> used(count, false);
+  for (const std::size_t id : ids) used[id] = true;
+  if (std::find(used.begin(), used.end(), false) != used.end()) {
+    throw std::invalid_argument("ColumnBlockSymbolic: empty coarse aggregate");
+  }
+  return count;
+}
+
+/// init − Σ_{k<count} a[k]·b[k], subtracted in ascending k.
+double minus_dot(double init, const double* a, const double* b,
+                 std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) init -= a[k] * b[k];
+  return init;
+}
+
+}  // namespace
+
 ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
     const SparseMatrix& pattern, std::size_t cells,
-    std::vector<std::size_t> slab_first) {
+    std::vector<std::size_t> slab_first, CoarseMap coarse) {
   const std::size_t n = pattern.size();
   std::vector<bool> in_slab(n, false);
   for (const std::size_t first : slab_first) {
@@ -49,6 +73,58 @@ ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
     s.singleton_diag_pos_.push_back(pattern.position(i, i));
   }
   s.first_ = std::move(slab_first);
+  if (coarse.cell_aggregate.empty() && coarse.slab_group.empty()) return s;
+  if (cells == 0 || m == 0 || coarse.cell_aggregate.size() != cells ||
+      coarse.slab_group.size() != m) {
+    throw std::invalid_argument(
+        "ColumnBlockSymbolic: coarse map does not match the slabs");
+  }
+  s.groups_ = id_count(coarse.slab_group);
+  s.fine_ = id_count(coarse.cell_aggregate) * s.groups_;
+  s.slab_group_ = std::move(coarse.slab_group);
+  s.cell_coarse_ = std::move(coarse.cell_aggregate);
+  for (std::size_t& a : s.cell_coarse_) a *= s.groups_;
+  std::vector<std::size_t> node_coarse(n);
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t c = 0; c < cells; ++c) {
+      node_coarse[s.first_[k] + c] = s.cell_coarse_[c] + s.slab_group_[k];
+    }
+  }
+  for (std::size_t j = 0; j < s.singletons_.size(); ++j) {
+    node_coarse[s.singletons_[j]] = s.fine_ + j;
+  }
+  // Visit every stored entry as (coarse row, coarse column, storage index).
+  const auto for_each_entry = [&](auto&& visit) {
+    pattern.for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+      visit(node_coarse[r], node_coarse[c], p);
+    });
+  };
+  // Row i of E's profile starts at the lowest column it couples to.
+  const std::size_t nc = s.coarse_size();
+  s.profile_first_.resize(nc);
+  std::iota(s.profile_first_.begin(), s.profile_first_.end(), 0);
+  for_each_entry([&](std::size_t i, std::size_t j, std::size_t) {
+    s.profile_first_[i] = std::min(s.profile_first_[i], j);
+  });
+  s.profile_start_.assign(nc + 1, 0);
+  for (std::size_t i = 0; i < nc; ++i) {
+    s.profile_start_[i + 1] = s.profile_start_[i] + i - s.profile_first_[i] + 1;
+  }
+  // E(i, j), j ≤ i, sums the A(r, c) with r in i, c in j (counting sort).
+  const auto slot = [&s](std::size_t i, std::size_t j) {
+    return s.profile_start_[i] + (j - s.profile_first_[i]);
+  };
+  s.sum_start_.assign(s.profile_start_[nc] + 1, 0);
+  for_each_entry([&](std::size_t i, std::size_t j, std::size_t) {
+    if (j <= i) ++s.sum_start_[slot(i, j) + 1];
+  });
+  std::partial_sum(s.sum_start_.begin(), s.sum_start_.end(),
+                   s.sum_start_.begin());
+  s.sum_pos_.resize(s.sum_start_.back());
+  std::vector<std::size_t> next(s.sum_start_.begin(), s.sum_start_.end() - 1);
+  for_each_entry([&](std::size_t i, std::size_t j, std::size_t p) {
+    if (j <= i) s.sum_pos_[next[slot(i, j)]++] = p;
+  });
   return s;
 }
 
@@ -93,11 +169,45 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
     if (!(d > 0.0)) return false;
     inv_singleton_[j] = 1.0 / d;
   }
+
+  // E = ZᵀAZ, then its Cholesky factor row by row in the profile (which
+  // holds the fill): L(i, j) = (E(i, j) − Σ_{k<j} L(i, k)·L(j, k)) / L(j, j).
+  const std::size_t nc = symbolic.coarse_size();
+  if (nc > 0) {
+    const std::size_t* first = symbolic.profile_first_.data();
+    const std::size_t* start = symbolic.profile_start_.data();
+    const std::vector<std::size_t>& sum_start = symbolic.sum_start_;
+    coarse_.resize(start[nc]);
+    coarse_inv_diag_.resize(nc);
+    double* f = coarse_.data();
+    for (std::size_t e = 0; e < start[nc]; ++e) {
+      double acc = 0.0;
+      for (std::size_t q = sum_start[e]; q < sum_start[e + 1]; ++q) {
+        acc += values[symbolic.sum_pos_[q]];
+      }
+      f[e] = acc;
+    }
+    for (std::size_t i = 0; i < nc; ++i) {
+      double* li = f + (start[i] - first[i]);  // li[j] = L(i, j)
+      for (std::size_t j = first[i]; j < i; ++j) {
+        const std::size_t k = std::max(first[i], first[j]);
+        li[j] = minus_dot(li[j], li + k, f + (start[j] - first[j]) + k, j - k) *
+                coarse_inv_diag_[j];
+      }
+      const double pivot =
+          minus_dot(li[i], f + start[i], f + start[i], i - first[i]);
+      if (!(pivot > 0.0)) return false;
+      li[i] = std::sqrt(pivot);
+      coarse_inv_diag_[i] = 1.0 / li[i];
+    }
+    coarse_work_.resize(nc);
+    group_work_.resize(symbolic.groups_ * cells);
+  }
   symbolic_ = &symbolic;
   return true;
 }
 
-double ColumnBlockJacobi::apply(const double* r, double* z) const {
+double ColumnBlockJacobi::apply(const double* r, double* z) {
   const ColumnBlockSymbolic& s = *symbolic_;
   const std::size_t cells = s.cells_;
   const std::size_t m = s.slabs();
@@ -131,7 +241,56 @@ double ColumnBlockJacobi::apply(const double* r, double* z) const {
     const std::size_t i = s.singletons_[j];
     z[i] = r[i] * inv_singleton_[j];
   }
+  if (s.coarse_size() > 0) add_coarse_correction(r, z);
   return ops.dot(s.n_, r, z);
+}
+
+void ColumnBlockJacobi::add_coarse_correction(const double* r, double* z) {
+  const ColumnBlockSymbolic& s = *symbolic_;
+  const std::size_t cells = s.cells_;
+  const std::size_t nc = s.coarse_size();
+  const std::size_t fine = s.fine_;
+  const std::size_t* cell_coarse = s.cell_coarse_.data();
+  const BackendOps& ops = backend();
+  double* __restrict y = coarse_work_.data();
+  double* __restrict buf = group_work_.data();
+
+  // Restrict, y = Zᵀr: each group's slabs summed cell by cell (an axpy by
+  // 1.0 adds exactly, element-wise on every backend), then the cells.
+  std::fill(buf, buf + s.groups_ * cells, 0.0);
+  for (std::size_t k = 0; k < s.slabs(); ++k) {
+    ops.axpy(cells, 1.0, r + s.first_[k], buf + s.slab_group_[k] * cells);
+  }
+  std::fill(y, y + fine, 0.0);
+  for (std::size_t g = 0; g < s.groups_; ++g) {
+    const double* wg = buf + g * cells;
+    for (std::size_t c = 0; c < cells; ++c) y[cell_coarse[c] + g] += wg[c];
+  }
+  for (std::size_t t = fine; t < nc; ++t) y[t] = r[s.singletons_[t - fine]];
+
+  // E·v = y in place: L·u = y by row dots, then Lᵀ·v = u by row axpys.
+  const double* f = coarse_.data();
+  const std::size_t* first = s.profile_first_.data();
+  const std::size_t* start = s.profile_start_.data();
+  const double* inv = coarse_inv_diag_.data();
+  for (std::size_t i = 0; i < nc; ++i) {
+    y[i] = minus_dot(y[i], f + start[i], y + first[i], i - first[i]) * inv[i];
+  }
+  for (std::size_t i = nc; i-- > 0;) {
+    const double* __restrict li = f + (start[i] - first[i]);
+    const double v = y[i] *= inv[i];
+    for (std::size_t j = first[i]; j < i; ++j) y[j] -= li[j] * v;
+  }
+
+  // Prolong, z += Z·v.
+  for (std::size_t g = 0; g < s.groups_; ++g) {
+    double* wg = buf + g * cells;
+    for (std::size_t c = 0; c < cells; ++c) wg[c] = y[cell_coarse[c] + g];
+  }
+  for (std::size_t k = 0; k < s.slabs(); ++k) {
+    ops.axpy(cells, 1.0, buf + s.slab_group_[k] * cells, z + s.first_[k]);
+  }
+  for (std::size_t t = fine; t < nc; ++t) z[s.singletons_[t - fine]] += y[t];
 }
 
 }  // namespace oftec::la

@@ -62,7 +62,7 @@ IterativeResult solve_cg(const SparseMatrix& a, const Vector& b,
     res.residual_norm = norm2(b);
     return res;
   }
-  const ColumnBlockJacobi* column = opts.preconditioner;
+  ColumnBlockJacobi* column = opts.preconditioner;
   if (column != nullptr && column->size() != n) {
     throw std::invalid_argument("solve_cg: preconditioner size mismatch");
   }

@@ -62,8 +62,9 @@ struct IterativeOptions {
   CgWorkspace* workspace = nullptr;
   /// Optional successfully factored column block-Jacobi preconditioner.
   /// When set it replaces diagonal Jacobi; its size must be n. Not owned;
-  /// must outlive the call.
-  const ColumnBlockJacobi* preconditioner = nullptr;
+  /// must outlive the call. Its apply() writes the object's coarse scratch,
+  /// so solves that run at the same time must not share one.
+  ColumnBlockJacobi* preconditioner = nullptr;
 };
 
 /// Preconditioned conjugate gradient for symmetric A. When A is not SPD the

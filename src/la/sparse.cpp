@@ -4,17 +4,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "la/backend.h"
 
 namespace oftec::la {
-
-namespace {
-
-constexpr std::size_t kC = 8;  // slice height: rows per slice, lanes per slot
-
-}  // namespace
 
 void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
   if (r >= n_ || c >= n_) {
@@ -28,14 +23,28 @@ SparseMatrix TripletBuilder::build() const {
     throw std::length_error(
         "TripletBuilder::build: more than 2^31 - 1 rows for int32 columns");
   }
-  std::vector<Triplet> sorted = triplets_;
-  // Stable: duplicates stay in insertion order, so each sum below runs in
-  // the order the caller added its terms, on every standard library.
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Triplet& a, const Triplet& b) {
-                     return a.row != b.row ? a.row < b.row : a.col < b.col;
-                   });
+  // Sort by (row, col), stably, so duplicates stay in insertion order and
+  // each sum below runs in the order the caller added its terms: a counting
+  // sort by row, then an insertion sort by column within each row. Both are
+  // stable, so this is std::stable_sort's permutation.
+  std::vector<std::size_t> row_start(n_ + 1, 0);
+  for (const Triplet& t : triplets_) ++row_start[t.row + 1];
+  std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
+  std::vector<Triplet> sorted(triplets_.size());
+  std::vector<std::size_t> next(row_start.begin(), row_start.end() - 1);
+  for (const Triplet& t : triplets_) sorted[next[t.row]++] = t;
+  for (std::size_t r = 0; r < n_; ++r) {
+    const auto first = sorted.begin() + std::ptrdiff_t(row_start[r]);
+    const auto last = sorted.begin() + std::ptrdiff_t(row_start[r + 1]);
+    for (auto it = first; it != last; ++it) {
+      const Triplet t = *it;
+      auto hole = it;
+      for (; hole != first && t.col < hole[-1].col; --hole) *hole = hole[-1];
+      *hole = t;
+    }
+  }
 
+  constexpr std::size_t kC = SparseMatrix::kC;
   SparseMatrix a;
   a.n_ = n_;
   const std::size_t slices = (n_ + kC - 1) / kC;
@@ -140,14 +149,11 @@ double SparseMatrix::get(std::size_t r, std::size_t c) const {
 }
 
 bool SparseMatrix::is_symmetric(double tol) const {
-  for (std::size_t r = 0; r < n_; ++r) {
-    std::size_t p = slice_start_[r / kC] + r % kC;
-    for (std::int32_t k = 0; k < row_len_[r]; ++k, p += kC) {
-      const auto c = static_cast<std::size_t>(col_[p]);
-      if (std::abs(values_[p] - get(c, r)) > tol) return false;
-    }
-  }
-  return true;
+  bool symmetric = true;
+  for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+    symmetric = symmetric && !(std::abs(values_[p] - get(c, r)) > tol);
+  });
+  return symmetric;
 }
 
 }  // namespace oftec::la

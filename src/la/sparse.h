@@ -102,6 +102,18 @@ class SparseMatrix {
   /// True if A is structurally and numerically symmetric within tol.
   [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;
 
+  /// Call visit(row, col, storage index) for every stored entry, rows
+  /// ascending and columns ascending within a row.
+  template <class Visit>
+  void for_each_entry(Visit&& visit) const {
+    for (std::size_t r = 0; r < n_; ++r) {
+      std::size_t p = slice_start_[r / kC] + r % kC;
+      for (std::int32_t k = 0; k < row_len_[r]; ++k, p += kC) {
+        visit(r, static_cast<std::size_t>(col_[p]), p);
+      }
+    }
+  }
+
   /// Values in storage (slot) order, padding included; index them with
   /// position().
   [[nodiscard]] const std::vector<double>& values() const noexcept {
@@ -118,6 +130,9 @@ class SparseMatrix {
 
  private:
   friend class TripletBuilder;
+
+  /// Slice height: rows per slice, lanes per slot.
+  static constexpr std::size_t kC = 8;
 
   /// The storage as the backend's mat-vec kernel reads it.
   [[nodiscard]] Sell8View view() const;

@@ -1,5 +1,6 @@
 #include "thermal/model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -605,11 +606,25 @@ void IncrementalAssembler::assemble_rhs(
 la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
   const NodeLayout& layout = model_->layout();
   std::vector<std::size_t> slab_first(kSlabCount);
+  la::CoarseMap coarse;
   for (std::size_t k = 0; k < kSlabCount; ++k) {
-    slab_first[k] = layout.node(static_cast<Slab>(k), 0);
+    const auto slab = static_cast<Slab>(k);
+    slab_first[k] = layout.node(slab, 0);
+    coarse.slab_group.push_back(
+        slab == Slab::kSpreader ? 1 : (slab == Slab::kSink ? 2 : 0));
+  }
+  // A 5×5 lateral partition (coarser on grids narrower than 5 cells).
+  const std::size_t nx = layout.nx();
+  const std::size_t ny = layout.ny();
+  const std::size_t px = std::min<std::size_t>(5, nx);
+  const std::size_t py = std::min<std::size_t>(5, ny);
+  for (std::size_t cell = 0; cell < layout.cells_per_layer(); ++cell) {
+    coarse.cell_aggregate.push_back((cell / nx * py / ny) * px +
+                                    cell % nx * px / nx);
   }
   return la::ColumnBlockSymbolic::analyze(
-      base_.matrix, layout.cells_per_layer(), std::move(slab_first));
+      base_.matrix, layout.cells_per_layer(), std::move(slab_first),
+      std::move(coarse));
 }
 
 AssembledSystem IncrementalAssembler::assemble_banded(

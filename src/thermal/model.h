@@ -288,7 +288,8 @@ class IncrementalAssembler {
 
   /// Column structure of the fixed sparse pattern for la::ColumnBlockJacobi:
   /// every (x, y) column runs through the nine slabs bottom to top, and the
-  /// three ring nodes are singletons.
+  /// three ring nodes are singletons. The coarse level: 5×5 lateral
+  /// aggregates × 3 slab groups (spreader, sink, the rest) + 3 rings = 78.
   [[nodiscard]] la::ColumnBlockSymbolic column_structure() const;
 
   /// Band-storage form for the direct solvers (ThermalModel::assemble —

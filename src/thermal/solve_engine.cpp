@@ -317,11 +317,11 @@ SolveEngine::Step SolveEngine::solve_linear(
   if (options_.use_iterative) {
     assembler_.assemble_csr(omega, cell_current, taylor, ws.csr);
     // All operating-point terms are diagonal, so M stays symmetric and CG
-    // applies. A non-positive column pivot proves M is not SPD (the entries
-    // are finite: the linearization point passed physical()). At a lower
-    // bound that is the runaway certificate; elsewhere the solve keeps
-    // diagonal Jacobi, and an indefinite system falls to the pivoted direct
-    // path below.
+    // applies. A non-positive column or coarse pivot proves M is not SPD
+    // (the entries are finite: the linearization point passed physical()).
+    // At a lower bound that is the runaway certificate; elsewhere the solve
+    // keeps diagonal Jacobi, and an indefinite system falls to the pivoted
+    // direct path below.
     const bool column_spd = ws.column.factor(column_symbolic_, ws.csr.matrix);
     if (!column_spd && at_bound) return Step::kNotSpd;
     cache_->linear_solves.fetch_add(1, std::memory_order_relaxed);

@@ -27,10 +27,10 @@
 //      an *identical* matrix and results never depend on hit order.
 //   4. A runaway certificate — a Newton iterate reached through an SPD
 //      matrix is a lower bound on every steady state, so when the matrix
-//      linearized there is proven not SPD (a non-positive column pivot, or
-//      CG meeting non-positive curvature) no steady state exists and the
-//      point returns kRunaway without a direct solve (docs/solver.md,
-//      "Runaway certificate").
+//      linearized there is proven not SPD (a non-positive column or coarse
+//      pivot, or CG meeting non-positive curvature) no steady state exists
+//      and the point returns kRunaway without a direct solve
+//      (docs/solver.md, "Runaway certificate").
 //
 // tangents() differentiates a converged state with respect to (ω, I) by the
 // implicit-function theorem — one linear solve per parameter with the

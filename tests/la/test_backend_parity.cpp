@@ -589,17 +589,33 @@ TEST(BackendParity, FusedCgKernelsMatchUnfusedBitIdentical) {
 }
 
 TEST(BackendParity, ColumnPreconditionerSweepsBitIdenticalDotUlpBounded) {
-  // The column block-Jacobi apply runs plain element-wise slab sweeps, so z
-  // must not move a bit between backends; r·z goes through each backend's
-  // dot: ULP-bounded scalar↔simd, and the same 8-lane tree on AVX2 and
-  // AVX-512.
-  struct Case { std::uint64_t seed; std::size_t nx, ny; double lateral; };
-  for (const Case& k : {Case{81, 10, 10, 0.05}, Case{82, 16, 16, 0.02},
-                        Case{83, 7, 5, 0.3}}) {
+  // The column block-Jacobi apply runs plain element-wise slab sweeps, and
+  // its coarse level is backend-independent code, so z must not move a bit
+  // between backends; r·z goes through each backend's dot: ULP-bounded
+  // scalar↔simd, and the same 8-lane tree on AVX2 and AVX-512.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t nx, ny;
+    double lateral;
+    bool coarse;  // the thermal stack's 5×5 × 3-group coarse level
+  };
+  for (const Case& k :
+       {Case{81, 10, 10, 0.05, false}, Case{82, 16, 16, 0.02, false},
+        Case{83, 7, 5, 0.3, false}, Case{84, 10, 10, 0.05, true},
+        Case{85, 16, 16, 0.5, true}}) {
     const testing::LayeredCase c =
         testing::make_layered_case(k.seed, k.nx, k.ny, 9, k.lateral);
+    CoarseMap map;
+    for (std::size_t cell = 0; k.coarse && cell < c.cells; ++cell) {
+      map.cell_aggregate.push_back(cell / k.nx * 5 / k.ny * 5 +
+                                   cell % k.nx * 5 / k.nx);
+    }
+    for (std::size_t slab = 0; k.coarse && slab < 9; ++slab) {
+      map.slab_group.push_back(slab == 6 ? 1 : (slab == 8 ? 2 : 0));
+    }
     const ColumnBlockSymbolic sym =
-        ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first);
+        ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first, map);
+    ASSERT_EQ(sym.coarse_size(), k.coarse ? 78u : 0u);
     ColumnBlockJacobi m;
     ASSERT_TRUE(m.factor(sym, c.a));
     const std::size_t n = c.a.size();

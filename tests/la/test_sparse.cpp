@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "la/sparse.h"
+#include "util/rng.h"
 
 namespace oftec::la {
 namespace {
@@ -27,7 +32,7 @@ TEST(TripletBuilder, SumsDuplicatesInInsertionOrder) {
   // the order they are added in: left to right it is exactly 2⁵³ − 2⁵³ = 0,
   // while any 1.0 summed ahead of 2⁵³ survives. Interleaving them with
   // entries added in descending row order gives the sort something to
-  // move, and 40 triplets take it past a 16-element insertion sort.
+  // move.
   constexpr double kBig = 9007199254740992.0;  // 2⁵³
   TripletBuilder builder(4);
   double expected = 0.0;
@@ -41,6 +46,51 @@ TEST(TripletBuilder, SumsDuplicatesInInsertionOrder) {
   const SparseMatrix m = builder.build();
   EXPECT_EQ(m.get(1, 3), expected);
   EXPECT_EQ(m.get(3, 0), 1.0);  // k = 0 and 12
+}
+
+TEST(TripletBuilder, ShuffledDuplicatesMatchStableSortBitForBit) {
+  // build() sorts by row with a counting sort and by column within a row
+  // with an insertion sort; the result must be the one a stable sort by
+  // (row, col) gives. Duplicates are spread over the rows in a shuffled
+  // order, mixed in magnitude so a different summation order would change
+  // their bits. Rows 3 and 7 get 75 triplets each, rows 0, 4 and 8 none,
+  // the others 30.
+  constexpr std::size_t n = 12;
+  util::Rng rng(0x5EED);
+  std::vector<Triplet> added;
+  for (std::size_t k = 0; k < 360; ++k) {
+    const std::size_t r = k % 4 == 0 ? (k % 8 == 0 ? 3 : 7) : k % n;
+    const std::size_t c = 2 * rng.uniform_index(6) + r % 2;
+    const double v = k % 7 == 0 ? rng.uniform(-1.0, 1.0) * 1e16
+                                : rng.uniform(-1.0, 1.0);
+    added.push_back({r, c, v});
+  }
+  TripletBuilder builder(n);
+  for (const Triplet& t : added) builder.add(t.row, t.col, t.value);
+  const SparseMatrix m = builder.build();
+
+  std::vector<Triplet> reference = added;
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
+  std::size_t stored = 0;
+  for (std::size_t i = 0; i < reference.size();) {
+    const Triplet& head = reference[i];
+    double sum = 0.0;
+    for (; i < reference.size() && reference[i].row == head.row &&
+           reference[i].col == head.col;
+         ++i) {
+      sum += reference[i].value;
+    }
+    ++stored;
+    ASSERT_NE(m.position(head.row, head.col), SparseMatrix::npos)
+        << head.row << "," << head.col;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.get(head.row, head.col)),
+              std::bit_cast<std::uint64_t>(sum))
+        << head.row << "," << head.col;
+  }
+  EXPECT_EQ(m.nnz(), stored);
 }
 
 TEST(TripletBuilder, OutOfRangeThrows) {
@@ -162,6 +212,33 @@ TEST(SparseMatrix, PositionLocatesStoredEntries) {
   EXPECT_EQ(seen.size(), m.nnz());
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(SparseMatrix, ForEachEntryVisitsEveryStoredEntryOnceInOrder) {
+  // Two slices, empty rows and a duplicate: rows ascending, columns
+  // ascending within a row, each entry once at its position().
+  TripletBuilder builder(11);
+  builder.add(9, 2, 1.0);
+  builder.add(1, 9, 1.0);
+  builder.add(1, 0, 1.0);
+  builder.add(1, 4, 1.0);
+  builder.add(0, 0, 1.0);
+  builder.add(10, 10, 1.0);
+  builder.add(9, 2, 1.0);
+  const SparseMatrix m = builder.build();
+  std::vector<std::array<std::size_t, 3>> visited;
+  m.for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+    visited.push_back({r, c, p});
+  });
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {0, 0}, {1, 0}, {1, 4}, {1, 9}, {9, 2}, {10, 10}};
+  ASSERT_EQ(visited.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto [r, c] = expected[i];
+    EXPECT_EQ(visited[i][0], r) << i;
+    EXPECT_EQ(visited[i][1], c) << i;
+    EXPECT_EQ(visited[i][2], m.position(r, c)) << i;
+  }
 }
 
 TEST(SparseMatrix, RestampThroughPositionMovesOnlyThatEntry) {

@@ -13,7 +13,8 @@
 //   - on both grids the engine's column preconditioner never needs more CG
 //     iterations than diagonal Jacobi on the same assembled system. Finer
 //     cells weaken the vertical couplings it captures relative to the
-//     lateral ones, so the margin shrinks with grid size (docs/solver.md).
+//     lateral ones, so the margin shrinks with grid size (docs/solver.md);
+//   - nor does its coarse level ever need more than column blocks alone.
 //
 // Direct factorizations at n = 9219 run seconds-scale, hence tier2.
 #include "thermal/solve_engine.h"
@@ -101,9 +102,11 @@ void expect_identical(const SteadyResult& a, const SteadyResult& b,
 }
 
 /// Cold CG iterations on the Newton system linearized at `chip`, under
-/// diagonal Jacobi and under the engine's column preconditioner.
+/// diagonal Jacobi, column blocks alone, and the engine's column
+/// preconditioner (column blocks plus the coarse level).
 struct ColdCg {
   std::size_t diagonal = 0;
+  std::size_t column_only = 0;
   std::size_t column = 0;
 };
 
@@ -123,15 +126,26 @@ ColdCg cold_cg(const Scenario& s, const OperatingPoint& pt,
   opts.max_iterations = 4 * csr.rhs.size();
   const la::IterativeResult diagonal =
       la::solve_cg(csr.matrix, csr.rhs, opts);
-  const la::ColumnBlockSymbolic structure = assembler.column_structure();
+  std::vector<std::size_t> slab_first;
+  for (std::size_t k = 0; k < kSlabCount; ++k) {
+    slab_first.push_back(s.model().layout().node(static_cast<Slab>(k), 0));
+  }
+  const la::ColumnBlockSymbolic blocks = la::ColumnBlockSymbolic::analyze(
+      csr.matrix, cells, std::move(slab_first));
   la::ColumnBlockJacobi column;
-  EXPECT_TRUE(column.factor(structure, csr.matrix));
+  EXPECT_TRUE(column.factor(blocks, csr.matrix));
   opts.preconditioner = &column;
+  const la::IterativeResult blocks_only =
+      la::solve_cg(csr.matrix, csr.rhs, opts);
+  const la::ColumnBlockSymbolic structure = assembler.column_structure();
+  EXPECT_TRUE(column.factor(structure, csr.matrix));
   const la::IterativeResult preconditioned =
       la::solve_cg(csr.matrix, csr.rhs, opts);
   EXPECT_TRUE(diagonal.converged);
+  EXPECT_TRUE(blocks_only.converged);
   EXPECT_TRUE(preconditioned.converged);
-  return {diagonal.iterations, preconditioned.iterations};
+  return {diagonal.iterations, blocks_only.iterations,
+          preconditioned.iterations};
 }
 
 /// For each point, the engine's first Newton system (linearized at the
@@ -150,8 +164,10 @@ void expect_column_never_worse(const Scenario& s,
                                  (chip == &initial ? "_initial" : "_converged");
       ::testing::Test::RecordProperty(
           system, std::to_string(cg.diagonal) + " -> " +
+                      std::to_string(cg.column_only) + " -> " +
                       std::to_string(cg.column));
       EXPECT_LE(cg.column, cg.diagonal) << "point " << i;
+      EXPECT_LE(cg.column, cg.column_only) << "point " << i;
     }
   }
 }
