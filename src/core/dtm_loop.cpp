@@ -33,11 +33,12 @@ const obs::Histogram g_obs_lookup_ms =
     obs::histogram("dtm.lookup_ms", obs::exponential_bounds(0.001, 2.0, 12));
 const obs::Counter g_obs_fallbacks = obs::counter("dtm.fallback_decisions");
 const obs::Counter g_obs_watchdog_trips = obs::counter("dtm.watchdog_trips");
-// Factor-reuse economics of the fast transient path.
+// Cost of the transient steps: CG iterations, and the steps that took the
+// banded fallback.
+const obs::Counter g_obs_step_cg_iterations =
+    obs::counter("dtm.step_cg_iterations");
 const obs::Counter g_obs_step_factorizations =
     obs::counter("dtm.step_factorizations");
-const obs::Counter g_obs_step_factor_hits =
-    obs::counter("dtm.step_factor_hits");
 const obs::Counter g_obs_step_lu_fallbacks =
     obs::counter("dtm.step_lu_fallbacks");
 
@@ -115,12 +116,11 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   const double t_max = model.config().t_max;
   const double dt = options.time_step;
 
-  // Fast transient path: the stepper reuses one banded factorization while
-  // the held setting (and the held leakage slopes) stay bit-constant —
-  // per-step trace power and exact leakage only touch the right-hand side.
-  // The chip-only runaway verdict is this loop's historical semantics (the
-  // TEC reject side may legitimately exceed the all-node limit under max
-  // current).
+  // The transient path: one CG-solved backward-Euler step per time step,
+  // on the exact leakage tangent and the step's trace power (see
+  // thermal/transient_engine.h). The chip-only runaway verdict is this
+  // loop's historical semantics (the TEC reject side may legitimately exceed
+  // the all-node limit under max current).
   thermal::TransientStepper::Config stepper_cfg;
   stepper_cfg.runaway_temperature = 500.0;
   stepper_cfg.runaway_check = thermal::RunawayCheck::kChipOnly;
@@ -129,8 +129,8 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   struct StepperObsFlush {
     const thermal::TransientStepper& s;
     ~StepperObsFlush() {
+      g_obs_step_cg_iterations.add(s.cg_iterations());
       g_obs_step_factorizations.add(s.factorizations());
-      g_obs_step_factor_hits.add(s.factor_hits());
       g_obs_step_lu_fallbacks.add(s.lu_fallbacks());
     }
   } stepper_obs_flush{stepper};

@@ -10,10 +10,9 @@
 //     1. reduce the trace window ahead to its per-unit max-power vector;
 //     2. obtain (ω, I) — exact OFTEC, or LUT lookup;
 //     3. hold the setting while the transient model integrates the *actual*
-//        (time-varying) trace power. Each step takes the exact leakage of
-//        the current state; the leakage slopes in the step matrix are held
-//        until one drifts 10 % (thermal::TransientOptions), so a held setting
-//        reuses one factorization for dozens of steps.
+//        (time-varying) trace power. Each step linearizes the leakage on its
+//        exact tangent at the current state and is solved by CG
+//        (thermal::TransientStepper).
 //
 // Reported metrics: temperature envelope, thermal-violation time, average
 // cooling power, and control-latency spent in the optimizer.
@@ -87,9 +86,7 @@ struct DtmOptions {
   /// Required when policy == kLut; with other policies, an optional tier-2
   /// fallback.
   const LutController* lut = nullptr;
-  /// Transient integration step [s]. The stepper holds its leakage slopes
-  /// under thermal::kDefaultRelinearizationThreshold, so a held setting
-  /// refactors only when the chip has drifted a few kelvin.
+  /// Transient integration step [s].
   double time_step = 10e-3;
 
   /// Grid resolution of the tier-3 grid-search fallback.

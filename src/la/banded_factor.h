@@ -10,9 +10,9 @@
 // runaway the leakage slope and the reject-side Peltier term can make the
 // matrix indefinite; the pivoted LU still solves any nonsingular member.
 // This type is the one place that choice is made: the
-// steady SolveEngine's factor cache, the TransientStepper's factor slots and
-// the transient oracle in tests/ all factor through it, so the engine ≡
-// oracle bit-identity holds on either path by construction.
+// steady SolveEngine's factor cache, the TransientStepper's banded fallback
+// and the transient oracle in tests/ all factor through it, so a fallback
+// step is the oracle's step, bit for bit, on either path.
 //
 // Only the lower band is read on the Cholesky path, so the matrix must be
 // symmetric (the LU fallback reads the full band).
@@ -43,8 +43,8 @@ class BandedFactor {
   void refactorize(const BandedMatrix& a);
 
   /// Staged refactorization for callers that assemble the lower band in
-  /// place (the transient stepper stamps its step matrix straight into the
-  /// factor storage, skipping a full-band assembly):
+  /// place, skipping a full-band assembly (refactorize(a) stages a's lower
+  /// band this way):
   ///   fill_lower(double* lower) writes the n×n matrix's lower band into
   ///     (k+1)·n doubles, column j at lower + j·(k+1), diagonal first, zero
   ///     past the matrix edge (the layout of la/cholesky_core.h);

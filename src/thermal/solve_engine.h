@@ -37,11 +37,11 @@
 // state's own Jacobian — which is how the optimizers get exact gradients
 // (docs/solver.md, "Exact sensitivities").
 //
-// SolveBatch fans points across a work-stealing thread pool (util/): every
-// point is computed independently from the same deterministic initial guess,
-// so the batched result vector is identical — exact, bit-for-bit — to the
-// serial reference path at any thread count (enforced by
-// tests/thermal/test_batched_vs_serial.cpp).
+// SolveBatch fans points across a self-scheduling thread pool (util/, one
+// atomic cursor per job): every point is computed independently from the
+// same deterministic initial guess, so the batched result vector is
+// identical — exact, bit-for-bit — to the serial reference path at any
+// thread count (enforced by tests/thermal/test_batched_vs_serial.cpp).
 //
 // Thread-safety contract: solve()/solve_batch() are const and safe to call
 // concurrently; the factor cache and statistics are internally synchronized.

@@ -6,14 +6,11 @@
 // optimum buys extra transient cooling (Ref. [8] suggests ≈ +1 A for ≈ 1 s).
 // thermal::TransientEngine (thermal/transient_engine.h) integrates
 // C·dT/dt = −M(ω,I)·T + rhs(ω,I) + p_leak(T) with a linearly implicit Euler
-// step: the exact leakage p(Tₙ) of the current state goes to the right-hand
-// side, and only its slope a ≈ ∂p/∂T enters the step matrix (semi-implicit
-// in the exponential). With a = p′(Tₙ) this is backward Euler on the
-// tangent; with a held slope it is a W-method (Steihaug & Wolfbrandt, Math.
-// Comp. 33, 1979): still first order for any a, and its fixed points are the
-// true steady states, because the slope only multiplies
-// ΔT = Tₙ₊₁ − Tₙ. TransientOptions::relinearization_threshold says how far a
-// held slope may drift before it is refreshed.
+// step: the leakage is linearized on its exact tangent at the current state
+// Tₙ, so p(Tₙ) goes to the right-hand side and the slope a = p′(Tₙ) enters
+// the step matrix (semi-implicit in the exponential). That is backward
+// Euler on the tangent, first order in dt; its fixed points are the true
+// steady states.
 #pragma once
 
 #include <cstddef>
@@ -39,35 +36,12 @@ using ControlSchedule = std::function<ControlSetting(double time)>;
 using FeedbackControl =
     std::function<ControlSetting(double time, double max_chip_temperature)>;
 
-/// Default relative tolerance on the held leakage slopes. A cell's slope
-/// β·p(T) moves by a factor e^(β·ΔT), so 0.1 lets the chip drift
-/// ln(1.1)/β ≈ 3.2 K at β = 0.030/K before the step matrix changes. On the
-/// `dtm_lut` pool (64 LUT-driven 0.5-s segments at the 10×10 model, 10-ms
-/// steps) it makes 0.04 factorizations per step instead of 1 and keeps the
-/// per-sample max chip temperature within 0.03 K of tolerance 0, two orders
-/// below backward Euler's own error at that step (≈ 1.6 K max). Tighter
-/// tolerances buy little accuracy for many more factorizations; looser ones
-/// save few factorizations (docs/solver.md, "Held leakage slopes").
-inline constexpr double kDefaultRelinearizationThreshold = 0.1;
-
 struct TransientOptions {
   double time_step = 1e-3;   ///< [s]
   double duration = 1.0;     ///< [s]
   /// Record a sample every `record_stride` steps (1 = every step).
   std::size_t record_stride = 1;
   double runaway_temperature = 500.0;  ///< [K]
-  /// Relative tolerance ε on the held leakage slopes (dimensionless, ≥ 0).
-  /// Every step evaluates each chip cell's exact leakage pᵢ(Tₙ) and slope
-  /// βᵢ·pᵢ(Tₙ); the step matrix sees only the held slopes aᵢ, which are
-  /// refreshed — all cells at once — when some cell's exact slope differs
-  /// from its held one by more than ε·aᵢ. Between refreshes the step matrix
-  /// is bit-constant under a held setting, which is what lets
-  /// TransientEngine reuse one factorization across many steps. The hold
-  /// misstates no power at the current state, only the slope applied to
-  /// ΔT, so it adds an O(ε·dt) term to backward Euler's O(dt) error and
-  /// leaves the steady states alone. 0 refreshes whenever a slope moves:
-  /// backward Euler on the exact leakage tangent at every step.
-  double relinearization_threshold = kDefaultRelinearizationThreshold;
 };
 
 /// Backward-Euler step plan for one horizon: `steps` steps of `time_step`

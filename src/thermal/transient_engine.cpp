@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "util/fault.h"
+#include "la/banded_factor.h"
 #include "util/obs.h"
 #include "util/stopwatch.h"
 
@@ -18,34 +16,15 @@ namespace {
 
 const obs::Counter g_obs_runs = obs::counter("transient_engine.runs");
 const obs::Counter g_obs_steps = obs::counter("transient_engine.steps");
+const obs::Counter g_obs_cg_iterations =
+    obs::counter("transient_engine.cg_iterations");
 const obs::Counter g_obs_factorizations =
     obs::counter("transient_engine.factorizations");
-const obs::Counter g_obs_factor_hits =
-    obs::counter("transient_engine.factor_hits");
-const obs::Counter g_obs_self_heals =
-    obs::counter("transient_engine.self_heals");
-const obs::Counter g_obs_slot_invalidations =
-    obs::counter("transient_engine.slot_invalidations");
 const obs::Counter g_obs_lu_fallbacks =
     obs::counter("transient_engine.lu_fallbacks");
 const obs::Counter g_obs_batches = obs::counter("transient_engine.batches");
 const obs::Gauge g_obs_steps_per_s =
     obs::gauge("transient_engine.steps_per_s");
-
-/// Factors a stepper keeps warm (LRU): distinct (dt, ω, I, slopes) keys.
-constexpr std::size_t kFactorSlots = 8;
-
-// Injects a corrupt solution on the cached-factor path (a stale or
-// bit-rotted factor slot); the stepper's self-heal must rebuild the factor
-// and recover bit-identically.
-const fault::Site g_fault_factor_corrupt =
-    fault::site("transient_engine.factor_corrupt");
-
-[[nodiscard]] std::uint64_t bits_of(double v) noexcept {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
 
 void validate_options(const TransientOptions& options) {
   // duration == 0 is a valid no-op horizon: zero steps, state unchanged.
@@ -54,10 +33,6 @@ void validate_options(const TransientOptions& options) {
   }
   if (options.record_stride == 0) {
     throw std::invalid_argument("TransientEngine: record_stride must be >= 1");
-  }
-  if (!(options.relinearization_threshold >= 0.0)) {
-    throw std::invalid_argument(
-        "TransientEngine: relinearization_threshold must be >= 0");
   }
 }
 
@@ -79,38 +54,37 @@ TransientStepper::TransientStepper(
       config_(config),
       n_(model.layout().node_count()),
       cells_(model.layout().cells_per_layer()),
-      bw_(model.layout().bandwidth()) {
+      base_(model.static_csr_system()),
+      system_(base_) {
   if (leakage_.size() != cells_) {
     throw std::invalid_argument("TransientStepper: per-cell arity mismatch");
   }
+  // static_csr_system() stores a diagonal on every node.
+  diag_pos_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    diag_pos_[i] = base_.matrix.position(i, i);
+  }
+  const NodeLayout& layout = model.layout();
+  std::vector<std::size_t> slab_first(kSlabCount);
+  for (std::size_t k = 0; k < kSlabCount; ++k) {
+    slab_first[k] = layout.node(static_cast<Slab>(k), 0);
+  }
+  symbolic_ = la::ColumnBlockSymbolic::analyze(base_.matrix, cells_,
+                                               std::move(slab_first));
 
-  // The model's static part; the per-step stamps add the operating point in
-  // ThermalModel::assemble's order, so every entry accumulates assemble()'s
-  // additions in its order. Only the lower band is kept.
-  AssembledSystem base = model.static_system();
-  base_lower_ = la::lower_band(base.matrix);
-  base_rhs_ = std::move(base.rhs);
-
+  taylor_.resize(cells_);
   cell_current_.assign(cells_, 0.0);
-  rhs_.assign(n_, 0.0);
   next_.assign(n_, 0.0);
   chip_next_.assign(cells_, 0.0);
   cold_.assign(cells_, 0.0);
   hot_.assign(cells_, 0.0);
-  taylor_.resize(cells_);
-  exact_slope_.assign(cells_, 0.0);
-  key_slopes_.assign(cells_, 0);
-  slots_.resize(kFactorSlots);
-  for (FactorSlot& slot : slots_) slot.key_slopes.assign(cells_, 0);
 
   reset(la::Vector(n_, model.config().ambient));
 }
 
 void TransientStepper::configure(double runaway_temperature,
-                                 double relinearization_threshold,
                                  RunawayCheck check) {
   config_.runaway_temperature = runaway_temperature;
-  config_.relinearization_threshold = relinearization_threshold;
   config_.runaway_check = check;
 }
 
@@ -128,118 +102,43 @@ void TransientStepper::reset(const la::Vector& initial_temperatures) {
   double m = chip_.front();
   for (const double v : chip_) m = std::max(m, v);
   max_chip_ = m;
-  holding_ = false;
 }
 
-void TransientStepper::linearize_leakage() {
-  // Exact p(Tₙ) and t_ref = Tₙ every step, slopes refreshed together once
-  // one drifts past the tolerance.
-  bool refresh = !holding_;
-  for (std::size_t i = 0; i < cells_; ++i) {
-    const power::TaylorCoefficients exact =
-        power::tangent_linearize(leakage_[i], chip_[i]);
-    refresh |= std::abs(exact.a - taylor_[i].a) >
-               config_.relinearization_threshold * taylor_[i].a;
-    exact_slope_[i] = exact.a;
-    taylor_[i].b = exact.b;
-    taylor_[i].t_ref = exact.t_ref;
-  }
-  holding_ = true;
-  if (!refresh) return;
-  bool slopes_changed = false;
-  for (std::size_t i = 0; i < cells_; ++i) {
-    taylor_[i].a = exact_slope_[i];
-    const std::uint64_t bits = bits_of(taylor_[i].a);
-    slopes_changed |= bits != key_slopes_[i];
-    key_slopes_[i] = bits;
-  }
-  if (!slopes_changed) return;
-  // New slopes make every factor keyed on the old slopes unreachable for
-  // this trace, yet "used" slots survive LRU preference — so when every
-  // step refreshes (tolerance 0) eviction used to cycle round-robin through
-  // all slots, streaming the full multi-slot factor working set each step
-  // and running *slower* than refactoring into one recycled buffer.
-  // Invalidating the stale slots steers lru_slot() back to one cache-warm
-  // buffer. Pure cache policy: factors are exact functions of their keys,
-  // so results are unchanged bit-for-bit.
-  for (FactorSlot& slot : slots_) {
-    if (slot.used && slot.key_slopes != key_slopes_) {
-      slot.used = false;
-      ++n_slot_invalidations_;
-      g_obs_slot_invalidations.add();
-    }
-  }
-}
-
-void TransientStepper::stamp_step_diagonal(double* diag, std::size_t stride,
-                                           double omega, double dt) const {
-  model_->stamp_diagonal({diag, stride}, omega, cell_current_, taylor_);
-  const la::Vector& cap = model_->capacitances();
-  for (std::size_t i = 0; i < n_; ++i) diag[i * stride] += cap[i] / dt;
-}
-
-bool TransientStepper::refactor(FactorSlot& slot, double omega, double dt) {
-  slot.used = false;
-  try {
-    // Cholesky on the base lower band plus this step's diagonal, stamped in
-    // place; a non-positive pivot rebuilds the full band (the mirrored base
-    // with the same stamps) for the pivoted LU — the assembled step matrix,
-    // bit for bit, on either path.
-    slot.factor.refactorize(
-        n_, bw_,
-        [&](double* lower) {
-          std::copy(base_lower_.begin(), base_lower_.end(), lower);
-          stamp_step_diagonal(lower, bw_ + 1, omega, dt);
-        },
-        [&] {
-          la::BandedMatrix full =
-              la::symmetric_from_lower(n_, bw_, base_lower_.data());
-          stamp_step_diagonal(full.col_ptr(0) + 2 * bw_, full.storage_rows(),
-                              omega, dt);
-          return full;
-        });
-  } catch (const std::runtime_error&) {
-    return false;  // singular step matrix: a runaway verdict
-  }
-  ++n_factorizations_;
-  if (slot.factor.kind() == la::BandedFactor::Kind::kLu) ++n_lu_fallbacks_;
+bool TransientStepper::solve_cg_step() {
+  const la::SparseMatrix& a = system_.matrix;
+  if (!column_.factor(symbolic_, a)) return false;
+  a.residual_into(system_.rhs, temps_, residual_);
+  la::IterativeOptions opts;
+  opts.tolerance = kStepTolerance;
+  opts.workspace = &cg_;
+  opts.preconditioner = &column_;
+  const la::IterativeResult delta = la::solve_cg(a, residual_, opts);
+  n_cg_iterations_ += delta.iterations;
+  if (!delta.converged) return false;
+  for (std::size_t i = 0; i < n_; ++i) next_[i] = temps_[i] + delta.x[i];
   return true;
 }
 
-void TransientStepper::assemble_rhs(double omega,
-                                    const la::Vector& cell_dynamic_power,
-                                    double dt) {
-  rhs_ = base_rhs_;
-  model_->stamp_rhs(rhs_, omega, cell_current_, cell_dynamic_power, taylor_);
+bool TransientStepper::solve_banded_step(const ControlSetting& setting,
+                                         const la::Vector& cell_dynamic_power,
+                                         double dt) {
+  AssembledSystem sys = model_->assemble(setting.omega, cell_current_,
+                                         cell_dynamic_power, taylor_);
   const la::Vector& cap = model_->capacitances();
   for (std::size_t i = 0; i < n_; ++i) {
     const double c_dt = cap[i] / dt;
-    rhs_[i] += c_dt * temps_[i];
+    sys.matrix.add(i, i, c_dt);
+    sys.rhs[i] += c_dt * temps_[i];
   }
-}
-
-TransientStepper::FactorSlot* TransientStepper::find_slot(double omega,
-                                                          double current,
-                                                          double dt) {
-  const std::uint64_t kd = bits_of(dt);
-  const std::uint64_t ko = bits_of(omega);
-  const std::uint64_t kc = bits_of(current);
-  for (FactorSlot& slot : slots_) {
-    if (slot.used && slot.key_dt == kd && slot.key_omega == ko &&
-        slot.key_current == kc && slot.key_slopes == key_slopes_) {
-      return &slot;
-    }
+  try {
+    const la::BandedFactor factor(sys.matrix);
+    ++n_factorizations_;
+    if (factor.kind() == la::BandedFactor::Kind::kLu) ++n_lu_fallbacks_;
+    next_ = factor.solve(sys.rhs);
+  } catch (const std::runtime_error&) {
+    return false;  // singular step matrix: a runaway verdict
   }
-  return nullptr;
-}
-
-TransientStepper::FactorSlot& TransientStepper::lru_slot() {
-  FactorSlot* victim = &slots_.front();
-  for (FactorSlot& slot : slots_) {
-    if (!slot.used) return slot;
-    if (slot.stamp < victim->stamp) victim = &slot;
-  }
-  return *victim;
+  return true;
 }
 
 bool TransientStepper::verdict(double& max_chip_out) {
@@ -259,21 +158,12 @@ bool TransientStepper::verdict(double& max_chip_out) {
   return true;
 }
 
-void TransientStepper::commit(double verdict_max_chip) {
-  std::swap(temps_, next_);
-  std::swap(chip_, chip_next_);
-  max_chip_ = verdict_max_chip;
-  ++n_steps_;
-}
-
 bool TransientStepper::step(const ControlSetting& setting,
                             const la::Vector& cell_dynamic_power, double dt) {
   if (cell_dynamic_power.size() != cells_) {
     throw std::invalid_argument("TransientStepper::step: per-cell arity");
   }
-  // ThermalModel::assemble's range check, made on every step so that
-  // out-of-range controller outputs fail whether or not the factor is
-  // cached.
+  // ThermalModel::assemble's range check.
   if (setting.current < 0.0 ||
       setting.current > model_->config().tec.max_current * (1.0 + 1e-9)) {
     throw std::invalid_argument("TransientStepper::step: current out of range");
@@ -282,50 +172,37 @@ bool TransientStepper::step(const ControlSetting& setting,
     throw std::invalid_argument("TransientStepper::step: dt must be > 0");
   }
 
-  linearize_leakage();
+  for (std::size_t i = 0; i < cells_; ++i) {
+    taylor_[i] = power::tangent_linearize(leakage_[i], chip_[i]);
+  }
   std::fill(cell_current_.begin(), cell_current_.end(), setting.current);
 
-  FactorSlot* slot = find_slot(setting.omega, setting.current, dt);
-  const bool hit = slot != nullptr;
-  if (hit) {
-    ++n_factor_hits_;
-    slot->stamp = ++lru_stamp_;
-  } else {
-    slot = &lru_slot();
-    if (!refactor(*slot, setting.omega, dt)) return false;
-    slot->key_dt = bits_of(dt);
-    slot->key_omega = bits_of(setting.omega);
-    slot->key_current = bits_of(setting.current);
-    slot->key_slopes = key_slopes_;
-    slot->used = true;
-    slot->stamp = ++lru_stamp_;
+  // (C/dt + M)·Tₙ₊₁ = C/dt·Tₙ + rhs on the static pattern: the model's
+  // stamps in ThermalModel::assemble's order, then C/dt.
+  std::vector<double>& values = system_.matrix.mutable_values();
+  values = base_.matrix.values();
+  model_->stamp_diagonal({.data = values.data(), .positions = diag_pos_.data()},
+                         setting.omega, cell_current_, taylor_);
+  system_.rhs = base_.rhs;
+  model_->stamp_rhs(system_.rhs, setting.omega, cell_current_,
+                    cell_dynamic_power, taylor_);
+  const la::Vector& cap = model_->capacitances();
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double c_dt = cap[i] / dt;
+    values[diag_pos_[i]] += c_dt;
+    system_.rhs[i] += c_dt * temps_[i];
   }
 
-  assemble_rhs(setting.omega, cell_dynamic_power, dt);
-  next_ = rhs_;
-  slot->factor.solve_in_place(next_);
-  if (hit && g_fault_factor_corrupt.should_fail()) {
-    next_[0] = std::numeric_limits<double>::quiet_NaN();
+  if (!solve_cg_step() &&
+      !solve_banded_step(setting, cell_dynamic_power, dt)) {
+    return false;
   }
-
   double m = 0.0;
-  bool ok = verdict(m);
-  if (!ok && hit) {
-    // Self-heal: a cached factor that yields a non-physical state gets one
-    // fresh rebuild before the verdict stands (the SolveEngine discipline).
-    // A genuine runaway re-fails identically — a fresh factor of the same
-    // matrix is bit-identical — so exactness is preserved.
-    ++n_self_heals_;
-    if (!refactor(*slot, setting.omega, dt)) return false;
-    slot->used = true;
-    slot->stamp = ++lru_stamp_;
-    next_ = rhs_;
-    slot->factor.solve_in_place(next_);
-    ok = verdict(m);
-  }
-  if (!ok) return false;
-
-  commit(m);
+  if (!verdict(m)) return false;
+  std::swap(temps_, next_);
+  std::swap(chip_, chip_next_);
+  max_chip_ = m;
+  ++n_steps_;
   return true;
 }
 
@@ -363,10 +240,9 @@ TransientSample TransientStepper::sample(double time,
 // TransientEngine
 // ---------------------------------------------------------------------------
 
-/// Checkout pool of steppers plus the engine-level stat accumulators. Warm
-/// factor caches persist across runs; since every factor is a pure function
-/// of its exact-bits key, which stepper serves which run never affects
-/// results.
+/// Checkout pool of steppers plus the engine-level stat accumulators. A step
+/// carries nothing over from earlier steps or runs but the state it is
+/// given, so which stepper serves which run never affects results.
 class TransientEngine::StepperPool {
  public:
   StepperPool(const ThermalModel& model,
@@ -392,10 +268,8 @@ class TransientEngine::StepperPool {
 
   std::atomic<std::size_t> runs{0};
   std::atomic<std::size_t> steps{0};
+  std::atomic<std::size_t> cg_iterations{0};
   std::atomic<std::size_t> factorizations{0};
-  std::atomic<std::size_t> factor_hits{0};
-  std::atomic<std::size_t> self_heals{0};
-  std::atomic<std::size_t> slot_invalidations{0};
   std::atomic<std::size_t> lu_fallbacks{0};
 
  private:
@@ -418,9 +292,7 @@ namespace {
   const double dt = options.time_step;
   const StepPlan plan = plan_steps(options.duration, dt);
 
-  stepper.configure(options.runaway_temperature,
-                    options.relinearization_threshold,
-                    RunawayCheck::kAllNodes);
+  stepper.configure(options.runaway_temperature, RunawayCheck::kAllNodes);
   stepper.reset(initial_temperatures);
 
   TransientResult result;
@@ -523,32 +395,25 @@ TransientResult TransientEngine::run_impl(
 
   std::unique_ptr<TransientStepper> stepper = steppers_->checkout();
   const std::size_t steps0 = stepper->steps();
+  const std::size_t cg0 = stepper->cg_iterations();
   const std::size_t fact0 = stepper->factorizations();
-  const std::size_t hits0 = stepper->factor_hits();
-  const std::size_t heals0 = stepper->self_heals();
-  const std::size_t invals0 = stepper->slot_invalidations();
   const std::size_t lu0 = stepper->lu_fallbacks();
   const util::Stopwatch watch;
 
   const auto finish = [&]() {
     const std::size_t steps = stepper->steps() - steps0;
+    const std::size_t cg = stepper->cg_iterations() - cg0;
     const std::size_t facts = stepper->factorizations() - fact0;
-    const std::size_t hits = stepper->factor_hits() - hits0;
-    const std::size_t heals = stepper->self_heals() - heals0;
-    const std::size_t invals = stepper->slot_invalidations() - invals0;
     const std::size_t lu = stepper->lu_fallbacks() - lu0;
     steppers_->runs.fetch_add(1, std::memory_order_relaxed);
     steppers_->steps.fetch_add(steps, std::memory_order_relaxed);
+    steppers_->cg_iterations.fetch_add(cg, std::memory_order_relaxed);
     steppers_->factorizations.fetch_add(facts, std::memory_order_relaxed);
-    steppers_->factor_hits.fetch_add(hits, std::memory_order_relaxed);
-    steppers_->self_heals.fetch_add(heals, std::memory_order_relaxed);
-    steppers_->slot_invalidations.fetch_add(invals, std::memory_order_relaxed);
     steppers_->lu_fallbacks.fetch_add(lu, std::memory_order_relaxed);
     g_obs_runs.add();
     g_obs_steps.add(steps);
+    g_obs_cg_iterations.add(cg);
     g_obs_factorizations.add(facts);
-    g_obs_factor_hits.add(hits);
-    g_obs_self_heals.add(heals);
     g_obs_lu_fallbacks.add(lu);
     if (obs::enabled() && steps > 0) {
       const double elapsed_s = watch.elapsed_ms() / 1e3;
@@ -602,12 +467,9 @@ TransientEngineStats TransientEngine::stats() const {
   TransientEngineStats s;
   s.runs = steppers_->runs.load(std::memory_order_relaxed);
   s.steps = steppers_->steps.load(std::memory_order_relaxed);
+  s.cg_iterations = steppers_->cg_iterations.load(std::memory_order_relaxed);
   s.factorizations =
       steppers_->factorizations.load(std::memory_order_relaxed);
-  s.factor_hits = steppers_->factor_hits.load(std::memory_order_relaxed);
-  s.self_heals = steppers_->self_heals.load(std::memory_order_relaxed);
-  s.slot_invalidations =
-      steppers_->slot_invalidations.load(std::memory_order_relaxed);
   s.lu_fallbacks = steppers_->lu_fallbacks.load(std::memory_order_relaxed);
   return s;
 }
@@ -615,10 +477,8 @@ TransientEngineStats TransientEngine::stats() const {
 void TransientEngine::reset_stats() const {
   steppers_->runs.store(0, std::memory_order_relaxed);
   steppers_->steps.store(0, std::memory_order_relaxed);
+  steppers_->cg_iterations.store(0, std::memory_order_relaxed);
   steppers_->factorizations.store(0, std::memory_order_relaxed);
-  steppers_->factor_hits.store(0, std::memory_order_relaxed);
-  steppers_->self_heals.store(0, std::memory_order_relaxed);
-  steppers_->slot_invalidations.store(0, std::memory_order_relaxed);
   steppers_->lu_fallbacks.store(0, std::memory_order_relaxed);
 }
 

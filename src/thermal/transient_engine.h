@@ -1,69 +1,54 @@
 // Transient engine: backward-Euler simulation of the RC network, the one
 // transient path in the library.
 //
-// A step solves (C/dt + M(ω, I, a))·Tₙ₊₁ = C/dt·Tₙ + rhs(ω, I, Tₙ), where
-// the exact leakage of the current state enters rhs and only its held
-// slopes a enter the matrix (thermal/transient.h). Refactoring that banded
-// matrix (O(n·bw²)) at every step would dominate every closed-loop run —
-// the DTM loop, transient boost, serve sessions and the ablation benches —
-// so the engine avoids it without changing an output bit:
+// A step solves (C/dt + M(ω, I, a))·Tₙ₊₁ = C/dt·Tₙ + rhs(ω, I, Tₙ), with the
+// leakage linearized on its exact tangent at Tₙ (thermal/transient.h). The
+// step matrix is symmetric, and with C/dt on its diagonal positive definite
+// away from runaway, so the step runs on the CG path of the steady solves:
 //
-//   1. Static base plus stamps. The conduction edges and PCB-ambient
-//      couplings never change across steps; the stepper takes them once,
-//      at construction, from ThermalModel::static_system() and keeps the
-//      lower band ((k+1)·n doubles) and rhs. A factorization copies that
-//      base straight into a factor slot's storage, lets the model stamp the
-//      operating point onto its diagonal (ThermalModel::stamp_diagonal,
-//      assemble()'s order), adds C/dt, and runs Cholesky in place — so
-//      every entry accumulates ThermalModel::assemble's additions in its
-//      order, followed by C/dt, and the factor is that of the assembled
-//      step matrix, bit for bit. The step matrix is symmetric, and with C/dt
-//      on its diagonal positive definite away from runaway; on a
-//      non-positive pivot the stepper rebuilds the full band (mirrored base
-//      + the same stamps) and takes the pivoted LU (counted in
-//      lu_fallbacks()). The rhs is built the same way (stamp_rhs, then
-//      C/dt·Tₙ).
+//   1. Static pattern plus stamps. The stepper copies
+//      ThermalModel::static_csr_system() once, at construction; each step
+//      copies its values, lets the model stamp the operating point onto the
+//      diagonal (ThermalModel::stamp_diagonal, at positions looked up once)
+//      and the right-hand side (stamp_rhs), and adds C/dt and C/dt·Tₙ — the
+//      way IncrementalAssembler builds the steady system.
 //
-//   2. Factor reuse. The step matrix depends only on (dt, ω, I, held
-//      leakage slopes); the exact leakage of the current state enters the
-//      right-hand side alone. Factors are cached in a small LRU (eight
-//      slots) keyed on the exact IEEE bits of those inputs (the steady
-//      SolveEngine's keying discipline). Under a held setting a
-//      factorization lasts until some chip cell's exact slope leaves the
-//      relative tolerance around its held one
-//      (TransientOptions::relinearization_threshold, default 0.1: ≈ 3 K of
-//      drift) — a few dozen 10-ms steps of a DTM replay, a whole run near
-//      steady state; controllers that toggle between a few settings (LUT,
-//      fail-safe chains) hit warm slots. At tolerance 0 the slopes refresh
-//      whenever the chip moves, and every such step refactors.
+//   2. Column blocks, refactored every step. The z-column block-Jacobi
+//      factor (la/column_jacobi.h, no coarse level: C/dt dominates the
+//      lateral coupling) costs O(n) and takes the step's exact slopes, so no
+//      factor outlives its step and nothing is cached across steps or runs.
 //
-//   3. Allocation-free stepping. All workspaces, the per-cell current
-//      buffer included, are preallocated; a Cholesky refactorization reuses
-//      its slot's lower-band storage and solves run in place, so once the
-//      slots are warm the step loop performs zero heap allocations. (The LU
-//      fallback allocates its full band; it fires only on
-//      non-positive-definite step matrices.)
+//   3. CG on the increment. la::solve_cg solves A·δ = b − A·Tₙ from δ = 0
+//      and stops at ‖r‖ ≤ kStepTolerance·‖b − A·Tₙ‖; Tₙ₊₁ = Tₙ + δ. The stop
+//      rule is relative to the step's own change, so its error does not
+//      grow with C/dt·Tₙ as a rule on ‖b‖ would.
 //
-//   4. run_batch fans independent traces across util::ThreadPool. Each
-//      trace runs on its own stepper, results are written by job index, and
-//      every factor is a pure function of its exact-bits key — so batched
-//      results are bit-identical to serial at any thread count.
+//   4. Banded fallback. A non-positive column pivot, an indefinite CG
+//      verdict or a stall sends that one step through la::BandedFactor on
+//      the assembled band (Cholesky, then pivoted LU): the direct step of
+//      tests/thermal/transient_oracle.h. factorizations() counts those
+//      steps and lu_fallbacks() the ones that took the LU.
 //
-// Exactness contract: for identical inputs (model, workload, options,
-// control), TransientEngine produces bit-identical TransientResults —
-// samples, final temperatures, step counts, runaway verdicts — to the
-// executable specification in tests/thermal/transient_oracle.h, which
-// assembles and factors the full step matrix at every step, at any thread
-// count and any slope tolerance.
+//   5. run_batch fans independent traces across util::ThreadPool. Each
+//      trace runs on its own stepper and results are written by job index;
+//      a step depends on its inputs alone, so batched results are
+//      bit-identical to serial at any thread count.
+//
+// Accuracy contract: away from runaway the engine agrees with the direct
+// oracle within the bound stated in tests/thermal/transient_oracle.h on
+// every sample and every final node temperature (the stop rule's error
+// grows with a step's change and with the step matrix's conditioning, so
+// not near a singular one; docs/solver.md). Within one process (one kernel
+// backend) a run's result depends only on its inputs, bit for bit.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "la/banded_factor.h"
+#include "la/column_jacobi.h"
+#include "la/iterative.h"
 #include "la/vector_ops.h"
 #include "power/leakage.h"
 #include "thermal/model.h"
@@ -78,17 +63,18 @@ enum class RunawayCheck {
   kChipOnly,  ///< the max chip temperature only (the DTM loop's verdict)
 };
 
-/// Allocation-free backward-Euler stepper with factor reuse. One stepper =
-/// one integration in flight; it is not thread-safe (TransientEngine keeps a
-/// pool of them). The DTM loop drives one directly because its per-step
-/// power varies with the trace — power only touches the right-hand side, so
-/// factor reuse still applies.
+/// Backward-Euler stepper on the CG path. One stepper = one integration in
+/// flight; it is not thread-safe (TransientEngine keeps a pool of them). The
+/// DTM loop drives one directly because its per-step power varies with the
+/// trace.
 class TransientStepper {
  public:
+  /// CG stops a step at ‖r‖ ≤ kStepTolerance·‖b − A·Tₙ‖, relative to the
+  /// residual of the unchanged state.
+  static constexpr double kStepTolerance = 1e-7;
+
   struct Config {
     double runaway_temperature = 500.0;  ///< [K]
-    /// Relative slope tolerance; see TransientOptions.
-    double relinearization_threshold = kDefaultRelinearizationThreshold;
     RunawayCheck runaway_check = RunawayCheck::kAllNodes;
   };
 
@@ -98,14 +84,11 @@ class TransientStepper {
                    std::vector<power::ExponentialTerm> cell_leakage,
                    Config config);
 
-  /// Re-apply per-run policy without touching the factor cache (factors are
-  /// pure functions of their exact-bits key, so cross-run reuse is sound).
-  void configure(double runaway_temperature, double relinearization_threshold,
-                 RunawayCheck check);
+  /// Re-apply the per-run runaway policy.
+  void configure(double runaway_temperature, RunawayCheck check);
 
-  /// Set the integration state and drop the held slopes (a fresh run always
-  /// takes exact slopes at its first step).
-  /// Throws std::invalid_argument on arity mismatch.
+  /// Set the integration state. Throws std::invalid_argument on arity
+  /// mismatch.
   void reset(const la::Vector& initial_temperatures);
 
   /// Advance one backward-Euler step of length `dt` under `setting` with the
@@ -141,49 +124,30 @@ class TransientStepper {
                                        const ControlSetting& setting) const;
 
   [[nodiscard]] std::size_t steps() const noexcept { return n_steps_; }
+  /// CG iterations over all steps.
+  [[nodiscard]] std::size_t cg_iterations() const noexcept {
+    return n_cg_iterations_;
+  }
+  /// Steps that took the banded fallback (one factorization each).
   [[nodiscard]] std::size_t factorizations() const noexcept {
     return n_factorizations_;
-  }
-  [[nodiscard]] std::size_t factor_hits() const noexcept {
-    return n_factor_hits_;
-  }
-  [[nodiscard]] std::size_t self_heals() const noexcept {
-    return n_self_heals_;
-  }
-  [[nodiscard]] std::size_t slot_invalidations() const noexcept {
-    return n_slot_invalidations_;
   }
   /// Factorizations whose step matrix was not positive definite and took
   /// the pivoted-LU fallback (included in factorizations()).
   [[nodiscard]] std::size_t lu_fallbacks() const noexcept {
     return n_lu_fallbacks_;
   }
+  /// Always 0: no factor outlives its step.
+  [[nodiscard]] std::size_t factor_hits() const noexcept { return 0; }
 
  private:
-  struct FactorSlot {
-    bool used = false;
-    std::uint64_t stamp = 0;  ///< LRU recency
-    std::uint64_t key_dt = 0;
-    std::uint64_t key_omega = 0;
-    std::uint64_t key_current = 0;
-    std::vector<std::uint64_t> key_slopes;
-    la::BandedFactor factor;
-  };
-
-  /// Exact leakage at the current state with the held slopes, refreshed
-  /// when one drifts past the tolerance (TransientOptions).
-  void linearize_leakage();
-  /// The model's operating-point stamps, then C/dt, on the diagonal at
-  /// diag[i·stride].
-  void stamp_step_diagonal(double* diag, std::size_t stride, double omega,
-                           double dt) const;
-  /// Factor the step matrix into `slot`; false when it is singular.
-  [[nodiscard]] bool refactor(FactorSlot& slot, double omega, double dt);
-  void assemble_rhs(double omega, const la::Vector& cell_dynamic_power,
-                    double dt);
-  [[nodiscard]] FactorSlot* find_slot(double omega, double current, double dt);
-  [[nodiscard]] FactorSlot& lru_slot();
-  void commit(double verdict_max_chip);
+  /// Solve the stamped step system by CG into next_; false when the column
+  /// factor or CG fails.
+  [[nodiscard]] bool solve_cg_step();
+  /// Solve the assembled band into next_; false when it is singular.
+  [[nodiscard]] bool solve_banded_step(const ControlSetting& setting,
+                                       const la::Vector& cell_dynamic_power,
+                                       double dt);
   [[nodiscard]] bool verdict(double& max_chip_out);
 
   const ThermalModel* model_;
@@ -191,16 +155,20 @@ class TransientStepper {
   Config config_;
   std::size_t n_ = 0;
   std::size_t cells_ = 0;
-  std::size_t bw_ = 0;  ///< band half-width k
 
-  // ThermalModel::static_system(), taken once; the matrix is kept as its
-  // lower band (la::BandedFactor's staging layout).
-  la::Vector base_lower_;
-  la::Vector base_rhs_;
+  // ThermalModel::static_csr_system(), taken once; each step re-stamps the
+  // values of system_ from it.
+  CsrSystem base_;
+  CsrSystem system_;
+  std::vector<std::size_t> diag_pos_;  ///< storage index of (i, i)
+  la::ColumnBlockSymbolic symbolic_;
+  la::ColumnBlockJacobi column_;
+  la::CgWorkspace cg_;
+  la::Vector residual_;  ///< b − A·Tₙ
 
-  // Step workspaces.
+  // Step state.
+  std::vector<power::TaylorCoefficients> taylor_;  ///< tangents at Tₙ
   la::Vector cell_current_;  ///< the step's current on every cell
-  la::Vector rhs_;
   la::Vector next_;
   la::Vector temps_;
   la::Vector chip_;
@@ -209,21 +177,9 @@ class TransientStepper {
   mutable la::Vector hot_;   ///< TEC reject-side temps
   double max_chip_ = 0.0;
 
-  // Leakage linearization: exact b and t_ref of the current state, held
-  // slopes a (their bits are the factor key's slope part).
-  std::vector<power::TaylorCoefficients> taylor_;
-  la::Vector exact_slope_;
-  std::vector<std::uint64_t> key_slopes_;
-  bool holding_ = false;
-
-  std::vector<FactorSlot> slots_;
-  std::uint64_t lru_stamp_ = 0;
-
   std::size_t n_steps_ = 0;
+  std::size_t n_cg_iterations_ = 0;
   std::size_t n_factorizations_ = 0;
-  std::size_t n_factor_hits_ = 0;
-  std::size_t n_self_heals_ = 0;
-  std::size_t n_slot_invalidations_ = 0;
   std::size_t n_lu_fallbacks_ = 0;
 };
 
@@ -240,17 +196,14 @@ struct TransientJob {
 struct TransientEngineStats {
   std::size_t runs = 0;
   std::size_t steps = 0;
-  std::size_t factorizations = 0;
-  std::size_t factor_hits = 0;
-  std::size_t self_heals = 0;
-  std::size_t slot_invalidations = 0;
+  std::size_t cg_iterations = 0;
+  std::size_t factorizations = 0;  ///< steps that took the banded fallback
   std::size_t lu_fallbacks = 0;  ///< factorizations that took the LU fallback
 };
 
 /// Transient integration of one model + workload: run()/run_closed_loop()
 /// from a given state, plus run_batch for fanning independent traces.
-/// Thread-safe: concurrent runs check steppers out of an internal pool (warm
-/// factor caches carry across runs).
+/// Thread-safe: concurrent runs check steppers out of an internal pool.
 class TransientEngine {
  public:
   struct Config {

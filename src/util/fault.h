@@ -9,8 +9,6 @@
 //   solve_engine.nan           non-finite temperatures escape the solver core
 //   solve_engine.factor_corrupt  a cached numeric factor returns garbage
 //   solve_engine.alloc_fail    allocation failure at solve entry (bad_alloc)
-//   transient_engine.factor_corrupt  a cached transient factor returns
-//                              garbage (stepper must self-heal bit-exactly)
 //   la.cg_stall                CG declines to converge (forces direct path)
 //   thread_pool.spawn_fail     a worker thread fails to start (degraded pool)
 //   serve.accept_fail          accepted connection is torn down immediately

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "../thermal/transient_oracle.h"
 #include "core/lut_controller.h"
 #include "test_fixtures.h"
 #include "thermal/steady.h"
@@ -90,17 +91,18 @@ inline DtmPool make_dtm_pool(std::uint64_t seed, std::size_t per_profile) {
 
 struct DtmReplay {
   std::vector<double> max_chip;  ///< at the end of each trace sample [K]
+  la::Vector final_temperatures;
   std::size_t steps = 0;
+  std::size_t cg_iterations = 0;
   std::size_t factorizations = 0;
   bool runaway = false;
 };
 
-/// Replay `segment` at step `dt` (a divisor of the sample interval) under
-/// the slope tolerance, as run_dtm_loop's stepper does.
+/// Replay `segment` at step `dt` (a divisor of the sample interval), as
+/// run_dtm_loop's stepper does.
 inline DtmReplay replay(const DtmPool& pool, const DtmSegment& segment,
-                        double dt, double tolerance) {
+                        double dt) {
   thermal::TransientStepper::Config cfg;
-  cfg.relinearization_threshold = tolerance;
   cfg.runaway_check = thermal::RunawayCheck::kChipOnly;
   thermal::TransientStepper stepper(*pool.model, pool.leak, cfg);
   stepper.reset(segment.initial);
@@ -116,8 +118,36 @@ inline DtmReplay replay(const DtmPool& pool, const DtmSegment& segment,
     }
     r.max_chip.push_back(stepper.max_chip_temperature());
   }
+  r.final_temperatures = stepper.temperatures();
   r.steps = stepper.steps();
+  r.cg_iterations = stepper.cg_iterations();
   r.factorizations = stepper.factorizations();
+  return r;
+}
+
+/// The same replay on the direct oracle (thermal/transient_oracle.h), one
+/// trace sample at a time.
+inline DtmReplay oracle_replay(const DtmPool& pool, const DtmSegment& segment,
+                               double dt) {
+  thermal::TransientOptions opts;
+  opts.time_step = dt;
+  opts.duration = kDtmSampleInterval;
+  const auto constant = [&segment](double) { return segment.setting; };
+  DtmReplay r;
+  r.final_temperatures = segment.initial;
+  for (const la::Vector& p : segment.power) {
+    const thermal::testing::TransientOracle oracle(*pool.model, p, pool.leak,
+                                                   opts);
+    const thermal::TransientResult step =
+        oracle.run(constant, r.final_temperatures);
+    if (step.runaway) {
+      r.runaway = true;
+      return r;
+    }
+    r.final_temperatures = step.final_temperatures;
+    r.max_chip.push_back(step.samples.back().max_chip_temperature);
+    r.steps += step.steps;
+  }
   return r;
 }
 

@@ -171,34 +171,42 @@ TEST(DtmLoop, SamplesCarryMonotoneTime) {
   EXPECT_GE(r.peak_temperature, r.samples.front().max_chip_temperature);
 }
 
-TEST(DtmLoop, DefaultSlopeHoldTracksPerStepTangentsOnTheBenchmarkPool) {
+TEST(DtmLoop, CgStepsTrackTheDirectOracleOnTheBenchmarkPool) {
   // The `dtm_lut` benchmark's seed-1 pool: 64 LUT-held 0.5-s segments at the
-  // 10×10 model and 10-ms steps. Under the default slope tolerance a replay
-  // stays within 0.05 K of per-step tangents (tolerance 0) at every sample
-  // while refactoring on at most a tenth of its steps — and run_dtm_loop
-  // takes that default.
+  // 10×10 model and 10-ms steps. A replay stays within the oracle bound of
+  // the direct stepper at every sample and on every final node temperature,
+  // factors no band, and run_dtm_loop takes the same steps.
   const testing::DtmPool pool = testing::make_dtm_pool(1, 8);
   ASSERT_EQ(pool.segments.size(), 64u);
   double worst = 0.0;
   std::size_t steps = 0;
+  std::size_t cg_iterations = 0;
   std::size_t factorizations = 0;
   for (const testing::DtmSegment& segment : pool.segments) {
     ASSERT_FALSE(segment.initial.empty());
-    const testing::DtmReplay exact = testing::replay(pool, segment, 10e-3, 0.0);
-    const testing::DtmReplay held = testing::replay(
-        pool, segment, 10e-3, thermal::kDefaultRelinearizationThreshold);
-    ASSERT_FALSE(exact.runaway);
-    ASSERT_FALSE(held.runaway);
-    ASSERT_EQ(held.max_chip.size(), exact.max_chip.size());
-    for (std::size_t i = 0; i < exact.max_chip.size(); ++i) {
-      worst = std::max(worst, std::abs(held.max_chip[i] - exact.max_chip[i]));
+    const testing::DtmReplay cg = testing::replay(pool, segment, 10e-3);
+    const testing::DtmReplay direct =
+        testing::oracle_replay(pool, segment, 10e-3);
+    ASSERT_FALSE(cg.runaway);
+    ASSERT_FALSE(direct.runaway);
+    ASSERT_EQ(cg.max_chip.size(), direct.max_chip.size());
+    for (std::size_t i = 0; i < direct.max_chip.size(); ++i) {
+      worst = std::max(worst, std::abs(cg.max_chip[i] - direct.max_chip[i]));
     }
-    steps += held.steps;
-    factorizations += held.factorizations;
+    for (std::size_t i = 0; i < direct.final_temperatures.size(); ++i) {
+      worst = std::max(worst, std::abs(cg.final_temperatures[i] -
+                                       direct.final_temperatures[i]));
+    }
+    steps += cg.steps;
+    cg_iterations += cg.cg_iterations;
+    factorizations += cg.factorizations;
   }
-  EXPECT_LT(worst, 0.05);
-  EXPECT_LE(static_cast<double>(factorizations),
-            0.1 * static_cast<double>(steps));
+  EXPECT_LE(worst, thermal::testing::kEngineAgreementK);
+  EXPECT_EQ(factorizations, 0u);
+  RecordProperty("worst_deviation_nK", static_cast<int>(worst * 1e9));
+  RecordProperty("cg_iterations_per_step_x100",
+                 static_cast<int>(100.0 * static_cast<double>(cg_iterations) /
+                                  static_cast<double>(steps)));
 
   DtmOptions opts;
   opts.policy = DtmPolicy::kLut;
@@ -208,12 +216,11 @@ TEST(DtmLoop, DefaultSlopeHoldTracksPerStepTangentsOnTheBenchmarkPool) {
   for (std::size_t k = 0; k < 8; ++k) {
     const testing::DtmSegment& segment = pool.segments[k];
     const DtmResult r = run_dtm_loop(fp(), segment.trace, leakage(), opts);
-    const testing::DtmReplay held = testing::replay(
-        pool, segment, 10e-3, thermal::kDefaultRelinearizationThreshold);
+    const testing::DtmReplay cg = testing::replay(pool, segment, 10e-3);
     ASSERT_EQ(r.watchdog_trips, 0u) << k;
-    ASSERT_EQ(r.samples.size(), held.max_chip.size()) << k;
-    for (std::size_t i = 0; i < held.max_chip.size(); ++i) {
-      EXPECT_EQ(r.samples[i].max_chip_temperature, held.max_chip[i])
+    ASSERT_EQ(r.samples.size(), cg.max_chip.size()) << k;
+    for (std::size_t i = 0; i < cg.max_chip.size(); ++i) {
+      EXPECT_EQ(r.samples[i].max_chip_temperature, cg.max_chip[i])
           << "segment " << k << ", sample " << i;
     }
   }

@@ -1,12 +1,14 @@
-// TransientEngine's exactness contract: for identical inputs it must produce
-// bit-identical TransientResults to the transient oracle
-// (transient_oracle.h) — across record strides, controller types,
-// leakage-slope tolerances, runaway early-exits, clamped horizons, and
-// run_batch at any thread count.
+// TransientEngine's accuracy contract: it agrees with the direct transient
+// oracle (transient_oracle.h) within kEngineAgreementK on every recorded max
+// chip temperature and every final node temperature — across record
+// strides, controller types, runaway early-exits, indefinite step matrices
+// and clamped horizons — and two runs on the same inputs are bit-identical,
+// on a pooled stepper, a fresh engine, or run_batch at any thread count.
 #include "thermal/transient_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <vector>
@@ -21,6 +23,7 @@
 namespace oftec::thermal {
 namespace {
 
+using testing::kEngineAgreementK;
 using testing::TransientOracle;
 
 const floorplan::Floorplan& fp() {
@@ -67,98 +70,153 @@ FeedbackControl toggle_control() {
   };
 }
 
-// Slope tolerances the contract is checked at: per-step tangents, the
-// default, and a tight hold (0.0015 ≈ 0.05 K of drift at β = 0.03/K).
-constexpr double kTolerances[] = {0.0, kDefaultRelinearizationThreshold,
-                                  0.0015};
-
-void expect_identical(const TransientResult& ref, const TransientResult& eng) {
-  EXPECT_EQ(ref.runaway, eng.runaway);
-  EXPECT_EQ(ref.steps, eng.steps);
-  ASSERT_EQ(ref.samples.size(), eng.samples.size());
-  for (std::size_t i = 0; i < ref.samples.size(); ++i) {
-    EXPECT_EQ(ref.samples[i].time, eng.samples[i].time) << "sample " << i;
-    EXPECT_EQ(ref.samples[i].max_chip_temperature,
-              eng.samples[i].max_chip_temperature)
+/// Field-for-field bit equality: two runs of the engine on the same inputs.
+void expect_identical(const TransientResult& a, const TransientResult& b) {
+  EXPECT_EQ(a.runaway, b.runaway);
+  EXPECT_EQ(a.steps, b.steps);
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].time, b.samples[i].time) << "sample " << i;
+    EXPECT_EQ(a.samples[i].max_chip_temperature,
+              b.samples[i].max_chip_temperature)
         << "sample " << i;
-    EXPECT_EQ(ref.samples[i].tec_power, eng.samples[i].tec_power)
+    EXPECT_EQ(a.samples[i].tec_power, b.samples[i].tec_power)
         << "sample " << i;
-    EXPECT_EQ(ref.samples[i].fan_power, eng.samples[i].fan_power)
+    EXPECT_EQ(a.samples[i].fan_power, b.samples[i].fan_power)
         << "sample " << i;
-    EXPECT_EQ(ref.samples[i].leakage_power, eng.samples[i].leakage_power)
+    EXPECT_EQ(a.samples[i].leakage_power, b.samples[i].leakage_power)
         << "sample " << i;
   }
-  ASSERT_EQ(ref.final_temperatures.size(), eng.final_temperatures.size());
-  for (std::size_t i = 0; i < ref.final_temperatures.size(); ++i) {
-    EXPECT_EQ(ref.final_temperatures[i], eng.final_temperatures[i])
+  ASSERT_EQ(a.final_temperatures.size(), b.final_temperatures.size());
+  for (std::size_t i = 0; i < a.final_temperatures.size(); ++i) {
+    EXPECT_EQ(a.final_temperatures[i], b.final_temperatures[i])
         << "node " << i;
   }
 }
 
-TEST(TransientEngine, BitIdenticalAcrossStridesAndThresholds) {
+/// The engine against the direct oracle: the same verdict, steps and sample
+/// times, and every recorded max chip temperature and final node temperature
+/// within kEngineAgreementK (max_deviation_k is infinite when the verdicts,
+/// step counts or sample counts differ).
+void expect_agrees(const TransientResult& ref, const TransientResult& eng) {
+  EXPECT_LE(testing::max_deviation_k(ref, eng), kEngineAgreementK);
+  ASSERT_EQ(ref.samples.size(), eng.samples.size());
+  for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+    EXPECT_EQ(ref.samples[i].time, eng.samples[i].time) << "sample " << i;
+  }
+}
+
+TEST(TransientEngine, MatchesOracleAcrossStrides) {
   const Workload w = make_workload(24.0);
+  TransientResult every_step;
   for (const std::size_t stride : {std::size_t{1}, std::size_t{3},
                                    std::size_t{7}}) {
-    for (const double tolerance : kTolerances) {
-      TransientOptions opts;
-      opts.time_step = 10e-3;
-      opts.duration = 0.3;
-      opts.record_stride = stride;
-      opts.relinearization_threshold = tolerance;
-      const TransientOracle reference(model(), w.dynamic, w.leak, opts);
-      const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-      const TransientResult ref = reference.run_closed_loop(
-          constant_control(400.0, 1.0), reference.ambient_state());
-      const TransientResult eng = engine.run_closed_loop(
-          constant_control(400.0, 1.0), engine.ambient_state());
-      ASSERT_FALSE(ref.runaway);
-      expect_identical(ref, eng);
-      EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+    TransientOptions opts;
+    opts.time_step = 10e-3;
+    opts.duration = 0.3;
+    opts.record_stride = stride;
+    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
+    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+    const TransientResult ref = reference.run_closed_loop(
+        constant_control(400.0, 1.0), reference.ambient_state());
+    const TransientResult eng = engine.run_closed_loop(
+        constant_control(400.0, 1.0), engine.ambient_state());
+    ASSERT_FALSE(ref.runaway);
+    expect_agrees(ref, eng);
+    EXPECT_EQ(engine.stats().factorizations, 0u);
+    // Recording does not touch the integration: a strided sample is the
+    // every-step sample of the same step, bit for bit.
+    if (stride == 1) every_step = eng;
+    for (std::size_t i = 0; i + 1 < eng.samples.size(); ++i) {
+      EXPECT_EQ(eng.samples[i].max_chip_temperature,
+                every_step.samples[i * stride].max_chip_temperature)
+          << "stride " << stride << ", sample " << i;
     }
+    EXPECT_EQ(eng.final_temperatures, every_step.final_temperatures);
   }
 }
 
 TEST(TransientEngine, BitIdenticalUnderStatefulToggleController) {
+  // The oracle bound, and a second run on the same engine (its pooled
+  // stepper) and a run on a fresh engine reproduce the first bit for bit.
   const Workload w = make_workload(26.0);
-  for (const double tolerance : kTolerances) {
-    TransientOptions opts;
-    opts.time_step = 10e-3;
-    opts.duration = 0.5;
-    opts.relinearization_threshold = tolerance;
-    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
-    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-    const la::Vector init(model().layout().node_count(), 341.0);  // above trip
-    const TransientResult ref =
-        reference.run_closed_loop(toggle_control(), init);
-    const TransientResult eng = engine.run_closed_loop(toggle_control(), init);
-    ASSERT_FALSE(ref.runaway) << tolerance;
-    expect_identical(ref, eng);
-    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
-  }
+  TransientOptions opts;
+  opts.time_step = 10e-3;
+  opts.duration = 0.5;
+  const TransientOracle reference(model(), w.dynamic, w.leak, opts);
+  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+  const la::Vector init(model().layout().node_count(), 341.0);  // above trip
+  const TransientResult ref = reference.run_closed_loop(toggle_control(), init);
+  const TransientResult eng = engine.run_closed_loop(toggle_control(), init);
+  ASSERT_FALSE(ref.runaway);
+  expect_agrees(ref, eng);
+  expect_identical(eng, engine.run_closed_loop(toggle_control(), init));
+  const TransientEngine fresh(model(), w.dynamic, w.leak, opts);
+  expect_identical(eng, fresh.run_closed_loop(toggle_control(), init));
+  EXPECT_EQ(engine.stats().factorizations, 0u);
 }
 
 TEST(TransientEngine, BitIdenticalUnderScheduleStepChange) {
   const Workload w = make_workload(24.0);
-  for (const double tolerance : kTolerances) {
-    TransientOptions opts;
-    opts.time_step = 10e-3;
-    opts.duration = 0.4;
-    opts.relinearization_threshold = tolerance;
-    const TransientOracle reference(model(), w.dynamic, w.leak, opts);
-    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-    const ControlSchedule schedule = [](double t) {
-      return t < 0.2 ? ControlSetting{450.0, 0.0} : ControlSetting{250.0, 1.5};
-    };
-    const TransientResult ref =
-        reference.run(schedule, reference.ambient_state());
-    const TransientResult eng = engine.run(schedule, engine.ambient_state());
-    ASSERT_FALSE(ref.runaway) << tolerance;
-    expect_identical(ref, eng);
-    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  TransientOptions opts;
+  opts.time_step = 10e-3;
+  opts.duration = 0.4;
+  const TransientOracle reference(model(), w.dynamic, w.leak, opts);
+  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+  const ControlSchedule schedule = [](double t) {
+    return t < 0.2 ? ControlSetting{450.0, 0.0} : ControlSetting{250.0, 1.5};
+  };
+  const TransientResult ref =
+      reference.run(schedule, reference.ambient_state());
+  const TransientResult eng = engine.run(schedule, engine.ambient_state());
+  ASSERT_FALSE(ref.runaway);
+  expect_agrees(ref, eng);
+  expect_identical(eng, engine.run(schedule, engine.ambient_state()));
+  EXPECT_EQ(engine.stats().factorizations, 0u);
+}
+
+TEST(TransientEngine, ServeShapedRunsRepeatBitIdenticallyWithoutFactoring) {
+  // The serve transient request: five 1-ms steps from ambient. Twenty of
+  // them on one engine, interleaved with runs from other states and
+  // settings on the same pooled stepper, factor nothing and return the same
+  // bits every time.
+  const Workload w = make_workload(24.0);
+  TransientOptions opts;
+  opts.time_step = 1e-3;
+  opts.duration = 5e-3;
+  const TransientOracle reference(model(), w.dynamic, w.leak, opts);
+  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+  const TransientResult first = engine.run_closed_loop(
+      constant_control(400.0, 1.0), engine.ambient_state());
+  ASSERT_EQ(first.steps, 5u);
+  expect_agrees(reference.run_closed_loop(constant_control(400.0, 1.0),
+                                          reference.ambient_state()),
+                first);
+  const la::Vector warm(model().layout().node_count(), 341.0);
+  for (int rep = 0; rep < 20; ++rep) {
+    (void)engine.run_closed_loop(constant_control(250.0, 0.5 * (rep % 3)),
+                                 warm);
+    expect_identical(first,
+                     engine.run_closed_loop(constant_control(400.0, 1.0),
+                                            engine.ambient_state()));
   }
+  const TransientEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.runs, 41u);
+  EXPECT_EQ(stats.factorizations, 0u);
+  EXPECT_GT(stats.cg_iterations, 0u);
 }
 
 TEST(TransientEngine, RunawayEarlyExitMatchesReference) {
+  // 35 W with the fan stopped runs away from ambient in ≈ 110 s. The two
+  // agree within kEngineAgreementK on every sample recorded below 400 K
+  // (4.2e-7 K at 399 K). Closer to ≈ 420 K, where the 50-ms step matrix
+  // turns singular, its conditioning and so the CG stop rule's error grow
+  // (9.8e-6 K at 419 K); past it the matrix is indefinite and the linearly
+  // implicit step turns chaotic — the oracle alternates Cholesky and LU
+  // steps tens of kelvin apart, and its own verdict moves by two steps
+  // between the scalar and simd kernels — so there only the verdict is
+  // compared: both run away, within two seconds of simulated time (the
+  // oracle at step 2 231, the engine at 2 213).
   const Workload w = make_workload(35.0);
   TransientOptions opts;
   opts.time_step = 50e-3;
@@ -173,8 +231,19 @@ TEST(TransientEngine, RunawayEarlyExitMatchesReference) {
       [](double) { return ControlSetting{0.0, 0.0}; }, engine.ambient_state());
   ASSERT_TRUE(ref.runaway);
   EXPECT_TRUE(eng.runaway);
-  EXPECT_EQ(ref.steps, eng.steps);  // diverges at the same step
-  expect_identical(ref, eng);
+  EXPECT_NEAR(static_cast<double>(eng.steps), static_cast<double>(ref.steps),
+              2.0 / opts.time_step);
+  EXPECT_TRUE(eng.final_temperatures.empty());
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < ref.samples.size() && i < eng.samples.size();
+       ++i) {
+    if (ref.samples[i].max_chip_temperature >= 400.0) break;
+    EXPECT_NEAR(ref.samples[i].max_chip_temperature,
+                eng.samples[i].max_chip_temperature, kEngineAgreementK)
+        << "sample " << i;
+    ++compared;
+  }
+  EXPECT_GE(compared, 10u);
 }
 
 TEST(TransientEngine, ZeroLengthHorizonIsANoOp) {
@@ -209,8 +278,8 @@ TEST(TransientEngine, ClampedHorizonMatchesReferenceAndLandsOnDuration) {
   ASSERT_FALSE(ref.runaway);
   EXPECT_EQ(ref.steps, 11u);
   EXPECT_DOUBLE_EQ(ref.samples.back().time, 0.105);
-  expect_identical(ref, eng);
-  EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+  expect_agrees(ref, eng);
+  EXPECT_EQ(engine.stats().factorizations, 0u);
 }
 
 TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
@@ -227,7 +296,6 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
                la::Vector(model().layout().node_count(), 318.0), base};
     jobs[1] = {constant_control(250.0, 0.0),
                la::Vector(model().layout().node_count(), 330.0), base};
-    jobs[1].options.relinearization_threshold = 0.0;
     jobs[2].control = toggle_control();
     jobs[2].initial_temperatures =
         la::Vector(model().layout().node_count(), 341.0);
@@ -235,16 +303,27 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
     jobs[2].options.record_stride = 3;
     jobs[3] = {constant_control(450.0, 1.5),
                la::Vector(model().layout().node_count(), 318.0), base};
-    jobs[3].options.relinearization_threshold = 0.0015;
+    jobs[3].options.duration = 0.15;
     return jobs;
   };
 
-  // Serial baseline from the oracle.
+  // Serial baseline: the engine's own run_closed_loop, one job after the
+  // other, each within the oracle bound.
   std::vector<TransientResult> serial;
-  for (const TransientJob& job : make_jobs()) {
-    const TransientOracle reference(model(), w.dynamic, w.leak, job.options);
-    serial.push_back(
-        reference.run_closed_loop(job.control, job.initial_temperatures));
+  {
+    const TransientEngine engine(model(), w.dynamic, w.leak, base);
+    for (const TransientJob& job : make_jobs()) {
+      serial.push_back(engine.run_closed_loop(
+          job.control, job.initial_temperatures, job.options));
+    }
+    const std::vector<TransientJob> jobs = make_jobs();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const TransientOracle reference(model(), w.dynamic, w.leak,
+                                      jobs[i].options);
+      expect_agrees(reference.run_closed_loop(jobs[i].control,
+                                              jobs[i].initial_temperatures),
+                    serial[i]);
+    }
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -258,48 +337,46 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
     for (std::size_t i = 0; i < 4; ++i) {
       expect_identical(serial[i], batched[i]);
     }
-    EXPECT_EQ(engine.stats().lu_fallbacks, 0u);
+    EXPECT_EQ(engine.stats().factorizations, 0u);
   }
 }
 
-TEST(TransientEngine, StatsShowFactorReuseUnderHold) {
+TEST(TransientEngine, StatsCountCgIterationsWithoutFactorizations) {
   const Workload w = make_workload(24.0);
   const SteadySolver steady(model(), w.dynamic, w.leak);
   const SteadyResult s = steady.solve(400.0, 1.0);
   ASSERT_TRUE(s.converged);
 
-  // 0.003 ≈ 0.1 K of drift at β = 0.03/K.
-  for (const double tolerance : {0.003, kDefaultRelinearizationThreshold}) {
-    TransientOptions opts;
-    opts.time_step = 10e-3;
-    opts.duration = 1.0;
-    opts.relinearization_threshold = tolerance;
-    const TransientEngine engine(model(), w.dynamic, w.leak, opts);
-    const TransientResult r = engine.run_closed_loop(
-        constant_control(400.0, 1.0), s.temperatures);
-    ASSERT_FALSE(r.runaway);
+  TransientOptions opts;
+  opts.time_step = 10e-3;
+  opts.duration = 1.0;
+  const TransientEngine engine(model(), w.dynamic, w.leak, opts);
+  const TransientResult r =
+      engine.run_closed_loop(constant_control(400.0, 1.0), s.temperatures);
+  ASSERT_FALSE(r.runaway);
 
-    const TransientEngineStats stats = engine.stats();
-    EXPECT_EQ(stats.runs, 1u);
-    EXPECT_EQ(stats.steps, r.steps);
-    // From a steady start under a held setting, the slopes hold and one
-    // factorization serves (nearly) the whole run.
-    EXPECT_LT(stats.factorizations, stats.steps / 4) << tolerance;
-    EXPECT_GT(stats.factor_hits, 0u);
+  const TransientEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.runs, 1u);
+  EXPECT_EQ(stats.steps, r.steps);
+  // Every step is a CG solve; none falls back to the band.
+  EXPECT_GE(stats.cg_iterations, stats.steps);
+  EXPECT_EQ(stats.factorizations, 0u);
+  EXPECT_EQ(stats.lu_fallbacks, 0u);
 
-    engine.reset_stats();
-    EXPECT_EQ(engine.stats().runs, 0u);
-    EXPECT_EQ(engine.stats().steps, 0u);
-  }
+  engine.reset_stats();
+  EXPECT_EQ(engine.stats().runs, 0u);
+  EXPECT_EQ(engine.stats().steps, 0u);
+  EXPECT_EQ(engine.stats().cg_iterations, 0u);
 }
 
 TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
   // Hot chips make the leakage tangent steep enough that, with the fan
-  // stopped, C/dt no longer keeps a 1-s step matrix positive definite:
-  // Cholesky meets a non-positive pivot and both implementations must take
-  // the same pivoted-LU fallback, to the bit. From 412 K the LU steps are
-  // accepted and the run recovers onto Cholesky; from 420 K the first LU
-  // step already fails the runaway verdict.
+  // stopped, C/dt no longer keeps a 1-s step matrix positive definite. The
+  // engine's step falls back to the oracle's banded step, whose Cholesky
+  // meets a non-positive pivot and takes the pivoted LU: that step matches
+  // bit for bit. From 412 K the LU step is accepted — it lands the chip at
+  // −462 K, a state no physical run reaches — and the run recovers on CG;
+  // from 420 K the first LU step already fails the runaway verdict.
   const Workload w = make_workload(24.0);
   for (const double start : {412.0, 420.0}) {
     std::vector<power::TaylorCoefficients> taylor(w.leak.size());
@@ -326,9 +403,35 @@ TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
     const TransientResult eng =
         engine.run_closed_loop(constant_control(0.0, 0.0), hot);
     EXPECT_EQ(ref.runaway, start > 415.0) << start;
-    expect_identical(ref, eng);  // includes the runaway verdict and steps
-    EXPECT_GT(engine.stats().lu_fallbacks, 0u) << start;
-    EXPECT_LE(engine.stats().lu_fallbacks, engine.stats().factorizations);
+    EXPECT_EQ(ref.runaway, eng.runaway) << start;
+    EXPECT_EQ(ref.steps, eng.steps) << start;
+    EXPECT_EQ(engine.stats().lu_fallbacks, 1u) << start;
+    EXPECT_EQ(engine.stats().factorizations, 1u) << start;
+    ASSERT_EQ(ref.samples.size(), eng.samples.size());
+    if (ref.runaway) continue;
+    EXPECT_EQ(ref.samples[1].max_chip_temperature,
+              eng.samples[1].max_chip_temperature);
+    // The CG steps that follow move the chip by up to 650 K in one step, and
+    // the stop rule leaves about kStepTolerance of a step's change, so the
+    // bound here is kStepTolerance times the largest sampled change rather
+    // than kEngineAgreementK (1.3e-5 K measured against 6.5e-5 K).
+    double largest = 0.0;
+    for (std::size_t i = 2; i < ref.samples.size(); ++i) {
+      largest = std::max(largest, std::abs(ref.samples[i].max_chip_temperature -
+                                           ref.samples[i - 1]
+                                               .max_chip_temperature));
+    }
+    const double bound = TransientStepper::kStepTolerance * largest;
+    for (std::size_t i = 2; i < ref.samples.size(); ++i) {
+      EXPECT_NEAR(ref.samples[i].max_chip_temperature,
+                  eng.samples[i].max_chip_temperature, bound)
+          << "sample " << i;
+    }
+    ASSERT_EQ(ref.final_temperatures.size(), eng.final_temperatures.size());
+    for (std::size_t i = 0; i < ref.final_temperatures.size(); ++i) {
+      EXPECT_NEAR(ref.final_temperatures[i], eng.final_temperatures[i], bound)
+          << "node " << i;
+    }
   }
 }
 
@@ -340,10 +443,6 @@ TEST(TransientEngine, ValidatesArgumentsLikeReference) {
                std::invalid_argument);
   bad = TransientOptions{};
   bad.record_stride = 0;
-  EXPECT_THROW(TransientEngine(model(), w.dynamic, w.leak, bad),
-               std::invalid_argument);
-  bad = TransientOptions{};
-  bad.relinearization_threshold = -1.0;
   EXPECT_THROW(TransientEngine(model(), w.dynamic, w.leak, bad),
                std::invalid_argument);
 

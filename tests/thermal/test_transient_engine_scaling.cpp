@@ -2,7 +2,7 @@
 //
 // The engine's batch path has no shared mutable state between jobs beyond a
 // brief stepper checkout/checkin lock: each trace runs on its own stepper
-// with its own factor slots, so four independent jobs on four cores should
+// with its own workspaces, so four independent jobs on four cores should
 // approach 4x over the serial loop. A historical BENCH_transient.json entry
 // recorded 1.07x "scaling" — measured on a 1-core container, where 1.0x is
 // the physical ceiling. This test encodes the real expectation (>= 2.5x on
@@ -65,11 +65,9 @@ TEST(TransientEngineScaling, RunBatchFourJobsScalesOnFourCores) {
   topt.time_step = 5e-3;
   // The horizon sets the timed work: ≈0.1 s of batch wall time, so a
   // single host stall of a few tens of milliseconds (a shared VM) cannot
-  // halve the measured ratio on its own.
-  topt.duration = 3.0;
-  // Relinearize-every-step makes each job factorization-bound — the
-  // heaviest (and most contention-sensitive, via the allocator) regime.
-  topt.relinearization_threshold = 0.0;
+  // halve the measured ratio on its own. On the CG path a 5-ms step costs
+  // ≈ 12 µs here, so that takes 5 000 steps per job.
+  topt.duration = 25.0;
 
   TransientEngine::Config cfg;
   cfg.threads = 4;
@@ -87,7 +85,7 @@ TEST(TransientEngineScaling, RunBatchFourJobsScalesOnFourCores) {
     jobs.push_back(std::move(job));
   }
 
-  // Warm both paths (factor slots, allocator arenas, thread pool). On a
+  // Warm both paths (stepper pool, allocator arenas, thread pool). On a
   // shared VM the first ≈1.2 s of four-thread work after an idle or
   // single-threaded stretch runs 2–4× slower per thread, whatever the code
   // (a plain ALU loop shows it too), so the batch side keeps running for
@@ -122,7 +120,7 @@ TEST(TransientEngineScaling, RunBatchFourJobsScalesOnFourCores) {
     const std::vector<TransientResult> batched = engine.run_batch(jobs);
     const double batch_ms = batch_watch.elapsed_ms();
 
-    // Bit-identity is unconditional (the engine's exactness contract).
+    // Bit-identity is unconditional (a run depends only on its inputs).
     ASSERT_EQ(batched.size(), serial.size());
     for (std::size_t j = 0; j < batched.size(); ++j) {
       ASSERT_EQ(batched[j].steps, serial[j].steps) << "job " << j;

@@ -1,18 +1,19 @@
-// Transient oracle: the executable specification of thermal::TransientEngine.
+// Transient oracle: the direct specification of thermal::TransientEngine.
 //
-// Every step linearizes the leakage at the current chip temperatures (exact
-// b = p(Tₙ) and t_ref = Tₙ, slopes held under
-// TransientOptions::relinearization_threshold), assembles the full banded
-// system with ThermalModel::assemble, adds C/dt to its diagonal and
-// C/dt·Tₙ to its right-hand side, and factors it afresh through
-// la::BandedFactor — no factor cache, no stamped lower band, no
-// preallocated workspaces. The engine must reproduce its results bit for
-// bit (tests/thermal/test_transient_engine.cpp); the transient benches time
-// the engine against it.
+// Every step linearizes the leakage on its exact tangent at the current chip
+// temperatures, assembles the full banded system with ThermalModel::assemble,
+// adds C/dt to its diagonal and C/dt·Tₙ to its right-hand side, and factors
+// it afresh through la::BandedFactor — no CG, no sparse pattern, no
+// preallocated workspaces. The engine solves the same step systems by CG to
+// a relative tolerance, so it agrees with the oracle within
+// kEngineAgreementK, not bit for bit (tests/thermal/test_transient_engine.cpp
+// and the transient benches check that bound).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -24,6 +25,33 @@
 #include "thermal/transient.h"
 
 namespace oftec::thermal::testing {
+
+/// How far [K] the engine may stray from the oracle on any recorded max chip
+/// temperature and any final node temperature. The CG stop rule leaves
+/// ≈ 1e-7 K per run on the dtm_lut pool and ≈ 1e-6 K on runs from ambient.
+inline constexpr double kEngineAgreementK = 1e-5;
+
+/// Max |a − b| [K] over the recorded max chip temperatures and the final
+/// node temperatures of two runs; infinite when their verdicts, step counts
+/// or sample counts differ.
+[[nodiscard]] inline double max_deviation_k(const TransientResult& a,
+                                            const TransientResult& b) {
+  if (a.runaway != b.runaway || a.steps != b.steps ||
+      a.samples.size() != b.samples.size() ||
+      a.final_temperatures.size() != b.final_temperatures.size()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    worst = std::max(worst, std::abs(a.samples[i].max_chip_temperature -
+                                     b.samples[i].max_chip_temperature));
+  }
+  for (std::size_t i = 0; i < a.final_temperatures.size(); ++i) {
+    worst = std::max(worst, std::abs(a.final_temperatures[i] -
+                                     b.final_temperatures[i]));
+  }
+  return worst;
+}
 
 class TransientOracle {
  public:
@@ -45,10 +73,6 @@ class TransientOracle {
     if (options_.record_stride == 0) {
       throw std::invalid_argument(
           "TransientOracle: record_stride must be >= 1");
-    }
-    if (!(options_.relinearization_threshold >= 0.0)) {
-      throw std::invalid_argument(
-          "TransientOracle: relinearization_threshold must be >= 0");
     }
   }
 
@@ -85,8 +109,6 @@ class TransientOracle {
     TransientResult result;
     la::Vector temps = initial_temperatures;
     std::vector<power::TaylorCoefficients> taylor(cells);
-    la::Vector exact_slope(cells);
-    bool holding = false;  // taylor[i].a holds slopes from an earlier step
 
     auto record = [&](double time, double omega, double current) {
       TransientSample s;
@@ -108,27 +130,13 @@ class TransientOracle {
     for (std::size_t step = 0; step < steps; ++step) {
       const double time = static_cast<double>(step) * dt;
       const double step_dt = step + 1 == steps ? plan.last_step : dt;
-      // Exact leakage at the current chip temperatures (b = p(Tₙ),
-      // t_ref = Tₙ) with the held slope; the slopes refresh, all at once,
-      // when some cell's exact slope has left the relative tolerance around
-      // its held value (with tolerance 0, whenever one moves).
+      // The leakage tangent at the current chip temperatures.
       const la::Vector chip = model_->slab_temperatures(temps, Slab::kChip);
       const ControlSetting setting =
           control(time, la::max_element_value(chip));
-      bool refresh = !holding;
       for (std::size_t i = 0; i < cells; ++i) {
-        const power::TaylorCoefficients exact =
-            power::tangent_linearize(leakage_[i], chip[i]);
-        refresh |= std::abs(exact.a - taylor[i].a) >
-                   options_.relinearization_threshold * taylor[i].a;
-        exact_slope[i] = exact.a;
-        taylor[i].b = exact.b;
-        taylor[i].t_ref = exact.t_ref;
+        taylor[i] = power::tangent_linearize(leakage_[i], chip[i]);
       }
-      if (refresh) {
-        for (std::size_t i = 0; i < cells; ++i) taylor[i].a = exact_slope[i];
-      }
-      holding = true;
 
       AssembledSystem sys =
           model_->assemble(setting.omega, setting.current, dynamic_, taylor);
