@@ -312,6 +312,7 @@ struct BackendTiming {
   double steady_solve_ms = 0.0;
   double panel_fold_ms = 0.0;   // per kBenchFolds-fold call, n = 8192
   double fused_cg_iter_ms = 0.0;  // per fused iteration, n = 9219
+  double matvec_us = 0.0;  // one multiply_dot on the steady CG system
 };
 
 double median_of(std::vector<double> v) {
@@ -331,6 +332,21 @@ double median_ms(int reps, F&& f) {
   return median_of(std::move(ms));
 }
 
+/// One multiply_dot (y = A·x and x·y) on `a`, in µs: the median of `reps`
+/// blocks of 256 calls, after one untimed block.
+double matvec_us(const la::SparseMatrix& a, int reps) {
+  constexpr int kCalls = 256;
+  const la::Vector x = kernel_vector(a.size(), 4.0);
+  la::Vector y(a.size());
+  const auto block = [&] {
+    for (int i = 0; i < kCalls; ++i) {
+      benchmark::DoNotOptimize(a.multiply_dot(x, y));
+    }
+  };
+  block();
+  return 1e3 * median_ms(reps, block) / kCalls;
+}
+
 /// Measures the hot path at the 32×32 grid (n = 9219, bandwidth 1025) under
 /// one installed backend. Every row is a median, so runs compare: of 3
 /// repeats for the seconds-scale rows (the factorizations and the direct
@@ -338,7 +354,8 @@ double median_ms(int reps, F&& f) {
 BackendTiming measure_backend(const char* spec,
                               const thermal::AssembledSystem& spd,
                               const thermal::AssembledSystem& gen,
-                              const thermal::SteadySolver& solver32) {
+                              const thermal::SteadySolver& solver32,
+                              const thermal::CsrSystem& cg_sys) {
   constexpr int kSlowReps = 3;
   constexpr int kBlocks = 11;
   const la::BackendOps& ops = la::install_backend(spec);
@@ -413,6 +430,7 @@ BackendTiming measure_backend(const char* spec,
                   }) /
         static_cast<double>(iters);
   }
+  t.matvec_us = matvec_us(cg_sys.matrix, kBlocks);
   return t;
 }
 
@@ -429,13 +447,14 @@ struct Grid10Timing {
   double cg_iteration_us = 0.0;  ///< one column-preconditioned CG iteration
   double cg_solve_us = 0.0;  ///< one cold CG solve to 1e-9, factor included
   std::size_t cg_solve_iterations = 0;
+  double matvec_us = 0.0;  ///< one multiply_dot on the steady CG system
 };
 
 /// Medians over repeated factorizations of the 10-ms backward-Euler step
 /// matrix (SPD: Cholesky), its pivoted LU, stepper steps (each linearizes,
 /// stamps and solves by CG), column-preconditioned CG iterations on the
-/// steady CG system, and whole cold CG solves of it, under one installed
-/// backend.
+/// steady CG system, whole cold CG solves of it, and its mat-vec, under one
+/// installed backend.
 Grid10Timing measure_grid10(const char* spec,
                             const thermal::AssembledSystem& step_sys,
                             const thermal::ThermalModel& model,
@@ -513,6 +532,7 @@ Grid10Timing measure_grid10(const char* spec,
                         la::solve_cg(cg_sys.matrix, cg_sys.rhs, cold)
                             .iterations;
                   });
+  t.matvec_us = matvec_us(cg_sys.matrix, kReps);
   return t;
 }
 
@@ -568,19 +588,21 @@ util::json::Value grid10_section() {
   util::json::Value cg_iter = util::json::Value::object();
   util::json::Value cg_solve = util::json::Value::object();
   util::json::Value cg_solve_iters = util::json::Value::object();
+  util::json::Value matvec = util::json::Value::object();
   for (const Grid10Timing& t : timings) {
     std::printf("  %-12s chol_refactorize %.3f ms | lu_refactorize %.3f ms | "
                 "stepper step %.3f ms | cg iteration %.3f us | cold cg solve "
-                "%.1f us (%zu iterations)\n",
+                "%.1f us (%zu iterations) | matvec %.3f us\n",
                 t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
                 t.step_ms, t.cg_iteration_us, t.cg_solve_us,
-                t.cg_solve_iterations);
+                t.cg_solve_iterations, t.matvec_us);
     chol[t.name] = t.chol_refactorize_ms;
     lu[t.name] = t.lu_refactorize_ms;
     step[t.name] = t.step_ms;
     cg_iter[t.name] = t.cg_iteration_us;
     cg_solve[t.name] = t.cg_solve_us;
     cg_solve_iters[t.name] = t.cg_solve_iterations;
+    matvec[t.name] = t.matvec_us;
   }
   util::json::Value j = util::json::Value::object();
   j["nodes"] = model.layout().node_count();
@@ -592,6 +614,7 @@ util::json::Value grid10_section() {
   j["cg_iteration_us"] = cg_iter;
   j["cg_solve_us"] = cg_solve;
   j["cg_solve_iterations"] = cg_solve_iters;
+  j["matvec_us"] = matvec;
   if (timings.size() > 1) {
     const Grid10Timing& s = timings.front();
     const Grid10Timing& v = timings.back();
@@ -637,14 +660,18 @@ void run_speedup_section() {
   const thermal::AssembledSystem gen = model.assemble(300.0, 1.0, dyn, taylor);
   const thermal::SteadySolver solver32(model, model.distribute(quicksort_peak()),
                                        model.cell_leakage(paper_leakage()));
+  // The steady CG system at the SPD point, for the mat-vec row.
+  thermal::CsrSystem cg_sys;
+  thermal::IncrementalAssembler(model, dyn).assemble_csr(
+      300.0, la::Vector(dyn.size(), 0.0), taylor, cg_sys);
 
   std::vector<BackendTiming> timings;
-  timings.push_back(measure_backend("scalar", spd, gen, solver32));
+  timings.push_back(measure_backend("scalar", spd, gen, solver32, cg_sys));
   if (la::avx2_backend() != nullptr) {
-    timings.push_back(measure_backend("avx2", spd, gen, solver32));
+    timings.push_back(measure_backend("avx2", spd, gen, solver32, cg_sys));
   }
   if (la::avx512_backend() != nullptr) {
-    timings.push_back(measure_backend("avx512", spd, gen, solver32));
+    timings.push_back(measure_backend("avx512", spd, gen, solver32, cg_sys));
   }
   la::install_backend(std::getenv("OFTEC_LA_BACKEND"));  // restore selection
 
@@ -653,16 +680,20 @@ void run_speedup_section() {
   util::json::Value steady = util::json::Value::object();
   util::json::Value pfold = util::json::Value::object();
   util::json::Value cgiter = util::json::Value::object();
+  util::json::Value matvec = util::json::Value::object();
   for (const BackendTiming& t : timings) {
     std::printf("  %-12s chol_refactorize %8.1f ms | lu_refactorize %8.1f ms "
-                "| steady %8.1f ms | panel_fold %.4f ms | cg_iter %.4f ms\n",
+                "| steady %8.1f ms | panel_fold %.4f ms | cg_iter %.4f ms | "
+                "matvec %.2f us\n",
                 t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
-                t.steady_solve_ms, t.panel_fold_ms, t.fused_cg_iter_ms);
+                t.steady_solve_ms, t.panel_fold_ms, t.fused_cg_iter_ms,
+                t.matvec_us);
     chol[t.name] = t.chol_refactorize_ms;
     lu[t.name] = t.lu_refactorize_ms;
     steady[t.name] = t.steady_solve_ms;
     pfold[t.name] = t.panel_fold_ms;
     cgiter[t.name] = t.fused_cg_iter_ms;
+    matvec[t.name] = t.matvec_us;
   }
 
   util::json::Value j = util::json::Value::object();
@@ -674,6 +705,7 @@ void run_speedup_section() {
   j["steady_solve_direct_ms"] = steady;
   j["panel_fold_ms_per_call_n8192"] = pfold;
   j["fused_cg_iter_ms_per_iter_n9219"] = cgiter;
+  j["matvec_us_n9219"] = matvec;
 
   if (timings.size() > 1) {
     // Speedup of the auto-resolved simd flavor (last entry: the widest one

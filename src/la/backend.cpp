@@ -150,18 +150,30 @@ void scalar_search_dir_update(std::size_t n, double beta, const double* z,
 
 double scalar_sell8_matvec(const Sell8View& a, const double* x,
                            const double* b, double* y) {
-  // Row by row, each row's entries in slot (= column) order: the seed's CSR
-  // row loop, then its fused sequential dot, with the row's slots 8 apart.
+  // Slice by slice, eight row accumulators walking the slice's slots once:
+  // each row sees its entries in slot (= column) order, the seed's CSR row
+  // loop, and the rows then feed its sequential dot in order. A dead lane
+  // adds +0.0, which leaves its accumulator's bits alone (it starts at +0.0
+  // and a sum from +0.0 is never −0.0), and never reads x.
   double dot = 0.0;
-  for (std::size_t r = 0; r < a.n; ++r) {
-    const std::size_t first = a.slice_start[r / 8] + r % 8;
-    const double* val = a.val + first;
-    const std::int32_t* col = a.col + first;
-    const auto len = static_cast<std::size_t>(a.row_len[r]);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < len; ++k) acc += val[8 * k] * x[col[8 * k]];
-    y[r] = b != nullptr ? b[r] - acc : acc;
-    dot += x[r] * y[r];
+  for (std::size_t r0 = 0, s = 0; r0 < a.n; r0 += 8, ++s) {
+    double acc[8] = {};
+    for (std::size_t k = a.slice_start[s]; k < a.slice_start[s + 1]; ++k) {
+      const double* val = a.val + 8 * k;
+      const std::ptrdiff_t col0 = static_cast<std::ptrdiff_t>(r0) + a.offset[k];
+      const unsigned live = a.mask[k];
+      for (std::size_t l = 0; l < 8; ++l) {
+        acc[l] += (live >> l & 1u) != 0
+                      ? val[l] * x[col0 + static_cast<std::ptrdiff_t>(l)]
+                      : 0.0;
+      }
+    }
+    const std::size_t rows = std::min<std::size_t>(8, a.n - r0);
+    for (std::size_t l = 0; l < rows; ++l) {
+      const std::size_t r = r0 + l;
+      y[r] = b != nullptr ? b[r] - acc[l] : acc[l];
+      dot += x[r] * y[r];
+    }
   }
   return dot;
 }

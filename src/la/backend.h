@@ -52,16 +52,17 @@ namespace oftec::la {
 enum class BackendKind { kScalar, kSimd };
 
 /// SELL-8 storage as the mat-vec kernel reads it (built by la::SparseMatrix;
-/// see la/sparse.h). Slice s holds rows 8s … 8s+7; its slot k is the 8
-/// values (and int32 columns) at slice_start[s] + 8k + l, lane l being row
-/// 8s + l. Lane l of slot k is live while k < row_len[8s + l]; the dead
-/// lanes (value 0, column 0) are never loaded from x nor added.
+/// see la/sparse.h). Slice s holds rows 8s … 8s+7 and slots
+/// slice_start[s] … slice_start[s+1] − 1, in ascending offset order. Slot k
+/// is the 8 values at val[8k + l], lane l being row 8s + l at column
+/// 8s + l + offset[k]; lane l is live when bit l of mask[k] is set. Dead
+/// lanes (value 0) are never loaded from x nor multiplied.
 struct Sell8View {
   std::size_t n = 0;                         ///< rows = columns
   const std::size_t* slice_start = nullptr;  ///< ceil(n/8) + 1 entries
-  const std::int32_t* row_len = nullptr;     ///< 8·ceil(n/8), 0 past n
-  const std::int32_t* col = nullptr;         ///< slice_start[ceil(n/8)]
-  const double* val = nullptr;               ///< same layout as col
+  const std::int32_t* offset = nullptr;      ///< one per slot
+  const std::uint8_t* mask = nullptr;        ///< one per slot
+  const double* val = nullptr;               ///< 8 per slot
 };
 
 /// Kernel table. All pointers are non-null and callable from any thread.

@@ -28,9 +28,12 @@
 //     return identical bits for identical inputs, and a fixed backend is
 //     deterministic across runs and thread counts. For n < 8 the whole input
 //     is tail, so reductions degenerate to the scalar result exactly.
-//   * The SELL-8 mat-vec is element-wise per row (each lane is one row,
-//     summed from +0.0 in slot order, dead lanes masked off), and its fused
-//     dot is the same 8-lane tree: a slice's lane l is a row ≡ l (mod 8).
+//   * The SELL-8 mat-vec is element-wise per row: each lane is one row,
+//     summed from +0.0 in slot (= ascending column) order, and a slot reads
+//     x as one masked contiguous window (a masked gather only at the edges
+//     of x). Dead lanes are never loaded and add +0.0, which moves no bit of
+//     a sum that started at +0.0. Its fused dot is the same 8-lane tree: a
+//     slice's lane l is a row ≡ l (mod 8).
 //   * max_abs_diff assumes finite inputs (NaN handling follows the max
 //     instruction's operand order, which differs from std::max; the library
 //     never feeds NaNs here — solvers reject non-finite state upstream).
@@ -86,11 +89,6 @@ struct Pack {
 struct Mask {
   __m256i lo, hi;
 };
-/// A SELL-8 slice's 8 row lengths, widened to 64-bit lanes.
-struct Lens {
-  __m256i lo, hi;
-};
-
 [[gnu::always_inline]] inline Pack load(const double* p) {
   return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
 }
@@ -160,33 +158,25 @@ struct Lens {
           _mm256_blendv_pd(acc.hi, _mm256_add_pd(acc.hi, t.hi),
                            _mm256_castsi256_pd(m.hi))};
 }
-[[gnu::always_inline]] inline Lens load_lens(const std::int32_t* len) {
-  return {_mm256_cvtepi32_epi64(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(len))),
-          _mm256_cvtepi32_epi64(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(len + 4)))};
+/// Lane l live when bit l of `bits` is set.
+[[gnu::always_inline]] inline Mask live_lanes(unsigned bits) {
+  const __m256i b = _mm256_set1_epi64x(bits);
+  const __m256i lo = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i hi = _mm256_setr_epi64x(16, 32, 64, 128);
+  return {_mm256_cmpeq_epi64(_mm256_and_si256(b, lo), lo),
+          _mm256_cmpeq_epi64(_mm256_and_si256(b, hi), hi)};
 }
-/// Lane l live while slot[l] < len[l]; a slot counter starts at Lens{}
-/// and steps by next_slot.
-[[gnu::always_inline]] inline Mask slot_live(Lens len, Lens slot) {
-  return {_mm256_cmpgt_epi64(len.lo, slot.lo),
-          _mm256_cmpgt_epi64(len.hi, slot.hi)};
-}
-[[gnu::always_inline]] inline Lens next_slot(Lens slot) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  return {_mm256_add_epi64(slot.lo, one), _mm256_add_epi64(slot.hi, one)};
-}
-/// x[col[l]] on live lanes, +0.0 on dead ones (never loaded).
-[[gnu::always_inline]] inline Pack gather_live(Mask m, const std::int32_t* col,
-                                               const double* x) {
-  return {_mm256_mask_i32gather_pd(
-              _mm256_setzero_pd(), x,
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(col)),
-              _mm256_castsi256_pd(m.lo), 8),
-          _mm256_mask_i32gather_pd(
-              _mm256_setzero_pd(), x,
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + 4)),
-              _mm256_castsi256_pd(m.hi), 8)};
+/// x[col0 + l] on live lanes, +0.0 on dead ones (never loaded). col0 + l is
+/// formed as an int32 lane index, not as a pointer.
+[[gnu::always_inline]] inline Pack gather_window(Mask m, std::ptrdiff_t col0,
+                                                 const double* x) {
+  const __m128i c = _mm_set1_epi32(static_cast<int>(col0));
+  return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), x,
+                                   _mm_add_epi32(c, _mm_setr_epi32(0, 1, 2, 3)),
+                                   _mm256_castsi256_pd(m.lo), 8),
+          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x,
+                                   _mm_add_epi32(c, _mm_setr_epi32(4, 5, 6, 7)),
+                                   _mm256_castsi256_pd(m.hi), 8)};
 }
 
 #include "la/backend_simd_kernels.inc"
@@ -209,7 +199,6 @@ constexpr std::size_t kPanelPacks = 4;  // 32 rows
 
 using Pack = __m512d;
 using Mask = __mmask8;
-using Lens = __m512i;
 
 [[gnu::always_inline]] inline Pack load(const double* p) {
   return _mm512_loadu_pd(p);
@@ -235,9 +224,8 @@ using Lens = __m512i;
 [[gnu::always_inline]] inline Pack set1(double v) { return _mm512_set1_pd(v); }
 [[gnu::always_inline]] inline Pack zero() { return _mm512_setzero_pd(); }
 [[gnu::always_inline]] inline Pack abs(Pack a) { return _mm512_abs_pd(a); }
-// (The maskz forms here and in load_lens: GCC's unmasked _mm512_max_pd and
-// _mm512_cvtepi32_epi64 start from an undefined register and draw a
-// -Wmaybe-uninitialized warning.)
+// (The maskz form: GCC's unmasked _mm512_max_pd starts from an undefined
+// register and draws a -Wmaybe-uninitialized warning.)
 [[gnu::always_inline]] inline Pack max(Pack a, Pack b) {
   return _mm512_maskz_max_pd(0xFF, a, b);
 }
@@ -260,21 +248,16 @@ using Lens = __m512i;
 [[gnu::always_inline]] inline Pack add_live(Pack acc, Mask m, Pack t) {
   return _mm512_mask_add_pd(acc, m, acc, t);
 }
-[[gnu::always_inline]] inline Lens load_lens(const std::int32_t* len) {
-  return _mm512_maskz_cvtepi32_epi64(
-      0xFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(len)));
+[[gnu::always_inline]] inline Mask live_lanes(unsigned bits) {
+  return static_cast<Mask>(bits);
 }
-[[gnu::always_inline]] inline Mask slot_live(Lens len, Lens slot) {
-  return _mm512_cmpgt_epi64_mask(len, slot);
-}
-[[gnu::always_inline]] inline Lens next_slot(Lens slot) {
-  return _mm512_add_epi64(slot, _mm512_set1_epi64(1));
-}
-[[gnu::always_inline]] inline Pack gather_live(Mask m, const std::int32_t* col,
-                                               const double* x) {
+[[gnu::always_inline]] inline Pack gather_window(Mask m, std::ptrdiff_t col0,
+                                                 const double* x) {
   return _mm512_mask_i32gather_pd(
       _mm512_setzero_pd(), m,
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col)), x, 8);
+      _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(col0)),
+                       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+      x, 8);
 }
 
 #include "la/backend_simd_kernels.inc"

@@ -79,31 +79,4 @@ Vector BandedFactor::solve(const Vector& b) const {
   return x;
 }
 
-Vector lower_band(const BandedMatrix& a) {
-  if (a.lower_bandwidth() != a.upper_bandwidth()) {
-    throw std::invalid_argument(
-        "lower_band: matrix must have symmetric bandwidths");
-  }
-  const std::size_t k = a.lower_bandwidth();
-  Vector lower((k + 1) * a.size());
-  detail::fill_lower_band(a, k, lower.data());
-  return lower;
-}
-
-BandedMatrix symmetric_from_lower(std::size_t n, std::size_t k,
-                                  const double* lower) {
-  BandedMatrix full(n, k, k);
-  const std::size_t diag_row = 2 * k;  // kl + ku
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* colj = lower + j * (k + 1);
-    const std::size_t sub = std::min(k, n - 1 - j);
-    double* dst = full.col_ptr(j) + diag_row;
-    for (std::size_t r = 0; r <= sub; ++r) dst[r] = colj[r];  // A(j+r, j)
-    for (std::size_t r = 1; r <= sub; ++r) {
-      full.storage(diag_row - r, j + r) = colj[r];  // A(j, j+r)
-    }
-  }
-  return full;
-}
-
 }  // namespace oftec::la

@@ -87,14 +87,4 @@ class BandedFactor {
   BandedLu lu_;   ///< held only while kind_ == kLu
 };
 
-/// Lower band of the symmetric matrix `a` (kl == ku == k) in the staging
-/// layout of BandedFactor::refactorize: (k+1)·n doubles, column j at
-/// j·(k+1), diagonal first, zero past the matrix edge.
-[[nodiscard]] Vector lower_band(const BandedMatrix& a);
-
-/// The symmetric n×n matrix (kl == ku == k) whose lower band is `lower`
-/// (same layout): each upper entry copies its mirror, bit for bit.
-[[nodiscard]] BandedMatrix symmetric_from_lower(std::size_t n, std::size_t k,
-                                                const double* lower);
-
 }  // namespace oftec::la

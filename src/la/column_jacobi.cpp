@@ -135,7 +135,7 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
         "ColumnBlockJacobi::factor: matrix does not match the pattern");
   }
   symbolic_ = nullptr;
-  const std::vector<double>& values = a.values();
+  const SparseMatrix::Values& values = a.values();
   const auto entry = [&values](std::size_t pos) {
     return pos == SparseMatrix::npos ? 0.0 : values[pos];
   };

@@ -21,77 +21,100 @@ void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
 SparseMatrix TripletBuilder::build() const {
   if (n_ > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
     throw std::length_error(
-        "TripletBuilder::build: more than 2^31 - 1 rows for int32 columns");
+        "TripletBuilder::build: more than 2^31 - 1 rows for int32 offsets");
   }
   // Sort by (row, col), stably, so duplicates stay in insertion order and
   // each sum below runs in the order the caller added its terms: a counting
   // sort by row, then an insertion sort by column within each row. Both are
-  // stable, so this is std::stable_sort's permutation.
+  // stable, so this is std::stable_sort's permutation. Each row is then
+  // coalesced in place while it is in cache: sorted[0, m) ends up holding
+  // each stored entry once, rows ascending and columns ascending within a
+  // row, row r's entries at [row_end[r − 1], row_end[r]).
+  struct Entry {
+    std::size_t col;
+    double value;
+  };
   std::vector<std::size_t> row_start(n_ + 1, 0);
   for (const Triplet& t : triplets_) ++row_start[t.row + 1];
   std::partial_sum(row_start.begin(), row_start.end(), row_start.begin());
-  std::vector<Triplet> sorted(triplets_.size());
-  std::vector<std::size_t> next(row_start.begin(), row_start.end() - 1);
-  for (const Triplet& t : triplets_) sorted[next[t.row]++] = t;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const auto first = sorted.begin() + std::ptrdiff_t(row_start[r]);
-    const auto last = sorted.begin() + std::ptrdiff_t(row_start[r + 1]);
-    for (auto it = first; it != last; ++it) {
-      const Triplet t = *it;
-      auto hole = it;
-      for (; hole != first && t.col < hole[-1].col; --hole) *hole = hole[-1];
-      *hole = t;
-    }
+  std::vector<Entry> sorted(triplets_.size());
+  {
+    std::vector<std::size_t> next(row_start.begin(), row_start.end() - 1);
+    for (const Triplet& t : triplets_) sorted[next[t.row]++] = {t.col, t.value};
   }
 
   constexpr std::size_t kC = SparseMatrix::kC;
   SparseMatrix a;
   a.n_ = n_;
   const std::size_t slices = (n_ + kC - 1) / kC;
-  a.row_len_.assign(slices * kC, 0);
-  // Coalesce duplicates in place: sorted[0, m) ends up holding each stored
-  // entry once, rows ascending and columns ascending within a row.
+  std::vector<std::size_t> row_end(slices * kC, 0);
   std::size_t m = 0;
-  for (std::size_t i = 0; i < sorted.size();) {
-    const std::size_t r = sorted[i].row;
-    const std::size_t c = sorted[i].col;
-    double acc = 0.0;
-    while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
-      acc += sorted[i].value;
-      ++i;
+  for (std::size_t r = 0; r < n_; ++r) {
+    const auto first = sorted.begin() + std::ptrdiff_t(row_start[r]);
+    const auto last = sorted.begin() + std::ptrdiff_t(row_start[r + 1]);
+    for (auto it = first; it != last; ++it) {
+      const Entry t = *it;
+      auto hole = it;
+      for (; hole != first && t.col < hole[-1].col; --hole) *hole = hole[-1];
+      *hole = t;
     }
-    sorted[m++] = {r, c, acc};
-    ++a.row_len_[r];
+    for (auto it = first; it != last;) {
+      const std::size_t c = it->col;
+      double acc = 0.0;
+      for (; it != last && it->col == c; ++it) acc += it->value;
+      sorted[m++] = {c, acc};
+    }
+    row_end[r] = m;
   }
+  std::fill(row_end.begin() + static_cast<std::ptrdiff_t>(n_), row_end.end(),
+            m);
   a.nnz_ = m;
 
+  // Each slice's slots: an 8-way merge of its rows' offsets c − r, which
+  // ascend within a row. Each step opens one slot at the smallest pending
+  // offset and moves every row pending at it into its lane.
+  constexpr std::ptrdiff_t kDone = std::numeric_limits<std::ptrdiff_t>::max();
   a.slice_start_.resize(slices + 1);
-  std::size_t storage = 0;
+  std::vector<std::size_t> slot_of(m);  // storage index of each entry
   for (std::size_t s = 0; s < slices; ++s) {
-    a.slice_start_[s] = storage;
-    const auto first =
-        a.row_len_.begin() + static_cast<std::ptrdiff_t>(s * kC);
-    storage +=
-        kC * static_cast<std::size_t>(*std::max_element(first, first + kC));
-  }
-  a.slice_start_[slices] = storage;
-
-  // Padding: value 0 at column 0, which is in range whenever n > 0.
-  a.col_.assign(storage, 0);
-  a.values_.assign(storage, 0.0);
-  std::size_t e = 0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    std::size_t p = a.slice_start_[r / kC] + r % kC;
-    for (std::int32_t k = 0; k < a.row_len_[r]; ++k, ++e, p += kC) {
-      a.col_[p] = static_cast<std::int32_t>(sorted[e].col);
-      a.values_[p] = sorted[e].value;
+    a.slice_start_[s] = a.offset_.size();
+    std::size_t cur[kC];
+    std::ptrdiff_t pending[kC];
+    const auto advance = [&](std::size_t l) {
+      const std::size_t r = s * kC + l;
+      pending[l] = cur[l] == row_end[r]
+                       ? kDone
+                       : static_cast<std::ptrdiff_t>(sorted[cur[l]].col) -
+                             static_cast<std::ptrdiff_t>(r);
+    };
+    for (std::size_t l = 0; l < kC; ++l) {
+      cur[l] = s * kC + l == 0 ? 0 : row_end[s * kC + l - 1];
+      advance(l);
+    }
+    for (;;) {
+      const std::ptrdiff_t lowest = *std::min_element(pending, pending + kC);
+      if (lowest == kDone) break;
+      const std::size_t slot = a.offset_.size();
+      unsigned live = 0;
+      for (std::size_t l = 0; l < kC; ++l) {
+        if (pending[l] != lowest) continue;
+        live |= 1u << l;
+        slot_of[cur[l]++] = kC * slot + l;
+        advance(l);
+      }
+      a.offset_.push_back(static_cast<std::int32_t>(lowest));
+      a.mask_.push_back(static_cast<std::uint8_t>(live));
     }
   }
+  a.slice_start_[slices] = a.offset_.size();
+
+  a.values_.assign(kC * a.offset_.size(), 0.0);
+  for (std::size_t e = 0; e < m; ++e) a.values_[slot_of[e]] = sorted[e].value;
   return a;
 }
 
 Sell8View SparseMatrix::view() const {
-  return {n_, slice_start_.data(), row_len_.data(), col_.data(),
+  return {n_, slice_start_.data(), offset_.data(), mask_.data(),
           values_.data()};
 }
 
@@ -134,11 +157,16 @@ std::size_t SparseMatrix::position(std::size_t r, std::size_t c) const {
   if (r >= n_ || c >= n_) {
     throw std::out_of_range("SparseMatrix::position: index out of range");
   }
-  std::size_t p = slice_start_[r / kC] + r % kC;
-  for (std::int32_t k = 0; k < row_len_[r]; ++k, p += kC) {
-    const auto col = static_cast<std::size_t>(col_[p]);
-    if (col == c) return p;
-    if (col > c) break;
+  const std::ptrdiff_t offset =
+      static_cast<std::ptrdiff_t>(c) - static_cast<std::ptrdiff_t>(r);
+  const std::size_t lane = r % kC;
+  for (std::size_t k = slice_start_[r / kC]; k < slice_start_[r / kC + 1];
+       ++k) {
+    if (offset_[k] < offset) continue;
+    if (offset_[k] == offset && (mask_[k] >> lane & 1u) != 0) {
+      return kC * k + lane;
+    }
+    break;
   }
   return npos;
 }

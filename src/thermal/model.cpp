@@ -73,6 +73,7 @@ ThermalModel::ThermalModel(package::PackageConfig cfg,
                            layout_.node(Slab::kTecRej, cell), ct.seebeck,
                            ct.resistance});
   }
+  build_static_csr_system();
 }
 
 void ThermalModel::add_edge(std::size_t i, std::size_t j, double conductance) {
@@ -358,9 +359,9 @@ AssembledSystem ThermalModel::static_system() const {
   return sys;
 }
 
-CsrSystem ThermalModel::static_csr_system() const {
+void ThermalModel::build_static_csr_system() {
   const std::size_t n = layout_.node_count();
-  CsrSystem sys{{}, la::Vector(n, 0.0)};
+  static_csr_.rhs.assign(n, 0.0);
   la::TripletBuilder builder(n);
   // Band storage and the builder both start every entry at 0.0 and add its
   // terms in insertion order, so both forms hold the same bits. The
@@ -370,9 +371,14 @@ CsrSystem ThermalModel::static_csr_system() const {
       [&builder](std::size_t r, std::size_t c, double v) {
         builder.add(r, c, v);
       },
-      [&rhs = sys.rhs](std::size_t node, double v) { rhs[node] += v; });
-  sys.matrix = builder.build();
-  return sys;
+      [&rhs = static_csr_.rhs](std::size_t node, double v) {
+        rhs[node] += v;
+      });
+  static_csr_.matrix = builder.build();
+  static_diag_pos_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    static_diag_pos_[i] = static_csr_.matrix.position(i, i);
+  }
 }
 
 void ThermalModel::stamp_diagonal(
@@ -563,16 +569,9 @@ double ThermalModel::ambient_outflow(const la::Vector& temperatures,
 
 IncrementalAssembler::IncrementalAssembler(const ThermalModel& model,
                                            la::Vector cell_dynamic_power)
-    : model_(&model),
-      dynamic_(std::move(cell_dynamic_power)),
-      base_(model.static_csr_system()) {
+    : model_(&model), dynamic_(std::move(cell_dynamic_power)) {
   if (dynamic_.size() != model.layout().cells_per_layer()) {
     throw std::invalid_argument("IncrementalAssembler: per-cell arity");
-  }
-  // static_csr_system() stores a diagonal on every node.
-  diag_pos_.resize(base_.matrix.size());
-  for (std::size_t r = 0; r < diag_pos_.size(); ++r) {
-    diag_pos_[r] = base_.matrix.position(r, r);
   }
 }
 
@@ -581,16 +580,16 @@ void IncrementalAssembler::assemble_csr(
     const std::vector<power::TaylorCoefficients>& cell_taylor,
     CsrSystem& out) const {
   // Re-stamp values in place when the pattern matches; copy it otherwise.
-  if (out.matrix.size() == base_.matrix.size() &&
-      out.matrix.nnz() == base_.matrix.nnz() &&
-      out.matrix.values().size() == base_.matrix.values().size()) {
-    out.matrix.mutable_values() = base_.matrix.values();
+  const la::SparseMatrix& base = model_->static_csr_system().matrix;
+  if (out.matrix.size() == base.size() && out.matrix.nnz() == base.nnz() &&
+      out.matrix.values().size() == base.values().size()) {
+    out.matrix.mutable_values() = base.values();
   } else {
-    out.matrix = base_.matrix;
+    out.matrix = base;
   }
   model_->stamp_diagonal(
       {.data = out.matrix.mutable_values().data(),
-       .positions = diag_pos_.data()},
+       .positions = model_->static_diagonal_positions().data()},
       omega, cell_current, cell_taylor);
   assemble_rhs(omega, cell_current, cell_taylor, out.rhs);
 }
@@ -599,7 +598,7 @@ void IncrementalAssembler::assemble_rhs(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& cell_taylor,
     la::Vector& out) const {
-  out = base_.rhs;
+  out = model_->static_csr_system().rhs;
   model_->stamp_rhs(out, omega, cell_current, dynamic_, cell_taylor);
 }
 
@@ -623,8 +622,8 @@ la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
                                     cell % nx * px / nx);
   }
   return la::ColumnBlockSymbolic::analyze(
-      base_.matrix, layout.cells_per_layer(), std::move(slab_first),
-      std::move(coarse));
+      model_->static_csr_system().matrix, layout.cells_per_layer(),
+      std::move(slab_first), std::move(coarse));
 }
 
 AssembledSystem IncrementalAssembler::assemble_banded(

@@ -115,9 +115,19 @@ class ThermalModel {
 
   /// static_system() in sparse form: the same entries, summed in the same
   /// order (so bit for bit the same values), plus a stored diagonal on
-  /// every node for the operating-point stamps. The CG system starts
-  /// from it.
-  [[nodiscard]] CsrSystem static_csr_system() const;
+  /// every node for the operating-point stamps. Built once, by the
+  /// constructor; every CG system (IncrementalAssembler, TransientStepper)
+  /// copies its values and stamps them.
+  [[nodiscard]] const CsrSystem& static_csr_system() const noexcept {
+    return static_csr_;
+  }
+
+  /// Storage index in static_csr_system().matrix.values() of node i's
+  /// diagonal, for DiagonalView::positions.
+  [[nodiscard]] const std::vector<std::size_t>& static_diagonal_positions()
+      const noexcept {
+    return static_diag_pos_;
+  }
 
   /// Add the operating-point terms of M to `diag`, in assemble()'s order:
   /// the sink couplings g(ω)·share, the chip leakage slopes −a, and on
@@ -213,6 +223,8 @@ class ThermalModel {
   /// for every static rhs term, in the one order both static systems sum.
   template <class AddMatrix, class AddRhs>
   void for_each_static_term(AddMatrix&& add, AddRhs&& add_rhs) const;
+  /// Build static_csr_ and static_diag_pos_ (after the static network).
+  void build_static_csr_system();
 
   package::PackageConfig cfg_;
   const floorplan::Floorplan* fp_;
@@ -246,6 +258,8 @@ class ThermalModel {
   /// Sink-node share of the ω-dependent g_HS&fan (node, area fraction).
   std::vector<std::pair<std::size_t, double>> sink_ambient_share_;
   la::Vector capacitance_;
+  CsrSystem static_csr_;
+  std::vector<std::size_t> static_diag_pos_;
 };
 
 /// Incremental assembler for repeated solves of one model + workload.
@@ -254,10 +268,9 @@ class ThermalModel {
 /// ω scales the sink-to-ambient couplings, I_TEC adds ±α·I on the TEC
 /// interface diagonals, and the leakage linearization moves the chip
 /// diagonal. The off-diagonal conduction structure never changes. This
-/// class therefore takes the model's static sparse system once, and
-/// produces each operating point's system by copying its values and
-/// stamping the diagonal (at positions looked up once with
-/// SparseMatrix::position) and rhs through the model
+/// class therefore produces each operating point's system by copying the
+/// values of the model's static sparse system and stamping the diagonal
+/// (at ThermalModel::static_diagonal_positions) and rhs through the model
 /// (ThermalModel::stamp_diagonal, stamp_rhs) — so assemble_csr() equals
 /// ThermalModel::assemble() entry for entry, bit for bit, in sparse form.
 ///
@@ -301,8 +314,6 @@ class IncrementalAssembler {
  private:
   const ThermalModel* model_;
   la::Vector dynamic_;
-  CsrSystem base_;                       // ThermalModel::static_csr_system()
-  std::vector<std::size_t> diag_pos_;    // storage index of (i, i) per node
 };
 
 }  // namespace oftec::thermal

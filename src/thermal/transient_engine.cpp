@@ -54,23 +54,17 @@ TransientStepper::TransientStepper(
       config_(config),
       n_(model.layout().node_count()),
       cells_(model.layout().cells_per_layer()),
-      base_(model.static_csr_system()),
-      system_(base_) {
+      system_(model.static_csr_system()) {
   if (leakage_.size() != cells_) {
     throw std::invalid_argument("TransientStepper: per-cell arity mismatch");
-  }
-  // static_csr_system() stores a diagonal on every node.
-  diag_pos_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    diag_pos_[i] = base_.matrix.position(i, i);
   }
   const NodeLayout& layout = model.layout();
   std::vector<std::size_t> slab_first(kSlabCount);
   for (std::size_t k = 0; k < kSlabCount; ++k) {
     slab_first[k] = layout.node(static_cast<Slab>(k), 0);
   }
-  symbolic_ = la::ColumnBlockSymbolic::analyze(base_.matrix, cells_,
-                                               std::move(slab_first));
+  symbolic_ = la::ColumnBlockSymbolic::analyze(
+      model.static_csr_system().matrix, cells_, std::move(slab_first));
 
   taylor_.resize(cells_);
   cell_current_.assign(cells_, 0.0);
@@ -149,13 +143,14 @@ bool TransientStepper::verdict(double& max_chip_out) {
   double m = chip_next_.front();
   for (const double v : chip_next_) m = std::max(m, v);
   max_chip_out = m;
-  if (config_.runaway_check == RunawayCheck::kChipOnly) {
-    return std::isfinite(m) && m <= config_.runaway_temperature;
-  }
-  for (const double t : next_) {
-    if (!std::isfinite(t) || t > config_.runaway_temperature) return false;
-  }
-  return true;
+  // SolveEngine::physical's test: finite, above 0 K, at most the limit.
+  const double limit = config_.runaway_temperature;
+  const auto physical = [limit](double t) {
+    return std::isfinite(t) && t > 0.0 && t <= limit;
+  };
+  const la::Vector& checked =
+      config_.runaway_check == RunawayCheck::kChipOnly ? chip_next_ : next_;
+  return std::all_of(checked.begin(), checked.end(), physical);
 }
 
 bool TransientStepper::step(const ControlSetting& setting,
@@ -179,17 +174,20 @@ bool TransientStepper::step(const ControlSetting& setting,
 
   // (C/dt + M)·Tₙ₊₁ = C/dt·Tₙ + rhs on the static pattern: the model's
   // stamps in ThermalModel::assemble's order, then C/dt.
-  std::vector<double>& values = system_.matrix.mutable_values();
-  values = base_.matrix.values();
-  model_->stamp_diagonal({.data = values.data(), .positions = diag_pos_.data()},
+  const CsrSystem& base = model_->static_csr_system();
+  const std::vector<std::size_t>& diag_pos =
+      model_->static_diagonal_positions();
+  la::SparseMatrix::Values& values = system_.matrix.mutable_values();
+  values = base.matrix.values();
+  model_->stamp_diagonal({.data = values.data(), .positions = diag_pos.data()},
                          setting.omega, cell_current_, taylor_);
-  system_.rhs = base_.rhs;
+  system_.rhs = base.rhs;
   model_->stamp_rhs(system_.rhs, setting.omega, cell_current_,
                     cell_dynamic_power, taylor_);
   const la::Vector& cap = model_->capacitances();
   for (std::size_t i = 0; i < n_; ++i) {
     const double c_dt = cap[i] / dt;
-    values[diag_pos_[i]] += c_dt;
+    values[diag_pos[i]] += c_dt;
     system_.rhs[i] += c_dt * temps_[i];
   }
 

@@ -6,12 +6,12 @@
 // step matrix is symmetric, and with C/dt on its diagonal positive definite
 // away from runaway, so the step runs on the CG path of the steady solves:
 //
-//   1. Static pattern plus stamps. The stepper copies
-//      ThermalModel::static_csr_system() once, at construction; each step
-//      copies its values, lets the model stamp the operating point onto the
-//      diagonal (ThermalModel::stamp_diagonal, at positions looked up once)
-//      and the right-hand side (stamp_rhs), and adds C/dt and C/dt·Tₙ — the
-//      way IncrementalAssembler builds the steady system.
+//   1. Static pattern plus stamps. The model builds its static sparse
+//      system once (ThermalModel::static_csr_system); each step copies its
+//      values, lets the model stamp the operating point onto the diagonal
+//      (ThermalModel::stamp_diagonal, at static_diagonal_positions) and the
+//      right-hand side (stamp_rhs), and adds C/dt and C/dt·Tₙ — the way
+//      IncrementalAssembler builds the steady system.
 //
 //   2. Column blocks, refactored every step. The z-column block-Jacobi
 //      factor (la/column_jacobi.h, no coarse level: C/dt dominates the
@@ -57,10 +57,11 @@
 
 namespace oftec::thermal {
 
-/// What the post-step runaway verdict inspects.
+/// What the post-step runaway verdict inspects. A step fails it when any
+/// inspected temperature is non-finite, at or below 0 K, or above the limit.
 enum class RunawayCheck {
-  kAllNodes,  ///< any node non-finite or above the limit (TransientEngine)
-  kChipOnly,  ///< the max chip temperature only (the DTM loop's verdict)
+  kAllNodes,  ///< every node (TransientEngine)
+  kChipOnly,  ///< the chip cells only (the DTM loop's verdict)
 };
 
 /// Backward-Euler stepper on the CG path. One stepper = one integration in
@@ -156,11 +157,9 @@ class TransientStepper {
   std::size_t n_ = 0;
   std::size_t cells_ = 0;
 
-  // ThermalModel::static_csr_system(), taken once; each step re-stamps the
-  // values of system_ from it.
-  CsrSystem base_;
+  // The step system: each step re-stamps its values from the model's
+  // static pattern (ThermalModel::static_csr_system).
   CsrSystem system_;
-  std::vector<std::size_t> diag_pos_;  ///< storage index of (i, i)
   la::ColumnBlockSymbolic symbolic_;
   la::ColumnBlockJacobi column_;
   la::CgWorkspace cg_;

@@ -352,8 +352,8 @@ inline SparsePatternCase make_sparse_pattern_case(std::uint64_t seed,
     if (r >= 8 && r < 16) len = 0;
     if (r == 3) len = 8;
     if (r == 17) len = 9;
-    // Columns come from [1, n) so column 0 — the padding lanes' column —
-    // stays unreferenced whenever n > 1.
+    // Columns come from [1, n) so column 0 stays unreferenced whenever
+    // n > 1.
     const std::size_t span = n > 1 ? n - 1 : 1;
     len = std::min(len, span);
     std::vector<std::size_t> cols;

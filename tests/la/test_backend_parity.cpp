@@ -31,13 +31,16 @@
 #include <utility>
 #include <vector>
 
+#include "floorplan/ev6.h"
 #include "la/backend.h"
 #include "la/banded_lu.h"
 #include "la/column_jacobi.h"
 #include "la/sparse.h"
 #include "la/vector_ops.h"
+#include "package/package_config.h"
 #include "tests/la/golden_systems.h"
 #include "tests/la/layered_systems.h"
+#include "thermal/model.h"
 #include "util/rng.h"
 
 namespace oftec::la {
@@ -717,6 +720,90 @@ TEST(BackendParity, SparseMatVecRowsBitIdenticalDotIsBackendDot) {
     }
     if (dots.count("avx2") != 0 && dots.count("avx512") != 0) {
       EXPECT_EQ(dots.at("avx2"), dots.at("avx512")) << "n=" << n;
+    }
+  }
+}
+
+TEST(BackendParity, ThermalMatVecMatchesCsrRowLoopBitForBit) {
+  // The thermal stack's own pattern, whose slots read x as contiguous
+  // windows: multiply_dot and residual_into must reproduce a CSR row loop
+  // over the stored entries (for_each_entry's order: rows ascending,
+  // columns ascending) bit for bit under every backend, on the static
+  // system and on a stamped operating point, at 6×6, 10×10 and 32×32. The
+  // pattern has edge slots at both ends — windows that start before
+  // column 0 or end past column n − 1, which the simd kernels gather — and
+  // the test checks that it does.
+  const std::pair<const char*, bool> specs[] = {
+      {"scalar", true},
+      {"simd", simd_supported()},
+      {"avx2", avx2_backend() != nullptr},
+      {"avx512", avx512_backend() != nullptr}};
+  const floorplan::Floorplan fp = floorplan::make_ev6_floorplan();
+  for (const std::size_t nx : {6, 10, 32}) {
+    const thermal::ThermalModel model(package::PackageConfig::paper_default(),
+                                      fp, nx, nx);
+    const std::size_t n = model.layout().node_count();
+    const std::size_t cells = model.layout().cells_per_layer();
+    util::Rng rng(0xED6E + nx);
+    Vector dynamic(cells);
+    for (double& p : dynamic) p = rng.uniform(0.0, 0.5);
+    std::vector<power::TaylorCoefficients> taylor(cells);
+    for (auto& t : taylor) t = {rng.uniform(0.0, 0.02), 0.1, 350.0};
+    const thermal::IncrementalAssembler assembler(model, dynamic);
+    thermal::CsrSystem stamped;
+    assembler.assemble_csr(0.6 * model.config().fan.max_speed,
+                           Vector(cells, 0.4 * model.config().tec.max_current),
+                           taylor, stamped);
+
+    Vector x(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = rng.uniform(-1.0, 1.0) * (i % 3 == 0 ? 400.0 : 1.0);
+      b[i] = rng.uniform(-1.0, 1.0);
+    }
+    const std::string grid = std::to_string(nx) + "x" + std::to_string(nx);
+    const SparseMatrix* systems[] = {&model.static_csr_system().matrix,
+                                     &stamped.matrix};
+    for (const SparseMatrix* a : systems) {
+      ASSERT_EQ(a->size(), n);
+      Vector y_ref(n, 0.0);
+      std::size_t low_edge = 0;
+      std::size_t high_edge = 0;
+      a->for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+        y_ref[r] += a->values()[p] * x[c];
+        // The column of lane 0 in this entry's slot.
+        const auto col0 = static_cast<std::ptrdiff_t>(r / 8 * 8 + c) -
+                          static_cast<std::ptrdiff_t>(r);
+        if (col0 < 0) ++low_edge;
+        if (col0 + 8 > static_cast<std::ptrdiff_t>(n)) ++high_edge;
+      });
+      EXPECT_GT(low_edge, 0u) << grid;
+      EXPECT_GT(high_edge, 0u) << grid;
+
+      std::map<std::string, std::string> dots;
+      for (const auto& [spec, available] : specs) {
+        if (!available) continue;
+        const ScopedBackend scoped(spec);
+        const std::string tag = std::string(spec) + " " + grid;
+        Vector y;
+        const double dot = a->multiply_dot(x, y);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(hex_double(y_ref[r]), hex_double(y[r]))
+              << tag << " y[" << r << "]";
+        }
+        ASSERT_EQ(hex_double(backend().dot(n, x.data(), y.data())),
+                  hex_double(dot))
+            << tag;
+        dots[spec] = hex_double(dot);
+        Vector res;
+        a->residual_into(b, x, res);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(hex_double(b[r] - y_ref[r]), hex_double(res[r]))
+              << tag << " r[" << r << "]";
+        }
+      }
+      if (dots.count("avx2") != 0 && dots.count("avx512") != 0) {
+        EXPECT_EQ(dots.at("avx2"), dots.at("avx512")) << grid;
+      }
     }
   }
 }

@@ -197,7 +197,7 @@ TEST(ColumnBlockJacobi, RefactorReusesStorageAcrossValueChanges) {
   ColumnBlockJacobi reused;
   ASSERT_TRUE(reused.factor(s, c.a));
   for (int round = 0; round < 3; ++round) {
-    std::vector<double>& v = c.a.mutable_values();
+    SparseMatrix::Values& v = c.a.mutable_values();
     for (std::size_t r = 0; r < c.a.size(); ++r) {
       v[c.a.position(r, r)] *= 1.0 + 0.1 * (round + 1);
     }

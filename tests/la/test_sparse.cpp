@@ -150,29 +150,65 @@ TEST(CsrMatrix, EmptyRowsHandled) {
   EXPECT_DOUBLE_EQ(y[3], 2.0);
 }
 
-TEST(SparseMatrix, SlicesAreAsWideAsTheirLongestRow) {
-  // Rows 0..7 (slice 0) hold 1, 3, 0, … entries; row 9 (slice 1) holds 2.
-  // Slot k of a slice is one 8-lane vector, so storage is 8·(3 + 2) values.
+TEST(SparseMatrix, SlicesHoldOneSlotPerDistinctOffset) {
+  // Slice 0 (rows 0..7) stores offsets c − r of −1 (rows 1, 3), 0 (rows 0,
+  // 2, 3), 3 and 8 (row 1); slice 1 (rows 8, 9) stores −7 and −1 (row 9)
+  // and +1 (row 8). One slot per distinct offset, ascending within the
+  // slice, eight values each: 7 slots, 56 values.
   TripletBuilder builder(10);
+  builder.add(9, 8, 6.0);
+  builder.add(1, 9, 4.0);
   builder.add(0, 0, 1.0);
   builder.add(1, 0, 2.0);
+  builder.add(3, 3, 8.0);
   builder.add(1, 4, 3.0);
-  builder.add(1, 9, 4.0);
   builder.add(9, 2, 5.0);
-  builder.add(9, 8, 6.0);
+  builder.add(2, 2, 7.0);
+  builder.add(3, 2, 9.0);
+  builder.add(8, 9, 10.0);
   const SparseMatrix m = builder.build();
-  EXPECT_EQ(m.nnz(), 6u);
-  EXPECT_EQ(m.values().size(), 8u * (3u + 2u));
-  // Row r's k-th entry sits at slice_start + 8k + r mod 8.
-  EXPECT_EQ(m.position(1, 0), 1u);
-  EXPECT_EQ(m.position(1, 4), 9u);
-  EXPECT_EQ(m.position(1, 9), 17u);
-  EXPECT_EQ(m.position(9, 2), 24u + 1u);
-  EXPECT_EQ(m.position(9, 8), 24u + 9u);
-  // Padding lanes hold 0.
-  double sum = 0.0;
-  for (const double v : m.values()) sum += v;
-  EXPECT_EQ(sum, 21.0);
+  EXPECT_EQ(m.nnz(), 10u);
+  ASSERT_EQ(m.values().size(), 8u * 7u);
+  // Lane l of slot k sits at 8k + l.
+  EXPECT_EQ(m.position(1, 0), 8u * 0 + 1);  // slot 0: offset −1
+  EXPECT_EQ(m.position(3, 2), 8u * 0 + 3);
+  EXPECT_EQ(m.position(0, 0), 8u * 1 + 0);  // slot 1: offset 0
+  EXPECT_EQ(m.position(2, 2), 8u * 1 + 2);
+  EXPECT_EQ(m.position(3, 3), 8u * 1 + 3);
+  EXPECT_EQ(m.position(1, 4), 8u * 2 + 1);  // slot 2: offset 3
+  EXPECT_EQ(m.position(1, 9), 8u * 3 + 1);  // slot 3: offset 8
+  EXPECT_EQ(m.position(9, 2), 8u * 4 + 1);  // slot 4: offset −7
+  EXPECT_EQ(m.position(9, 8), 8u * 5 + 1);  // slot 5: offset −1
+  EXPECT_EQ(m.position(8, 9), 8u * 6 + 0);  // slot 6: offset +1
+  // An offset a slot holds but this row does not: a dead lane.
+  EXPECT_EQ(m.position(2, 1), SparseMatrix::npos);
+  EXPECT_EQ(m.position(8, 7), SparseMatrix::npos);
+
+  // The live lanes are exactly the stored entries: each slot's mask, read
+  // through for_each_entry, and every slot's lanes share one offset.
+  const std::uint8_t masks[7] = {0b1010, 0b1101, 0b0010, 0b0010,
+                                 0b0010, 0b0010, 0b0001};
+  const std::ptrdiff_t offsets[7] = {-1, 0, 3, 8, -7, -1, 1};
+  std::uint8_t live[7] = {};
+  std::vector<bool> visited(m.values().size(), false);
+  m.for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+    EXPECT_EQ(r % 8, p % 8) << p;
+    EXPECT_EQ(static_cast<std::ptrdiff_t>(c) - static_cast<std::ptrdiff_t>(r),
+              offsets[p / 8])
+        << p;
+    live[p / 8] = static_cast<std::uint8_t>(live[p / 8] | 1u << (p % 8));
+    visited[p] = true;
+  });
+  for (std::size_t k = 0; k < 7; ++k) EXPECT_EQ(live[k], masks[k]) << k;
+  // Dead lanes hold +0.0.
+  for (std::size_t p = 0; p < m.values().size(); ++p) {
+    if (visited[p]) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.values()[p]), 0u) << p;
+  }
+  const Vector y = m.multiply(Vector(10, 1.0));
+  EXPECT_EQ(y[1], 9.0);
+  EXPECT_EQ(y[3], 17.0);
+  EXPECT_EQ(y[9], 11.0);
 }
 
 TEST(SparseMatrix, PositionLocatesStoredEntries) {

@@ -262,7 +262,7 @@ TEST(ThermalModel, CsrAssemblyEqualsBandAssemblyBitwise) {
           // Entry for entry: every stored sparse value against the band,
           // and every band entry the sparse pattern leaves out must be
           // zero. Every stored entry lies within the band.
-          const std::vector<double>& values = csr.matrix.values();
+          const la::SparseMatrix::Values& values = csr.matrix.values();
           std::size_t stored = 0;
           for (std::size_t r = 0; r < n; ++r) {
             const std::size_t lo = r > bw ? r - bw : 0;

@@ -369,26 +369,37 @@ TEST(TransientEngine, StatsCountCgIterationsWithoutFactorizations) {
   EXPECT_EQ(engine.stats().cg_iterations, 0u);
 }
 
+/// The backward-Euler step matrix C/dt + M at a uniform start temperature
+/// (leakage tangent there, fan stopped, no TEC current) and its right-hand
+/// side: the first step of a constant_control(0, 0) run.
+AssembledSystem first_step_system(const Workload& w, double start, double dt) {
+  std::vector<power::TaylorCoefficients> taylor(w.leak.size());
+  for (std::size_t i = 0; i < taylor.size(); ++i) {
+    taylor[i] = power::tangent_linearize(w.leak[i], start);
+  }
+  AssembledSystem sys = model().assemble(0.0, 0.0, w.dynamic, taylor);
+  const la::Vector& cap = model().capacitances();
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    sys.matrix.add(i, i, cap[i] / dt);
+    sys.rhs[i] += cap[i] / dt * start;
+  }
+  return sys;
+}
+
 TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
   // Hot chips make the leakage tangent steep enough that, with the fan
   // stopped, C/dt no longer keeps a 1-s step matrix positive definite. The
   // engine's step falls back to the oracle's banded step, whose Cholesky
   // meets a non-positive pivot and takes the pivoted LU: that step matches
-  // bit for bit. From 412 K the LU step is accepted — it lands the chip at
-  // −462 K, a state no physical run reaches — and the run recovers on CG;
-  // from 420 K the first LU step already fails the runaway verdict.
+  // bit for bit. From 412 K and 420 K the LU step leaves the physical range
+  // (below 0 K; from 420 K also above the limit), so both verdicts call the
+  // first step runaway. From 436 K the LU step stays physical and is
+  // accepted; the next step runs on CG again, and both runs call that one
+  // runaway.
   const Workload w = make_workload(24.0);
-  for (const double start : {412.0, 420.0}) {
-    std::vector<power::TaylorCoefficients> taylor(w.leak.size());
-    for (std::size_t i = 0; i < taylor.size(); ++i) {
-      taylor[i] = power::tangent_linearize(w.leak[i], start);
-    }
-    AssembledSystem sys = model().assemble(0.0, 0.0, w.dynamic, taylor);
-    const la::Vector& cap = model().capacitances();
-    for (std::size_t i = 0; i < cap.size(); ++i) {
-      sys.matrix.add(i, i, cap[i] / 1.0);
-    }
-    ASSERT_EQ(la::BandedFactor(sys.matrix).kind(), la::BandedFactor::Kind::kLu)
+  for (const double start : {412.0, 420.0, 436.0}) {
+    ASSERT_EQ(la::BandedFactor(first_step_system(w, start, 1.0).matrix).kind(),
+              la::BandedFactor::Kind::kLu)
         << "the first step matrix from " << start
         << " K must be indefinite but LU-solvable";
 
@@ -402,37 +413,69 @@ TEST(TransientEngine, LuFallbackOnIndefiniteStepMatrixMatchesReference) {
         reference.run_closed_loop(constant_control(0.0, 0.0), hot);
     const TransientResult eng =
         engine.run_closed_loop(constant_control(0.0, 0.0), hot);
-    EXPECT_EQ(ref.runaway, start > 415.0) << start;
+    EXPECT_TRUE(ref.runaway) << start;
     EXPECT_EQ(ref.runaway, eng.runaway) << start;
+    EXPECT_EQ(ref.steps, start > 430.0 ? 1u : 0u) << start;
     EXPECT_EQ(ref.steps, eng.steps) << start;
     EXPECT_EQ(engine.stats().lu_fallbacks, 1u) << start;
     EXPECT_EQ(engine.stats().factorizations, 1u) << start;
     ASSERT_EQ(ref.samples.size(), eng.samples.size());
-    if (ref.runaway) continue;
-    EXPECT_EQ(ref.samples[1].max_chip_temperature,
-              eng.samples[1].max_chip_temperature);
-    // The CG steps that follow move the chip by up to 650 K in one step, and
-    // the stop rule leaves about kStepTolerance of a step's change, so the
-    // bound here is kStepTolerance times the largest sampled change rather
-    // than kEngineAgreementK (1.3e-5 K measured against 6.5e-5 K).
-    double largest = 0.0;
-    for (std::size_t i = 2; i < ref.samples.size(); ++i) {
-      largest = std::max(largest, std::abs(ref.samples[i].max_chip_temperature -
-                                           ref.samples[i - 1]
-                                               .max_chip_temperature));
-    }
-    const double bound = TransientStepper::kStepTolerance * largest;
-    for (std::size_t i = 2; i < ref.samples.size(); ++i) {
-      EXPECT_NEAR(ref.samples[i].max_chip_temperature,
-                  eng.samples[i].max_chip_temperature, bound)
-          << "sample " << i;
-    }
-    ASSERT_EQ(ref.final_temperatures.size(), eng.final_temperatures.size());
-    for (std::size_t i = 0; i < ref.final_temperatures.size(); ++i) {
-      EXPECT_NEAR(ref.final_temperatures[i], eng.final_temperatures[i], bound)
-          << "node " << i;
+    for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+      EXPECT_EQ(ref.samples[i].max_chip_temperature,
+                eng.samples[i].max_chip_temperature)
+          << start << " K, sample " << i;
     }
   }
+
+  // After 436 K's accepted LU step the stepper is back on CG: the next step
+  // converges by CG (no second factorization) to a state the verdict
+  // rejects.
+  TransientStepper stepper(model(), w.leak);
+  stepper.reset(la::Vector(model().layout().node_count(), 436.0));
+  ASSERT_TRUE(stepper.step({0.0, 0.0}, w.dynamic, 1.0));
+  EXPECT_EQ(stepper.lu_fallbacks(), 1u);
+  const std::size_t cg_after_lu = stepper.cg_iterations();
+  EXPECT_FALSE(stepper.step({0.0, 0.0}, w.dynamic, 1.0));
+  EXPECT_EQ(stepper.factorizations(), 1u);
+  EXPECT_GT(stepper.cg_iterations(), cg_after_lu);
+  EXPECT_EQ(stepper.steps(), 1u);
+}
+
+TEST(TransientEngine, StepBelowAbsoluteZeroFailsTheVerdict) {
+  // From a uniform 412 K with the fan stopped, the 1-s step's LU solution
+  // puts every chip cell below 0 K while no node exceeds the 500-K limit,
+  // so only the verdict's lower bound can reject it. The stepper (under
+  // both checks) and the oracle call the step runaway, and the stepper
+  // keeps its state.
+  const Workload w = make_workload(24.0);
+  const double start = 412.0;
+  const AssembledSystem sys = first_step_system(w, start, 1.0);
+  const la::BandedFactor factor(sys.matrix);
+  ASSERT_EQ(factor.kind(), la::BandedFactor::Kind::kLu);
+  const la::Vector landed = factor.solve(sys.rhs);
+  EXPECT_LT(model().max_slab_temperature(landed, Slab::kChip), 0.0);
+  EXPECT_LE(*std::max_element(landed.begin(), landed.end()), 500.0);
+
+  const la::Vector hot(model().layout().node_count(), start);
+  for (const RunawayCheck check :
+       {RunawayCheck::kAllNodes, RunawayCheck::kChipOnly}) {
+    TransientStepper stepper(model(), w.leak, {500.0, check});
+    stepper.reset(hot);
+    EXPECT_FALSE(stepper.step({0.0, 0.0}, w.dynamic, 1.0));
+    EXPECT_EQ(stepper.steps(), 0u);
+    EXPECT_EQ(stepper.lu_fallbacks(), 1u);
+    EXPECT_EQ(stepper.temperatures(), hot);
+    EXPECT_EQ(stepper.max_chip_temperature(), start);
+  }
+
+  TransientOptions opts;
+  opts.time_step = 1.0;
+  opts.duration = 1.0;
+  const TransientResult ref =
+      TransientOracle(model(), w.dynamic, w.leak, opts)
+          .run_closed_loop(constant_control(0.0, 0.0), hot);
+  EXPECT_TRUE(ref.runaway);
+  EXPECT_EQ(ref.steps, 0u);
 }
 
 TEST(TransientEngine, ValidatesArgumentsLikeReference) {

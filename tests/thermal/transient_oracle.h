@@ -159,7 +159,8 @@ class TransientOracle {
         return result;
       }
       for (const double t : temps) {
-        if (!std::isfinite(t) || t > options_.runaway_temperature) {
+        if (!std::isfinite(t) || t <= 0.0 ||
+            t > options_.runaway_temperature) {
           result.runaway = true;
           result.steps = step;
           return result;
