@@ -445,6 +445,7 @@ struct Grid10Timing {
   double lu_refactorize_ms = 0.0;
   double step_ms = 0.0;  ///< one TransientStepper step (CG)
   double cg_iteration_us = 0.0;  ///< one column-preconditioned CG iteration
+  double column_factor_us = 0.0;  ///< one ColumnBlockJacobi::factor
   double cg_solve_us = 0.0;  ///< one cold CG solve to 1e-9, factor included
   std::size_t cg_solve_iterations = 0;
   double matvec_us = 0.0;  ///< one multiply_dot on the steady CG system
@@ -453,8 +454,8 @@ struct Grid10Timing {
 /// Medians over repeated factorizations of the 10-ms backward-Euler step
 /// matrix (SPD: Cholesky), its pivoted LU, stepper steps (each linearizes,
 /// stamps and solves by CG), column-preconditioned CG iterations on the
-/// steady CG system, whole cold CG solves of it, and its mat-vec, under one
-/// installed backend.
+/// steady CG system, column + coarse factorizations of it, whole cold CG
+/// solves of it, and its mat-vec, under one installed backend.
 Grid10Timing measure_grid10(const char* spec,
                             const thermal::AssembledSystem& step_sys,
                             const thermal::ThermalModel& model,
@@ -517,9 +518,20 @@ Grid10Timing measure_grid10(const char* spec,
                 [&] { benchmark::DoNotOptimize(column_cg_iterations()); }) /
       static_cast<double>(kCgIters);
 
+  // The column blocks and the coarse level refactored on the engine's
+  // structure, as every Newton step and tangent batch does; 50 per sample.
+  la::ColumnBlockJacobi solve_column;
+  constexpr int kFactors = 50;
+  t.column_factor_us = 1e3 * median_ms(kReps, [&] {
+                         for (int i = 0; i < kFactors; ++i) {
+                           benchmark::DoNotOptimize(solve_column.factor(
+                               column_symbolic, cg_sys.matrix));
+                         }
+                       }) /
+                       kFactors;
+
   // A cold solve to the engine's polish tolerance, the column factor
   // included: the iteration cost above times the iterations it takes.
-  la::ColumnBlockJacobi solve_column;
   la::IterativeOptions cold;
   cold.tolerance = 1e-9;
   cold.max_iterations = 4 * cg_sys.rhs.size();
@@ -586,20 +598,23 @@ util::json::Value grid10_section() {
   util::json::Value lu = util::json::Value::object();
   util::json::Value step = util::json::Value::object();
   util::json::Value cg_iter = util::json::Value::object();
+  util::json::Value column_factor = util::json::Value::object();
   util::json::Value cg_solve = util::json::Value::object();
   util::json::Value cg_solve_iters = util::json::Value::object();
   util::json::Value matvec = util::json::Value::object();
   for (const Grid10Timing& t : timings) {
     std::printf("  %-12s chol_refactorize %.3f ms | lu_refactorize %.3f ms | "
-                "stepper step %.3f ms | cg iteration %.3f us | cold cg solve "
-                "%.1f us (%zu iterations) | matvec %.3f us\n",
+                "stepper step %.3f ms | cg iteration %.3f us | column factor "
+                "%.2f us | cold cg solve %.1f us (%zu iterations) | matvec "
+                "%.3f us\n",
                 t.name.c_str(), t.chol_refactorize_ms, t.lu_refactorize_ms,
-                t.step_ms, t.cg_iteration_us, t.cg_solve_us,
-                t.cg_solve_iterations, t.matvec_us);
+                t.step_ms, t.cg_iteration_us, t.column_factor_us,
+                t.cg_solve_us, t.cg_solve_iterations, t.matvec_us);
     chol[t.name] = t.chol_refactorize_ms;
     lu[t.name] = t.lu_refactorize_ms;
     step[t.name] = t.step_ms;
     cg_iter[t.name] = t.cg_iteration_us;
+    column_factor[t.name] = t.column_factor_us;
     cg_solve[t.name] = t.cg_solve_us;
     cg_solve_iters[t.name] = t.cg_solve_iterations;
     matvec[t.name] = t.matvec_us;
@@ -612,6 +627,7 @@ util::json::Value grid10_section() {
   j["lu_refactorize_ms"] = lu;
   j["stepper_step_ms"] = step;
   j["cg_iteration_us"] = cg_iter;
+  j["column_factor_us"] = column_factor;
   j["cg_solve_us"] = cg_solve;
   j["cg_solve_iterations"] = cg_solve_iters;
   j["matvec_us"] = matvec;

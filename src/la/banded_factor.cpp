@@ -1,8 +1,6 @@
 #include "la/banded_factor.h"
 
-#include <optional>
 #include <stdexcept>
-#include <utility>
 
 #include "la/backend.h"
 #include "la/cholesky_core.h"
@@ -21,35 +19,20 @@ void BandedFactor::refactorize(const BandedMatrix& a) {
     throw std::invalid_argument(
         "BandedFactor: matrix must have symmetric bandwidths");
   }
-  refactorize(
-      a.size(), a.lower_bandwidth(),
-      [&a](double* lower) {
-        detail::fill_lower_band(a, a.lower_bandwidth(), lower);
-      },
-      [&a] { return a; });
-}
-
-void BandedFactor::stage(std::size_t n, std::size_t k) {
   kind_ = Kind::kNone;
-  n_ = n;
-  k_ = k;
-  lower_.resize((k + 1) * n);
-}
-
-bool BandedFactor::factor_staged() {
+  n_ = a.size();
+  k_ = a.lower_bandwidth();
+  lower_.resize((k_ + 1) * n_);
+  detail::fill_lower_band(a, k_, lower_.data());
   g_obs_cholesky.add();
-  if (!detail::banded_cholesky_factor_inplace(n_, k_, lower_.data(),
+  if (detail::banded_cholesky_factor_inplace(n_, k_, lower_.data(),
                                               backend())) {
-    return false;
+    lu_ = BandedLu();  // release a previous fallback's full band
+    kind_ = Kind::kCholesky;
+    return;
   }
-  lu_ = BandedLu();  // release a previous fallback's full band
-  kind_ = Kind::kCholesky;
-  return true;
-}
-
-void BandedFactor::factor_lu(BandedMatrix full) {
   g_obs_lu_fallbacks.add();
-  lu_ = BandedLu(std::move(full));
+  lu_ = BandedLu(a);
   kind_ = Kind::kLu;
 }
 

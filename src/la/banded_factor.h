@@ -37,30 +37,13 @@ class BandedFactor {
   /// Factor `a`; see refactorize().
   explicit BandedFactor(const BandedMatrix& a) { refactorize(a); }
 
-  /// Factor the symmetric matrix `a` (kl == ku, else std::invalid_argument).
-  /// Throws std::runtime_error when `a` is singular; the factor is then
-  /// invalid until the next successful refactorization.
+  /// Factor the symmetric matrix `a` (kl == ku, else std::invalid_argument):
+  /// Cholesky of its lower band, staged in storage that is reused when the
+  /// shape is unchanged (a warm Cholesky refactorization allocates
+  /// nothing), else the pivoted LU of the full band. Throws
+  /// std::runtime_error when `a` is singular; the factor is then invalid
+  /// until the next successful refactorization.
   void refactorize(const BandedMatrix& a);
-
-  /// Staged refactorization for callers that assemble the lower band in
-  /// place, skipping a full-band assembly (refactorize(a) stages a's lower
-  /// band this way):
-  ///   fill_lower(double* lower) writes the n×n matrix's lower band into
-  ///     (k+1)·n doubles, column j at lower + j·(k+1), diagonal first, zero
-  ///     past the matrix edge (the layout of la/cholesky_core.h);
-  ///   build_full() returns the same matrix as a BandedMatrix with
-  ///     kl == ku == k. It is called only when Cholesky fails.
-  /// Bit-identical to refactorize(build_full()). Storage is reused when the
-  /// shape is unchanged, so a warm Cholesky refactorization allocates
-  /// nothing. Throws std::runtime_error when the matrix is singular.
-  template <typename FillLower, typename BuildFull>
-  void refactorize(std::size_t n, std::size_t k, FillLower&& fill_lower,
-                   BuildFull&& build_full) {
-    stage(n, k);
-    fill_lower(lower_.data());
-    if (factor_staged()) return;
-    factor_lu(build_full());
-  }
 
   /// Solve in place: `x` holds b on entry and the solution on return.
   /// Const, so safe to call concurrently once factored.
@@ -72,14 +55,6 @@ class BandedFactor {
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
  private:
-  /// Invalidate and size the lower-band storage for an n×n, k-band matrix.
-  void stage(std::size_t n, std::size_t k);
-  /// Cholesky of the staged lower band, in place; false on a non-positive
-  /// pivot.
-  [[nodiscard]] bool factor_staged();
-  /// Pivoted LU of `full`; throws std::runtime_error when singular.
-  void factor_lu(BandedMatrix full);
-
   std::size_t n_ = 0;
   std::size_t k_ = 0;
   Kind kind_ = Kind::kNone;

@@ -93,37 +93,35 @@ ColumnBlockSymbolic ColumnBlockSymbolic::analyze(
   for (std::size_t j = 0; j < s.singletons_.size(); ++j) {
     node_coarse[s.singletons_[j]] = s.fine_ + j;
   }
-  // Visit every stored entry as (coarse row, coarse column, storage index).
-  const auto for_each_entry = [&](auto&& visit) {
-    pattern.for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
-      visit(node_coarse[r], node_coarse[c], p);
-    });
-  };
-  // Row i of E's profile starts at the lowest column it couples to.
+  // Row i of E's profile starts at the lowest column it couples to. The
+  // aggregate rows' first columns are then made non-decreasing (a few
+  // stored zeros), so the rows reaching any column j of that band are the
+  // consecutive rows j+1, j+2, … the forward solve walks.
   const std::size_t nc = s.coarse_size();
   s.profile_first_.resize(nc);
   std::iota(s.profile_first_.begin(), s.profile_first_.end(), 0);
-  for_each_entry([&](std::size_t i, std::size_t j, std::size_t) {
-    s.profile_first_[i] = std::min(s.profile_first_[i], j);
+  pattern.for_each_entry([&](std::size_t r, std::size_t c, std::size_t) {
+    std::size_t& f = s.profile_first_[node_coarse[r]];
+    f = std::min(f, node_coarse[c]);
   });
+  for (std::size_t i = s.fine_; i-- > 1;) {
+    s.profile_first_[i - 1] =
+        std::min(s.profile_first_[i - 1], s.profile_first_[i]);
+  }
   s.profile_start_.assign(nc + 1, 0);
   for (std::size_t i = 0; i < nc; ++i) {
     s.profile_start_[i + 1] = s.profile_start_[i] + i - s.profile_first_[i] + 1;
   }
-  // E(i, j), j ≤ i, sums the A(r, c) with r in i, c in j (counting sort).
-  const auto slot = [&s](std::size_t i, std::size_t j) {
-    return s.profile_start_[i] + (j - s.profile_first_[i]);
-  };
-  s.sum_start_.assign(s.profile_start_[nc] + 1, 0);
-  for_each_entry([&](std::size_t i, std::size_t j, std::size_t) {
-    if (j <= i) ++s.sum_start_[slot(i, j) + 1];
-  });
-  std::partial_sum(s.sum_start_.begin(), s.sum_start_.end(),
-                   s.sum_start_.begin());
-  s.sum_pos_.resize(s.sum_start_.back());
-  std::vector<std::size_t> next(s.sum_start_.begin(), s.sum_start_.end() - 1);
-  for_each_entry([&](std::size_t i, std::size_t j, std::size_t p) {
-    if (j <= i) s.sum_pos_[next[slot(i, j)]++] = p;
+  // E's static part: every off-diagonal A(r, c) with r in unknown i, c in
+  // unknown j ≤ i, summed into E(i, j) in the pattern's entry order.
+  const SparseMatrix::Values& values = pattern.values();
+  s.static_.assign(s.profile_start_[nc], 0.0);
+  pattern.for_each_entry([&](std::size_t r, std::size_t c, std::size_t p) {
+    const std::size_t i = node_coarse[r];
+    const std::size_t j = node_coarse[c];
+    if (r != c && j <= i) {
+      s.static_[s.profile_start_[i] + (j - s.profile_first_[i])] += values[p];
+    }
   });
   return s;
 }
@@ -141,15 +139,22 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
   };
   const std::size_t cells = symbolic.cells_;
   const std::size_t m = symbolic.slabs();
+  const std::size_t nc = symbolic.coarse_size();
   inv_pivot_.resize(m * cells);
   multiplier_.resize(symbolic.below_pos_.size());
+  // With a coarse level, each group's slab diagonals summed cell by cell.
+  group_work_.assign(nc > 0 ? symbolic.groups_ * cells : 0, 0.0);
 
   // LDLᵀ of each column's tridiagonal block (the Thomas algorithm), one slab
   // at a time: with e the coupling to the slab below,
   //   l_k = e_k / pivot_{k−1},   pivot_k = d_k − l_k·e_k.
   for (std::size_t k = 0; k < m; ++k) {
+    double* const diag_sum =
+        nc > 0 ? group_work_.data() + symbolic.slab_group_[k] * cells
+               : nullptr;
     for (std::size_t c = 0; c < cells; ++c) {
       double pivot = entry(symbolic.diag_pos_[k * cells + c]);
+      if (diag_sum != nullptr) diag_sum[c] += pivot;
       if (k > 0) {
         const std::size_t below = (k - 1) * cells + c;
         const double e = entry(symbolic.below_pos_[below]);
@@ -170,22 +175,24 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
     inv_singleton_[j] = 1.0 / d;
   }
 
-  // E = ZᵀAZ, then its Cholesky factor row by row in the profile (which
-  // holds the fill): L(i, j) = (E(i, j) − Σ_{k<j} L(i, k)·L(j, k)) / L(j, j).
-  const std::size_t nc = symbolic.coarse_size();
+  // E = ZᵀAZ: its static part plus every node's diagonal in its unknown's
+  // diagonal slot; then its Cholesky factor row by row in the profile
+  // (which holds the fill):
+  //   L(i, j) = (E(i, j) − Σ_{k<j} L(i, k)·L(j, k)) / L(j, j).
   if (nc > 0) {
     const std::size_t* first = symbolic.profile_first_.data();
     const std::size_t* start = symbolic.profile_start_.data();
-    const std::vector<std::size_t>& sum_start = symbolic.sum_start_;
-    coarse_.resize(start[nc]);
+    coarse_.assign(symbolic.static_.begin(), symbolic.static_.end());
     coarse_inv_diag_.resize(nc);
+    coarse_work_.resize(nc);
     double* f = coarse_.data();
-    for (std::size_t e = 0; e < start[nc]; ++e) {
-      double acc = 0.0;
-      for (std::size_t q = sum_start[e]; q < sum_start[e + 1]; ++q) {
-        acc += values[symbolic.sum_pos_[q]];
-      }
-      f[e] = acc;
+    symbolic.sum_aggregates(group_work_.data(), coarse_work_.data());
+    for (std::size_t i = 0; i < symbolic.fine_; ++i) {
+      f[start[i + 1] - 1] += coarse_work_[i];
+    }
+    for (std::size_t j = 0; j < singles; ++j) {
+      f[start[symbolic.fine_ + j + 1] - 1] +=
+          entry(symbolic.singleton_diag_pos_[j]);
     }
     for (std::size_t i = 0; i < nc; ++i) {
       double* li = f + (start[i] - first[i]);  // li[j] = L(i, j)
@@ -200,8 +207,6 @@ bool ColumnBlockJacobi::factor(const ColumnBlockSymbolic& symbolic,
       li[i] = std::sqrt(pivot);
       coarse_inv_diag_[i] = 1.0 / li[i];
     }
-    coarse_work_.resize(nc);
-    group_work_.resize(symbolic.groups_ * cells);
   }
   symbolic_ = &symbolic;
   return true;
@@ -245,12 +250,21 @@ double ColumnBlockJacobi::apply(const double* r, double* z) {
   return ops.dot(s.n_, r, z);
 }
 
+void ColumnBlockSymbolic::sum_aggregates(const double* group_cells,
+                                         double* y) const {
+  const std::size_t* cell_coarse = cell_coarse_.data();
+  std::fill(y, y + fine_, 0.0);
+  for (std::size_t g = 0; g < groups_; ++g) {
+    const double* wg = group_cells + g * cells_;
+    for (std::size_t c = 0; c < cells_; ++c) y[cell_coarse[c] + g] += wg[c];
+  }
+}
+
 void ColumnBlockJacobi::add_coarse_correction(const double* r, double* z) {
   const ColumnBlockSymbolic& s = *symbolic_;
   const std::size_t cells = s.cells_;
   const std::size_t nc = s.coarse_size();
   const std::size_t fine = s.fine_;
-  const std::size_t* cell_coarse = s.cell_coarse_.data();
   const BackendOps& ops = backend();
   double* __restrict y = coarse_work_.data();
   double* __restrict buf = group_work_.data();
@@ -261,19 +275,27 @@ void ColumnBlockJacobi::add_coarse_correction(const double* r, double* z) {
   for (std::size_t k = 0; k < s.slabs(); ++k) {
     ops.axpy(cells, 1.0, r + s.first_[k], buf + s.slab_group_[k] * cells);
   }
-  std::fill(y, y + fine, 0.0);
-  for (std::size_t g = 0; g < s.groups_; ++g) {
-    const double* wg = buf + g * cells;
-    for (std::size_t c = 0; c < cells; ++c) y[cell_coarse[c] + g] += wg[c];
-  }
+  s.sum_aggregates(buf, y);
   for (std::size_t t = fine; t < nc; ++t) y[t] = r[s.singletons_[t - fine]];
 
-  // E·v = y in place: L·u = y by row dots, then Lᵀ·v = u by row axpys.
+  // E·v = y in place. L·u = y column by column over the aggregate band —
+  // the rows reaching column j are j+1 … end−1 — so different rows'
+  // updates do not wait on one another, yet each row takes its own in the
+  // order of a row dot (the same bits); the singleton rows then as dots.
+  // Lᵀ·v = u by row axpys.
   const double* f = coarse_.data();
   const std::size_t* first = s.profile_first_.data();
   const std::size_t* start = s.profile_start_.data();
   const double* inv = coarse_inv_diag_.data();
-  for (std::size_t i = 0; i < nc; ++i) {
+  std::size_t end = 0;
+  for (std::size_t j = 0; j < fine; ++j) {
+    const double u = y[j] *= inv[j];
+    while (end < fine && first[end] <= j) ++end;
+    for (std::size_t i = j + 1; i < end; ++i) {
+      y[i] -= f[start[i] - first[i] + j] * u;
+    }
+  }
+  for (std::size_t i = fine; i < nc; ++i) {
     y[i] = minus_dot(y[i], f + start[i], y + first[i], i - first[i]) * inv[i];
   }
   for (std::size_t i = nc; i-- > 0;) {
@@ -283,6 +305,7 @@ void ColumnBlockJacobi::add_coarse_correction(const double* r, double* z) {
   }
 
   // Prolong, z += Z·v.
+  const std::size_t* cell_coarse = s.cell_coarse_.data();
   for (std::size_t g = 0; g < s.groups_; ++g) {
     double* wg = buf + g * cells;
     for (std::size_t c = 0; c < cells; ++c) wg[c] = y[cell_coarse[c] + g];

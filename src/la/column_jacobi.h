@@ -21,6 +21,12 @@
 // row profile, which holds the fill; numbering aggregates row by row over
 // a lateral grid keeps all but the singletons' rows short.
 //
+// A's diagonal only reaches E's diagonal, and it is all that moves between
+// the matrices one symbolic serves (the thermal engine stamps every
+// operating-point term there). So analyze() sums the rest of E once and
+// factor() adds only the node diagonals: every matrix factored against a
+// symbolic must have the off-diagonal values of the pattern analyze() read.
+//
 // The preconditioner is split like the banded Cholesky:
 //   ColumnBlockSymbolic — where each column's entries live in a fixed
 //                         sparse pattern (their SparseMatrix::position()).
@@ -39,7 +45,8 @@
 // returns goes through the active backend's dot, so it is exactly what
 // backend().dot would return for the produced z (the simd backends' fixed
 // 8-lane tree; see la/backend.h). With the coarse level z keeps its bits
-// too: its adds are exact axpys by 1.0, its solves fixed-order scalar code.
+// too: its adds are exact axpys by 1.0, its sums and solves fixed-order
+// scalar code.
 #pragma once
 
 #include <cstddef>
@@ -57,16 +64,16 @@ struct CoarseMap {
 
 class ColumnBlockSymbolic {
  public:
-  /// Locate, in `pattern`'s sparsity structure (values are not read), the
-  /// diagonal entry of every slab node and the coupling of every slab node
-  /// to the same cell in the slab below. `slab_first[k]` is the first node
-  /// of slab k, listed bottom to top along the column; every slab holds
-  /// `cells` consecutive nodes. Nodes outside every slab become singletons.
-  /// A non-empty `coarse` adds the coarse level: unknown a·G + g is
-  /// aggregate a of group g, singleton j is unknown A·G + j. Throws
-  /// std::invalid_argument when a slab runs past the matrix, two slabs
-  /// overlap, or `coarse` misses a cell or slab or leaves an id unused. A
-  /// coupling absent from the pattern factors as 0.
+  /// Locate, in `pattern`'s sparsity structure, the diagonal entry of every
+  /// slab node and the coupling of every slab node to the same cell in the
+  /// slab below. `slab_first[k]` is the first node of slab k, listed bottom
+  /// to top along the column; every slab holds `cells` consecutive nodes.
+  /// Nodes outside every slab become singletons. A non-empty `coarse` adds
+  /// the coarse level: unknown a·G + g is aggregate a of group g, singleton
+  /// j is unknown A·G + j; only then are `pattern`'s values read, to sum
+  /// E's static part. Throws std::invalid_argument when a slab runs past the
+  /// matrix, two slabs overlap, or `coarse` misses a cell or slab or leaves
+  /// an id unused. A coupling absent from the pattern factors as 0.
   [[nodiscard]] static ColumnBlockSymbolic analyze(
       const SparseMatrix& pattern, std::size_t cells,
       std::vector<std::size_t> slab_first, CoarseMap coarse = {});
@@ -103,24 +110,29 @@ class ColumnBlockSymbolic {
   /// Cell c of a group-g slab restricts to unknown cell_coarse_[c] + g.
   std::vector<std::size_t> cell_coarse_;
   /// E's row profile: row i holds columns profile_first_[i] … i at
-  /// profile_start_[i] …, diagonal last.
+  /// profile_start_[i] …, diagonal last. The first columns never decrease
+  /// over the aggregate rows (unknowns below fine_).
   std::vector<std::size_t> profile_first_;
   std::vector<std::size_t> profile_start_;
-  /// Profile entry e of E is the sum of values()[sum_pos_[q]] over q in
-  /// [sum_start_[e], sum_start_[e+1]), taken in that order.
-  std::vector<std::size_t> sum_start_;
-  std::vector<std::size_t> sum_pos_;
+  /// E's static part in its profile: everything but the node diagonals.
+  std::vector<double> static_;
+
+  /// y[0 … fine_) = each aggregate's sum, cells ascending, of its group's
+  /// vector in `group_cells` (one cell vector per group, group-major).
+  void sum_aggregates(const double* group_cells, double* y) const;
 };
 
 class ColumnBlockJacobi {
  public:
   /// Factor every column block of `a`, whose sparsity pattern must be the one
   /// `symbolic` was analyzed on, and with a coarse level assemble E = ZᵀAZ
-  /// and Cholesky-factor it. Returns false on a non-positive (or NaN) pivot
-  /// or singleton diagonal — a principal submatrix that is not SPD — or a
-  /// non-positive coarse pivot; either proves `a` is not SPD. The factor is
-  /// then unusable until the next successful factor(). Reuses its storage
-  /// across calls. The symbolic must outlive every apply() that follows.
+  /// and Cholesky-factor it; `a`'s off-diagonal values must then be the
+  /// analyzed pattern's (only its diagonal is read into E). Returns false on
+  /// a non-positive (or NaN) pivot or singleton diagonal — a principal
+  /// submatrix that is not SPD — or a non-positive coarse pivot; either
+  /// proves `a` is not SPD. The factor is then unusable until the next
+  /// successful factor(). Reuses its storage across calls. The symbolic must
+  /// outlive every apply() that follows.
   [[nodiscard]] bool factor(const ColumnBlockSymbolic& symbolic,
                             const SparseMatrix& a);
 
@@ -146,7 +158,9 @@ class ColumnBlockJacobi {
   std::vector<double> coarse_;  ///< E, then L of E = L·Lᵀ, in its profile
   std::vector<double> coarse_inv_diag_;  ///< 1/L(i, i)
   std::vector<double> coarse_work_;  ///< Zᵀr, then E⁻¹·Zᵀr
-  std::vector<double> group_work_;   ///< one cell vector per group
+  /// One cell vector per group: slab diagonal sums in factor(), slab sums
+  /// of r and then Z·v in apply().
+  std::vector<double> group_work_;
 };
 
 }  // namespace oftec::la

@@ -609,8 +609,7 @@ la::ColumnBlockSymbolic IncrementalAssembler::column_structure() const {
   for (std::size_t k = 0; k < kSlabCount; ++k) {
     const auto slab = static_cast<Slab>(k);
     slab_first[k] = layout.node(slab, 0);
-    coarse.slab_group.push_back(
-        slab == Slab::kSpreader ? 1 : (slab == Slab::kSink ? 2 : 0));
+    coarse.slab_group.push_back(slab == Slab::kSink ? 1 : 0);
   }
   // A 5×5 lateral partition (coarser on grids narrower than 5 cells).
   const std::size_t nx = layout.nx();

@@ -302,7 +302,11 @@ class IncrementalAssembler {
   /// Column structure of the fixed sparse pattern for la::ColumnBlockJacobi:
   /// every (x, y) column runs through the nine slabs bottom to top, and the
   /// three ring nodes are singletons. The coarse level: 5×5 lateral
-  /// aggregates × 3 slab groups (spreader, sink, the rest) + 3 rings = 78.
+  /// aggregates × 2 slab groups (the sink, the eight slabs below it) + 3
+  /// rings = 53 unknowns; the split that matters is TIM2's, between the
+  /// sink and the rest (docs/solver.md, "Why this coarse space"). Its static
+  /// part is summed from static_csr_system()'s values, which assemble_csr()
+  /// keeps off the diagonal, as la::ColumnBlockJacobi::factor requires.
   [[nodiscard]] la::ColumnBlockSymbolic column_structure() const;
 
   /// Band-storage form for the direct solvers (ThermalModel::assemble —

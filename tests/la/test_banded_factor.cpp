@@ -59,20 +59,6 @@ Vector make_rhs(std::size_t n, std::uint64_t seed) {
   return b;
 }
 
-/// a's lower band in the staging layout of BandedFactor::refactorize:
-/// column j at j·(k+1), diagonal first, zero past the matrix edge.
-Vector lower_band_of(const BandedMatrix& a) {
-  const std::size_t n = a.size();
-  const std::size_t k = a.lower_bandwidth();
-  Vector lower((k + 1) * n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t r = 0; r <= k && j + r < n; ++r) {
-      lower[j * (k + 1) + r] = a.get(j + r, j);
-    }
-  }
-  return lower;
-}
-
 void expect_same_bits(const Vector& a, const Vector& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
@@ -126,26 +112,20 @@ TEST(BandedFactor, RefactorizeBitIdenticalToFreshFactor) {
 }
 
 TEST(BandedFactor, StagedRefactorizeMatchesFullBandOnBothPaths) {
-  // The stepper's path: stage the lower band in place, build the full band
-  // only when Cholesky fails. Both must equal factoring the full matrix.
+  // refactorize() stages the lower band in storage it reuses and builds the
+  // full band's LU only when Cholesky fails. On a warm object that last
+  // held a larger matrix's LU, both paths must equal the full-band factors.
   for (const bool spd : {true, false}) {
     const BandedMatrix a = spd ? make_symmetric_band(25, 6, 21, 1.0)
                                : make_indefinite_band(25, 6, 22);
-    const Vector lower = lower_band_of(a);
-    bool built_full = false;
-    BandedFactor f;
-    f.refactorize(
-        a.size(), a.lower_bandwidth(),
-        [&](double* out) { std::copy(lower.begin(), lower.end(), out); },
-        [&] {
-          built_full = true;
-          return a;
-        });
-    EXPECT_EQ(built_full, !spd);
+    BandedFactor f(make_indefinite_band(40, 8, 24));
+    ASSERT_EQ(f.kind(), BandedFactor::Kind::kLu);
+    f.refactorize(a);
     EXPECT_EQ(f.kind(), spd ? BandedFactor::Kind::kCholesky
                             : BandedFactor::Kind::kLu);
     const Vector b = make_rhs(25, 23);
-    expect_same_bits(f.solve(b), BandedFactor(a).solve(b));
+    expect_same_bits(f.solve(b), spd ? factor_cholesky(a).solve(b)
+                                     : BandedLu(a).solve(b));
   }
 }
 

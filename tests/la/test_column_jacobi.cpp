@@ -3,8 +3,9 @@
 // singletons, failure on non-positive pivots, r·z bitwise the backend dot,
 // and fewer CG iterations than diagonal Jacobi on a stacked grid. With a
 // coarse level: a symmetric positive definite M⁻¹, a coarse pivot that
-// proves a matrix indefinite where every column block is SPD, and fewer CG
-// iterations than column blocks alone; without one, the column-only bits.
+// proves a matrix indefinite where every column block is SPD, E = ZᵀAZ
+// across diagonal-only refactors, and fewer CG iterations than column
+// blocks alone; without one, the column-only bits.
 #include "la/column_jacobi.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "la/backend.h"
+#include "la/dense_lu.h"
+#include "la/dense_matrix.h"
 #include "la/iterative.h"
 #include "la/sparse.h"
 #include "tests/la/layered_systems.h"
@@ -36,17 +39,22 @@ ColumnBlockSymbolic analyze(const LayeredCase& c) {
 }
 
 /// The thermal stack's coarse map over an nx×ny case of nine slabs: a 5×5
-/// lateral partition crossed with three groups (slab 6, slab 8, the rest).
-ColumnBlockSymbolic analyze_coarse(const LayeredCase& c, std::size_t nx,
-                                   std::size_t ny) {
+/// lateral partition crossed with two groups (slab 8, the rest).
+CoarseMap stack_map(const LayeredCase& c, std::size_t nx, std::size_t ny) {
   CoarseMap map;
   for (std::size_t cell = 0; cell < c.cells; ++cell) {
     map.cell_aggregate.push_back(cell / nx * 5 / ny * 5 + cell % nx * 5 / nx);
   }
   for (std::size_t k = 0; k < c.slab_first.size(); ++k) {
-    map.slab_group.push_back(k == 6 ? 1 : (k == 8 ? 2 : 0));
+    map.slab_group.push_back(k == 8 ? 1 : 0);
   }
-  return ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first, map);
+  return map;
+}
+
+ColumnBlockSymbolic analyze_coarse(const LayeredCase& c, std::size_t nx,
+                                   std::size_t ny) {
+  return ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first,
+                                      stack_map(c, nx, ny));
 }
 
 TEST(ColumnBlockJacobi, AnalyzeFindsSlabsAndSingletons) {
@@ -216,7 +224,7 @@ TEST(ColumnBlockJacobi, RefactorReusesStorageAcrossValueChanges) {
 TEST(ColumnBlockJacobi, CoarseLevelIsSymmetricPositiveDefinite) {
   const LayeredCase c = make_layered_case(91, 10, 10, 9, 0.05);
   const ColumnBlockSymbolic s = analyze_coarse(c, 10, 10);
-  EXPECT_EQ(s.coarse_size(), 78u);
+  EXPECT_EQ(s.coarse_size(), 53u);
   ColumnBlockJacobi m;
   ASSERT_TRUE(m.factor(s, c.a));
   const std::size_t n = c.a.size();
@@ -260,6 +268,73 @@ TEST(ColumnBlockJacobi, CoarsePivotProvesAMatrixWithSpdColumnsIndefinite) {
   EXPECT_TRUE(m.factor(analyze(c), c.a));
   EXPECT_FALSE(m.factor(analyze_coarse(c, 10, 10), c.a));
   EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(ColumnBlockJacobi, DiagonalOnlyRefactorsKeepTheGalerkinMatrix) {
+  // analyze() sums E's static part once and factor() adds only the node
+  // diagonals, so after diagonal-only value changes E must still be ZᵀAZ
+  // of the current matrix. Two checks against test-side full sums:
+  //   - on r = A·Z·y, Zᵀr = ZᵀAZ·y, so apply() adds exactly Z·y to the
+  //     column-only z (within rounding): E·y = ZᵀAZ·y;
+  //   - on the case's b, apply() matches M_col⁻¹b + Z·E_ref⁻¹·Zᵀb with E_ref
+  //     summed densely over every stored entry and solved by dense LU.
+  LayeredCase c = make_layered_case(98, 10, 10, 9, 0.3);
+  const CoarseMap map = stack_map(c, 10, 10);
+  const ColumnBlockSymbolic s =
+      ColumnBlockSymbolic::analyze(c.a, c.cells, c.slab_first, map);
+  const ColumnBlockSymbolic columns = analyze(c);
+  const std::size_t n = c.a.size();
+  const std::size_t nc = s.coarse_size();
+  ASSERT_EQ(nc, 53u);
+  // Node → coarse unknown: aggregate a of group g is a·2 + g, ring j is
+  // 50 + j.
+  std::vector<std::size_t> unknown(n);
+  for (std::size_t k = 0; k < c.slab_first.size(); ++k) {
+    for (std::size_t cell = 0; cell < c.cells; ++cell) {
+      unknown[c.slab_first[k] + cell] =
+          map.cell_aggregate[cell] * 2 + map.slab_group[k];
+    }
+  }
+  for (std::size_t j = 0; j < c.rings.size(); ++j) unknown[c.rings[j]] = 50 + j;
+
+  util::Rng rng(99);
+  for (int round = 0; round < 3; ++round) {
+    SparseMatrix::Values& v = c.a.mutable_values();
+    for (std::size_t i = 0; i < n; ++i) {
+      v[c.a.position(i, i)] *= rng.uniform(1.0, 1.5);
+    }
+    ColumnBlockJacobi m, column;
+    ASSERT_TRUE(m.factor(s, c.a));
+    ASSERT_TRUE(column.factor(columns, c.a));
+    const auto coarse_part = [&](const Vector& r) {
+      Vector z(n), z_col(n);
+      (void)m.apply(r.data(), z.data());
+      (void)column.apply(r.data(), z_col.data());
+      for (std::size_t i = 0; i < n; ++i) z[i] -= z_col[i];
+      return z;
+    };
+
+    Vector y(nc), zy(n);
+    for (double& yi : y) yi = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) zy[i] = y[unknown[i]];
+    const Vector added = coarse_part(c.a.multiply(zy));
+    EXPECT_LT(max_abs_diff(added, zy), 1e-12) << "round " << round;
+
+    DenseMatrix e(nc, nc);
+    c.a.for_each_entry([&](std::size_t r, std::size_t col, std::size_t p) {
+      e(unknown[r], unknown[col]) += c.a.values()[p];
+    });
+    Vector zb(nc, 0.0);
+    for (std::size_t i = 0; i < n; ++i) zb[unknown[i]] += c.b[i];
+    const Vector coarse_b = solve_dense(e, zb);
+    const Vector got = coarse_part(c.b);
+    double scale = 0.0, err = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      scale = std::max(scale, std::abs(coarse_b[unknown[i]]));
+      err = std::max(err, std::abs(got[i] - coarse_b[unknown[i]]));
+    }
+    EXPECT_LT(err, 1e-12 * scale) << "round " << round;
+  }
 }
 
 TEST(ColumnBlockJacobi, WithoutCoarseMapKeepsTheColumnSweepBits) {

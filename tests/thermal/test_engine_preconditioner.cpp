@@ -7,13 +7,18 @@
 //     fallbacks, and at most 0.5× those under column blocks alone;
 //   - the engine averages at most 10 CG iterations per linear solve (a
 //     bound, not a count: scalar and simd backends differ in ULPs).
-// And because solve_batch's thread-local workspace is shared by every
-// engine on a thread, batches that interleave a 10×10 and a 16×16 engine on
-// one pool must still be bit-identical to serial.
+// The coarse level's two slab groups (the sink, the eight slabs below it)
+// keep the cold-CG iterations of three groups (the spreader split off too)
+// within one, at 6×6, 10×10 and 16×16. And because solve_batch's
+// thread-local workspace is shared by every engine on a thread, batches
+// that interleave a 10×10 and a 16×16 engine on one pool must still be
+// bit-identical to serial.
 #include "thermal/solve_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -84,6 +89,11 @@ class Stack {
   ThermalModel model_;
   std::vector<std::unique_ptr<SteadySolver>> solvers_;
 };
+
+const Stack& stack6() {
+  static const Stack s(6, 6);
+  return s;
+}
 
 const Stack& stack10() {
   static const Stack s(10, 10);
@@ -283,9 +293,116 @@ TEST(EnginePreconditioner, EngineAveragesAtMostTenCgIterationsPerSolve) {
                            static_cast<double>(linear_solves);
   RecordProperty("cg_iterations_per_solve_x100",
                  static_cast<int>(100.0 * per_solve));
-  // 7.51 under both scalar and simd with the coarse level (it was ≈ 20
-  // with column blocks alone).
+  // 7.60 under both scalar and simd with the two-group coarse level (7.51
+  // with three groups, ≈ 20 with column blocks alone).
   EXPECT_LE(per_solve, 10.0) << cg_iterations << " over " << linear_solves;
+}
+
+/// The engine's coarse map with the spreader as a third slab group: 5×5
+/// aggregates × (spreader, sink, the rest) + 3 rings = 78 unknowns.
+la::ColumnBlockSymbolic three_group_structure(const ThermalModel& model) {
+  const NodeLayout& layout = model.layout();
+  std::vector<std::size_t> slab_first;
+  la::CoarseMap coarse;
+  for (std::size_t k = 0; k < kSlabCount; ++k) {
+    const auto slab = static_cast<Slab>(k);
+    slab_first.push_back(layout.node(slab, 0));
+    coarse.slab_group.push_back(
+        slab == Slab::kSpreader ? 1 : (slab == Slab::kSink ? 2 : 0));
+  }
+  const std::size_t nx = layout.nx();
+  const std::size_t ny = layout.ny();
+  for (std::size_t cell = 0; cell < layout.cells_per_layer(); ++cell) {
+    coarse.cell_aggregate.push_back((cell / nx * 5 / ny) * 5 +
+                                    cell % nx * 5 / nx);
+  }
+  return la::ColumnBlockSymbolic::analyze(model.static_csr_system().matrix,
+                                          layout.cells_per_layer(),
+                                          std::move(slab_first),
+                                          std::move(coarse));
+}
+
+/// Cold-CG iterations of one decision point's four solves at
+/// (0.6 ω_max, 0.5 I_max) under `structure`: the first Newton system (the
+/// engine's T_amb + 10 K linearization) at the inner tolerance 1e-6 and at
+/// the polish tolerance, then ∂T/∂ω and ∂T/∂I (all cells) at the polish
+/// tolerance on the system linearized at the converged point.
+std::array<std::size_t, 4> cold_iterations(
+    const SteadySolver& solver, const la::ColumnBlockSymbolic& structure) {
+  const ThermalModel& model = solver.model();
+  const std::size_t cells = model.layout().cells_per_layer();
+  const double omega = 0.6 * model.config().fan.max_speed;
+  const la::Vector current(cells, 0.5 * model.config().tec.max_current);
+  const double polish = solver.options().iterative_tolerance;
+  const IncrementalAssembler assembler(model, solver.cell_dynamic_power());
+  std::vector<power::TaylorCoefficients> taylor(cells);
+  const auto linearize = [&](const la::Vector& chip) {
+    for (std::size_t i = 0; i < cells; ++i) {
+      taylor[i] = power::tangent_linearize(solver.cell_leakage()[i], chip[i]);
+    }
+  };
+  CsrSystem csr;
+  la::ColumnBlockJacobi column;
+  const auto cold = [&](const la::Vector& rhs, double tolerance) {
+    la::IterativeOptions opts;
+    opts.tolerance = tolerance;
+    opts.max_iterations = 4 * rhs.size();
+    opts.preconditioner = &column;
+    const la::IterativeResult r = la::solve_cg(csr.matrix, rhs, opts);
+    EXPECT_TRUE(r.converged);
+    return r.iterations;
+  };
+  std::array<std::size_t, 4> out{};
+
+  linearize(la::Vector(cells, model.config().ambient + 10.0));
+  assembler.assemble_csr(omega, current, taylor, csr);
+  EXPECT_TRUE(column.factor(structure, csr.matrix));
+  out[0] = cold(csr.rhs, 1e-6);
+  out[1] = cold(csr.rhs, polish);
+
+  const SteadyResult point = SolveEngine(solver).solve({omega, current[0]});
+  EXPECT_EQ(point.status, SolveStatus::kOk);
+  linearize(model.slab_temperatures(point.temperatures, Slab::kChip));
+  assembler.assemble_csr(omega, current, taylor, csr);
+  EXPECT_TRUE(column.factor(structure, csr.matrix));
+  la::Vector rhs;
+  model.omega_sensitivity_rhs(omega, point.temperatures, rhs);
+  out[2] = cold(rhs, polish);
+  model.current_sensitivity_rhs(current, la::Vector(cells, 1.0),
+                                point.temperatures, rhs);
+  out[3] = cold(rhs, polish);
+  return out;
+}
+
+TEST(EnginePreconditioner, TwoSlabGroupsKeepThreeGroupIterationsWithinOne) {
+  // The split that matters is TIM2's, between the sink and the rest; a
+  // spreader group of its own costs 25 coarse unknowns and buys at most an
+  // iteration per solve.
+  const std::array<workload::Benchmark, 2> maps = {
+      workload::Benchmark::kQuicksort, workload::Benchmark::kBitCount};
+  for (const Stack* stack : {&stack6(), &stack10(), &stack16()}) {
+    for (const workload::Benchmark b : maps) {
+      const auto& all = workload::all_benchmarks();
+      const std::size_t index = static_cast<std::size_t>(
+          std::find(all.begin(), all.end(), b) - all.begin());
+      const SteadySolver& solver = *stack->solvers()[index];
+      const la::ColumnBlockSymbolic two =
+          IncrementalAssembler(solver.model(), solver.cell_dynamic_power())
+              .column_structure();
+      const la::ColumnBlockSymbolic three =
+          three_group_structure(solver.model());
+      ASSERT_EQ(two.coarse_size(), 53u);
+      ASSERT_EQ(three.coarse_size(), 78u);
+      const std::array<std::size_t, 4> ours = cold_iterations(solver, two);
+      const std::array<std::size_t, 4> theirs = cold_iterations(solver, three);
+      for (std::size_t q = 0; q < ours.size(); ++q) {
+        EXPECT_LE(ours[q], theirs[q] + 1)
+            << workload::benchmark_name(b) << " "
+            << solver.model().layout().nx() << "x"
+            << solver.model().layout().ny() << " solve " << q;
+      }
+    }
+  }
 }
 
 void expect_identical(const SteadyResult& a, const SteadyResult& b,
